@@ -40,6 +40,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -351,7 +352,8 @@ def _seed_worker(args):
     try:
         return _run_single_seed(config, seed)
     except Exception as exc:  # captured per seed, other seeds continue
-        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc()}
 
 
 def run(config: dict) -> dict:

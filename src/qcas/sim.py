@@ -4,12 +4,24 @@ Qubit 0 is the most significant bit of the computational-basis index, so the
 basis state |q0 q1 ... q_{n-1}> sits at index sum_k q_k * 2^(n-1-k).  All
 expectation values are exact (no shot sampling); randomness only enters through
 explicitly passed generators in the noise channels.
+
+Every gate application goes through one kernel, `_apply_steps`, which runs a
+list of (transpose permutation, dimension, matrix) steps on a
+(2,)*n + (batch,) tensor.  A `Circuit` is compiled once, on its first run,
+into a `CircuitPlan` kept on the circuit object: the permutations of all its
+gates, the constant matrices of its fixed gates, and one buffer holding the
+matrices of its parametric gates, refilled for each theta with the cos/sin
+of every angle (from `math`, as `GateKind.matrix` uses).  `apply_circuit_columns`, `run_circuit`,
+`circuit_unitary`, `apply_gate` and `swap_test_expectation` all use the
+kernel, and give bit-for-bit the results of applying each gate with a matrix
+built by `GateKind.matrix`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,39 +238,142 @@ class QaeSplit:
 # ---------------------------------------------------------------------------
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
-                  n_qubits: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on axes `targets` of a (2,)*n [+ batch] tensor."""
-    k = len(targets)
-    moved = np.moveaxis(tensor, targets, range(k))
-    shape = moved.shape
-    flat = moved.reshape(2**k, -1)
-    out = (mat @ flat).reshape(shape)
-    return np.moveaxis(out, range(k), targets)
+def _kernel_steps(n_qubits: int, ops) -> tuple[list, tuple]:
+    """Kernel steps (perm, dim, matrix) for (targets, matrix) pairs, and the
+    permutation that restores qubit order after the last step.
+
+    Each perm brings the gate's target axes to the front of the axis order
+    the previous step left behind, so one transpose per gate suffices.
+    Non-target axes keep their relative order; the batch axis stays last.
+    """
+    axes = range(n_qubits + 1)
+    where = list(axes)  # where[a]: the position of axis a after the last step
+    steps = []
+    for targets, mat in ops:
+        order = tuple(targets) + tuple(a for a in axes if a not in targets)
+        steps.append((tuple([where[a] for a in order]), 2 ** len(targets), mat))
+        for i, a in enumerate(order):
+            where[a] = i
+    return steps, tuple(where)
+
+
+def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarray:
+    """The gate-application kernel: run kernel steps on (2^n, batch) columns.
+
+    Each step views the (2,)*n + (batch,) tensor with the gate's target axes
+    first, flattens it to (2^k, rest) and multiplies by the 2^k x 2^k matrix.
+    """
+    batch = columns.shape[1]
+    tensor = np.ascontiguousarray(columns, dtype=complex).reshape((2,) * n_qubits + (batch,))
+    shape = tensor.shape
+    for perm, dim, mat in steps:
+        tensor = (mat @ tensor.transpose(perm).reshape(dim, -1)).reshape(shape)
+    return tensor.transpose(restore).reshape(2**n_qubits, batch)
+
+
+# Where theta enters a rotation's 2x2 block, as (row, col, part, value) with
+# part 0 = real, 1 = imaginary and value 0 = cos, 1 = sin, 2 = -sin,
+# 3 = sin + 0.0 of theta/2.  The last is what cmath.exp(1j * theta / 2)
+# gives, whose argument turns theta = -0.0 into +0.0.  Every other component
+# is +0.0, as in `_rot`.
+_ROT_ENTRIES = {
+    "X": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 2), (1, 0, 1, 2)),
+    "Y": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 2), (1, 0, 0, 1)),
+    "Z": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 2), (1, 1, 1, 3)),
+}
+
+
+class CircuitPlan:
+    """A circuit compiled once for runs at many parameter vectors.
+
+    It holds the kernel steps of every gate.  Fixed gates use their constant
+    matrices.  The matrices of parametric gates are views into one buffer,
+    which `bind` refills in place from a single cos/sin evaluation of
+    theta/2, with the entries `GateKind.matrix` builds; runs are therefore
+    bit-identical to building every matrix per gate.  The buffer is shared,
+    so one plan must not be run from two threads at once.
+    """
+
+    def __init__(self, n_qubits: int, gates):
+        self.n_qubits = n_qubits
+        self.gates = tuple(gates)
+        param = [g for g in self.gates if g.param_slot is not None]
+        self.n_params = len(param)
+        self.slots = np.array([g.param_slot for g in param], dtype=np.intp)
+        buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
+        self._parts = buffer.view(np.float64)
+        dst, src, matrices = [], [], []
+        offset = j = 0
+        for g in self.gates:
+            if g.param_slot is None:
+                matrices.append(g.kind.matrix())
+                continue
+            d = 2**g.kind.arity
+            mat = buffer[offset:offset + d * d].reshape(d, d)
+            corner = d - 2  # controlled gates rotate the control-|1> block
+            mat[:corner, :corner] = np.eye(corner)
+            for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
+                dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
+                src.append(value * self.n_params + j)
+            matrices.append(mat)
+            offset += d * d
+            j += 1
+        self._dst = np.array(dst, dtype=np.intp)
+        self._src = np.array(src, dtype=np.intp)
+        self.steps, self.restore = _kernel_steps(
+            n_qubits, ((g.targets, mat) for g, mat in zip(self.gates, matrices)))
+
+    def __reduce__(self):
+        # copies and unpickled plans compile afresh, so their matrices stay
+        # views into their own buffer
+        return CircuitPlan, (self.n_qubits, self.gates)
+
+    def bind(self, theta: np.ndarray):
+        """Write the parametric gate matrices for `theta` into the buffer.
+
+        cos and sin come from `math`, as in `_rot` and `cmath.exp`, so the
+        entries match `GateKind.matrix` bit for bit on any platform.
+        """
+        if self.n_params:
+            half = (theta[self.slots] / 2).tolist()
+            sin = [math.sin(h) for h in half]
+            values = np.array([math.cos(h) for h in half] + sin
+                              + [-s for s in sin] + [s + 0.0 for s in sin])
+            self._parts[self._dst] = values[self._src]
+
+
+def circuit_plan(circuit: Circuit) -> CircuitPlan:
+    """The circuit's plan, compiled on first use and kept on the circuit.
+
+    It lives in the instance `__dict__`, not in a dataclass field, so
+    equality and repr are unchanged.  It is compiled again if the circuit's
+    width or gate list has changed since.
+    """
+    plan = circuit.__dict__.get("_plan")
+    gates = circuit.gates
+    if (plan is None or plan.n_qubits != circuit.n_qubits or len(plan.gates) != len(gates)
+            or not all(map(operator.is_, plan.gates, gates))):
+        plan = circuit.__dict__["_plan"] = CircuitPlan(circuit.n_qubits, gates)
+    return plan
 
 
 def apply_gate(state: PureState, gate: GateInstance, angle: float | None = None) -> PureState:
     """Apply one gate's unitary on its target qubits; other qubits untouched."""
     if any(t >= state.n_qubits for t in gate.targets):
         raise ValueError("gate target out of range")
-    mat = gate.kind.matrix(angle)
-    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
-    out = _apply_matrix(tensor, mat, gate.targets, state.n_qubits)
-    return PureState(state.n_qubits, out.reshape(-1))
+    steps, restore = _kernel_steps(state.n_qubits, [(gate.targets, gate.kind.matrix(angle))])
+    out = _apply_steps(state.amplitudes[:, None], state.n_qubits, steps, restore)
+    return PureState(state.n_qubits, out[:, 0])
 
 
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Run `circuit` on every column of a (2^n, batch) amplitude matrix."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.n_params,):
+    plan = circuit_plan(circuit)
+    if theta.shape != (plan.n_params,):
         raise ValueError("theta length must equal circuit.n_params")
-    n = circuit.n_qubits
-    batch = columns.shape[1]
-    tensor = np.ascontiguousarray(columns, dtype=complex).reshape((2,) * n + (batch,))
-    for g in circuit.gates:
-        angle = theta[g.param_slot] if g.param_slot is not None else None
-        tensor = _apply_matrix(tensor, g.kind.matrix(angle), g.targets, n)
-    return tensor.reshape(2**n, batch)
+    plan.bind(theta)
+    return _apply_steps(columns, circuit.n_qubits, plan.steps, plan.restore)
 
 
 def run_circuit(input: PureState, circuit: Circuit, theta=()) -> PureState:
@@ -383,19 +498,16 @@ def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> f
     n_total = 1 + 2 * m
     h = GATE_KINDS["H"].matrix()
     cswap = _cswap_matrix()
+    steps, restore = _kernel_steps(
+        n_total,
+        [((0,), h)] + [((0, 1 + i, 1 + m + i), cswap) for i in range(m)] + [((0,), h)])
     p0 = 0.0
     for lam, vec in zip(vals, vecs.T):
         if lam <= 0.0:
             continue
-        full = np.zeros((2,) * n_total, dtype=complex)
         amps = np.kron(np.kron([1.0, 0.0], vec), reference.amplitudes)
-        full = amps.reshape((2,) * n_total)
-        full = _apply_matrix(full, h, (0,), n_total)
-        for i in range(m):
-            full = _apply_matrix(full, cswap, (0, 1 + i, 1 + m + i), n_total)
-        full = _apply_matrix(full, h, (0,), n_total)
-        amps = full.reshape(2, -1)
-        p0 += lam * float(np.sum(np.abs(amps[0]) ** 2))
+        out = _apply_steps(amps[:, None], n_total, steps, restore).reshape(2, -1)
+        p0 += lam * float(np.sum(np.abs(out[0]) ** 2))
     f = 2.0 * p0 - 1.0
     return min(max(f, 0.0), 1.0)
 

@@ -24,7 +24,6 @@ from .sim import (
     amplitude_encode,
     apply_circuit_columns,
     basis_state,
-    bitflip_noise_circuit,
     circuit_unitary,
     gate,
     ghz_state,
@@ -52,12 +51,10 @@ def _to_trash_major(cols: np.ndarray, n: int, split: QaeSplit) -> np.ndarray:
     return moved.reshape(d_a, d_b, batch)
 
 
-def batch_trash_fidelity(encoded_cols: np.ndarray, n: int, split: QaeSplit,
-                         reference: PureState) -> np.ndarray:
-    """Per-column <a| Tr_A[|psi><psi|] |a> for pure encoded columns."""
+def batch_trash_fidelity(encoded_cols: np.ndarray, n: int, split: QaeSplit) -> np.ndarray:
+    """Per-column <0...0| Tr_A[|psi><psi|] |0...0> for pure encoded columns."""
     m = _to_trash_major(encoded_cols, n, split)
-    proj = np.einsum("abz,b->az", m, reference.amplitudes.conj())
-    return np.sum(np.abs(proj) ** 2, axis=0)
+    return np.sum(np.abs(m[:, 0, :]) ** 2, axis=0)
 
 
 def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray,
@@ -104,16 +101,27 @@ class NoiseDataset:
     clean: PureState
 
 
+def _bitflip_columns(clean: PureState, p: float, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """`count` copies of `clean` under `bitflip_noise_circuit`, drawing the
+    same flips in the same order.  X on qubit q moves amplitude i to
+    i ^ 2^(n-1-q), so each column is the clean vector indexed by idx ^ mask."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    n = clean.n_qubits
+    flips = rng.random((count, n)) < p
+    masks = flips @ (1 << np.arange(n - 1, -1, -1))
+    return clean.amplitudes[np.arange(2**n)[:, None] ^ masks]
+
+
 def _noisy_ghz_columns(kind: str, n_qubits: int, p: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     clean = ghz_state(n_qubits)
+    if kind == "bitflip":
+        return _bitflip_columns(clean, p, count, rng)
     cols = np.empty((2**n_qubits, count), dtype=complex)
     for i in range(count):
-        if kind == "bitflip":
-            noise = bitflip_noise_circuit(n_qubits, p, rng)
-            cols[:, i] = run_circuit(clean, noise).amplitudes
-        else:
-            cols[:, i] = pauli_channel_apply(clean, p, rng).amplitudes
+        cols[:, i] = pauli_channel_apply(clean, p, rng).amplitudes
     return cols
 
 
@@ -339,7 +347,7 @@ class QaeTask:
                                         self.train_cols)
         if self.cost_mode == "local":
             return 1.0 - float(np.mean(self._local_populations(encoded)))
-        f = batch_trash_fidelity(encoded, self.n_qubits, self.split, self.reference)
+        f = batch_trash_fidelity(encoded, self.n_qubits, self.split)
         return float(np.mean(1.0 - f))
 
     def _local_populations(self, encoded: np.ndarray) -> np.ndarray:
@@ -362,7 +370,7 @@ class QaeTask:
     def sample_cost(self, circuit: Circuit, theta, state: PureState) -> float:
         encoded = apply_circuit_columns(circuit, np.asarray(theta, dtype=float),
                                         state.amplitudes[:, None])
-        f = batch_trash_fidelity(encoded, self.n_qubits, self.split, self.reference)
+        f = batch_trash_fidelity(encoded, self.n_qubits, self.split)
         return float(1.0 - f[0])
 
 

@@ -142,6 +142,10 @@ class TestRunAndRecords:
         record = run(config)
         assert all("error" in r for r in record["runs"])
         assert len(record["runs"]) == 2
+        for r in record["runs"]:
+            assert r["error"].startswith("ValueError: ")
+            assert r["traceback"].startswith("Traceback (most recent call last):")
+            assert r["traceback"].rstrip().endswith(r["error"])
 
     def test_relm_record_has_both_traces(self):
         config = parse_config(FAST, environ={})

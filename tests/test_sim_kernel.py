@@ -1,0 +1,327 @@
+"""The compiled gate kernel behind every simulation entry point.
+
+Two kinds of check:
+
+* property tests against an independent oracle: full unitaries assembled with
+  `np.kron` from textbook gate matrices written out below, never from
+  `GateKind.matrix`;
+* bit-exactness against a plain per-gate reference kept here: `np.moveaxis`
+  around each gate and the matrix rebuilt by `GateKind.matrix` on every call.
+  The compiled plan must reproduce it bit for bit, so seeded searches compute
+  the same numbers as the per-gate algorithm.
+"""
+
+import copy
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcas import tasks
+from qcas.cell import cell_to_circuit, random_cell
+from qcas.sim import (
+    GATE_KINDS,
+    SPACE_GENERIC,
+    Circuit,
+    PureState,
+    apply_circuit_columns,
+    apply_gate,
+    circuit_plan,
+    circuit_unitary,
+    gate,
+    run_circuit,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# ---------------------------------------------------------------------------
+# Independent oracle: textbook matrices, kron embedding
+# ---------------------------------------------------------------------------
+
+_I = np.eye(2, dtype=complex)
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_TEXTBOOK = dict(
+    _PAULI,
+    I=_I,
+    H=np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    S=np.diag([1, 1j]),
+    T=np.diag([1, np.exp(1j * math.pi / 4)]),
+)
+_KET0 = np.diag([1, 0]).astype(complex)
+_KET1 = np.diag([0, 1]).astype(complex)
+
+
+def textbook_1q(tag, theta):
+    """exp(-i theta/2 P) for rotations, else the named fixed gate."""
+    if tag.startswith("R"):
+        p = _PAULI[tag[1]]
+        return math.cos(theta / 2) * _I - 1j * math.sin(theta / 2) * p
+    return _TEXTBOOK[tag]
+
+
+def kron_embed(ops, n):
+    """kron over qubits 0..n-1 (qubit 0 most significant) of ops.get(q, I)."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        out = np.kron(out, ops.get(q, _I))
+    return out
+
+
+def oracle_gate(tag, targets, theta, n):
+    if len(targets) == 1:
+        return kron_embed({targets[0]: textbook_1q(tag, theta)}, n)
+    control, target = targets
+    u = textbook_1q("X" if tag == "CNOT" else tag[1:], theta)
+    return kron_embed({control: _KET0}, n) + kron_embed({control: _KET1, target: u}, n)
+
+
+def oracle_unitary(circuit, theta):
+    u = np.eye(2**circuit.n_qubits, dtype=complex)
+    for g in circuit.gates:
+        angle = theta[g.param_slot] if g.param_slot is not None else None
+        u = oracle_gate(g.kind.tag, g.targets, angle, circuit.n_qubits) @ u
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Per-gate reference: the moveaxis algorithm with matrices built per call
+# ---------------------------------------------------------------------------
+
+
+def reference_columns(circuit, theta, columns):
+    n = circuit.n_qubits
+    batch = columns.shape[1]
+    tensor = np.ascontiguousarray(columns, dtype=complex).reshape((2,) * n + (batch,))
+    for g in circuit.gates:
+        angle = theta[g.param_slot] if g.param_slot is not None else None
+        k = len(g.targets)
+        moved = np.moveaxis(tensor, g.targets, range(k))
+        out = (g.kind.matrix(angle) @ moved.reshape(2**k, -1)).reshape(moved.shape)
+        tensor = np.moveaxis(out, range(k), g.targets)
+    return tensor.reshape(2**n, batch)
+
+
+def reference_run(state, circuit, theta=()):
+    theta = np.asarray(theta, dtype=float)
+    out = reference_columns(circuit, theta, state.amplitudes[:, None])
+    return PureState(state.n_qubits, out[:, 0])
+
+
+def reference_training_cost(task, circuit, theta):
+    """QaeTask trash cost with the per-gate simulator and the einsum projection."""
+    encoded = reference_columns(circuit, np.asarray(theta, dtype=float), task.train_cols)
+    m = tasks._to_trash_major(encoded, task.n_qubits, task.split)
+    proj = np.einsum("abz,b->az", m, task.reference.amplitudes.conj())
+    return float(np.mean(1.0 - np.sum(np.abs(proj) ** 2, axis=0)))
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def gate_specs(draw, n, tags):
+    tag = draw(st.sampled_from(tags))
+    order = draw(st.permutations(range(n)))
+    return tag, tuple(order[:GATE_KINDS[tag].arity])
+
+
+def build_circuit(n, specs):
+    gates, slot = [], 0
+    for tag, targets in specs:
+        if GATE_KINDS[tag].param_count:
+            gates.append(gate(tag, *targets, param_slot=slot))
+            slot += 1
+        else:
+            gates.append(gate(tag, *targets))
+    return Circuit(n, gates)
+
+
+@st.composite
+def circuits(draw, widths=st.integers(1, 5), max_gates=10):
+    n = draw(widths)
+    tags = sorted(t for t, k in GATE_KINDS.items() if k.arity <= n)
+    specs = draw(st.lists(gate_specs(n, tags), max_size=max_gates))
+    circuit = build_circuit(n, specs)
+    theta = np.array(draw(st.lists(ANGLES, min_size=circuit.n_params,
+                                   max_size=circuit.n_params)), dtype=float)
+    return circuit, theta
+
+
+def random_columns(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(2**n, batch)) + 1j * rng.normal(size=(2**n, batch))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Property tests against the kron oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag", sorted(GATE_KINDS))
+@PROPERTY
+@given(data=st.data())
+def test_each_gate_kind_matches_kron_oracle(tag, data):
+    arity = GATE_KINDS[tag].arity
+    n = data.draw(st.integers(arity, 5), label="width")
+    targets = tuple(data.draw(st.permutations(range(n)), label="order")[:arity])
+    circuit = build_circuit(n, [(tag, targets)])
+    theta = np.array([data.draw(ANGLES, label="theta")] * circuit.n_params)
+    cols = random_columns(n, data.draw(st.integers(1, 7), label="batch"),
+                          data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    out = apply_circuit_columns(circuit, theta, cols)
+    assert np.max(np.abs(out - oracle_unitary(circuit, theta) @ cols)) < 1e-12
+
+
+@PROPERTY
+@given(case=circuits(), batch=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_random_circuits_match_kron_oracle(case, batch, seed):
+    circuit, theta = case
+    cols = random_columns(circuit.n_qubits, batch, seed)
+    out = apply_circuit_columns(circuit, theta, cols)
+    assert np.max(np.abs(out - oracle_unitary(circuit, theta) @ cols)) < 1e-10
+
+
+@PROPERTY
+@given(case=circuits(), seed=st.integers(0, 2**32 - 1))
+def test_entry_points_agree(case, seed):
+    circuit, theta = case
+    n = circuit.n_qubits
+    state = PureState(n, random_columns(n, 1, seed)[:, 0])
+    stepped = state
+    for g in circuit.gates:
+        angle = theta[g.param_slot] if g.param_slot is not None else None
+        stepped = apply_gate(stepped, g, angle)
+    whole = run_circuit(state, circuit, theta)
+    assert same_bits(stepped.amplitudes, whole.amplitudes)
+    via_unitary = circuit_unitary(circuit, theta) @ state.amplitudes
+    assert np.max(np.abs(whole.amplitudes - via_unitary)) < 1e-12
+
+
+@PROPERTY
+@given(case=circuits(widths=st.integers(2, 5)), other=st.lists(ANGLES, min_size=20,
+                                                               max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+def test_reused_circuit_matches_fresh_circuits(case, other, seed):
+    """theta1, theta2, theta1 on one circuit object (whose compiled parameter
+    buffer is refilled each time) equals a fresh circuit per evaluation."""
+    circuit, theta1 = case
+    theta2 = np.array(other[:circuit.n_params])
+    cols = random_columns(circuit.n_qubits, 3, seed)
+    for theta in (theta1, theta2, theta1):
+        fresh = Circuit(circuit.n_qubits, list(circuit.gates))
+        assert same_bits(apply_circuit_columns(circuit, theta, cols),
+                         apply_circuit_columns(fresh, theta, cols))
+
+
+def test_copied_circuits_keep_working():
+    rng = np.random.default_rng(3)
+    circuit = build_circuit(3, [("RX", (0,)), ("CRY", (2, 0)), ("RZ", (1,)), ("CNOT", (1, 2))])
+    cols = random_columns(3, 4, 1)
+    apply_circuit_columns(circuit, rng.uniform(-3, 3, 3), cols)  # compile
+    theta = rng.uniform(-3, 3, 3)
+    expected = reference_columns(circuit, theta, cols)
+    for clone in (copy.deepcopy(circuit), pickle.loads(pickle.dumps(circuit))):
+        assert clone == circuit
+        assert same_bits(apply_circuit_columns(clone, theta, cols), expected)
+    assert repr(circuit) == repr(Circuit(3, list(circuit.gates)))
+
+
+def test_changed_gate_list_is_recompiled():
+    circuit = build_circuit(3, [("RX", (0,)), ("CNOT", (0, 1))])
+    cols = random_columns(3, 2, 5)
+    apply_circuit_columns(circuit, np.array([0.4]), cols)  # compile
+    circuit.gates.append(gate("CRY", 2, 1, param_slot=1))
+    theta = np.array([0.4, -1.3])
+    assert same_bits(apply_circuit_columns(circuit, theta, cols),
+                     reference_columns(circuit, theta, cols))
+    circuit.gates[0] = gate("RZ", 2, param_slot=0)
+    assert same_bits(apply_circuit_columns(circuit, theta, cols),
+                     reference_columns(circuit, theta, cols))
+
+
+def test_theta_length_checked():
+    circuit = build_circuit(2, [("RX", (0,)), ("CRZ", (0, 1))])
+    with pytest.raises(ValueError):
+        apply_circuit_columns(circuit, np.zeros(1), np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness against the per-gate reference
+# ---------------------------------------------------------------------------
+
+
+def every_kind_circuit(n, extra, rng):
+    """Every gate kind at least once, then `extra` random gates, shuffled."""
+    kinds = list(GATE_KINDS)
+    tags = kinds + [kinds[i] for i in rng.integers(len(kinds), size=extra)]
+    rng.shuffle(tags)
+    specs = [(tag, tuple(int(q) for q in rng.choice(n, GATE_KINDS[tag].arity, replace=False)))
+             for tag in tags]
+    return build_circuit(n, specs)
+
+
+def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
+    tags = sorted(t for t, k in GATE_KINDS.items() if k.param_count)
+    circuit = build_circuit(2, [(t, (0,) if GATE_KINDS[t].arity == 1 else (1, 0)) for t in tags])
+    plan = circuit_plan(circuit)
+    for angle in (0.0, -0.0, 0.7, -2.9, math.pi, 1e-300):
+        theta = np.full(circuit.n_params, angle)
+        plan.bind(theta)
+        for g, (_perm, _dim, mat) in zip(circuit.gates, plan.steps):
+            assert same_bits(mat, g.kind.matrix(theta[g.param_slot]))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_compiled_path_is_bit_identical_to_per_gate_reference(n):
+    rng = np.random.default_rng([n, 2024])
+    for _ in range(20):
+        circuit = every_kind_circuit(n, 10, rng)
+        cols = random_columns(n, int(rng.integers(1, 101)), int(rng.integers(2**32)))
+        for theta in (rng.uniform(-7, 7, circuit.n_params), np.zeros(circuit.n_params),
+                      -np.zeros(circuit.n_params), rng.uniform(-7, 7, circuit.n_params)):
+            assert same_bits(apply_circuit_columns(circuit, theta, cols),
+                             reference_columns(circuit, theta, cols))
+
+
+def _denoise_task():
+    return tasks.make_denoise_task(tasks.gen_noise_dataset("bitflip", seed=5))
+
+
+def _digits_task():
+    return tasks.make_image_task(tasks.gen_digits(seed=5), n_trash=1, seed=5)[0]
+
+
+@pytest.mark.parametrize("make_task", [_denoise_task, _digits_task], ids=["denoise", "digits"])
+def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, monkeypatch):
+    task = make_task()
+    rng = np.random.default_rng(17)
+    circuits = [tasks.baseline_circuit(task)] + [
+        cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget=3))
+        for _ in range(8)]
+    cases = [(c, rng.uniform(-math.pi, math.pi, c.n_params)) for c in circuits]
+
+    compiled = [(task.training_cost(c, th), task.validation_score(c, th)) for c, th in cases]
+    monkeypatch.setattr(tasks, "apply_circuit_columns", reference_columns)
+    monkeypatch.setattr(tasks, "run_circuit", reference_run)
+    for (circuit, theta), (cost, score) in zip(cases, compiled):
+        assert cost == reference_training_cost(task, circuit, theta)
+        assert score == task.validation_score(circuit, theta)

@@ -13,12 +13,14 @@ from qcas.sim import (
     PureState,
     SPACE_CLIFFORD,
     basis_state,
+    bitflip_noise_circuit,
     gate,
     ghz_state,
     pure_fidelity,
     run_circuit,
 )
 from qcas.tasks import (
+    _noisy_ghz_columns,
     UnitaryRegenTask,
     baseline_circuit,
     evaluate_denoising,
@@ -68,6 +70,23 @@ class TestNoiseDataset:
                               p_grid=(0.2,))
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.test[0.2], b.test[0.2])
+
+    @pytest.mark.parametrize("n_qubits,p", [(1, 0.5), (3, 0.0), (3, 0.2), (4, 1.0), (5, 0.35)])
+    def test_bitflip_columns_match_per_sample_circuits(self, n_qubits, p):
+        rng, twin = np.random.default_rng([9, n_qubits]), np.random.default_rng([9, n_qubits])
+        cols = _noisy_ghz_columns("bitflip", n_qubits, p, 400, rng)
+        clean = ghz_state(n_qubits)
+        expected = np.column_stack([
+            run_circuit(clean, bitflip_noise_circuit(n_qubits, p, twin)).amplitudes
+            for _ in range(400)])
+        assert cols.dtype == expected.dtype and cols.shape == expected.shape
+        # equal down to the sign bits of the zero amplitudes
+        assert np.array_equal(cols.view(np.uint64), expected.view(np.uint64))
+        assert rng.random() == twin.random()  # the same number of draws
+
+    def test_bitflip_probability_checked(self):
+        with pytest.raises(ValueError):
+            _noisy_ghz_columns("bitflip", 3, 1.5, 10, np.random.default_rng(0))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
