@@ -267,17 +267,43 @@ class CellMetrics:
 
 
 def metrics(cell: Cell) -> CellMetrics:
-    circuit = cell_to_circuit(cell)
+    """Resource counts of `cell_to_circuit(cell)`, read from the cell in the
+    same emission order (rotations per qubit, then edges in sorted order); a
+    gate's layer is one past the deepest of its qubits."""
     depth = [0] * cell.n_qubits
-    for g in circuit.gates:
-        level = max(depth[q] for q in g.targets) + 1
-        for q in g.targets:
-            depth[q] = level
+    n_params = n_gates = 0
+    for q in range(cell.n_qubits):
+        for tag in cell.node_ops[q]:
+            kind = GATE_KINDS[tag]
+            if kind.arity != 1:
+                raise ValueError(f"{tag} needs {kind.arity} targets")
+            depth[q] += 1
+            n_params += kind.param_count
+            n_gates += 1
+    n_two_qubit = 0
+    for (c, t) in sorted(cell.edge_ops):
+        for tag in cell.edge_ops[(c, t)]:
+            kind = GATE_KINDS[tag]
+            if kind.arity != 2:
+                raise ValueError(f"{tag} needs {kind.arity} targets")
+            level = max(depth[c], depth[t]) + 1
+            depth[c] = depth[t] = level
+            n_params += kind.param_count
+            n_two_qubit += 1
     return CellMetrics(
-        n_params=circuit.n_params,
+        n_params=n_params,
         n_layers=max(depth, default=0),
-        n_two_qubit=sum(1 for g in circuit.gates if g.kind.arity == 2),
-        n_gates=len(circuit.gates),
+        n_two_qubit=n_two_qubit,
+        n_gates=n_gates + n_two_qubit,
+    )
+
+
+def select_best(scored) -> int:
+    """Index of the best (cell, theta, score) entry; ties broken by fewer
+    parameters, then by the earlier index."""
+    return max(
+        range(len(scored)),
+        key=lambda i: (scored[i][2], -metrics(scored[i][0]).n_params, -i),
     )
 
 

@@ -286,8 +286,7 @@ def _relm_config(config: dict, seed: int) -> RelmConfig:
         reward_mode=relm["reward_mode"],
         reward_sign=relm["reward_sign"],
         alpha=relm["alpha"],
-        constraint=SoftConstraint(**config["res"]["constraint"])
-        if relm["init_mode"] == "res" else None,
+        constraint=SoftConstraint(**config["res"]["constraint"]),
         population_size=relm["population_size"],
         layer_budget=relm["layer_budget"],
         max_seq=relm["max_seq"],

@@ -4,6 +4,11 @@ projection, categorical action sampling, REINFORCE gradients and Adam.
 Everything is plain numpy with hand-written backpropagation; gradient
 correctness is pinned by a finite-difference test at desk scale.
 
+`controller_forward(..., with_cache=True)` returns the logits and the cache
+that `reinforce_grads` backpropagates from.  The backward pass only reads the
+cache, so one forward serves every action sampled and every gradient taken at
+the same parameters and views; RELM runs it once per epoch.
+
 Token layout: n_qubits * max_seq rotation-slot tokens followed by
 n_qubits * (n_qubits - 1) ordered-pair entanglement tokens (lexicographic,
 diagonal excluded).  Learned positional embeddings distinguish slots.  The
@@ -325,11 +330,15 @@ def action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) -> float:
     )
 
 
-def reinforce_grads(params: ControllerParams, views: CellViews, rot_actions,
+def reinforce_grads(params: ControllerParams, forward, rot_actions,
                     ent_actions, reward: float):
-    """Gradients of -log pi(actions | views) * reward for every tensor."""
+    """Gradients of -log pi(actions | views) * reward for every tensor.
+
+    `forward` is `controller_forward(params, views, with_cache=True)`; it is
+    read, never written, so many calls may share it.
+    """
     cfg = params.config
-    (rot_logits, ent_logits), cache = controller_forward(params, views, with_cache=True)
+    (rot_logits, ent_logits), cache = forward
     rot_actions = np.asarray(rot_actions, dtype=int)
     ent_actions = np.asarray(ent_actions, dtype=int)
     # d(-logprob)/dlogits = softmax - onehot(action), scaled by reward

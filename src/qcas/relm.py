@@ -1,6 +1,10 @@
 """Regularized evolution with a learned mutation policy: tournament selection
 over a cell population, transformer-controller mutation of the winner and
-policy-gradient training of the controller from parent/child score deltas."""
+policy-gradient training of the controller from parent/child score deltas.
+
+The policy is fixed within an epoch and every child mutates the same parent,
+so the controller forward pass runs once per epoch: each child samples from
+its logits and each policy gradient backpropagates from its cache."""
 
 from __future__ import annotations
 
@@ -117,13 +121,14 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float = 1.5,
 
 def init_population(mode: str, task, space, size: int, config: RelmConfig,
                     res_config: ResConfig | None = None):
-    """Scored starting population: plain random search, or the final RES
-    population (topped up with admissible random cells if short).
+    """Scored starting population: random search over cells that satisfy
+    `config.constraint` (when set), or the final RES population (topped up
+    with admissible random cells if short).
 
     Returns (population, res_trace_or_None).
     """
     if mode == "random_search":
-        _, scored = random_search(task, space, size, None, config.seed,
+        _, scored = random_search(task, space, size, config.constraint, config.seed,
                                   layer_budget=config.layer_budget,
                                   opt_budget=config.opt_budget)
         entries = [PopEntry(c, th, sc) for c, th, sc in scored]
@@ -169,20 +174,19 @@ class MutationSample:
     rot_actions: np.ndarray
     ent_actions: np.ndarray
     logprob: float
-    views: object
+    forward: tuple  # controller_forward(..., with_cache=True) of the parent
 
 
-def mutate(controller: ControllerParams, parent: Cell, vocab: GateVocab,
-           rng: np.random.Generator | None = None,
+def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
            greedy: bool = False) -> MutationSample:
-    """Encode the parent, run the policy, sample (or argmax) per-slot actions
-    and decode them into a child cell."""
-    views = encode_views(parent, vocab, controller.config.max_seq)
-    rot_logits, ent_logits = controller_forward(controller, views)
+    """Sample (or argmax) per-slot actions from the parent's policy forward
+    `controller_forward(controller, views, with_cache=True)` and decode them
+    into a child cell."""
+    rot_logits, ent_logits = forward[0]
     rot_actions, ent_actions, logprob = sample_actions(rot_logits, ent_logits,
                                                        rng=rng, greedy=greedy)
     child = decode_actions(rot_actions, ent_actions, vocab)
-    return MutationSample(child, rot_actions, ent_actions, logprob, views)
+    return MutationSample(child, rot_actions, ent_actions, logprob, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,10 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
                 controller: ControllerParams | None = None) -> RelmResult:
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
-    and admit the best child; the global best entry is tracked throughout."""
+    and admit the best child; the global best entry is tracked throughout.
+
+    The parent's policy forward runs once per epoch and is shared by all
+    batch_size mutations and policy gradients of that epoch."""
     rng = np.random.default_rng([config.seed, 0xE70])
     if controller is None:
         n = task.n_qubits
@@ -234,9 +241,11 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
 
     for epoch in range(1, config.epochs + 1):
         parent, _removed = tournament_step(pop, config.tournament_size, rng)
+        views = encode_views(parent.cell, vocab, controller.config.max_seq)
+        forward = controller_forward(controller, views, with_cache=True)
         samples, rewards, scored_children = [], [], []
         for j in range(config.batch_size):
-            sample = mutate(controller, parent.cell, vocab, rng=rng)
+            sample = mutate(forward, vocab, rng=rng)
             child_rng = np.random.default_rng([config.seed, 0x5C0, epoch, j])
             theta, score = score_cell(sample.child, task, config.opt_budget,
                                       child_rng, theta_init=parent.theta)
@@ -254,7 +263,7 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
         for sample, reward in zip(samples, rewards):
             if reward == 0.0:
                 continue
-            grads = reinforce_grads(controller, sample.views, sample.rot_actions,
+            grads = reinforce_grads(controller, sample.forward, sample.rot_actions,
                                     sample.ent_actions, reward)
             total = accumulate_grads(total, grads)
         if total is not None:

@@ -17,6 +17,7 @@ from .cell import (
     expand_cell,
     metrics,
     random_cell,
+    select_best,
 )
 from .optim import OptBudget, score_cell
 
@@ -85,14 +86,6 @@ def evaluate_population(cells, task, opt_budget: OptBudget, seed: int,
     return out
 
 
-def _select_best(scored):
-    """Index of the best entry; ties broken by fewer parameters, then index."""
-    return max(
-        range(len(scored)),
-        key=lambda i: (scored[i][2], -metrics(scored[i][0]).n_params, -i),
-    )
-
-
 def _sample_admissible(make, constraint: SoftConstraint | None, count: int,
                        max_tries: int = 100, exclude: Cell | None = None):
     cells = []
@@ -139,7 +132,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             raise RuntimeError("phase 1 produced no constraint-satisfying cell")
     else:
         admissible = scored
-    best = admissible[_select_best(admissible)]
+    best = admissible[select_best(admissible)]
     global_best = best if eval_soft_constraint(constraint, best[0]) else None
     trace.record(1, best[2], best[0], len(scored))
     population = scored
@@ -162,7 +155,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
         # only the fresh children cost evaluations
         results = evaluate_population(children, task, config.opt_budget, config.seed)
         scored = [seed_entry] + [(c, th, sc) for c, (th, sc) in zip(children, results)]
-        best = scored[_select_best(scored)]
+        best = scored[select_best(scored)]
         if eval_soft_constraint(constraint, best[0]) and (
             global_best is None or best[2] > global_best[2]
         ):

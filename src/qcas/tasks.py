@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import SoftConstraint, eval_soft_constraint, metrics, random_cell
+# `metrics` stays importable here: perfbench/tracing.py wraps tasks.metrics.
+from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
+                   random_cell, select_best)
 from .optim import OptBudget, score_cell
 from .sim import (
     Circuit,
@@ -498,6 +500,4 @@ def random_search(task, space, budget_evals: int, constraint: SoftConstraint | N
         scored.append((cell, theta, score))
     if not scored:
         raise RuntimeError("random search found no admissible cell")
-    best = max(range(len(scored)),
-               key=lambda i: (scored[i][2], -metrics(scored[i][0]).n_params, -i))
-    return scored[best], scored
+    return scored[select_best(scored)], scored

@@ -180,7 +180,8 @@ def test_criterion_05_controller_gradient_check():
         rot_logits, ent_logits = controller_forward(params, views)
         rot_a, ent_a, _ = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.8
-        grads = reinforce_grads(params, views, rot_a, ent_a, reward)
+        grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
+                                rot_a, ent_a, reward)
         step = 1e-5
         worst = 0.0
         for _ in range(100):

@@ -3,6 +3,8 @@ views, action decoding, metrics, soft constraints and serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcas.cell import (
     Cell,
@@ -22,8 +24,10 @@ from qcas.cell import (
     loads_cell,
     metrics,
     random_cell,
+    select_best,
 )
 from qcas.sim import (
+    GATE_KINDS,
     Circuit,
     SPACE_GENERIC,
     SPACE_SINGLE_CLIFFORD,
@@ -31,6 +35,39 @@ from qcas.sim import (
 )
 
 RNG = np.random.default_rng(20240818)
+
+_ROTATION_TAGS = sorted(t for t, k in GATE_KINDS.items() if k.arity == 1)
+_ENTANGLE_TAGS = sorted(t for t, k in GATE_KINDS.items() if k.arity == 2)
+
+
+@st.composite
+def cells(draw):
+    """Cells over every gate kind: up to 4 rotations per qubit and up to 3
+    two-qubit ops on any ordered pair."""
+    n = draw(st.integers(1, 5))
+    rotations = st.lists(st.sampled_from(_ROTATION_TAGS), max_size=4)
+    node_ops = [draw(rotations) for _ in range(n)]
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edge_ops = {p: draw(st.lists(st.sampled_from(_ENTANGLE_TAGS), max_size=3))
+                for p in chosen}
+    return Cell(n, node_ops, edge_ops)
+
+
+def circuit_metrics(cell):
+    """Reference metrics read off the emitted circuit gate by gate."""
+    circuit = cell_to_circuit(cell)
+    depth = [0] * cell.n_qubits
+    for g in circuit.gates:
+        level = max(depth[q] for q in g.targets) + 1
+        for q in g.targets:
+            depth[q] = level
+    return CellMetrics(
+        n_params=circuit.n_params,
+        n_layers=max(depth, default=0),
+        n_two_qubit=sum(1 for g in circuit.gates if g.kind.arity == 2),
+        n_gates=len(circuit.gates),
+    )
 
 
 class TestVocab:
@@ -226,6 +263,33 @@ class TestMetrics:
     def test_layer_depth_with_entangler(self):
         cell = Cell(2, [["RY"], ["RY"]], {(0, 1): ["CNOT"]})
         assert metrics(cell).n_layers == 2
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(cell=cells())
+    def test_matches_metrics_of_the_emitted_circuit(self, cell):
+        assert metrics(cell) == circuit_metrics(cell)
+
+    @pytest.mark.parametrize("cell", [
+        Cell(2, [["CNOT"], []]),
+        Cell(2, [[], []], {(0, 1): ["RX"]}),
+    ], ids=["two-qubit-tag-on-node", "one-qubit-tag-on-edge"])
+    def test_tag_arity_must_fit_its_location(self, cell):
+        with pytest.raises(ValueError, match="needs"):
+            cell_to_circuit(cell)
+        with pytest.raises(ValueError, match="needs"):
+            metrics(cell)
+
+
+class TestSelectBest:
+    def test_highest_score_wins(self):
+        scored = [(Cell(1), None, 0.2), (Cell(1), None, 0.9), (Cell(1), None, 0.5)]
+        assert select_best(scored) == 1
+
+    def test_ties_prefer_fewer_params_then_earlier_index(self):
+        two, one = Cell(1, [["RX", "RY"]]), Cell(1, [["RX"]])
+        scored = [(two, None, 0.5), (one, None, 0.5), (Cell(1, [["RZ"]]), None, 0.5)]
+        assert select_best(scored) == 1
+        assert select_best([(one, None, 0.5), (Cell(1, [["H"]]), None, 0.5)]) == 1
 
 
 class TestSoftConstraint:

@@ -159,6 +159,22 @@ class TestRunAndRecords:
         assert "res" in trace and "relm" in trace
         assert "init_best_score" in trace
 
+    def test_random_search_init_keeps_the_constraint(self):
+        config = parse_config(FAST, environ={})
+        config["algorithm"] = "relm"
+        config["seeds"] = [1, 2, 3]
+        config["res"] = dict(config["res"], constraint={"quantity": "n_gates", "bound": 2})
+        config["relm"] = dict(
+            config["relm"], init_mode="random_search", epochs=2, tournament_size=2,
+            batch_size=2, population_size=4, embed_dim=4, n_heads=1, n_blocks=1,
+            ff_dim=8,
+        )
+        record = run(config)
+        assert [r["seed"] for r in record["runs"]] == [1, 2, 3]
+        for r in record["runs"]:
+            assert "res" not in r["trace"]
+            assert r["metrics"]["n_gates"] <= 2
+
 
 class TestExport:
     def test_schemas(self, tmp_path):
@@ -192,7 +208,8 @@ class TestGenDataAndEval:
     def test_gen_data_denoise(self, tmp_path):
         cfg = parse_config({"task": {"kind": "denoise"}}, environ={})
         path = gen_data(cfg["task"], 1, str(tmp_path))
-        doc = json.load(open(path))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         assert doc["kind"] == "denoise"
         assert len(doc["train"]) == 100
 
@@ -201,7 +218,8 @@ class TestGenDataAndEval:
         rec_path = str(tmp_path / "rec.json")
         write_record(record, rec_path)
         out = eval_record(rec_path, str(tmp_path))
-        doc = json.load(open(out))
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
         assert doc["results"][0]["seed"] == 1
         assert "test" in doc["results"][0]
 

@@ -1,6 +1,7 @@
 """Mutation-policy network: forward shapes, sampling, REINFORCE gradients
 against finite differences, Adam and checkpointing."""
 
+import copy
 import math
 
 import numpy as np
@@ -32,6 +33,13 @@ TINY = ControllerConfig(n_qubits=2, max_seq=2, v_rot=VOCAB.v_rot,
 
 def tiny_controller(seed=0):
     return init_controller(TINY, np.random.default_rng(seed))
+
+
+def _leaves(tree):
+    """Every non-container value of nested tuples and lists, in order."""
+    if isinstance(tree, (tuple, list)):
+        return [leaf for item in tree for leaf in _leaves(item)]
+    return [tree]
 
 
 def softmax(x):
@@ -123,7 +131,8 @@ class TestReinforce:
     def test_zero_reward_zero_grads(self):
         params = tiny_controller()
         views = encode_views(Cell(2), VOCAB, TINY.max_seq)
-        grads = reinforce_grads(params, views, np.zeros((2, 2), dtype=int),
+        forward = controller_forward(params, views, with_cache=True)
+        grads = reinforce_grads(params, forward, np.zeros((2, 2), dtype=int),
                                 np.zeros((2, 2), dtype=int), 0.0)
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -131,8 +140,9 @@ class TestReinforce:
         params = tiny_controller(5)
         views = encode_views(Cell(2, [["RX"], ["RZ"]]), VOCAB, TINY.max_seq)
         actions = (np.array([[1, 0], [2, 0]]), np.zeros((2, 2), dtype=int))
-        g1 = reinforce_grads(params, views, *actions, 1.0)
-        g2 = reinforce_grads(params, views, *actions, 2.0)
+        forward = controller_forward(params, views, with_cache=True)
+        g1 = reinforce_grads(params, forward, *actions, 1.0)
+        g2 = reinforce_grads(params, forward, *actions, 2.0)
         for name in g1:
             assert np.allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
@@ -144,7 +154,8 @@ class TestReinforce:
         rot_logits, ent_logits = controller_forward(params, views)
         rot_a, ent_a, _ = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.7
-        grads = reinforce_grads(params, views, rot_a, ent_a, reward)
+        grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
+                                rot_a, ent_a, reward)
         step = 1e-5
         worst = 0.0
         for _ in range(30):
@@ -163,11 +174,38 @@ class TestReinforce:
             worst = max(worst, abs(numeric - analytic) / scale)
         assert worst <= 1e-3
 
+    def test_shared_forward_is_read_only(self):
+        # one forward serves many backward passes: each gives the gradients
+        # of a fresh forward, and none writes to the shared logits or cache
+        params = tiny_controller(9)
+        views = encode_views(Cell(2, [["RY"], ["RX"]], {(1, 0): ["CRZ"]}),
+                             VOCAB, TINY.max_seq)
+        forward = controller_forward(params, views, with_cache=True)
+        before = copy.deepcopy(forward)
+        rng = np.random.default_rng(4)
+        for reward in (0.9, -0.3):
+            rot_a, ent_a, _ = sample_actions(*forward[0], rng=rng)
+            shared = reinforce_grads(params, forward, rot_a, ent_a, reward)
+            again = reinforce_grads(params, forward, rot_a, ent_a, reward)
+            fresh = reinforce_grads(params, controller_forward(params, views, with_cache=True),
+                                    rot_a, ent_a, reward)
+            for name in fresh:
+                assert np.array_equal(shared[name], again[name])
+                assert np.array_equal(shared[name], fresh[name])
+        arrays = [a for a in _leaves(forward) if isinstance(a, np.ndarray)]
+        assert len(arrays) > 10
+        for a, b in zip(_leaves(forward), _leaves(before)):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
+
     def test_accumulate_grads(self):
         params = tiny_controller()
         views = encode_views(Cell(2), VOCAB, TINY.max_seq)
         actions = (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
-        g = reinforce_grads(params, views, *actions, 1.0)
+        g = reinforce_grads(params, controller_forward(params, views, with_cache=True),
+                            *actions, 1.0)
         total = accumulate_grads(None, g)
         total = accumulate_grads(total, g)
         for name in g:

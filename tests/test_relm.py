@@ -1,15 +1,34 @@
 """Regularized evolution with learned mutation: rewards, tournaments,
 mutation, the full search loop and its invariants."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from qcas.cell import Cell, SoftConstraint, build_vocab, eval_soft_constraint
-from qcas.controller import ControllerConfig, init_controller
-from qcas.optim import OptBudget
+import qcas.relm
+from qcas.cell import (
+    Cell,
+    SoftConstraint,
+    build_vocab,
+    decode_actions,
+    encode_views,
+    eval_soft_constraint,
+)
+from qcas.controller import (
+    AdamState,
+    ControllerConfig,
+    accumulate_grads,
+    adam_step,
+    controller_forward,
+    init_controller,
+    reinforce_grads,
+    sample_actions,
+)
+from qcas.optim import OptBudget, score_cell
 from qcas.relm import (
+    EpochRecord,
     PopEntry,
     RelmConfig,
     ScoredPopulation,
@@ -118,14 +137,17 @@ class TestMutate:
         np.random.default_rng(0),
     )
 
+    def forward(self, parent):
+        views = encode_views(parent, VOCAB, self.CONTROLLER.config.max_seq)
+        return controller_forward(self.CONTROLLER, views, with_cache=True)
+
     def test_greedy_mutation_deterministic(self):
         parent = Cell(2, [["H"], ["S"]], {(0, 1): ["CNOT"]})
-        a = mutate(self.CONTROLLER, parent, VOCAB, greedy=True)
-        b = mutate(self.CONTROLLER, parent, VOCAB, greedy=True)
+        a = mutate(self.forward(parent), VOCAB, greedy=True)
+        b = mutate(self.forward(parent), VOCAB, greedy=True)
         assert a.child == b.child
 
     def test_all_noop_actions_give_empty_child(self):
-        from qcas.cell import decode_actions
         child = decode_actions(np.zeros((2, 4), dtype=int),
                                np.zeros((2, 2), dtype=int), VOCAB)
         assert child == Cell(2)
@@ -133,9 +155,10 @@ class TestMutate:
     def test_sampled_children_vary(self):
         parent = Cell(2, [["H"], []])
         rng = np.random.default_rng(1)
+        forward = self.forward(parent)
         seen_different = False
         for _ in range(100):
-            sample = mutate(self.CONTROLLER, parent, VOCAB, rng=rng)
+            sample = mutate(forward, VOCAB, rng=rng)
             if sample.child != parent:
                 seen_different = True
                 break
@@ -144,7 +167,7 @@ class TestMutate:
     def test_logprob_matches_actions(self):
         parent = Cell(2)
         rng = np.random.default_rng(2)
-        sample = mutate(self.CONTROLLER, parent, VOCAB, rng=rng)
+        sample = mutate(self.forward(parent), VOCAB, rng=rng)
         assert sample.logprob <= 0.0
         assert math.isfinite(sample.logprob)
 
@@ -247,3 +270,115 @@ class TestRelmSearch:
             RelmConfig(tournament_size=10, population_size=5)
         with pytest.raises(ValueError):
             RelmConfig(eps_tan=0.0)
+
+
+def reference_relm_search(task, config, pop, vocab, controller):
+    """The RELM epoch loop with one controller forward per child: every
+    mutation and every policy gradient runs its own forward pass."""
+    rng = np.random.default_rng([config.seed, 0xE70])
+    adam = AdamState(lr=config.learning_rate)
+    eligible = pop.entries
+    if config.constraint is not None:
+        eligible = [e for e in pop.entries
+                    if eval_soft_constraint(config.constraint, e.cell)] or pop.entries
+    global_best = max(eligible, key=lambda e: e.score)
+    records = []
+    for epoch in range(1, config.epochs + 1):
+        parent, _ = tournament_step(pop, config.tournament_size, rng)
+        views = encode_views(parent.cell, vocab, config.max_seq)
+        children = []
+        for j in range(config.batch_size):
+            rot_a, ent_a, _ = sample_actions(*controller_forward(controller, views), rng=rng)
+            child = decode_actions(rot_a, ent_a, vocab)
+            theta, score = score_cell(child, task, config.opt_budget,
+                                      np.random.default_rng([config.seed, 0x5C0, epoch, j]),
+                                      theta_init=parent.theta)
+            if config.reward_mode == "unitary":
+                reward = unitary_reward(1.0 - parent.score, 1.0 - score,
+                                        config.alpha, config.eps_tan)
+            else:
+                reward = qae_reward(parent.score, score, config.eps_tan, config.reward_sign)
+            children.append((rot_a, ent_a, reward, PopEntry(child, theta, score)))
+        total = None
+        for rot_a, ent_a, reward, _ in children:
+            if reward != 0.0:
+                forward = controller_forward(controller, views, with_cache=True)
+                total = accumulate_grads(
+                    total, reinforce_grads(controller, forward, rot_a, ent_a, reward))
+        if total is not None:
+            for g in total.values():
+                g /= config.batch_size
+            controller, adam = adam_step(controller, total, adam)
+        scored = [entry for *_, entry in children]
+        if config.constraint is not None:
+            scored = [e for e in scored if eval_soft_constraint(config.constraint, e.cell)]
+        best_child = max(scored or [parent], key=lambda e: e.score)
+        pop.entries.append(best_child)
+        if best_child.score > global_best.score:
+            global_best = best_child
+        records.append(EpochRecord(epoch, parent.score,
+                                   float(np.mean([c[2] for c in children])),
+                                   best_child.score, global_best.score))
+    return global_best, records, controller
+
+
+class TestSharedForward:
+    CASES = {
+        "clifford-unitary": dict(space=SPACE_CLIFFORD, reward_mode="unitary"),
+        "generic-qae-constrained": dict(space=SPACE_GENERIC, reward_mode="qae",
+                                        constraint=SoftConstraint("n_gates", 4)),
+    }
+
+    def setup_search(self, space, seed=2, **kwargs):
+        task = small_task()
+        config = RelmConfig(epochs=4, tournament_size=2, batch_size=3,
+                            population_size=4, max_seq=6, embed_dim=4, n_heads=1,
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed, **kwargs)
+        vocab = build_vocab(space)
+        pop, _ = init_population("random_search", task, space,
+                                 config.population_size, config)
+        ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
+                                    v_rot=vocab.v_rot, v_ent=vocab.v_ent, embed_dim=4,
+                                    n_heads=1, n_blocks=1, ff_dim=8)
+        controller = init_controller(ctrl_cfg, np.random.default_rng(seed))
+        return task, config, pop, vocab, controller
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_one_forward_per_child(self, case):
+        task, config, pop, vocab, controller = self.setup_search(**self.CASES[case])
+        result = relm_search(task, config, copy.deepcopy(pop), vocab, controller.copy())
+        best, records, ref_controller = reference_relm_search(
+            task, config, copy.deepcopy(pop), vocab, controller.copy())
+
+        def table(recs):
+            return np.array([[r.epoch, r.parent_score, r.mean_reward,
+                              r.best_child_score, r.best_score] for r in recs])
+
+        assert np.array_equal(table(result.epochs), table(records))
+        assert result.best_cell == best.cell
+        assert np.array_equal(result.theta, best.theta)
+        assert result.score == best.score
+        # the policy was trained, so the comparison covers the gradients too
+        assert any(not np.array_equal(controller.tensors[k], ref_controller.tensors[k])
+                   for k in controller.tensors)
+        for name, tensor in ref_controller.tensors.items():
+            assert np.array_equal(result.controller.tensors[name], tensor)
+
+    def test_one_forward_per_epoch(self, monkeypatch):
+        calls = {"controller_forward": 0, "mutate": 0}
+
+        def counted(name):
+            original = getattr(qcas.relm, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(qcas.relm, name, counted(name))
+        task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
+                                                                 reward_mode="unitary")
+        relm_search(task, config, pop, vocab, controller)
+        assert calls == {"controller_forward": config.epochs,
+                         "mutate": config.epochs * config.batch_size}
