@@ -7,7 +7,8 @@ correctness is pinned by a finite-difference test at desk scale.
 `controller_forward(..., with_cache=True)` returns the logits and the cache
 that `reinforce_grads` backpropagates from.  The backward pass only reads the
 cache, so one forward serves every action sampled and every gradient taken at
-the same parameters and views; RELM runs it once per epoch.
+the same parameters and views, and `reinforce_grads` sums a batch of samples'
+gradients in one backward pass; RELM runs one of each per epoch.
 
 Token layout: n_qubits * max_seq rotation-slot tokens followed by
 n_qubits * (n_qubits - 1) ordered-pair entanglement tokens (lexicographic,
@@ -330,52 +331,54 @@ def action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) -> float:
     )
 
 
+def _weighted_onehot_sum(actions, weights, size):
+    """sum_j weights[j] * onehot(actions[j]) over the leading sample axis:
+    one row of length `size` per action slot, each summed in sample order."""
+    flat = actions.reshape(actions.shape[0], -1)
+    if flat.size and not 0 <= flat.min() <= flat.max() < size:
+        raise ValueError("action index out of range")
+    slots = flat.shape[1]
+    index = np.arange(slots) * size + flat
+    w = np.broadcast_to(weights[:, None], flat.shape)
+    counts = np.bincount(index.ravel(), weights=w.ravel(), minlength=slots * size)
+    return counts.reshape(actions.shape[1:] + (size,))
+
+
 def reinforce_grads(params: ControllerParams, forward, rot_actions,
-                    ent_actions, reward: float):
-    """Gradients of -log pi(actions | views) * reward for every tensor.
+                    ent_actions, reward):
+    """Gradients of -sum_j reward_j * log pi(actions_j | views) for every tensor.
 
     `forward` is `controller_forward(params, views, with_cache=True)`; it is
-    read, never written, so many calls may share it.
+    read, never written, so many calls may share it.  Actions carry a leading
+    sample axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample,
+    or none with a scalar reward.  The backward pass is linear in the logit
+    gradients, so the summed gradient takes one backward of
+    `sum_j reward_j * (softmax - onehot(action_j))`.
     """
     cfg = params.config
     (rot_logits, ent_logits), cache = forward
     rot_actions = np.asarray(rot_actions, dtype=int)
     ent_actions = np.asarray(ent_actions, dtype=int)
+    reward = np.asarray(reward, dtype=float)
+    if rot_actions.ndim == 2:
+        rot_actions, ent_actions, reward = rot_actions[None], ent_actions[None], reward[None]
+    n, b = cfg.n_qubits, len(rot_actions)
+    if (reward.shape != (b,) or rot_actions.shape != (b, n, cfg.max_seq)
+            or ent_actions.shape != (b, n, n)):
+        raise ValueError("action and reward shapes do not match the controller config")
     # d(-logprob)/dlogits = softmax - onehot(action), scaled by reward
-    rot_sm = _softmax(rot_logits)
-    d_rot = rot_sm.copy()
-    np.put_along_axis(
-        d_rot, rot_actions[..., None],
-        np.take_along_axis(d_rot, rot_actions[..., None], axis=-1) - 1.0, axis=-1,
-    )
-    d_rot *= reward
-    d_rot_flat = d_rot.reshape(cfg.n_rot_tokens, cfg.v_rot)
-    pairs = [(c, t) for c in range(cfg.n_qubits) for t in range(cfg.n_qubits) if c != t]
-    d_ent_flat = np.zeros((len(pairs), cfg.v_ent))
-    if pairs:
-        ent_sm = _softmax(ent_logits)
-        d_ent = ent_sm.copy()
-        np.put_along_axis(
-            d_ent, ent_actions[..., None],
-            np.take_along_axis(d_ent, ent_actions[..., None], axis=-1) - 1.0, axis=-1,
-        )
-        d_ent *= reward
-        d_ent_flat = np.array([d_ent[c, t] for c, t in pairs])
-    return controller_backward(params, cache, d_rot_flat, d_ent_flat)
+    total = reward.sum()
+    d_rot = total * _softmax(rot_logits) - _weighted_onehot_sum(rot_actions, reward, cfg.v_rot)
+    d_ent = total * _softmax(ent_logits) - _weighted_onehot_sum(ent_actions, reward, cfg.v_ent)
+    off_diagonal = ~np.eye(n, dtype=bool)  # the controller's ordered pairs
+    return controller_backward(params, cache, d_rot.reshape(cfg.n_rot_tokens, cfg.v_rot),
+                               d_ent[off_diagonal])
 
 
 def reinforce_loss(params: ControllerParams, views: CellViews, rot_actions,
                    ent_actions, reward: float) -> float:
     rot_logits, ent_logits = controller_forward(params, views)
     return -action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) * reward
-
-
-def accumulate_grads(total: dict | None, grads: dict) -> dict:
-    if total is None:
-        return {k: v.copy() for k, v in grads.items()}
-    for k, v in grads.items():
-        total[k] += v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +399,9 @@ class AdamState:
 
 def adam_step(params: ControllerParams, grads: dict, state: AdamState):
     """One bias-corrected Adam update; returns (new params, new state)."""
-    new = params.copy()
     state.step += 1
     t = state.step
+    stepped = {}
     for name, g in grads.items():
         if g.shape != params.tensors[name].shape:
             raise ValueError(f"gradient shape mismatch for {name}")
@@ -410,8 +413,10 @@ def adam_step(params: ControllerParams, grads: dict, state: AdamState):
         state.v[name] = v
         m_hat = m / (1 - state.beta1**t)
         v_hat = v / (1 - state.beta2**t)
-        new.tensors[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new, state
+        stepped[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    tensors = {name: stepped[name] if name in stepped else tensor.copy()
+               for name, tensor in params.tensors.items()}
+    return ControllerParams(params.config, tensors), state
 
 
 # ---------------------------------------------------------------------------

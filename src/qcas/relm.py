@@ -3,8 +3,13 @@ over a cell population, transformer-controller mutation of the winner and
 policy-gradient training of the controller from parent/child score deltas.
 
 The policy is fixed within an epoch and every child mutates the same parent,
-so the controller forward pass runs once per epoch: each child samples from
-its logits and each policy gradient backpropagates from its cache."""
+so each epoch runs one controller forward and one backward: each child samples
+from the forward's logits, and the children's policy gradients are summed in
+one backward pass from its cache.
+
+Tournament selection removes the tournament's worst member, not the oldest
+member of the population as in aging (regularized) evolution (Real et al.,
+AAAI 2019); this is a deliberate deviation."""
 
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ from .controller import (
     AdamState,
     ControllerConfig,
     ControllerParams,
-    accumulate_grads,
     adam_step,
     controller_forward,
     init_controller,
@@ -151,7 +155,10 @@ def init_population(mode: str, task, space, size: int, config: RelmConfig,
 
 def tournament_step(pop: ScoredPopulation, k: int, rng: np.random.Generator):
     """Sample k members without replacement; drop the worst from the
-    population, return (best entry, removed worst entry)."""
+    population, return (best entry, removed worst entry).
+
+    Aging evolution removes the oldest member instead; removing the worst is
+    a documented deviation of this implementation."""
     if len(pop) < k:
         raise ValueError("population smaller than tournament size")
     idx = rng.choice(len(pop), size=k, replace=False)
@@ -174,7 +181,6 @@ class MutationSample:
     rot_actions: np.ndarray
     ent_actions: np.ndarray
     logprob: float
-    forward: tuple  # controller_forward(..., with_cache=True) of the parent
 
 
 def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
@@ -186,7 +192,7 @@ def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
     rot_actions, ent_actions, logprob = sample_actions(rot_logits, ent_logits,
                                                        rng=rng, greedy=greedy)
     child = decode_actions(rot_actions, ent_actions, vocab)
-    return MutationSample(child, rot_actions, ent_actions, logprob, forward)
+    return MutationSample(child, rot_actions, ent_actions, logprob)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,8 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
     and admit the best child; the global best entry is tracked throughout.
 
     The parent's policy forward runs once per epoch and is shared by all
-    batch_size mutations and policy gradients of that epoch."""
+    batch_size mutations of that epoch; the policy gradients of its
+    non-zero-reward children are summed in one backward pass from it."""
     rng = np.random.default_rng([config.seed, 0xE70])
     if controller is None:
         n = task.n_qubits
@@ -259,17 +266,19 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
             rewards.append(reward)
             scored_children.append(PopEntry(sample.child, theta, score))
 
-        total = None
-        for sample, reward in zip(samples, rewards):
-            if reward == 0.0:
-                continue
-            grads = reinforce_grads(controller, sample.forward, sample.rot_actions,
-                                    sample.ent_actions, reward)
-            total = accumulate_grads(total, grads)
-        if total is not None:
-            for g in total.values():
+        # Adam moves the parameters even on a zero gradient (through its
+        # moments), so an epoch whose rewards are all zero takes no step.
+        rewards = np.array(rewards)
+        nonzero = rewards != 0.0
+        if nonzero.any():
+            grads = reinforce_grads(
+                controller, forward,
+                np.stack([s.rot_actions for s in samples])[nonzero],
+                np.stack([s.ent_actions for s in samples])[nonzero],
+                rewards[nonzero])
+            for g in grads.values():
                 g /= config.batch_size
-            controller, adam = adam_step(controller, total, adam)
+            controller, adam = adam_step(controller, grads, adam)
 
         admissible = scored_children
         if config.constraint is not None:

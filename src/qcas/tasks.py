@@ -369,12 +369,6 @@ class QaeTask:
         )
         return float(np.mean(f))
 
-    def sample_cost(self, circuit: Circuit, theta, state: PureState) -> float:
-        encoded = apply_circuit_columns(circuit, np.asarray(theta, dtype=float),
-                                        state.amplitudes[:, None])
-        f = batch_trash_fidelity(encoded, self.n_qubits, self.split)
-        return float(1.0 - f[0])
-
 
 @dataclass
 class UnitaryRegenTask:
@@ -393,9 +387,6 @@ class UnitaryRegenTask:
 
     def validation_score(self, circuit: Circuit, theta) -> float:
         return 1.0 - self.training_cost(circuit, theta)
-
-    def sample_cost(self, circuit: Circuit, theta, _sample=None) -> float:
-        return self.training_cost(circuit, theta)
 
 
 def make_denoise_task(dataset: NoiseDataset, cost_mode: str = "trash") -> QaeTask:

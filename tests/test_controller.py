@@ -11,7 +11,6 @@ from qcas.cell import Cell, build_vocab, encode_views
 from qcas.controller import (
     AdamState,
     ControllerConfig,
-    accumulate_grads,
     action_logprob,
     adam_step,
     controller_forward,
@@ -40,6 +39,27 @@ def _leaves(tree):
     if isinstance(tree, (tuple, list)):
         return [leaf for item in tree for leaf in _leaves(item)]
     return [tree]
+
+
+def worst_fd_error(params, grads, loss, rng, probes=30, step=1e-5):
+    """Largest relative gap between `grads` and central differences of
+    `loss()` at `probes` random parameter entries."""
+    worst = 0.0
+    for _ in range(probes):
+        name = list(params.tensors)[rng.integers(len(params.tensors))]
+        tensor = params.tensors[name]
+        idx = tuple(int(rng.integers(s)) for s in tensor.shape)
+        saved = tensor[idx]
+        tensor[idx] = saved + step
+        up = loss()
+        tensor[idx] = saved - step
+        down = loss()
+        tensor[idx] = saved
+        numeric = (up - down) / (2 * step)
+        analytic = grads[name][idx]
+        scale = max(abs(numeric), abs(analytic), 1e-8)
+        worst = max(worst, abs(numeric - analytic) / scale)
+    return worst
 
 
 def softmax(x):
@@ -156,27 +176,65 @@ class TestReinforce:
         reward = 0.7
         grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
                                 rot_a, ent_a, reward)
-        step = 1e-5
-        worst = 0.0
-        for _ in range(30):
-            name = list(params.tensors)[rng.integers(len(params.tensors))]
-            tensor = params.tensors[name]
-            idx = tuple(int(rng.integers(s)) for s in tensor.shape)
-            saved = tensor[idx]
-            tensor[idx] = saved + step
-            up = reinforce_loss(params, views, rot_a, ent_a, reward)
-            tensor[idx] = saved - step
-            down = reinforce_loss(params, views, rot_a, ent_a, reward)
-            tensor[idx] = saved
-            numeric = (up - down) / (2 * step)
-            analytic = grads[name][idx]
-            scale = max(abs(numeric), abs(analytic), 1e-8)
-            worst = max(worst, abs(numeric - analytic) / scale)
-        assert worst <= 1e-3
+        assert worst_fd_error(
+            params, grads, lambda: reinforce_loss(params, views, rot_a, ent_a, reward),
+            rng) <= 1e-3
+
+    def test_batched_gradients_match_finite_differences(self):
+        # the batched gradient is that of sum_j r_j * reinforce_loss(a_j)
+        params = tiny_controller(8)
+        cell = Cell(2, [["RX"], ["RZ", "RY"]], {(1, 0): ["CNOT"]})
+        views = encode_views(cell, VOCAB, TINY.max_seq)
+        rng = np.random.default_rng(12)
+        forward = controller_forward(params, views, with_cache=True)
+        samples = [sample_actions(*forward[0], rng=rng)[:2] for _ in range(4)]
+        rewards = np.array([0.7, -0.4, 0.0, 1.3])
+        rot = np.stack([r for r, _ in samples])
+        ent = np.stack([e for _, e in samples])
+        grads = reinforce_grads(params, forward, rot, ent, rewards)
+
+        def loss():
+            return sum(reinforce_loss(params, views, r, e, w)
+                       for r, e, w in zip(rot, ent, rewards))
+        assert worst_fd_error(params, grads, loss, rng) <= 1e-3
+
+    def test_batched_grads_equal_sum_of_samples(self):
+        params = tiny_controller(17)
+        views = encode_views(Cell(2, [["RY"], []], {(0, 1): ["CNOT"]}),
+                             VOCAB, TINY.max_seq)
+        forward = controller_forward(params, views, with_cache=True)
+        rng = np.random.default_rng(21)
+        for b in (1, 3, 8):
+            rot = rng.integers(TINY.v_rot, size=(b, 2, 2))
+            ent = rng.integers(TINY.v_ent, size=(b, 2, 2))
+            rot[b // 2], ent[b // 2] = rot[0], ent[0]  # a repeated action
+            # signs cycle +, -, 0: positive, negative and zero rewards
+            rewards = rng.uniform(0.1, 2.0, b) * np.resize([1.0, -1.0, 0.0], b)
+            batched = reinforce_grads(params, forward, rot, ent, rewards)
+            per_sample = [reinforce_grads(params, forward, r, e, w)
+                          for r, e, w in zip(rot, ent, rewards)]
+            for name, g in batched.items():
+                expected = sum(grads[name] for grads in per_sample)
+                assert np.allclose(g, expected, rtol=0, atol=1e-12)
+
+    def test_batched_shapes_and_actions_checked(self):
+        params = tiny_controller()
+        forward = controller_forward(params, encode_views(Cell(2), VOCAB, TINY.max_seq),
+                                     with_cache=True)
+        zeros = np.zeros((3, 2, 2), dtype=int)
+        with pytest.raises(ValueError):
+            reinforce_grads(params, forward, zeros, zeros, np.ones(2))
+        with pytest.raises(ValueError):
+            reinforce_grads(params, forward, zeros, zeros, 1.0)
+        too_big = zeros.copy()
+        too_big[1, 0, 1] = TINY.v_rot
+        with pytest.raises(ValueError):
+            reinforce_grads(params, forward, too_big, zeros, np.ones(3))
 
     def test_shared_forward_is_read_only(self):
-        # one forward serves many backward passes: each gives the gradients
-        # of a fresh forward, and none writes to the shared logits or cache
+        # one forward serves many backward passes, single-sample or batched:
+        # each gives the gradients of a fresh forward or of a repeated call,
+        # and none writes to the shared logits or cache
         params = tiny_controller(9)
         views = encode_views(Cell(2, [["RY"], ["RX"]], {(1, 0): ["CRZ"]}),
                              VOCAB, TINY.max_seq)
@@ -192,6 +250,13 @@ class TestReinforce:
             for name in fresh:
                 assert np.array_equal(shared[name], again[name])
                 assert np.array_equal(shared[name], fresh[name])
+        samples = [sample_actions(*forward[0], rng=rng)[:2] for _ in range(5)]
+        batch = (np.stack([r for r, _ in samples]), np.stack([e for _, e in samples]),
+                 np.array([0.4, -1.1, 0.0, 2.0, 0.4]))
+        first = reinforce_grads(params, forward, *batch)
+        second = reinforce_grads(params, forward, *batch)
+        for name in first:
+            assert np.array_equal(first[name], second[name])
         arrays = [a for a in _leaves(forward) if isinstance(a, np.ndarray)]
         assert len(arrays) > 10
         for a, b in zip(_leaves(forward), _leaves(before)):
@@ -199,17 +264,6 @@ class TestReinforce:
                 assert np.array_equal(a, b)
             else:
                 assert a == b
-
-    def test_accumulate_grads(self):
-        params = tiny_controller()
-        views = encode_views(Cell(2), VOCAB, TINY.max_seq)
-        actions = (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
-        g = reinforce_grads(params, controller_forward(params, views, with_cache=True),
-                            *actions, 1.0)
-        total = accumulate_grads(None, g)
-        total = accumulate_grads(total, g)
-        for name in g:
-            assert np.allclose(total[name], 2.0 * g[name])
 
 
 class TestAdam:

@@ -19,7 +19,6 @@ from qcas.cell import (
 from qcas.controller import (
     AdamState,
     ControllerConfig,
-    accumulate_grads,
     adam_step,
     controller_forward,
     init_controller,
@@ -274,7 +273,8 @@ class TestRelmSearch:
 
 def reference_relm_search(task, config, pop, vocab, controller):
     """The RELM epoch loop with one controller forward per child: every
-    mutation and every policy gradient runs its own forward pass."""
+    mutation and every policy gradient runs its own forward pass, and every
+    policy gradient its own backward pass, summed here."""
     rng = np.random.default_rng([config.seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
     eligible = pop.entries
@@ -303,8 +303,8 @@ def reference_relm_search(task, config, pop, vocab, controller):
         for rot_a, ent_a, reward, _ in children:
             if reward != 0.0:
                 forward = controller_forward(controller, views, with_cache=True)
-                total = accumulate_grads(
-                    total, reinforce_grads(controller, forward, rot_a, ent_a, reward))
+                grads = reinforce_grads(controller, forward, rot_a, ent_a, reward)
+                total = grads if total is None else {k: total[k] + grads[k] for k in grads}
         if total is not None:
             for g in total.values():
                 g /= config.batch_size
@@ -358,14 +358,15 @@ class TestSharedForward:
         assert result.best_cell == best.cell
         assert np.array_equal(result.theta, best.theta)
         assert result.score == best.score
-        # the policy was trained, so the comparison covers the gradients too
+        # the policy was trained, so the comparison covers the gradients too;
+        # one summed backward adds the children's floats in another order
         assert any(not np.array_equal(controller.tensors[k], ref_controller.tensors[k])
                    for k in controller.tensors)
         for name, tensor in ref_controller.tensors.items():
-            assert np.array_equal(result.controller.tensors[name], tensor)
+            assert np.allclose(result.controller.tensors[name], tensor, rtol=0, atol=1e-12)
 
     def test_one_forward_per_epoch(self, monkeypatch):
-        calls = {"controller_forward": 0, "mutate": 0}
+        calls = {"controller_forward": 0, "mutate": 0, "reinforce_grads": 0}
 
         def counted(name):
             original = getattr(qcas.relm, name)
@@ -380,5 +381,27 @@ class TestSharedForward:
         task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
                                                                  reward_mode="unitary")
         relm_search(task, config, pop, vocab, controller)
+        # every epoch of this seed has a non-zero reward, so one backward each
         assert calls == {"controller_forward": config.epochs,
-                         "mutate": config.epochs * config.batch_size}
+                         "mutate": config.epochs * config.batch_size,
+                         "reinforce_grads": config.epochs}
+
+    def test_all_zero_rewards_take_no_step(self, monkeypatch):
+        # Adam would move the parameters on a zero gradient through its
+        # moments, so an epoch without a non-zero reward must skip it
+        states = []
+
+        def recorded_adam(**kwargs):
+            states.append(AdamState(**kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(qcas.relm, "AdamState", recorded_adam)
+        monkeypatch.setattr(qcas.relm, "unitary_reward", lambda *args: 0.0)
+        task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
+                                                                 reward_mode="unitary")
+        before = controller.copy()
+        result = relm_search(task, config, pop, vocab, controller)
+        assert [r.mean_reward for r in result.epochs] == [0.0] * config.epochs
+        assert [state.step for state in states] == [0]
+        for name, tensor in before.tensors.items():
+            assert np.array_equal(result.controller.tensors[name], tensor)
