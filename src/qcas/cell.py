@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,19 +32,20 @@ class GateVocab:
     """Bijection between gate kinds and dense integer ids, per category.
 
     NO_OP always takes id 0 in both categories so one-hot padding and
-    action decoding share the same convention.
+    action decoding share the same convention.  The kinds in id order are
+    worked out once per vocabulary, on first use.
     """
 
     rotation_ids: dict
     entangle_ids: dict
 
-    @property
-    def rotation_kinds(self) -> list[str]:
-        return sorted(self.rotation_ids, key=self.rotation_ids.get)
+    @cached_property
+    def rotation_kinds(self) -> tuple[str, ...]:
+        return tuple(sorted(self.rotation_ids, key=self.rotation_ids.get))
 
-    @property
-    def entangle_kinds(self) -> list[str]:
-        return sorted(self.entangle_ids, key=self.entangle_ids.get)
+    @cached_property
+    def entangle_kinds(self) -> tuple[str, ...]:
+        return tuple(sorted(self.entangle_ids, key=self.entangle_ids.get))
 
     @property
     def v_rot(self) -> int:
@@ -113,66 +115,104 @@ class Cell:
         )
 
 
+@lru_cache(maxsize=64)
+def _space_kinds(space: frozenset) -> tuple[tuple, tuple]:
+    """The rotation kinds and the 2-qubit kinds of a gate space, each sorted."""
+    rot = tuple(sorted(t for t in space if GATE_KINDS[t].arity == 1))
+    ent = tuple(sorted(t for t in space if GATE_KINDS[t].arity == 2))
+    return rot, ent
+
+
 def random_cell(space, n_qubits: int, rng: np.random.Generator,
-                layer_budget: int = 1) -> Cell:
+                layer_budget: int = 1, constraint: SoftConstraint | None = None):
     """Sample a fresh cell: up to `layer_budget` rotations per qubit and at
-    most one 2-qubit op per edge (each unordered pair drawn with prob 1/2)."""
+    most one 2-qubit op per edge (each unordered pair drawn with prob 1/2).
+
+    This is `expand_cell` of the empty cell, `constraint` included."""
     if layer_budget < 1:
         raise ValueError("layer_budget must be >= 1")
-    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
-    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
-    cell = Cell(n_qubits)
-    for q in range(n_qubits):
-        if rot:
-            k = int(rng.integers(0, layer_budget + 1))
-            cell.node_ops[q] = [rot[rng.integers(len(rot))] for _ in range(k)]
-    if ent:
-        for a in range(n_qubits):
-            for b in range(a + 1, n_qubits):
-                if rng.random() < 0.5:
-                    c, t = (a, b) if rng.random() < 0.5 else (b, a)
-                    cell.edge_ops[(c, t)] = [ent[rng.integers(len(ent))]]
-    return cell
+    return expand_cell(Cell(n_qubits), space, rng, layer_budget, constraint)
 
 
 def expand_cell(seed: Cell, space, rng: np.random.Generator,
-                layer_budget: int = 1) -> Cell:
+                layer_budget: int = 1, constraint: SoftConstraint | None = None):
     """Grow a seed cell: keep everything it has, append fresh rotations and
-    fill in missing edges with newly sampled 2-qubit ops."""
-    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
-    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
-    child = seed.copy()
-    for q in range(seed.n_qubits):
-        if rot:
-            k = int(rng.integers(0, layer_budget + 1))
-            child.node_ops[q].extend(rot[rng.integers(len(rot))] for _ in range(k))
+    fill in missing edges with newly sampled 2-qubit ops.
+
+    With a `constraint`, the child's constrained quantity is worked out from
+    the seed and the drawn additions, and a child that breaks it is never
+    built: None is returned instead.  The rng draws are the same either way.
+    """
+    rot, ent = _space_kinds(frozenset(space))
+    n = seed.n_qubits
+    integers, random = rng.integers, rng.random
+    added = [[] for _ in range(n)]
+    if rot:
+        for q in range(n):
+            k = int(integers(0, layer_budget + 1))
+            if k:
+                added[q] = [rot[integers(len(rot))] for _ in range(k)]
+    new_edges = {}
     if ent:
-        for a in range(seed.n_qubits):
-            for b in range(a + 1, seed.n_qubits):
-                if (a, b) in child.edge_ops or (b, a) in child.edge_ops:
+        have = seed.edge_ops
+        for a in range(n):
+            for b in range(a + 1, n):
+                if (a, b) in have or (b, a) in have:
                     continue
-                if rng.random() < 0.5:
-                    c, t = (a, b) if rng.random() < 0.5 else (b, a)
-                    child.edge_ops[(c, t)] = [ent[rng.integers(len(ent))]]
-    return child
+                if random() < 0.5:
+                    edge = (a, b) if random() < 0.5 else (b, a)
+                    new_edges[edge] = [ent[integers(len(ent))]]
+    if (constraint is not None
+            and _grown_quantity(constraint.quantity, seed, added, new_edges) > constraint.bound):
+        return None
+    edge_ops = {edge: list(ops) for edge, ops in seed.edge_ops.items()}
+    edge_ops.update(new_edges)
+    return Cell(n, [ops + more for ops, more in zip(seed.node_ops, added)], edge_ops)
+
+
+def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> int:
+    """`quantity` of `metrics` of the child that `expand_cell` builds from
+    `seed`, the rotations `added` per qubit and `new_edges`, read without
+    building the child."""
+    if quantity == "n_layers":
+        # metrics' depth rule over the merged edges in sorted order
+        depth = [len(ops) + len(more) for ops, more in zip(seed.node_ops, added)]
+        for (c, t), ops in sorted([*seed.edge_ops.items(), *new_edges.items()]):
+            for _ in ops:
+                depth[c] = depth[t] = max(depth[c], depth[t]) + 1
+        return max(depth, default=0)
+    # the other quantities add up over the gates
+    base = getattr(metrics(seed), quantity)
+    if quantity == "n_two_qubit":
+        return base + len(new_edges)
+    tags = [tag for more in added for tag in more]
+    tags += [ops[0] for ops in new_edges.values()]
+    if quantity == "n_params":
+        return base + sum(GATE_KINDS[tag].param_count for tag in tags)
+    return base + len(tags)
+
+
+@lru_cache(maxsize=4096)
+def _gate_instance(tag: str, targets: tuple, slot: int | None) -> GateInstance:
+    """One shared, immutable `GateInstance` per (tag, targets, slot)."""
+    return GateInstance(GATE_KINDS[tag], targets, slot)
 
 
 def cell_to_circuit(cell: Cell) -> Circuit:
     """Canonical emission: per qubit ascending, its rotations in list order;
     then edges in (control, target) lexicographic order.  Parametric gates
-    receive fresh parameter slots in emission order."""
+    receive fresh parameter slots in emission order.  Gate instances are
+    immutable, so circuits share them."""
     gates = []
     slot = 0
 
     def emit(tag, targets):
         nonlocal slot
-        kind = GATE_KINDS[tag]
-        if kind.param_count == 1:
-            g = GateInstance(kind, targets, slot)
+        if GATE_KINDS[tag].param_count:
+            gates.append(_gate_instance(tag, targets, slot))
             slot += 1
         else:
-            g = GateInstance(kind, targets)
-        gates.append(g)
+            gates.append(_gate_instance(tag, targets, None))
 
     for q in range(cell.n_qubits):
         for tag in cell.node_ops[q]:
@@ -236,21 +276,19 @@ def decode_actions(rot_actions: np.ndarray, ent_actions: np.ndarray,
     rot_actions = np.asarray(rot_actions, dtype=int)
     ent_actions = np.asarray(ent_actions, dtype=int)
     n = rot_actions.shape[0]
-    if rot_actions.max(initial=0) >= vocab.v_rot or ent_actions.max(initial=0) >= vocab.v_ent:
+    if ent_actions.shape != (n, n):
+        raise ValueError("entangle actions must be (n_qubits, n_qubits)")
+    if (rot_actions.max(initial=0) >= vocab.v_rot or ent_actions.max(initial=0) >= vocab.v_ent
+            or rot_actions.min(initial=0) < 0 or ent_actions.min(initial=0) < 0):
         raise ValueError("action index out of vocab range")
-    cell = Cell(n)
-    for q in range(n):
-        for idx in rot_actions[q]:
-            if idx != 0:
-                cell.node_ops[q].append(vocab.decode_rotation(int(idx)))
-    for c in range(n):
-        for t in range(n):
-            if c == t:
-                continue
-            idx = int(ent_actions[c, t])
-            if idx != 0:
-                cell.edge_ops[(c, t)] = [vocab.decode_entangle(idx)]
-    return cell
+    rot_kinds, ent_kinds = vocab.rotation_kinds, vocab.entangle_kinds
+    node_ops = [[rot_kinds[idx] for idx in row if idx] for row in rot_actions.tolist()]
+    edge_ops = {}
+    for c, row in enumerate(ent_actions.tolist()):
+        for t, idx in enumerate(row):
+            if idx and c != t:
+                edge_ops[(c, t)] = [ent_kinds[idx]]
+    return Cell(n, node_ops, edge_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -297,29 +297,19 @@ def _log_softmax(x, axis=-1):
 
 def sample_actions(rot_logits, ent_logits, rng: np.random.Generator | None = None,
                    greedy: bool = False):
-    """Per-slot categorical sample (or argmax when greedy); returns the action
-    index tensors and the total log-probability of the picks.
+    """Per-slot categorical sample (or argmax when greedy); returns the
+    rotation and entanglement action index tensors.
 
-    The entanglement diagonal is forced to NO_OP by the forward pass and
-    contributes zero log-probability.
+    The entanglement diagonal is forced to NO_OP by the forward pass.
+    `action_logprob` gives the log-probability of the picks.
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode needs an rng")
-    rot_lp = _log_softmax(rot_logits)
-    ent_lp = _log_softmax(ent_logits)
     if greedy:
-        rot_actions = rot_logits.argmax(axis=-1)
-        ent_actions = ent_logits.argmax(axis=-1)
-    else:
-        gumbel_r = rng.gumbel(size=rot_logits.shape)
-        gumbel_e = rng.gumbel(size=ent_logits.shape)
-        rot_actions = (rot_logits + gumbel_r).argmax(axis=-1)
-        ent_actions = (ent_logits + gumbel_e).argmax(axis=-1)
-    total = float(
-        np.take_along_axis(rot_lp, rot_actions[..., None], axis=-1).sum()
-        + np.take_along_axis(ent_lp, ent_actions[..., None], axis=-1).sum()
-    )
-    return rot_actions, ent_actions, total
+        return rot_logits.argmax(axis=-1), ent_logits.argmax(axis=-1)
+    gumbel_r = rng.gumbel(size=rot_logits.shape)
+    gumbel_e = rng.gumbel(size=ent_logits.shape)
+    return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
 
 
 def action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) -> float:

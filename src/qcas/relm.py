@@ -180,7 +180,6 @@ class MutationSample:
     child: Cell
     rot_actions: np.ndarray
     ent_actions: np.ndarray
-    logprob: float
 
 
 def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
@@ -189,10 +188,10 @@ def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
     `controller_forward(controller, views, with_cache=True)` and decode them
     into a child cell."""
     rot_logits, ent_logits = forward[0]
-    rot_actions, ent_actions, logprob = sample_actions(rot_logits, ent_logits,
-                                                       rng=rng, greedy=greedy)
+    rot_actions, ent_actions = sample_actions(rot_logits, ent_logits, rng=rng,
+                                              greedy=greedy)
     child = decode_actions(rot_actions, ent_actions, vocab)
-    return MutationSample(child, rot_actions, ent_actions, logprob)
+    return MutationSample(child, rot_actions, ent_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +201,17 @@ def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
 
 @dataclass
 class EpochRecord:
+    """One epoch of the run record's RELM trace.  `n_scored` children were
+    scored, `n_admissible` of them meet the constraint (all of them when
+    there is none); the CSV export reads neither count."""
+
     epoch: int
     parent_score: float
     mean_reward: float
     best_child_score: float
     best_score: float
+    n_scored: int
+    n_admissible: int
 
 
 @dataclass
@@ -294,6 +299,8 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
             mean_reward=float(np.mean(rewards)),
             best_child_score=best_child.score,
             best_score=global_best.score,
+            n_scored=len(scored_children),
+            n_admissible=len(admissible),
         ))
 
     return RelmResult(global_best.cell, global_best.theta, global_best.score,

@@ -73,29 +73,23 @@ def _cell_seed(master_seed: int, cell: Cell) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def evaluate_population(cells, task, opt_budget: OptBudget, seed: int,
-                        warm_thetas=None):
+def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
     """Score every cell with its own derived rng; results do not depend on
     list order or evaluation schedule."""
-    out = []
-    for i, cell in enumerate(cells):
-        warm = warm_thetas[i] if warm_thetas is not None else None
-        theta, score = score_cell(cell, task, opt_budget, _cell_seed(seed, cell),
-                                  theta_init=warm)
-        out.append((theta, score))
-    return out
+    return [score_cell(cell, task, opt_budget, _cell_seed(seed, cell)) for cell in cells]
 
 
-def _sample_admissible(make, constraint: SoftConstraint | None, count: int,
-                       max_tries: int = 100, exclude: Cell | None = None):
+def _sample_admissible(make, count: int, max_tries: int = 100,
+                       exclude: Cell | None = None):
+    """Up to `count` cells from at most count * max_tries calls of `make`,
+    which samples one candidate and returns None for one that breaks the
+    constraint; a candidate equal to `exclude` is skipped too."""
     cells = []
     for _ in range(count * max_tries):
         if len(cells) == count:
             break
         cell = make()
-        if exclude is not None and cell == exclude:
-            continue
-        if constraint is None or eval_soft_constraint(constraint, cell):
+        if cell is not None and (exclude is None or cell != exclude):
             cells.append(cell)
     return cells
 
@@ -114,8 +108,9 @@ def res_search(task, space, config: ResConfig) -> ResResult:
     sample_constraint = constraint if config.mode == "budget" else None
 
     cells = _sample_admissible(
-        lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase),
-        sample_constraint, config.population_size,
+        lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,
+                            sample_constraint),
+        config.population_size,
     )
     if not cells:
         raise RuntimeError(
@@ -146,8 +141,9 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             seed_entry = best
         seed_cell = seed_entry[0]
         children = _sample_admissible(
-            lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase),
-            sample_constraint, config.population_size - 1, exclude=seed_cell,
+            lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
+                                sample_constraint),
+            config.population_size - 1, exclude=seed_cell,
         )
         if not children:
             break  # no admissible expansion headroom left

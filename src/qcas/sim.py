@@ -11,15 +11,20 @@ list of (transpose permutation, dimension, matrix) steps on a
 into a `CircuitPlan` kept on the circuit object: the permutations of all its
 gates, the constant matrices of its fixed gates, and one buffer holding the
 matrices of its parametric gates, refilled for each theta with the cos/sin
-of every angle (from `math`, as `GateKind.matrix` uses).  `apply_circuit_columns`, `run_circuit`,
-`circuit_unitary`, `apply_gate` and `swap_test_expectation` all use the
-kernel, and give bit-for-bit the results of applying each gate with a matrix
-built by `GateKind.matrix`.
+of every angle (from `math`, as `GateKind.matrix` uses).  A gate's
+permutation depends only on its targets and on the axis order the previous
+gate left, so `_kernel_step` memoises it in a bounded cache shared by all
+compiles; a circuit that runs once, such as a parameter-free cell scored
+once, pays little more than its matmuls.  `apply_circuit_columns`,
+`run_circuit`, `circuit_unitary`, `apply_gate` and `swap_test_expectation`
+all use the kernel, and give bit-for-bit the results of applying each gate
+with a matrix built by `GateKind.matrix`.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -196,9 +201,9 @@ class Circuit:
         slots = sorted(g.param_slot for g in self.gates if g.param_slot is not None)
         if slots != list(range(len(slots))):
             raise ValueError("param slots must be exactly 0..n_params-1, each once")
-        for g in self.gates:
-            if any(t >= self.n_qubits or t < 0 for t in g.targets):
-                raise ValueError("gate target out of range")
+        targets = [t for g in self.gates for t in g.targets]
+        if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
+            raise ValueError("gate target out of range")
 
     @property
     def n_params(self) -> int:
@@ -238,6 +243,22 @@ class QaeSplit:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _kernel_step(where: tuple, targets: tuple) -> tuple[tuple, int, tuple]:
+    """One gate's (perm, dim, where after it), from the axis positions
+    `where` the previous step left behind (where[a]: the position of axis a).
+
+    A pure function of its arguments, memoised in a bounded cache.  The
+    order it leaves depends only on `targets`, so at n qubits there are at
+    most 1 + (number of distinct target tuples) positions to start from.
+    """
+    order = targets + tuple(a for a in range(len(where)) if a not in targets)
+    after = [0] * len(where)
+    for i, a in enumerate(order):
+        after[a] = i
+    return tuple([where[a] for a in order]), 2 ** len(targets), tuple(after)
+
+
 def _kernel_steps(n_qubits: int, ops) -> tuple[list, tuple]:
     """Kernel steps (perm, dim, matrix) for (targets, matrix) pairs, and the
     permutation that restores qubit order after the last step.
@@ -246,15 +267,12 @@ def _kernel_steps(n_qubits: int, ops) -> tuple[list, tuple]:
     the previous step left behind, so one transpose per gate suffices.
     Non-target axes keep their relative order; the batch axis stays last.
     """
-    axes = range(n_qubits + 1)
-    where = list(axes)  # where[a]: the position of axis a after the last step
+    where = tuple(range(n_qubits + 1))
     steps = []
     for targets, mat in ops:
-        order = tuple(targets) + tuple(a for a in axes if a not in targets)
-        steps.append((tuple([where[a] for a in order]), 2 ** len(targets), mat))
-        for i, a in enumerate(order):
-            where[a] = i
-    return steps, tuple(where)
+        perm, dim, where = _kernel_step(where, tuple(targets))
+        steps.append((perm, dim, mat))
+    return steps, where
 
 
 def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarray:
@@ -286,7 +304,8 @@ _ROT_ENTRIES = {
 class CircuitPlan:
     """A circuit compiled once for runs at many parameter vectors.
 
-    It holds the kernel steps of every gate.  Fixed gates use their constant
+    It holds the kernel steps of every gate, whose permutations come from
+    the bounded `_kernel_step` cache.  Fixed gates use their constant
     matrices.  The matrices of parametric gates are views into one buffer,
     which `bind` refills in place from a single cos/sin evaluation of
     theta/2, with the entries `GateKind.matrix` builds; runs are therefore

@@ -178,7 +178,7 @@ def test_criterion_05_controller_gradient_check():
         views = encode_views(cell, vocab, config.max_seq)
         rng = np.random.default_rng(505)
         rot_logits, ent_logits = controller_forward(params, views)
-        rot_a, ent_a, _ = sample_actions(rot_logits, ent_logits, rng=rng)
+        rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.8
         grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
                                 rot_a, ent_a, reward)

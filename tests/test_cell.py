@@ -1,6 +1,8 @@
 """Cell IR: vocabularies, sampling, expansion, circuit round-trips, one-hot
 views, action decoding, metrics, soft constraints and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qcas.cell import (
     CellMetrics,
     NO_OP,
     SoftConstraint,
+    _gate_instance,
     build_vocab,
     cell_from_dict,
     cell_to_circuit,
@@ -29,8 +32,11 @@ from qcas.cell import (
 from qcas.sim import (
     GATE_KINDS,
     Circuit,
+    GateInstance,
+    SPACE_CLIFFORD,
     SPACE_GENERIC,
     SPACE_SINGLE_CLIFFORD,
+    circuit_plan,
     gate,
 )
 
@@ -68,6 +74,38 @@ def circuit_metrics(cell):
         n_two_qubit=sum(1 for g in circuit.gates if g.kind.arity == 2),
         n_gates=len(circuit.gates),
     )
+
+
+def reference_cell_to_circuit(cell):
+    """The canonical emission with a fresh, validated gate per emitted op."""
+    gates, slot = [], 0
+    locations = [((q,), ops) for q, ops in enumerate(cell.node_ops)]
+    locations += [(edge, cell.edge_ops[edge]) for edge in sorted(cell.edge_ops)]
+    for targets, ops in locations:
+        for tag in ops:
+            if GATE_KINDS[tag].param_count:
+                gates.append(gate(tag, *targets, param_slot=slot))
+                slot += 1
+            else:
+                gates.append(gate(tag, *targets))
+    return Circuit(cell.n_qubits, gates)
+
+
+def reference_decode_actions(rot_actions, ent_actions, vocab):
+    """Decoding index by index, looking each kind up in a freshly sorted
+    vocabulary."""
+    cell = Cell(rot_actions.shape[0])
+    for q in range(cell.n_qubits):
+        for idx in rot_actions[q]:
+            if idx != 0:
+                kinds = sorted(vocab.rotation_ids, key=vocab.rotation_ids.get)
+                cell.node_ops[q].append(kinds[int(idx)])
+    for c in range(cell.n_qubits):
+        for t in range(cell.n_qubits):
+            if c != t and ent_actions[c, t] != 0:
+                kinds = sorted(vocab.entangle_ids, key=vocab.entangle_ids.get)
+                cell.edge_ops[(c, t)] = [kinds[int(ent_actions[c, t])]]
+    return cell
 
 
 class TestVocab:
@@ -189,6 +227,24 @@ class TestCellCircuit:
         slots = [g.param_slot for g in circ.gates]
         assert slots == [0, 1, 2, 3]
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(cell=cells())
+    def test_matches_fresh_gate_instances(self, cell):
+        assert cell_to_circuit(cell) == reference_cell_to_circuit(cell)
+
+    def test_gate_instances_are_shared_and_immutable(self):
+        cell = Cell(2, [["RY", "H"], []], {(0, 1): ["CNOT"]})
+        a, b = cell_to_circuit(cell), cell_to_circuit(cell.copy())
+        assert all(x is y for x, y in zip(a.gates, b.gates))
+        assert _gate_instance.cache_info().maxsize is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.gates[0].targets = (1,)
+        # a run compiles a's plan; editing b's gate list leaves a's gates alone
+        circuit_plan(a)
+        b.gates[0] = gate("RX", 1, param_slot=0)
+        assert a.gates[0] == gate("RY", 0, param_slot=0)
+        assert circuit_plan(a).gates == tuple(a.gates)
+
 
 class TestViews:
     VOCAB = build_vocab(SPACE_GENERIC)
@@ -242,6 +298,31 @@ class TestDecodeActions:
         with pytest.raises(ValueError):
             decode_actions(np.full((2, 2), 99), np.zeros((2, 2), dtype=int),
                            self.VOCAB)
+        with pytest.raises(ValueError):
+            decode_actions(np.full((2, 2), -1), np.zeros((2, 2), dtype=int),
+                           self.VOCAB)
+        with pytest.raises(ValueError):
+            decode_actions(np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int),
+                           self.VOCAB)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(space=st.sampled_from([SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC]),
+           n=st.integers(1, 5), max_seq=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_decoding_gate_by_gate(self, space, n, max_seq, seed):
+        vocab = build_vocab(space)
+        rng = np.random.default_rng(seed)
+        rot = rng.integers(0, vocab.v_rot, size=(n, max_seq))
+        ent = rng.integers(0, vocab.v_ent, size=(n, n))
+        got = decode_actions(rot, ent, vocab)
+        want = reference_decode_actions(rot, ent, vocab)
+        assert (got.n_qubits, got.node_ops, got.edge_ops) == \
+            (want.n_qubits, want.node_ops, want.edge_ops)
+
+    def test_vocab_kinds_in_id_order(self):
+        vocab = build_vocab(SPACE_GENERIC)
+        assert vocab.rotation_kinds == (NO_OP, "RX", "RY", "RZ")
+        assert vocab.entangle_kinds == (NO_OP, "CNOT", "CRX", "CRY", "CRZ")
+        assert vocab.rotation_kinds is vocab.rotation_kinds
 
 
 class TestMetrics:

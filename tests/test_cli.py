@@ -158,6 +158,8 @@ class TestRunAndRecords:
         trace = record["runs"][0]["trace"]
         assert "res" in trace and "relm" in trace
         assert "init_best_score" in trace
+        for epoch in trace["relm"]:
+            assert epoch["n_admissible"] <= epoch["n_scored"] == 2
 
     def test_random_search_init_keeps_the_constraint(self):
         config = parse_config(FAST, environ={})

@@ -124,7 +124,7 @@ class TestSampling:
         ent_logits = np.zeros((1, 1, 2))
         counts = np.zeros(4)
         for _ in range(10_000):
-            a, _, _ = sample_actions(rot_logits, ent_logits, rng=rng)
+            a, _ = sample_actions(rot_logits, ent_logits, rng=rng)
             counts[a[0, 0]] += 1
         assert np.all(np.abs(counts / 10_000 - 0.25) < 0.02)
 
@@ -132,7 +132,8 @@ class TestSampling:
         params = tiny_controller(3)
         views = encode_views(Cell(2), VOCAB, TINY.max_seq)
         rot_logits, ent_logits = controller_forward(params, views)
-        rot_a, ent_a, greedy_lp = sample_actions(rot_logits, ent_logits, greedy=True)
+        rot_a, ent_a = sample_actions(rot_logits, ent_logits, greedy=True)
+        greedy_lp = action_logprob(rot_logits, ent_logits, rot_a, ent_a)
         # any single-slot deviation can only lower the total log-probability
         for q in range(2):
             for s in range(2):
@@ -172,7 +173,7 @@ class TestReinforce:
         views = encode_views(cell, VOCAB, TINY.max_seq)
         rng = np.random.default_rng(11)
         rot_logits, ent_logits = controller_forward(params, views)
-        rot_a, ent_a, _ = sample_actions(rot_logits, ent_logits, rng=rng)
+        rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.7
         grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
                                 rot_a, ent_a, reward)
@@ -187,7 +188,7 @@ class TestReinforce:
         views = encode_views(cell, VOCAB, TINY.max_seq)
         rng = np.random.default_rng(12)
         forward = controller_forward(params, views, with_cache=True)
-        samples = [sample_actions(*forward[0], rng=rng)[:2] for _ in range(4)]
+        samples = [sample_actions(*forward[0], rng=rng) for _ in range(4)]
         rewards = np.array([0.7, -0.4, 0.0, 1.3])
         rot = np.stack([r for r, _ in samples])
         ent = np.stack([e for _, e in samples])
@@ -242,7 +243,7 @@ class TestReinforce:
         before = copy.deepcopy(forward)
         rng = np.random.default_rng(4)
         for reward in (0.9, -0.3):
-            rot_a, ent_a, _ = sample_actions(*forward[0], rng=rng)
+            rot_a, ent_a = sample_actions(*forward[0], rng=rng)
             shared = reinforce_grads(params, forward, rot_a, ent_a, reward)
             again = reinforce_grads(params, forward, rot_a, ent_a, reward)
             fresh = reinforce_grads(params, controller_forward(params, views, with_cache=True),
@@ -250,7 +251,7 @@ class TestReinforce:
             for name in fresh:
                 assert np.array_equal(shared[name], again[name])
                 assert np.array_equal(shared[name], fresh[name])
-        samples = [sample_actions(*forward[0], rng=rng)[:2] for _ in range(5)]
+        samples = [sample_actions(*forward[0], rng=rng) for _ in range(5)]
         batch = (np.stack([r for r, _ in samples]), np.stack([e for _, e in samples]),
                  np.array([0.4, -1.1, 0.0, 2.0, 0.4]))
         first = reinforce_grads(params, forward, *batch)

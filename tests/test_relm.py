@@ -19,6 +19,7 @@ from qcas.cell import (
 from qcas.controller import (
     AdamState,
     ControllerConfig,
+    action_logprob,
     adam_step,
     controller_forward,
     init_controller,
@@ -166,9 +167,11 @@ class TestMutate:
     def test_logprob_matches_actions(self):
         parent = Cell(2)
         rng = np.random.default_rng(2)
-        sample = mutate(self.forward(parent), VOCAB, rng=rng)
-        assert sample.logprob <= 0.0
-        assert math.isfinite(sample.logprob)
+        forward = self.forward(parent)
+        sample = mutate(forward, VOCAB, rng=rng)
+        logprob = action_logprob(*forward[0], sample.rot_actions, sample.ent_actions)
+        assert logprob <= 0.0
+        assert math.isfinite(logprob)
 
 
 class TestInitPopulation:
@@ -262,6 +265,25 @@ class TestRelmSearch:
         result, _ = self.run_search(constraint=SoftConstraint("n_gates", 3))
         assert eval_soft_constraint(SoftConstraint("n_gates", 3), result.best_cell)
 
+    @pytest.mark.parametrize("constraint", [None, SoftConstraint("n_gates", 3)])
+    def test_epochs_count_scored_and_admissible_children(self, monkeypatch, constraint):
+        scored = []
+        original = qcas.relm.score_cell
+
+        def spy(cell, *args, **kwargs):
+            scored.append(cell)
+            return original(cell, *args, **kwargs)
+
+        monkeypatch.setattr(qcas.relm, "score_cell", spy)
+        result, config = self.run_search(epochs=4, constraint=constraint)
+        assert len(scored) == config.epochs * config.batch_size
+        for i, record in enumerate(result.epochs):
+            children = scored[i * config.batch_size:(i + 1) * config.batch_size]
+            admissible = [c for c in children
+                          if constraint is None or eval_soft_constraint(constraint, c)]
+            assert record.n_admissible <= record.n_scored == config.batch_size
+            assert record.n_admissible == len(admissible)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RelmConfig(epochs=0)
@@ -288,7 +310,7 @@ def reference_relm_search(task, config, pop, vocab, controller):
         views = encode_views(parent.cell, vocab, config.max_seq)
         children = []
         for j in range(config.batch_size):
-            rot_a, ent_a, _ = sample_actions(*controller_forward(controller, views), rng=rng)
+            rot_a, ent_a = sample_actions(*controller_forward(controller, views), rng=rng)
             child = decode_actions(rot_a, ent_a, vocab)
             theta, score = score_cell(child, task, config.opt_budget,
                                       np.random.default_rng([config.seed, 0x5C0, epoch, j]),
@@ -318,7 +340,8 @@ def reference_relm_search(task, config, pop, vocab, controller):
             global_best = best_child
         records.append(EpochRecord(epoch, parent.score,
                                    float(np.mean([c[2] for c in children])),
-                                   best_child.score, global_best.score))
+                                   best_child.score, global_best.score,
+                                   len(children), len(scored)))
     return global_best, records, controller
 
 
@@ -352,7 +375,8 @@ class TestSharedForward:
 
         def table(recs):
             return np.array([[r.epoch, r.parent_score, r.mean_reward,
-                              r.best_child_score, r.best_score] for r in recs])
+                              r.best_child_score, r.best_score,
+                              r.n_scored, r.n_admissible] for r in recs])
 
         assert np.array_equal(table(result.epochs), table(records))
         assert result.best_cell == best.cell

@@ -3,11 +3,31 @@ expansion phases, elitism and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcas.cell import Cell, SoftConstraint, eval_soft_constraint, metrics
+import qcas.cell
+import qcas.res
+from qcas.cell import (
+    Cell,
+    SoftConstraint,
+    eval_soft_constraint,
+    expand_cell,
+    metrics,
+    random_cell,
+)
 from qcas.optim import OptBudget
-from qcas.res import ResConfig, evaluate_population, res_search
-from qcas.sim import SPACE_CLIFFORD, basis_state, gate, pure_fidelity, run_circuit
+from qcas.res import ResConfig, _sample_admissible, evaluate_population, res_search
+from qcas.sim import (
+    GATE_KINDS,
+    SPACE_CLIFFORD,
+    SPACE_GENERIC,
+    SPACE_SINGLE_CLIFFORD,
+    basis_state,
+    gate,
+    pure_fidelity,
+    run_circuit,
+)
 from qcas.tasks import (
     UnitaryRegenTask,
     gen_hidden_targets,
@@ -122,3 +142,174 @@ class TestResSearch:
             ResConfig(population_size=0)
         with pytest.raises(ValueError):
             ResConfig(mode="greedy")
+
+
+class TestLiteralMode:
+    """mode="literal" samples without the constraint and expands only while
+    the best cell breaks it."""
+
+    def search(self, monkeypatch, layer_budget, seed):
+        seeds = []
+        original = qcas.res.expand_cell
+
+        def spy(seed_cell, *args):
+            seeds.append(seed_cell)
+            return original(seed_cell, *args)
+
+        monkeypatch.setattr(qcas.res, "expand_cell", spy)
+        target = gen_hidden_targets(1, "single", 1, 50, seed=3)[seed]
+        config = ResConfig(population_size=4, constraint=SoftConstraint("n_layers", 1),
+                           layer_budget_per_phase=layer_budget, opt_budget=FAST_OPT,
+                           max_phases=3, seed=seed, mode="literal")
+        return config, seeds, lambda: res_search(UnitaryRegenTask(target),
+                                                 SPACE_SINGLE_CLIFFORD, config)
+
+    @pytest.mark.parametrize("layer_budget, seed", [(1, 0), (1, 1), (2, 3), (3, 2)])
+    def test_no_expansion_once_the_best_satisfies(self, monkeypatch, layer_budget, seed):
+        config, seeds, run = self.search(monkeypatch, layer_budget, seed)
+        result = run()
+        assert seeds == []
+        assert [p.phase for p in result.trace.phases] == [1]
+        assert eval_soft_constraint(config.constraint, result.best_cell)
+        if layer_budget == 3:
+            # phase 1 was sampled without the constraint
+            assert any(not eval_soft_constraint(config.constraint, c)
+                       for c, _, _ in result.population)
+
+    def test_expands_while_the_best_breaks_the_constraint(self, monkeypatch):
+        config, seeds, run = self.search(monkeypatch, layer_budget=3, seed=0)
+        # expansion only adds gates, so a best cell over the bound stays over
+        # it and the search ends without a cell to return
+        with pytest.raises(RuntimeError, match="without a constraint-satisfying cell"):
+            run()
+        assert len(seeds) > 0
+        assert not any(eval_soft_constraint(config.constraint, c) for c in seeds)
+
+
+def reference_expand_cell(seed, space, rng, layer_budget=1):
+    """expand_cell as it was before it took a constraint: copy the seed,
+    then draw its additions."""
+    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
+    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
+    child = seed.copy()
+    for q in range(seed.n_qubits):
+        if rot:
+            k = int(rng.integers(0, layer_budget + 1))
+            child.node_ops[q].extend(rot[rng.integers(len(rot))] for _ in range(k))
+    if ent:
+        for a in range(seed.n_qubits):
+            for b in range(a + 1, seed.n_qubits):
+                if (a, b) in child.edge_ops or (b, a) in child.edge_ops:
+                    continue
+                if rng.random() < 0.5:
+                    c, t = (a, b) if rng.random() < 0.5 else (b, a)
+                    child.edge_ops[(c, t)] = [ent[rng.integers(len(ent))]]
+    return child
+
+
+def reference_sample(make, constraint, count, max_tries, exclude):
+    """Build every candidate, then check the constraint and the exclusion."""
+    cells = []
+    for _ in range(count * max_tries):
+        if len(cells) == count:
+            break
+        cell = make()
+        if exclude is not None and cell == exclude:
+            continue
+        if constraint is None or eval_soft_constraint(constraint, cell):
+            cells.append(cell)
+    return cells
+
+
+SPACES = [SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC]
+
+
+@st.composite
+def expansions(draw):
+    """A gate space, a seed cell over it (edges may carry several ops or
+    none), a layer budget and an optional constraint."""
+    space = draw(st.sampled_from(SPACES))
+    n = draw(st.integers(1, 5))
+    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
+    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
+    seed = Cell(n)
+    if draw(st.booleans()):
+        seed.node_ops = [draw(st.lists(st.sampled_from(rot), max_size=3)) for _ in range(n)]
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        if ent and pairs:
+            for c, t in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)):
+                if (t, c) not in seed.edge_ops:
+                    seed.edge_ops[(c, t)] = draw(st.lists(st.sampled_from(ent), max_size=2))
+    quantity = draw(st.sampled_from([None, "n_params", "n_layers", "n_two_qubit", "n_gates"]))
+    constraint = (None if quantity is None
+                  else SoftConstraint(quantity, draw(st.integers(1, 12))))
+    return space, seed, draw(st.integers(1, 3)), constraint
+
+
+class TestSampler:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=expansions(), count=st.integers(1, 4), max_tries=st.integers(1, 12),
+           rng_seed=st.integers(0, 2**32 - 1), fresh=st.booleans())
+    def test_matches_building_every_candidate(self, case, count, max_tries, rng_seed, fresh):
+        space, seed, layer_budget, constraint = case
+        rng = np.random.default_rng(rng_seed)
+        ref_rng = np.random.default_rng(rng_seed)
+        if fresh:  # phase 1: random cells, nothing excluded
+            n = seed.n_qubits
+            got = _sample_admissible(
+                lambda: random_cell(space, n, rng, layer_budget, constraint), count, max_tries)
+            want = reference_sample(
+                lambda: reference_expand_cell(Cell(n), space, ref_rng, layer_budget),
+                constraint, count, max_tries, None)
+        else:  # later phases: expansions of the seed, the seed excluded
+            got = _sample_admissible(
+                lambda: expand_cell(seed, space, rng, layer_budget, constraint),
+                count, max_tries, exclude=seed)
+            want = reference_sample(
+                lambda: reference_expand_cell(seed, space, ref_rng, layer_budget),
+                constraint, count, max_tries, seed)
+        assert [(c.n_qubits, c.node_ops, c.edge_ops) for c in got] == \
+            [(c.n_qubits, c.node_ops, c.edge_ops) for c in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=expansions(), quantity=st.sampled_from(["n_params", "n_layers",
+                                                        "n_two_qubit", "n_gates"]),
+           rng_seed=st.integers(0, 2**32 - 1))
+    def test_constraint_decided_at_the_bound(self, case, quantity, rng_seed):
+        # a child exactly at the bound is built, one just over it is not
+        space, seed, layer_budget, _ = case
+        want = reference_expand_cell(seed, space, np.random.default_rng(rng_seed),
+                                     layer_budget)
+        amount = getattr(metrics(want), quantity)
+        for bound in (amount, amount - 1):
+            if bound < 1:
+                continue
+            rng = np.random.default_rng(rng_seed)
+            got = expand_cell(seed, space, rng, layer_budget, SoftConstraint(quantity, bound))
+            if bound == amount:
+                assert (got.n_qubits, got.node_ops, got.edge_ops) == \
+                    (want.n_qubits, want.node_ops, want.edge_ops)
+            else:
+                assert got is None
+            ref_rng = np.random.default_rng(rng_seed)
+            reference_expand_cell(seed, space, ref_rng, layer_budget)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rejected_candidate_builds_no_cell(self, monkeypatch):
+        built = []
+
+        class CountedCell(Cell):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        seed = Cell(3, [["RX", "RY"], [], ["RZ"]], {(0, 1): ["CNOT"]})
+        monkeypatch.setattr(qcas.cell, "Cell", CountedCell)
+        rng = np.random.default_rng(0)
+        # the seed already breaks n_layers <= 2, so every child does too
+        for _ in range(50):
+            assert expand_cell(seed, SPACE_GENERIC, rng, 2, SoftConstraint("n_layers", 2)) is None
+        assert built == []
+        child = expand_cell(seed, SPACE_GENERIC, rng, 2, SoftConstraint("n_layers", 20))
+        assert built == [child]

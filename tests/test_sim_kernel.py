@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from qcas import tasks
 from qcas.cell import cell_to_circuit, random_cell
+from qcas import sim
 from qcas.sim import (
     GATE_KINDS,
     SPACE_GENERIC,
@@ -325,3 +326,46 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, monkeypa
     for (circuit, theta), (cost, score) in zip(cases, compiled):
         assert cost == reference_training_cost(task, circuit, theta)
         assert score == task.validation_score(circuit, theta)
+
+
+# ---------------------------------------------------------------------------
+# Memoised kernel steps
+# ---------------------------------------------------------------------------
+
+
+def reference_kernel_steps(n_qubits, ops):
+    """The kernel steps worked out gate by gate, without a cache."""
+    axes = range(n_qubits + 1)
+    where = list(axes)
+    steps = []
+    for targets, mat in ops:
+        order = tuple(targets) + tuple(a for a in axes if a not in targets)
+        steps.append((tuple([where[a] for a in order]), 2 ** len(targets), mat))
+        for i, a in enumerate(order):
+            where[a] = i
+    return steps, tuple(where)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_memoised_kernel_steps_equal_uncached(data):
+    n = data.draw(st.integers(1, 6), label="width")
+    targets = st.integers(1, min(3, n)).flatmap(
+        lambda k: st.permutations(range(n)).map(lambda p: tuple(p[:k])))
+    ops = [(t, object()) for t in data.draw(st.lists(targets, max_size=12), label="ops")]
+    steps, restore = sim._kernel_steps(n, ops)
+    want_steps, want_restore = reference_kernel_steps(n, ops)
+    assert restore == want_restore
+    assert [(perm, dim) for perm, dim, _ in steps] == [(p, d) for p, d, _ in want_steps]
+    assert all(mat is want for (_, _, mat), (_, _, want) in zip(steps, want_steps))
+
+
+def test_kernel_step_cache_is_bounded():
+    info = sim._kernel_step.cache_info()
+    assert info.maxsize is not None
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        ops = [(tuple(rng.permutation(n)[:2].tolist()), None) for _ in range(5)]
+        sim._kernel_steps(n, ops)
+    assert sim._kernel_step.cache_info().currsize <= info.maxsize
