@@ -41,11 +41,9 @@ import sys
 import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .cell import SoftConstraint, build_vocab, cell_from_dict, cell_to_dict, metrics
@@ -145,6 +143,7 @@ def _apply_env_overrides(config: dict, environ=None) -> dict:
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
+        import yaml  # imported here: a run from a dict config never needs it
         parts = [p.lower() for p in name[len(ENV_PREFIX):].split("__")]
         node = config
         for part in parts[:-1]:
@@ -167,6 +166,7 @@ def parse_config(source, environ=None) -> dict:
         if os.path.exists(str(source)):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
+        import yaml
         doc = yaml.safe_load(text) or {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
@@ -188,6 +188,10 @@ def _validate(config: dict):
     if relm["tournament_size"] > relm["population_size"]:
         raise ConfigError("relm.tournament_size exceeds relm.population_size")
     SoftConstraint(**config["res"]["constraint"])  # raises on bad values
+    try:
+        _opt_budget(config)
+    except ValueError as exc:
+        raise ConfigError(f"opt.{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +364,8 @@ def run(config: dict) -> dict:
     jobs = max(1, int(config["jobs"]))
     work = [(config, seed) for seed in config["seeds"]]
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only jobs > 1 needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_seed_worker, work))
     else:

@@ -3,15 +3,27 @@
 Nelder-Mead with adaptive simplex parameters plus seeded random restarts
 stands in for the usual COBYLA-style local optimizer; the search algorithms
 only rely on the derivative-free minimization contract.
+
+`_nelder_mead` is a port of SciPy 1.17's `_minimize_neldermead` with
+``adaptive=True`` (Nelder & Mead 1965; adaptive parameters of Gao & Han,
+Comput. Optim. Appl. 51, 2012), cut down to the one path qcas uses: no
+bounds, no callback, no iteration cap, an evaluation budget and absolute
+x/f tolerances.  It performs SciPy's numpy operations in SciPy's order, so
+it returns the same points, costs, evaluation counts and success flags bit
+for bit, and importing qcas does not import SciPy's optimize package, which
+alone took longer to import than the rest of qcas.
+
+`OptResult.converged` means that some restart met both tolerances before
+the evaluation budget ran out.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 
 @dataclass(frozen=True)
@@ -22,10 +34,16 @@ class OptBudget:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.max_evals < 0 or self.restarts < 1:
-            raise ValueError("invalid optimizer budget")
-        if self.x_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name, least in (("max_evals", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("x_tol", "f_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def evals_for(self, n_params: int) -> int:
         if self.max_evals > 0:
@@ -53,6 +71,128 @@ def _guard(cost):
     return wrapped
 
 
+class _BudgetSpent(RuntimeError):
+    """An evaluation beyond the budget was asked for."""
+
+
+def _nelder_mead(func, x0, maxfev, xatol, fatol):
+    """Adaptive Nelder-Mead from `x0`; returns (x, fun, nfev, success).
+
+    `func` maps a float vector to a float.  `success` is ``nfev < maxfev``:
+    the simplex met both tolerances with budget to spare.  An evaluation
+    that would exceed `maxfev` aborts the rest of its iteration, a shrink
+    included, as in SciPy.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim != 1:
+        raise ValueError("'x0' must only have one dimension.")
+    N = len(x0)
+
+    dim = float(N)
+    rho = 1
+    chi = 1 + 2/dim
+    psi = 0.75 - 1/(2*dim)
+    sigma = 1 - 1/dim
+
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    sim = np.empty((N + 1, N), dtype=float)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt)*y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return func(np.copy(x))  # the cost may keep or change its argument
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as in SciPy: argsort's default sort is not stable, so
+    # the second pass is not assumed to leave tied costs in place.
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol:
+                with np.errstate(invalid="ignore"):  # inf - inf when costs are +inf
+                    f_spread = np.max(np.abs(fsim[0] - fsim[1:]))
+                if f_spread <= fatol:
+                    break
+
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = 0
+
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            else:  # fsim[0] <= fxr
+                if fxr < fsim[-2]:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+                else:  # fxr >= fsim[-2]
+                    # Perform contraction
+                    if fxr < fsim[-1]:
+                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                        fxc = f(xc)
+
+                        if fxc <= fxr:
+                            sim[-1] = xc
+                            fsim[-1] = fxc
+                        else:
+                            doshrink = 1
+                    else:
+                        # Perform an inside contraction
+                        xcc = (1 - psi) * xbar + psi * sim[-1]
+                        fxcc = f(xcc)
+
+                        if fxcc < fsim[-1]:
+                            sim[-1] = xcc
+                            fsim[-1] = fxcc
+                        else:
+                            doshrink = 1
+
+                    if doshrink:
+                        for j in range(1, N + 1):
+                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                            fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
 def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptResult:
     """Derivative-free local minimization; never returns worse than theta0."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
@@ -70,22 +210,13 @@ def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptRe
         for _ in range(budget.restarts - 1)
     ]
     for start in starts:
-        res = _scipy_minimize(
-            f,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxfev": max_evals,
-                "xatol": budget.x_tol,
-                "fatol": budget.f_tol,
-                "adaptive": True,
-            },
-        )
-        evals += int(res.nfev)
-        if res.fun < best_cost:
-            best_cost = float(res.fun)
-            best_theta = np.asarray(res.x, dtype=float)
-        converged = converged or bool(res.success)
+        x, fun, nfev, success = _nelder_mead(f, start, max_evals,
+                                             budget.x_tol, budget.f_tol)
+        evals += nfev
+        if fun < best_cost:
+            best_cost = float(fun)
+            best_theta = np.asarray(x, dtype=float)
+        converged = converged or success
     return OptResult(best_theta, best_cost, evals, converged)
 
 

@@ -3,10 +3,13 @@ records, CSV export, dataset generation and exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcas
 from qcas.sim import Circuit
 
 from qcas.cli import (
@@ -84,6 +87,24 @@ class TestParseConfig:
             parse_config({"task": {"kind": "denoise"},
                           "res": {"constraint": {"quantity": "n_params",
                                                  "bound": 0}}}, environ={})
+
+    @pytest.mark.parametrize("opt, field", [
+        ({"x_tol": float("nan")}, "x_tol"),
+        ({"f_tol": float("inf")}, "f_tol"),
+        ({"max_evals": 2.5}, "max_evals"),
+        ({"restarts": True}, "restarts"),
+    ])
+    def test_bad_opt_budget_rejected(self, opt, field):
+        with pytest.raises(ConfigError, match=f"opt\\.{field}"):
+            parse_config({"task": {"kind": "denoise"}, "opt": opt}, environ={})
+
+    def test_bad_opt_budget_from_yaml_and_env_rejected(self):
+        # PyYAML reads an exponent without a dot as a string
+        with pytest.raises(ConfigError, match="opt\\.x_tol .*'1e-6'"):
+            parse_config("task:\n  kind: denoise\nopt:\n  x_tol: 1e-6\n", environ={})
+        with pytest.raises(ConfigError, match="opt\\.f_tol .*nan"):
+            parse_config({"task": {"kind": "denoise"}},
+                         environ={"QCAS_OPT__F_TOL": ".nan"})
 
 
 class TestBuildTask:
@@ -224,6 +245,32 @@ class TestGenDataAndEval:
             doc = json.load(fh)
         assert doc["results"][0]["seed"] == 1
         assert "test" in doc["results"][0]
+
+
+class TestStartup:
+    def test_default_run_imports_no_optional_modules(self):
+        # qcas never needs scipy; a default run needs neither yaml nor the pool
+        src = os.path.dirname(os.path.dirname(qcas.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "import qcas.cli, qcas.relm, qcas.res, qcas.tasks\n"
+            "qcas.cli.parse_config({'task': {'kind': 'denoise'}}, environ={})\n"
+            "print(sorted(m for m in ('scipy', 'yaml', 'concurrent.futures.process')"
+            " if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_parallel_seeds_match_serial(self):
+        config = parse_config(dict(FAST, seeds=[1, 2]), environ={})
+        serial = run(config)["runs"]
+        parallel = run(dict(config, jobs=2))["runs"]
+        for a, b in zip(serial, parallel, strict=True):
+            assert (a["seed"], a["theta"], a["validation_score"]) == (
+                b["seed"], b["theta"], b["validation_score"])
 
 
 class TestMain:

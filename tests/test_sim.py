@@ -2,14 +2,15 @@
 partial trace, swap test, noise channels and amplitude encoding.
 
 Oracles used here are built independently of the library code: full unitaries
-are assembled entry by entry from bit decompositions, and reduced matrices by
-explicit double sums over the traced index.
+are kron products of textbook gate matrices (kron_oracle.py), and reduced
+matrices are explicit double sums over the traced index.
 """
 
 import math
 
 import numpy as np
 import pytest
+from kron_oracle import oracle_unitary
 
 from qcas.sim import (
     Circuit,
@@ -63,40 +64,6 @@ def random_circuit(n, n_gates, rng):
         else:
             gates.append(gate(tag, *targets))
     return Circuit(n, gates)
-
-
-def oracle_full_unitary(mat, targets, n):
-    """Entrywise embedding of a local gate into the full 2^n unitary.
-
-    Basis indices are decomposed into per-qubit bits (qubit 0 most
-    significant); entries are nonzero only when untouched bits agree.
-    """
-    d = 2**n
-    out = np.zeros((d, d), dtype=complex)
-    rest = [q for q in range(n) if q not in targets]
-
-    def bits(i):
-        return [(i >> (n - 1 - q)) & 1 for q in range(n)]
-
-    for i in range(d):
-        bi = bits(i)
-        for j in range(d):
-            bj = bits(j)
-            if any(bi[q] != bj[q] for q in rest):
-                continue
-            r = int("".join(str(bi[q]) for q in targets), 2)
-            c = int("".join(str(bj[q]) for q in targets), 2)
-            out[i, j] = mat[r, c]
-    return out
-
-
-def oracle_circuit_unitary(circuit, theta):
-    u = np.eye(2**circuit.n_qubits, dtype=complex)
-    for g in circuit.gates:
-        angle = theta[g.param_slot] if g.param_slot is not None else None
-        full = oracle_full_unitary(g.kind.matrix(angle), g.targets, circuit.n_qubits)
-        u = full @ u
-    return u
 
 
 class TestGates:
@@ -158,7 +125,7 @@ class TestRunCircuit:
         theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
         state = random_state(4, RNG)
         out = run_circuit(state, circ, theta)
-        expected = oracle_circuit_unitary(circ, theta) @ state.amplitudes
+        expected = oracle_unitary(circ, theta) @ state.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
     def test_width_mismatch_rejected(self):
