@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .optim import check_int
 from .sim import GATE_KINDS, Circuit, GateInstance
 
 NO_OP = "NO_OP"
@@ -353,10 +354,10 @@ class SoftConstraint:
     bound: int
 
     def __post_init__(self):
-        if self.quantity not in ("n_params", "n_layers", "n_two_qubit", "n_gates"):
-            raise ValueError(f"unknown soft quantity {self.quantity!r}")
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+        quantities = ("n_params", "n_layers", "n_two_qubit", "n_gates")
+        if self.quantity not in quantities:
+            raise ValueError(f"quantity must be one of {quantities}, got {self.quantity!r}")
+        check_int("bound", self.bound, 1)
 
 
 def eval_soft_constraint(c: SoftConstraint, cell: Cell) -> bool:

@@ -21,7 +21,7 @@ Config schema (all keys optional except task.kind)::
     space: [RX, RY, RZ, CNOT, CRX, CRY, CRZ]   # null = task default
     rs:   {budget_evals, layer_budget}
     res:  {population_size, constraint: {quantity, bound},
-           layer_budget_per_phase, max_phases, mode}
+           layer_budget_per_phase, max_phases}
     relm: {epochs, tournament_size, batch_size, learning_rate, init_mode,
            reward_mode, reward_sign, alpha, population_size, layer_budget,
            max_seq, embed_dim, n_heads, n_blocks, ff_dim}
@@ -29,6 +29,12 @@ Config schema (all keys optional except task.kind)::
     seeds: [1]
     out_dir: runs
     jobs: 1
+
+The res, relm and opt sections are the fields of `ResConfig`, `RelmConfig`
+and `OptBudget` with their defaults, less those the runner fills in itself
+(the seed, the optimizer budget, and RELM's constraint, which is res's).
+Each config object is built once at parse time, so a bad value is a config
+error naming its dotted key.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -52,13 +58,16 @@ from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
 from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
 from .tasks import (
+    COST_MODES,
+    IMAGE_DATASETS,
+    NOISE_KINDS,
+    SUBTASK_CNOT_PROB,
     evaluate_denoising,
     evaluate_qae_test,
-    gen_digits,
     gen_hidden_targets,
     gen_noise_dataset,
     gen_state_compress_dataset,
-    gen_tetris,
+    logfidelity,
     make_denoise_task,
     make_image_task,
     make_state_compress_task,
@@ -78,6 +87,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _section(cls, *filled_by_runner) -> dict:
+    """A config class's fields and defaults as a CLI config section."""
+    return {f.name: asdict(f.default) if is_dataclass(f.default) else f.default
+            for f in fields(cls)
+            if f.name not in ("seed", "opt_budget") + filled_by_runner}
+
+
 DEFAULT_CONFIG = {
     "task": {
         "kind": None,
@@ -92,35 +108,14 @@ DEFAULT_CONFIG = {
     "algorithm": "res",
     "space": None,
     "rs": {"budget_evals": 30, "layer_budget": 2},
-    "res": {
-        "population_size": 30,
-        "constraint": {"quantity": "n_layers", "bound": 3},
-        "layer_budget_per_phase": 1,
-        "max_phases": 10,
-        "mode": "budget",
-    },
-    "relm": {
-        "epochs": 30,
-        "tournament_size": 5,
-        "batch_size": 32,
-        "learning_rate": 3e-4,
-        "init_mode": "res",
-        "reward_mode": "qae",
-        "reward_sign": "text",
-        "alpha": 1.5,
-        "population_size": 30,
-        "layer_budget": 2,
-        "max_seq": 8,
-        "embed_dim": 32,
-        "n_heads": 4,
-        "n_blocks": 2,
-        "ff_dim": 64,
-    },
-    "opt": {"max_evals": 0, "x_tol": 1e-6, "f_tol": 1e-9, "restarts": 3},
+    "res": _section(ResConfig),
+    "relm": _section(RelmConfig, "constraint", "eps_tan"),
+    "opt": _section(OptBudget),
     "seeds": [1],
     "out_dir": "runs",
     "jobs": 1,
 }
+TASK_KINDS = ("denoise", "image", "state_compress", "unitary_regen")
 
 
 def _merge_checked(defaults: dict, given: dict, path: str = "") -> dict:
@@ -178,20 +173,22 @@ def parse_config(source, environ=None) -> dict:
 
 def _validate(config: dict):
     task = config["task"]
-    if task["kind"] not in ("denoise", "image", "state_compress", "unitary_regen"):
-        raise ConfigError(f"unknown task kind {task['kind']!r}")
-    if config["algorithm"] not in ("rs", "res", "relm"):
-        raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
+    for key, value, choices in (
+        ("task.kind", task["kind"], TASK_KINDS),
+        ("task.noise", task["noise"], NOISE_KINDS),
+        ("task.dataset", task["dataset"], IMAGE_DATASETS),
+        ("task.subtask", task["subtask"], SUBTASK_CNOT_PROB),
+        ("task.cost_mode", task["cost_mode"], COST_MODES),
+        ("algorithm", config["algorithm"], ("rs", "res", "relm")),
+    ):
+        if value not in tuple(choices):
+            raise ConfigError(f"{key} must be one of {tuple(choices)}, got {value!r}")
     if not config["seeds"]:
         raise ConfigError("at least one seed is required")
-    relm = config["relm"]
-    if relm["tournament_size"] > relm["population_size"]:
-        raise ConfigError("relm.tournament_size exceeds relm.population_size")
-    SoftConstraint(**config["res"]["constraint"])  # raises on bad values
     try:
-        _opt_budget(config)
+        _configs(config, seed=0)
     except ValueError as exc:
-        raise ConfigError(f"opt.{exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +208,12 @@ def default_space(task_cfg: dict):
 class BuiltTask:
     task: object
     evaluate: object  # record-ready test metrics for (circuit, theta)
+    dataset: object  # () -> JSON document of the dataset the task is built from
 
 
 def build_task(task_cfg: dict, seed: int) -> BuiltTask:
+    """The task of a config at a seed; searches and `gen-data` both take
+    their dataset from here, so they always see the same one."""
     kind = task_cfg["kind"]
     if kind == "denoise":
         dataset = gen_noise_dataset(task_cfg["noise"], seed=seed)
@@ -223,28 +223,32 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
             per_p = evaluate_denoising(circuit, theta, dataset)
             return {"per_p": {str(p): [m, s] for p, (m, s) in per_p.items()}}
 
-        return BuiltTask(task, evaluate)
+        return BuiltTask(task, evaluate, lambda: {
+            "noise": dataset.kind, "p_train": dataset.p_train,
+            "train": _cols_to_list(dataset.train), "val": _cols_to_list(dataset.val),
+            "test": {str(p): _cols_to_list(c) for p, c in sorted(dataset.test.items())}})
     if kind == "image":
-        gen = gen_digits if task_cfg["dataset"] == "digits" else gen_tetris
-        task, test_cols = make_image_task(gen(seed), n_trash=task_cfg["n_trash"],
-                                          seed=seed)
+        images = IMAGE_DATASETS[task_cfg["dataset"]](seed)
+        task, test_cols = make_image_task(images, n_trash=task_cfg["n_trash"], seed=seed)
 
         def evaluate(circuit, theta):
             mean, std = evaluate_qae_test(circuit, theta, task, test_cols)
             return {"test_mean_fidelity": mean, "test_std_fidelity": std}
 
-        return BuiltTask(task, evaluate)
+        return BuiltTask(task, evaluate, lambda: {
+            "name": images.name, "images": images.images.tolist(),
+            "labels": images.labels.tolist()})
     if kind == "state_compress":
         dataset = gen_state_compress_dataset(seed)
         task = make_state_compress_task(dataset)
 
         def evaluate(circuit, theta):
             mean, std = evaluate_qae_test(circuit, theta, task, dataset.test)
-            from .tasks import logfidelity
             return {"test_mean_fidelity": mean, "test_std_fidelity": std,
                     "test_logfidelity": logfidelity(mean)}
 
-        return BuiltTask(task, evaluate)
+        return BuiltTask(task, evaluate, lambda: {
+            "train": _cols_to_list(dataset.train), "test": _cols_to_list(dataset.test)})
     # unitary_regen
     target = gen_hidden_targets(task_cfg["n_qubits"], task_cfg["subtask"],
                                 task_cfg["layers"], 1, seed)[0]
@@ -254,7 +258,12 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
         loss = task.training_cost(circuit, theta)
         return {"loss": loss, "fidelity": 1.0 - loss}
 
-    return BuiltTask(task, evaluate)
+    return BuiltTask(task, evaluate, lambda: {
+        "targets": [_cols_to_list(target.evolved.amplitudes[:, None])]})
+
+
+def _cols_to_list(cols: np.ndarray):
+    return [[[float(v.real), float(v.imag)] for v in col] for col in np.asarray(cols).T]
 
 
 # ---------------------------------------------------------------------------
@@ -262,45 +271,24 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
 # ---------------------------------------------------------------------------
 
 
-def _opt_budget(config: dict) -> OptBudget:
-    return OptBudget(**config["opt"])
+def _build(section: str, cls, values: dict, **filled):
+    try:
+        return cls(**values, **filled)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{exc}") from exc
 
 
-def _res_config(config: dict, seed: int) -> ResConfig:
+def _configs(config: dict, seed: int):
+    """The OptBudget, ResConfig and RelmConfig of one seed's run.  A bad value
+    raises a ValueError that starts with its dotted config key."""
+    opt = _build("opt", OptBudget, config["opt"])
     res = config["res"]
-    return ResConfig(
-        population_size=res["population_size"],
-        constraint=SoftConstraint(**res["constraint"]),
-        layer_budget_per_phase=res["layer_budget_per_phase"],
-        opt_budget=_opt_budget(config),
-        max_phases=res["max_phases"],
-        seed=seed,
-        mode=res["mode"],
-    )
-
-
-def _relm_config(config: dict, seed: int) -> RelmConfig:
-    relm = config["relm"]
-    return RelmConfig(
-        epochs=relm["epochs"],
-        tournament_size=relm["tournament_size"],
-        batch_size=relm["batch_size"],
-        learning_rate=relm["learning_rate"],
-        init_mode=relm["init_mode"],
-        reward_mode=relm["reward_mode"],
-        reward_sign=relm["reward_sign"],
-        alpha=relm["alpha"],
-        constraint=SoftConstraint(**config["res"]["constraint"]),
-        population_size=relm["population_size"],
-        layer_budget=relm["layer_budget"],
-        max_seq=relm["max_seq"],
-        embed_dim=relm["embed_dim"],
-        n_heads=relm["n_heads"],
-        n_blocks=relm["n_blocks"],
-        ff_dim=relm["ff_dim"],
-        opt_budget=_opt_budget(config),
-        seed=seed,
-    )
+    constraint = _build("res.constraint", SoftConstraint, res["constraint"])
+    res_cfg = _build("res", ResConfig, dict(res, constraint=constraint),
+                     opt_budget=opt, seed=seed)
+    relm_cfg = _build("relm", RelmConfig, config["relm"], constraint=constraint,
+                      opt_budget=opt, seed=seed)
+    return opt, res_cfg, relm_cfg
 
 
 def _run_single_seed(config: dict, seed: int) -> dict:
@@ -311,23 +299,20 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     task = built.task
     space = config["space"] or default_space(config["task"])
     algorithm = config["algorithm"]
+    opt, res_cfg, relm_cfg = _configs(config, seed)
     trace = None
     if algorithm == "rs":
         rs = config["rs"]
         (cell, theta, score), _ = random_search(
             task, space, rs["budget_evals"], None, seed,
-            layer_budget=rs["layer_budget"], opt_budget=_opt_budget(config),
+            layer_budget=rs["layer_budget"], opt_budget=opt,
         )
     elif algorithm == "res":
-        result = res_search(task, space, _res_config(config, seed))
+        result = res_search(task, space, res_cfg)
         cell, theta, score = result.best_cell, result.theta, result.score
         trace = {"res": [vars(p) for p in result.trace.phases]}
     else:
-        relm_cfg = _relm_config(config, seed)
-        pop, res_result = init_population(
-            relm_cfg.init_mode, task, space, relm_cfg.population_size, relm_cfg,
-            res_config=_res_config(config, seed) if relm_cfg.init_mode == "res" else None,
-        )
+        pop, res_result = init_population(task, space, relm_cfg, res_cfg)
         init_best = max(e.score for e in pop.entries)
         result = relm_search(task, relm_cfg, pop, build_vocab(space))
         cell, theta, score = result.best_cell, result.theta, result.score
@@ -470,37 +455,13 @@ def export_csv(records, out_dir: str) -> list:
 
 
 def gen_data(task_cfg: dict, seed: int, out_dir: str) -> str:
-    """Regenerate a task's dataset deterministically and persist it as JSON."""
+    """Persist, as JSON, the dataset a search with this task config uses at
+    this seed."""
     os.makedirs(out_dir, exist_ok=True)
-    kind = task_cfg["kind"]
-    if kind == "denoise":
-        ds = gen_noise_dataset(task_cfg["noise"], seed=seed)
-        doc = {
-            "format": 1, "kind": "denoise", "noise": ds.kind, "p_train": ds.p_train,
-            "train": _cols_to_list(ds.train), "val": _cols_to_list(ds.val),
-            "test": {str(p): _cols_to_list(c) for p, c in sorted(ds.test.items())},
-        }
-    elif kind == "image":
-        gen = gen_digits if task_cfg["dataset"] == "digits" else gen_tetris
-        images = gen(seed)
-        doc = {"format": 1, "kind": "image", "name": images.name,
-               "images": images.images.tolist(), "labels": images.labels.tolist()}
-    elif kind == "state_compress":
-        ds = gen_state_compress_dataset(seed)
-        doc = {"format": 1, "kind": "state_compress",
-               "train": _cols_to_list(ds.train), "test": _cols_to_list(ds.test)}
-    else:
-        targets = gen_hidden_targets(task_cfg["n_qubits"], task_cfg["subtask"],
-                                     task_cfg["layers"], 10, seed)
-        doc = {"format": 1, "kind": "unitary_regen",
-               "targets": [_cols_to_list(t.evolved.amplitudes[:, None]) for t in targets]}
-    path = os.path.join(out_dir, f"{kind}_seed{seed}.json")
+    doc = {"format": 1, "kind": task_cfg["kind"], **build_task(task_cfg, seed).dataset()}
+    path = os.path.join(out_dir, f"{task_cfg['kind']}_seed{seed}.json")
     write_record(doc, path)
     return path
-
-
-def _cols_to_list(cols: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in col] for col in np.asarray(cols).T]
 
 
 def eval_record(record_path: str, out_dir: str) -> str:
@@ -549,7 +510,6 @@ def _resolved(args) -> dict:
         config["jobs"] = args.jobs
     if getattr(args, "algo", None):
         config["algorithm"] = args.algo
-    _validate(config)
     return config
 
 

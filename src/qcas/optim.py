@@ -26,6 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_int(name: str, value, least: int):
+    """Raise a ValueError that starts with `name` unless `value` is an
+    integer >= `least`; the config classes name their fields this way."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptBudget:
     max_evals: int = 0  # 0 = size the budget from the parameter count
@@ -34,11 +41,8 @@ class OptBudget:
     restarts: int = 3
 
     def __post_init__(self):
-        for name, least in (("max_evals", 0), ("restarts", 1)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_int("max_evals", self.max_evals, 0)
+        check_int("restarts", self.restarts, 1)
         for name in ("x_tol", "f_tol"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)

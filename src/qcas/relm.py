@@ -29,7 +29,7 @@ from .controller import (
     reinforce_grads,
     sample_actions,
 )
-from .optim import OptBudget, score_cell
+from .optim import OptBudget, check_int, score_cell
 from .res import ResConfig, res_search
 from .tasks import random_search
 
@@ -42,7 +42,7 @@ class RelmConfig:
     tournament_size: int = 5
     batch_size: int = 32
     learning_rate: float = 3e-4
-    init_mode: str = "random_search"  # "random_search" | "res"
+    init_mode: str = "res"  # "res" | "random_search"
     reward_mode: str = "qae"  # "qae" | "unitary"
     reward_sign: str = "text"  # "text" | "printed" (worse-child branch sign)
     alpha: float = 1.5
@@ -59,10 +59,18 @@ class RelmConfig:
     seed: int = 6090
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament size must be in [1, population size]")
+        check_int("epochs", self.epochs, 1)
+        check_int("population_size", self.population_size, 1)
+        check_int("tournament_size", self.tournament_size, 1)
+        if self.tournament_size > self.population_size:
+            raise ValueError(f"tournament_size must be <= population_size "
+                             f"{self.population_size}, got {self.tournament_size}")
+        for name, choices in (("init_mode", ("res", "random_search")),
+                              ("reward_mode", ("qae", "unitary")),
+                              ("reward_sign", ("text", "printed"))):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.eps_tan < 1.0:
             raise ValueError("eps_tan must be in (0, 1)")
 
@@ -123,25 +131,23 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float = 1.5,
 # ---------------------------------------------------------------------------
 
 
-def init_population(mode: str, task, space, size: int, config: RelmConfig,
-                    res_config: ResConfig | None = None):
-    """Scored starting population: random search over cells that satisfy
-    `config.constraint` (when set), or the final RES population (topped up
-    with admissible random cells if short).
+def init_population(task, space, config: RelmConfig, res_config: ResConfig | None = None):
+    """Scored starting population of `config.population_size` cells, by
+    `config.init_mode`: random search over cells that satisfy
+    `config.constraint` (when set), or the final population of RES run with
+    `res_config` (topped up with admissible random cells if short).
 
-    Returns (population, res_trace_or_None).
+    Returns (population, res_result_or_None).
     """
-    if mode == "random_search":
+    size = config.population_size
+    if config.init_mode == "random_search":
         _, scored = random_search(task, space, size, config.constraint, config.seed,
                                   layer_budget=config.layer_budget,
                                   opt_budget=config.opt_budget)
         entries = [PopEntry(c, th, sc) for c, th, sc in scored]
         return ScoredPopulation(entries, size), None
-    if mode != "res":
-        raise ValueError(f"unknown init mode {mode!r}")
     if res_config is None:
-        res_config = ResConfig(population_size=size, opt_budget=config.opt_budget,
-                               seed=config.seed)
+        raise ValueError("init_mode 'res' needs a res_config")
     result = res_search(task, space, res_config)
     entries = [PopEntry(c, th, sc) for c, th, sc in result.population[:size]]
     if len(entries) < size:

@@ -19,7 +19,7 @@ from .cell import (
     random_cell,
     select_best,
 )
-from .optim import OptBudget, score_cell
+from .optim import OptBudget, check_int, score_cell
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,10 @@ class ResConfig:
     opt_budget: OptBudget = OptBudget()
     max_phases: int = 10
     seed: int = 0
-    mode: str = "budget"  # "budget" | "literal"
 
     def __post_init__(self):
-        if self.population_size < 1 or self.max_phases < 1:
-            raise ValueError("invalid RES configuration")
-        if self.mode not in ("budget", "literal"):
-            raise ValueError("mode must be 'budget' or 'literal'")
+        check_int("population_size", self.population_size, 1)
+        check_int("max_phases", self.max_phases, 1)
 
 
 @dataclass
@@ -98,18 +95,16 @@ def res_search(task, space, config: ResConfig) -> ResResult:
     """Alternate sampling/expansion and evaluation phases; return the best
     constraint-satisfying cell seen.
 
-    In the default "budget" mode the constraint is treated as a resource
-    budget: candidates that would exceed it are rejected at sampling time and
-    expansion continues while admissible growth exists.  In "literal" mode
-    expansion only happens while the current best violates the constraint.
+    The constraint is a resource budget: candidates that would exceed it are
+    rejected at sampling time, and each phase expands the best cell so far
+    while admissible growth exists.
     """
     constraint = config.constraint
     rng = np.random.default_rng([config.seed, 0x2E5])
-    sample_constraint = constraint if config.mode == "budget" else None
 
     cells = _sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,
-                            sample_constraint),
+                            constraint),
         config.population_size,
     )
     if not cells:
@@ -120,29 +115,15 @@ def res_search(task, space, config: ResConfig) -> ResResult:
 
     trace = SearchTrace()
     results = evaluate_population(cells, task, config.opt_budget, config.seed)
-    scored = [(c, th, sc) for c, (th, sc) in zip(cells, results)]
-    if config.mode == "budget":
-        admissible = [e for e in scored if eval_soft_constraint(constraint, e[0])]
-        if not admissible:
-            raise RuntimeError("phase 1 produced no constraint-satisfying cell")
-    else:
-        admissible = scored
-    best = admissible[select_best(admissible)]
-    global_best = best if eval_soft_constraint(constraint, best[0]) else None
-    trace.record(1, best[2], best[0], len(scored))
-    population = scored
+    population = [(c, th, sc) for c, (th, sc) in zip(cells, results)]
+    global_best = population[select_best(population)]
+    trace.record(1, global_best[2], global_best[0], len(population))
 
     for phase in range(2, config.max_phases + 1):
-        if config.mode == "budget":
-            seed_entry = global_best or best
-        else:
-            if eval_soft_constraint(constraint, best[0]):
-                break
-            seed_entry = best
-        seed_cell = seed_entry[0]
+        seed_cell = global_best[0]
         children = _sample_admissible(
             lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
-                                sample_constraint),
+                                constraint),
             config.population_size - 1, exclude=seed_cell,
         )
         if not children:
@@ -150,16 +131,12 @@ def res_search(task, space, config: ResConfig) -> ResResult:
         # elitism: the seed entry is carried forward with its known score,
         # only the fresh children cost evaluations
         results = evaluate_population(children, task, config.opt_budget, config.seed)
-        scored = [seed_entry] + [(c, th, sc) for c, (th, sc) in zip(children, results)]
-        best = scored[select_best(scored)]
-        if eval_soft_constraint(constraint, best[0]) and (
-            global_best is None or best[2] > global_best[2]
-        ):
+        population = [global_best] + [(c, th, sc) for c, (th, sc) in zip(children, results)]
+        best = population[select_best(population)]
+        if best[2] > global_best[2]:
             global_best = best
         trace.record(phase, best[2], best[0], len(children))
-        population = scored
 
-    final = global_best if global_best is not None else best
-    if not eval_soft_constraint(constraint, final[0]):
+    if not eval_soft_constraint(constraint, global_best[0]):
         raise RuntimeError("search terminated without a constraint-satisfying cell")
-    return ResResult(final[0], final[1], final[2], trace, population)
+    return ResResult(*global_best, trace, population)

@@ -35,6 +35,8 @@ from .sim import (
 )
 
 DEFAULT_P_GRID = tuple(round(0.1 * k, 1) for k in range(11))
+NOISE_KINDS = ("bitflip", "qdc")
+COST_MODES = ("trash", "local")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def _noisy_ghz_columns(kind: str, n_qubits: int, p: float, count: int,
 def gen_noise_dataset(kind: str, n_qubits: int = 3, seed: int = 0,
                       p_train: float = 0.2, n_train: int = 100, n_val: int = 100,
                       n_test: int = 200, p_grid=DEFAULT_P_GRID) -> NoiseDataset:
-    if kind not in ("bitflip", "qdc"):
+    if kind not in NOISE_KINDS:
         raise ValueError(f"unsupported noise kind {kind!r}")
     rng = np.random.default_rng([seed, 0x5E7])
     return NoiseDataset(
@@ -219,6 +221,9 @@ def gen_tetris(seed: int = 0, count: int = 500) -> ImageDataset:
     return ImageDataset("Tetris", np.array(images), np.array(labels))
 
 
+IMAGE_DATASETS = {"digits": gen_digits, "tetris": gen_tetris}
+
+
 def encode_images(images: np.ndarray) -> np.ndarray:
     """Amplitude-encode each image into a column of a (2^n, count) matrix."""
     states = [amplitude_encode(img).amplitudes for img in images]
@@ -272,25 +277,20 @@ class HiddenTarget:
     layers: int
 
 
-_SUBTASK_SPACES = {
-    "dense": ("H", "S", "T", "I"),
-    "hybrid": ("H", "S", "T", "I"),
-    "single": ("H", "S", "T", "I"),
-}
-_SUBTASK_CNOT_PROB = {"dense": 0.5, "hybrid": 0.25, "single": 0.0}
+_ONE_QUBIT_TAGS = ("H", "S", "T", "I")
+SUBTASK_CNOT_PROB = {"dense": 0.5, "hybrid": 0.25, "single": 0.0}
 
 
 def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
                        seed: int = 0) -> list:
-    if subtask not in _SUBTASK_SPACES:
+    if subtask not in SUBTASK_CNOT_PROB:
         raise ValueError(f"unsupported subtask {subtask!r}")
     if not 1 <= layers <= 6:
         raise ValueError("layers must be in 1..6")
     if not 1 <= n_qubits <= 10:
         raise ValueError("n_qubits must be in 1..10")
     rng = np.random.default_rng([seed, 0x717])
-    one_q = _SUBTASK_SPACES[subtask]
-    cnot_p = _SUBTASK_CNOT_PROB[subtask] if n_qubits > 1 else 0.0
+    cnot_p = SUBTASK_CNOT_PROB[subtask] if n_qubits > 1 else 0.0
     targets = []
     for _ in range(count):
         while True:
@@ -302,7 +302,7 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
                     gates.append(gate("CNOT", c, t))
                 for q in free:
                     if rng.random() < 0.8:
-                        tag = one_q[rng.integers(len(one_q))]
+                        tag = _ONE_QUBIT_TAGS[rng.integers(len(_ONE_QUBIT_TAGS))]
                         if tag != "I":
                             gates.append(gate(tag, int(q)))
             circuit = Circuit(n_qubits, gates)
@@ -336,10 +336,12 @@ class QaeTask:
     split: QaeSplit
     train_cols: np.ndarray
     val_cols: np.ndarray
-    cost_mode: str = "trash"  # "trash" | "local"
+    cost_mode: str = "trash"  # one of COST_MODES
     val_target: PureState | None = None  # compare round-trips to this state
 
     def __post_init__(self):
+        if self.cost_mode not in COST_MODES:
+            raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
         self.reference = basis_state(len(self.split.trash_qubits))
 
     def training_cost(self, circuit: Circuit, theta) -> float:

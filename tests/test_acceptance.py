@@ -273,8 +273,7 @@ def test_criterion_08_relm_progress_property():
             res_config = ResConfig(population_size=30, constraint=constraint,
                                    layer_budget_per_phase=1, opt_budget=opt,
                                    max_phases=2, seed=seed)
-            pop, _ = init_population("res", task, SPACE_GENERIC, 30, config,
-                                     res_config)
+            pop, _ = init_population(task, SPACE_GENERIC, config, res_config)
             init_best = max(e.score for e in pop.entries)
             result = relm_search(task, config, pop, vocab)
             assert eval_soft_constraint(constraint, result.best_cell)
@@ -308,8 +307,7 @@ def test_criterion_09_parameter_budgets():
         relm_res_config = ResConfig(population_size=10, constraint=constraint,
                                     layer_budget_per_phase=1, opt_budget=opt,
                                     max_phases=2, seed=0)
-        pop, _ = init_population("res", task, SPACE_GENERIC, 10, relm_config,
-                                 relm_res_config)
+        pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config)
         relm_result = relm_search(task, relm_config, pop,
                                   build_vocab(SPACE_GENERIC))
         relm_params = metrics(relm_result.best_cell).n_params

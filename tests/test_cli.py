@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import qcas
+from qcas.cell import SoftConstraint
+from qcas.optim import OptBudget
+from qcas.relm import RelmConfig
+from qcas.res import ResConfig
 from qcas.sim import Circuit
+from qcas.tasks import gen_hidden_targets
 
 from qcas.cli import (
     ConfigError,
@@ -43,7 +48,15 @@ class TestParseConfig:
         assert config["relm"]["epochs"] == 30
         assert config["relm"]["embed_dim"] == 32
         assert config["relm"]["ff_dim"] == 64
+        assert config["relm"]["init_mode"] == "res"
         assert config["algorithm"] == "res"
+
+    def test_sections_are_the_config_classes_defaults(self):
+        config = parse_config({"task": {"kind": "denoise"}}, environ={})
+        assert OptBudget(**config["opt"]) == OptBudget()
+        res = dict(config["res"], constraint=SoftConstraint(**config["res"]["constraint"]))
+        assert ResConfig(**res) == ResConfig()
+        assert RelmConfig(**config["relm"]) == RelmConfig()
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="algoritm"):
@@ -83,10 +96,23 @@ class TestParseConfig:
             parse_config({"task": {"kind": "teleportation"}}, environ={})
 
     def test_bad_constraint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="res\\.constraint\\.bound"):
             parse_config({"task": {"kind": "denoise"},
                           "res": {"constraint": {"quantity": "n_params",
                                                  "bound": 0}}}, environ={})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("task", "dataset", "digts"),
+        ("task", "cost_mode", "locl"),
+        ("relm", "reward_mode", "unitry"),
+        ("relm", "reward_sign", "txt"),
+        ("relm", "init_mode", "rs"),
+    ])
+    def test_bad_enumerated_value_rejected(self, section, key, value):
+        doc = {"task": {"kind": "image"}}
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}\\.{key} .*'{value}'"):
+            parse_config(doc, environ={})
 
     @pytest.mark.parametrize("opt, field", [
         ({"x_tol": float("nan")}, "x_tol"),
@@ -236,6 +262,17 @@ class TestGenDataAndEval:
         assert doc["kind"] == "denoise"
         assert len(doc["train"]) == 100
 
+    def test_gen_data_is_the_searched_dataset(self, tmp_path):
+        cfg = parse_config({"task": {"kind": "unitary_regen"}}, environ={})
+        path = gen_data(cfg["task"], 4, str(tmp_path))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        amplitudes = build_task(cfg["task"], 4).task.target.evolved.amplitudes
+        tenth = gen_hidden_targets(3, "dense", 3, 10, seed=4)[0].evolved.amplitudes
+        assert np.array_equal(amplitudes, tenth)
+        # one target, stored as a one-column state list
+        assert doc["targets"] == [[[[float(v.real), float(v.imag)] for v in amplitudes]]]
+
     def test_eval_record(self, tmp_path):
         record = run(parse_config(FAST, environ={}))
         rec_path = str(tmp_path / "rec.json")
@@ -293,6 +330,30 @@ class TestMain:
         cfg_path = tmp_path / "bad.yaml"
         cfg_path.write_text("task:\n  kind: nonsense\n")
         assert main(["search", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, body, key", [
+        ("res", "constraint: {quantity: n_params, bound: 0}", "res.constraint.bound"),
+        ("res", "population_size: 0", "res.population_size"),
+        ("relm", "epochs: 0", "relm.epochs"),
+        ("task", "dataset: digts", "task.dataset"),
+        ("task", "cost_mode: locl", "task.cost_mode"),
+        ("relm", "reward_mode: unitry", "relm.reward_mode"),
+        ("relm", "reward_sign: txt", "relm.reward_sign"),
+        ("relm", "init_mode: rs", "relm.init_mode"),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, body, key):
+        cfg_path = tmp_path / "bad.yaml"
+        task = "task:\n  kind: denoise\n"
+        if section == "task":
+            cfg_path.write_text(f"{task}  {body}\n")
+        else:
+            cfg_path.write_text(f"{task}{section}:\n  {body}\n")
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(cfg_path), "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ")
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -178,8 +178,9 @@ class TestInitPopulation:
     def test_random_search_mode(self):
         task = small_task()
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
-                            population_size=5, opt_budget=FAST_OPT, seed=1)
-        pop, trace = init_population("random_search", task, SPACE_CLIFFORD, 5, config)
+                            init_mode="random_search", population_size=5,
+                            opt_budget=FAST_OPT, seed=1)
+        pop, trace = init_population(task, SPACE_CLIFFORD, config)
         assert len(pop) == 5 and trace is None
 
     def test_res_mode_members_satisfy_constraint(self):
@@ -187,38 +188,42 @@ class TestInitPopulation:
         task = small_task()
         constraint = SoftConstraint("n_layers", 2)
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
-                            population_size=5, opt_budget=FAST_OPT, seed=1)
+                            init_mode="res", population_size=5,
+                            opt_budget=FAST_OPT, seed=1)
         res_config = ResConfig(population_size=5, constraint=constraint,
                                opt_budget=FAST_OPT, max_phases=2, seed=1)
-        pop, result = init_population("res", task, SPACE_CLIFFORD, 5, config,
-                                      res_config)
+        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config)
         assert len(pop) == 5 and result is not None
         assert eval_soft_constraint(constraint, result.best_cell)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_population("annealing", small_task(), SPACE_CLIFFORD, 3,
-                            RelmConfig(population_size=3, tournament_size=2))
+        with pytest.raises(ValueError, match="^init_mode .*'annealing'"):
+            RelmConfig(init_mode="annealing", population_size=3, tournament_size=2)
+
+    def test_res_mode_needs_a_res_config(self):
+        config = RelmConfig(init_mode="res", population_size=3, tournament_size=2)
+        with pytest.raises(ValueError, match="res_config"):
+            init_population(small_task(), SPACE_CLIFFORD, config)
 
 
 class TestRelmSearch:
     def run_search(self, seed=1, epochs=3, **kwargs):
         task = small_task()
         config = RelmConfig(epochs=epochs, tournament_size=2, batch_size=2,
-                            reward_mode="unitary", population_size=4,
-                            max_seq=6, embed_dim=4, n_heads=1, n_blocks=1,
-                            ff_dim=8, opt_budget=FAST_OPT, seed=seed, **kwargs)
-        pop, _ = init_population("random_search", task, SPACE_CLIFFORD,
-                                 config.population_size, config)
+                            init_mode="random_search", reward_mode="unitary",
+                            population_size=4, max_seq=6, embed_dim=4, n_heads=1,
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed,
+                            **kwargs)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config)
         return relm_search(task, config, pop, VOCAB), config
 
     def test_minimal_run_returns_valid_cell(self):
         task = small_task()
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1,
-                            reward_mode="unitary", population_size=1,
-                            max_seq=6, embed_dim=4, n_heads=1, n_blocks=1,
-                            ff_dim=8, opt_budget=FAST_OPT, seed=0)
-        pop, _ = init_population("random_search", task, SPACE_CLIFFORD, 1, config)
+                            init_mode="random_search", reward_mode="unitary",
+                            population_size=1, max_seq=6, embed_dim=4, n_heads=1,
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config)
         result = relm_search(task, config, pop, VOCAB)
         assert isinstance(result.best_cell, Cell)
         assert 0.0 <= result.score <= 1.0
@@ -254,8 +259,7 @@ class TestRelmSearch:
             res_config = ResConfig(population_size=4,
                                    constraint=SoftConstraint("n_layers", 2),
                                    opt_budget=FAST_OPT, max_phases=2, seed=seed)
-            pop, _ = init_population("res", task, SPACE_CLIFFORD, 4, config,
-                                     res_config)
+            pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config)
             init_best = max(e.score for e in pop.entries)
             result = relm_search(task, config, pop, VOCAB)
             wins += result.score >= init_best - 1e-12
@@ -285,9 +289,9 @@ class TestRelmSearch:
             assert record.n_admissible == len(admissible)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^epochs "):
             RelmConfig(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tournament_size "):
             RelmConfig(tournament_size=10, population_size=5)
         with pytest.raises(ValueError):
             RelmConfig(eps_tan=0.0)
@@ -355,11 +359,11 @@ class TestSharedForward:
     def setup_search(self, space, seed=2, **kwargs):
         task = small_task()
         config = RelmConfig(epochs=4, tournament_size=2, batch_size=3,
-                            population_size=4, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed, **kwargs)
+                            init_mode="random_search", population_size=4, max_seq=6,
+                            embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8,
+                            opt_budget=FAST_OPT, seed=seed, **kwargs)
         vocab = build_vocab(space)
-        pop, _ = init_population("random_search", task, space,
-                                 config.population_size, config)
+        pop, _ = init_population(task, space, config)
         ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
                                     v_rot=vocab.v_rot, v_ent=vocab.v_ent, embed_dim=4,
                                     n_heads=1, n_blocks=1, ff_dim=8)

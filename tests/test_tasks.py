@@ -195,6 +195,8 @@ class TestTaskCosts:
         task = make_denoise_task(ds, cost_mode="local")
         cost = task.training_cost(Circuit(3), ())
         assert 0.0 <= cost <= 1.0
+        with pytest.raises(ValueError, match="^cost_mode .*'locl'"):
+            make_denoise_task(ds, cost_mode="locl")
 
 
 class TestEvaluation:
