@@ -1,7 +1,7 @@
 """qcas: quantum architecture search with soft resource constraints.
 
 Subpackages:
-    sim         dense statevector / density-matrix simulation primitives
+    sim         dense statevector simulation primitives
     cell        graph-based circuit intermediate representation
     optim       derivative-free parameter optimization
     controller  numpy transformer mutation policy (REINFORCE + Adam)

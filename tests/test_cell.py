@@ -1,7 +1,8 @@
-"""Cell IR: vocabularies, sampling, expansion, circuit round-trips, one-hot
+"""Cell IR: vocabularies, sampling, expansion, circuit emission, one-hot
 views, action decoding, metrics, soft constraints and serialization."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,13 +19,10 @@ from qcas.cell import (
     cell_from_dict,
     cell_to_circuit,
     cell_to_dict,
-    circuit_to_cell,
     decode_actions,
-    dumps_cell,
     encode_views,
     eval_soft_constraint,
     expand_cell,
-    loads_cell,
     metrics,
     random_cell,
     select_best,
@@ -207,20 +205,6 @@ class TestCellCircuit:
         assert circ.gates[0].param_slot == 0
         assert circ.n_params == 1
 
-    def test_roundtrip_on_random_cells(self):
-        vocab = build_vocab(SPACE_GENERIC)
-        for _ in range(100):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
-            back = circuit_to_cell(cell_to_circuit(cell), vocab)
-            assert back == cell
-
-    def test_ghz_prep_circuit_to_cell(self):
-        vocab = build_vocab({"H", "CNOT"})
-        circ = Circuit(3, [gate("H", 0), gate("CNOT", 0, 1), gate("CNOT", 1, 2)])
-        cell = circuit_to_cell(circ, vocab)
-        assert cell.node_ops == [["H"], [], []]
-        assert cell.edge_ops == {(0, 1): ["CNOT"], (1, 2): ["CNOT"]}
-
     def test_param_slots_are_fresh_and_ordered(self):
         cell = Cell(2, [["RX", "RZ"], ["RY"]], {(1, 0): ["CRX"]})
         circ = cell_to_circuit(cell)
@@ -392,9 +376,10 @@ class TestSoftConstraint:
 
 class TestSerialization:
     def test_roundtrip_random_cells(self):
+        # the path of run records: cell_to_dict, JSON text, cell_from_dict
         for _ in range(50):
             cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
-            assert loads_cell(dumps_cell(cell)) == cell
+            assert cell_from_dict(json.loads(json.dumps(cell_to_dict(cell)))) == cell
 
     def test_dict_form_is_sorted_and_versioned(self):
         cell = Cell(2, [["RY"], []], {(1, 0): ["CRZ"]})

@@ -14,7 +14,7 @@ from qcas.cell import SoftConstraint
 from qcas.optim import OptBudget
 from qcas.relm import RelmConfig
 from qcas.res import ResConfig
-from qcas.sim import Circuit
+from qcas.sim import Circuit, circuit_unitary, gate
 from qcas.tasks import gen_hidden_targets
 
 from qcas.cli import (
@@ -144,6 +144,25 @@ class TestBuildTask:
         cfg = parse_config({"task": {"kind": "state_compress"}}, environ={})
         built = build_task(cfg["task"], seed=0)
         assert built.task.n_qubits == 4
+
+    @pytest.mark.parametrize("kind", ["image", "state_compress"])
+    def test_local_cost_mode_is_honoured(self, kind):
+        # two trash qubits, where the local and the global cost differ
+        task_cfg = {"kind": kind, "n_trash": 2, "cost_mode": "local"}
+        local = build_task(parse_config({"task": task_cfg}, environ={})["task"], seed=0).task
+        task_cfg["cost_mode"] = "trash"
+        trash = build_task(parse_config({"task": task_cfg}, environ={})["task"], seed=0).task
+        n = local.n_qubits
+        circuit = Circuit(n, [gate("RY", n - 2, param_slot=0), gate("CNOT", n - 2, n - 1),
+                              gate("RX", n - 1, param_slot=1)])
+        theta = np.array([0.9, -0.4])
+        probs = np.abs(circuit_unitary(circuit, theta) @ local.train_cols) ** 2
+        bits = np.arange(2**n)
+        zero = [probs[(bits >> (n - 1 - q)) & 1 == 0].sum(axis=0) for q in (n - 2, n - 1)]
+        assert local.cost_mode == "local"
+        assert local.training_cost(circuit, theta) == pytest.approx(
+            1.0 - np.mean(zero), abs=1e-12)
+        assert abs(local.training_cost(circuit, theta) - trash.training_cost(circuit, theta)) > 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +359,12 @@ class TestMain:
         ("relm", "reward_mode: unitry", "relm.reward_mode"),
         ("relm", "reward_sign: txt", "relm.reward_sign"),
         ("relm", "init_mode: rs", "relm.init_mode"),
+        ("relm", "batch_size: 0", "relm.batch_size"),
+        ("relm", "n_heads: 3", "relm.n_heads"),
+        ("relm", "learning_rate: -1", "relm.learning_rate"),
+        ("relm", "alpha: .nan", "relm.alpha"),
+        ("relm", "max_seq: 0", "relm.max_seq"),
+        ("relm", "ff_dim: 2.5", "relm.ff_dim"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, body, key):
         cfg_path = tmp_path / "bad.yaml"

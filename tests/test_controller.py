@@ -1,24 +1,21 @@
 """Mutation-policy network: forward shapes, sampling, REINFORCE gradients
-against finite differences, Adam and checkpointing."""
+against finite differences of the reference loss, and Adam."""
 
 import copy
 import math
 
 import numpy as np
 import pytest
+from reference import action_logprob, reinforce_loss
 
 from qcas.cell import Cell, build_vocab, encode_views
 from qcas.controller import (
     AdamState,
     ControllerConfig,
-    action_logprob,
     adam_step,
     controller_forward,
-    controller_from_dict,
-    controller_to_dict,
     init_controller,
     reinforce_grads,
-    reinforce_loss,
     sample_actions,
 )
 from qcas.sim import SPACE_GENERIC
@@ -293,27 +290,3 @@ class TestAdam:
         grads = {"W_out": np.zeros(3)}
         with pytest.raises(ValueError):
             adam_step(params, grads, AdamState())
-
-
-class TestCheckpoint:
-    def test_roundtrip(self):
-        params = tiny_controller(13)
-        doc = controller_to_dict(params)
-        back = controller_from_dict(doc)
-        assert back.config == params.config
-        for name, tensor in params.tensors.items():
-            assert np.allclose(back.tensors[name], tensor, atol=0)
-
-    def test_roundtrip_preserves_forward_outputs(self):
-        params = tiny_controller(13)
-        back = controller_from_dict(controller_to_dict(params))
-        views = encode_views(Cell(2, [["RZ"], []]), VOCAB, TINY.max_seq)
-        a = controller_forward(params, views)
-        b = controller_forward(back, views)
-        assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
-
-    def test_unknown_format_rejected(self):
-        doc = controller_to_dict(tiny_controller())
-        doc["format"] = 2
-        with pytest.raises(ValueError):
-            controller_from_dict(doc)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import action_logprob
 
 import qcas.relm
 from qcas.cell import (
@@ -19,7 +20,6 @@ from qcas.cell import (
 from qcas.controller import (
     AdamState,
     ControllerConfig,
-    action_logprob,
     adam_step,
     controller_forward,
     init_controller,

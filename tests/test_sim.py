@@ -1,20 +1,33 @@
-"""Simulator primitives: gate application, circuit unitaries, fidelities,
-partial trace, swap test, noise channels and amplitude encoding.
+"""Simulator primitives (gate application, circuit unitaries, noise channels,
+amplitude encoding), the density-matrix reference physics of reference.py,
+and the batched QAE costs of `qcas.tasks` checked against that reference.
 
 Oracles used here are built independently of the library code: full unitaries
-are kron products of textbook gate matrices (kron_oracle.py), and reduced
-matrices are explicit double sums over the traced index.
+are kron products of textbook gate matrices, density matrices, partial traces
+and the SWAP test are explicit (reference.py), and reduced matrices are
+explicit double sums over the traced index.
 """
 
 import math
 
 import numpy as np
 import pytest
-from kron_oracle import oracle_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    DensityMatrix,
+    bitflip_noise_circuit,
+    density,
+    depolarize,
+    oracle_unitary,
+    partial_trace,
+    reconstruction_fidelity,
+    state_fidelity,
+    swap_test_expectation,
+)
 
 from qcas.sim import (
     Circuit,
-    DensityMatrix,
     GATE_KINDS,
     PureState,
     QaeSplit,
@@ -22,27 +35,18 @@ from qcas.sim import (
     apply_circuit_columns,
     apply_gate,
     basis_state,
-    bitflip_noise_circuit,
     circuit_unitary,
-    depolarize,
     gate,
     ghz_state,
-    local_trash_cost,
-    maximally_mixed,
-    partial_trace,
     pauli_channel_apply,
     pure_fidelity,
-    reconstruction_fidelity,
     run_circuit,
-    state_fidelity,
-    swap_test_expectation,
-    trash_cost,
 )
+from qcas.tasks import QaeTask, batch_reconstruction_fidelity, batch_trash_fidelity
 
 RNG = np.random.default_rng(20240817)
 
 PARAM_TAGS = [t for t, k in GATE_KINDS.items() if k.param_count == 1]
-FIXED_TAGS = [t for t, k in GATE_KINDS.items() if k.param_count == 0]
 
 
 def random_state(n, rng):
@@ -169,23 +173,24 @@ class TestFidelities:
 
     def test_uhlmann_self_fidelity(self):
         state = random_state(2, RNG)
-        rho = state.density()
+        rho = density(state)
         assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_uhlmann_pure_vs_mixed(self):
-        rho = basis_state(1).density()
-        assert state_fidelity(rho, maximally_mixed(1)) == pytest.approx(0.5, abs=1e-9)
+        rho = density(basis_state(1))
+        mixed = DensityMatrix(1, np.eye(2) / 2)
+        assert state_fidelity(rho, mixed) == pytest.approx(0.5, abs=1e-9)
 
     def test_uhlmann_reduces_to_pure_overlap(self):
         for _ in range(20):
             a, b = random_state(2, RNG), random_state(2, RNG)
             f_pure = pure_fidelity(a, b)
-            f_mixed = state_fidelity(a.density(), b.density())
+            f_mixed = state_fidelity(density(a), density(b))
             assert abs(f_pure - f_mixed) < 1e-9
 
     def test_uhlmann_symmetric(self):
-        a = depolarize(random_state(2, RNG).density(), 0.3)
-        b = depolarize(random_state(2, RNG).density(), 0.6)
+        a = depolarize(density(random_state(2, RNG)), 0.3)
+        b = depolarize(density(random_state(2, RNG)), 0.6)
         assert state_fidelity(a, b) == pytest.approx(state_fidelity(b, a), abs=1e-9)
 
 
@@ -193,7 +198,7 @@ class TestPartialTrace:
     def test_product_state(self):
         plus = apply_gate(basis_state(1), gate("H", 0))
         amps = np.kron(basis_state(1).amplitudes, plus.amplitudes)
-        reduced = partial_trace(PureState(2, amps).density(), (0,))
+        reduced = partial_trace(density(PureState(2, amps)), (0,))
         assert np.allclose(reduced.entries, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
@@ -204,12 +209,12 @@ class TestPartialTrace:
             reduced = partial_trace(DensityMatrix(2, rho), keep)
             assert np.array_equal(reduced.entries, np.eye(2) / 2)
         bell = run_circuit(basis_state(2), Circuit(2, [gate("H", 0), gate("CNOT", 0, 1)]))
-        reduced = partial_trace(bell.density(), (0,))
+        reduced = partial_trace(density(bell), (0,))
         assert np.max(np.abs(reduced.entries - np.eye(2) / 2)) < 1e-15
 
     def test_matches_index_summation_oracle(self):
         state = random_state(3, RNG)
-        rho = state.density()
+        rho = density(state)
         reduced = partial_trace(rho, (0, 2))
         # oracle: explicit double sum over the traced middle qubit
         expected = np.zeros((4, 4), dtype=complex)
@@ -226,21 +231,28 @@ class TestPartialTrace:
         assert np.max(np.abs(reduced.entries - expected)) < 1e-10
 
     def test_trace_preserved(self):
-        rho = depolarize(random_state(3, RNG).density(), 0.4)
+        rho = depolarize(density(random_state(3, RNG)), 0.4)
         reduced = partial_trace(rho, (1,))
         assert np.trace(reduced.entries).real == pytest.approx(1.0, abs=1e-10)
 
 
+def qae_task(split, states, cost_mode="trash"):
+    cols = np.column_stack([s.amplitudes for s in states])
+    return QaeTask("Check", split.n_qubits, split, cols, cols, cost_mode=cost_mode)
+
+
 class TestTrashCost:
+    """`QaeTask.training_cost`, the trash cost of every search."""
+
     SPLIT = QaeSplit((0, 1), (2,))
 
     def test_identity_circuit_zero_cost(self):
-        cost = trash_cost(Circuit(3), (), basis_state(3), self.SPLIT, basis_state(1))
+        cost = qae_task(self.SPLIT, [basis_state(3)]).training_cost(Circuit(3), ())
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_trash_full_cost(self):
         noisy = apply_gate(basis_state(3), gate("X", 2))
-        cost = trash_cost(Circuit(3), (), noisy, self.SPLIT, basis_state(1))
+        cost = qae_task(self.SPLIT, [noisy]).training_cost(Circuit(3), ())
         assert cost == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_swap_test_oracle(self):
@@ -248,83 +260,164 @@ class TestTrashCost:
             circ = random_circuit(3, 10, RNG)
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             state = random_state(3, RNG)
-            cost = trash_cost(circ, theta, state, self.SPLIT, basis_state(1))
-            encoded = run_circuit(state, circ, theta)
-            rho_b = partial_trace(encoded.density(), self.SPLIT.trash_qubits)
+            cost = qae_task(self.SPLIT, [state]).training_cost(circ, theta)
+            encoded = PureState(3, oracle_unitary(circ, theta) @ state.amplitudes)
+            rho_b = partial_trace(density(encoded), self.SPLIT.trash_qubits)
             f = swap_test_expectation(rho_b, basis_state(1))
             assert abs((1.0 - f) - cost) < 1e-9
 
     def test_local_cost_agrees_on_single_trash_qubit(self):
         circ = random_circuit(3, 8, RNG)
         theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
-        state = random_state(3, RNG)
-        local = local_trash_cost(circ, theta, state, self.SPLIT)
-        assert 0.0 <= local <= 1.0
+        states = [random_state(3, RNG) for _ in range(4)]
+        local = qae_task(self.SPLIT, states, "local").training_cost(circ, theta)
+        trash = qae_task(self.SPLIT, states).training_cost(circ, theta)
+        assert abs(local - trash) < 1e-12
 
 
 class TestSwapTest:
     def test_matching_pure_states(self):
-        f = swap_test_expectation(basis_state(1).density(), basis_state(1))
+        f = swap_test_expectation(density(basis_state(1)), basis_state(1))
         assert f == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        f = swap_test_expectation(basis_state(1, 1).density(), basis_state(1))
+        f = swap_test_expectation(density(basis_state(1, 1)), basis_state(1))
         assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_vs_zero(self):
-        f = swap_test_expectation(maximally_mixed(1), basis_state(1))
+        f = swap_test_expectation(DensityMatrix(1, np.eye(2) / 2), basis_state(1))
         assert f == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_projector_trace(self):
         for _ in range(20):
-            rho = depolarize(random_state(1, RNG).density(), float(RNG.uniform(0, 1)))
+            rho = depolarize(density(random_state(1, RNG)), float(RNG.uniform(0, 1)))
             ref = random_state(1, RNG)
             f = swap_test_expectation(rho, ref)
             expected = float(np.real(ref.amplitudes.conj() @ rho.entries @ ref.amplitudes))
             assert abs(f - expected) < 1e-9
 
     def test_two_qubit_trash(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(2, np.eye(4) / 4)
         f = swap_test_expectation(rho, basis_state(2))
         assert f == pytest.approx(0.25, abs=1e-12)
 
 
 class TestReconstruction:
+    """`tasks.batch_reconstruction_fidelity`, the round trip of every score."""
+
     SPLIT = QaeSplit((0, 1), (2,))
+    REF = basis_state(1)
 
     def test_identity_on_product_input(self):
-        f = reconstruction_fidelity(Circuit(3), (), basis_state(3), self.SPLIT,
-                                    basis_state(1))
-        assert f == pytest.approx(1.0, abs=1e-12)
+        cols = basis_state(3).amplitudes[:, None]
+        f = batch_reconstruction_fidelity(Circuit(3), (), cols, self.SPLIT, self.REF)
+        assert f[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_trash_cost_implies_perfect_roundtrip(self):
         # an encoder that maps the input's trash qubit exactly onto |0>
         state = apply_gate(basis_state(3), gate("X", 2))
         circ = Circuit(3, [gate("X", 2)])
-        assert trash_cost(circ, (), state, self.SPLIT, basis_state(1)) < 1e-12
-        f = reconstruction_fidelity(circ, (), state, self.SPLIT, basis_state(1))
-        assert f == pytest.approx(1.0, abs=1e-8)
+        assert qae_task(self.SPLIT, [state]).training_cost(circ, ()) < 1e-12
+        f = batch_reconstruction_fidelity(circ, (), state.amplitudes[:, None], self.SPLIT,
+                                          self.REF)
+        assert f[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_trash_bound_exploratory(self, capsys):
-        # soft sanity: reconstruction >= 1 - 2 * trash_cost, observed on random
-        # instances; violations are recorded rather than failed
-        violations = 0
+    def test_trash_bound_exploratory(self):
+        # per column, with trash fidelity p = 1 - c and sigma the encoded
+        # latent state's trash conditional, F_rec = p (p + (1 - p) <a|sigma|a>)
+        # >= p^2: the round trip is never worse than (1 - trash cost)^2
         for _ in range(50):
             circ = random_circuit(3, 8, RNG)
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
-            state = random_state(3, RNG)
-            cost = trash_cost(circ, theta, state, self.SPLIT, basis_state(1))
-            f = reconstruction_fidelity(circ, theta, state, self.SPLIT, basis_state(1))
-            if f < 1.0 - 2.0 * cost - 1e-6:
-                violations += 1
-        print(f"reconstruction-vs-trash bound violations: {violations}/50")
-        assert violations <= 50  # exploratory, never a hard gate
+            cols = np.column_stack([random_state(3, RNG).amplitudes for _ in range(8)])
+            encoded = apply_circuit_columns(circ, theta, cols)
+            cost = 1.0 - batch_trash_fidelity(encoded, 3, self.SPLIT)
+            f = batch_reconstruction_fidelity(circ, theta, cols, self.SPLIT, self.REF)
+            assert np.all(f >= (1.0 - cost) ** 2 - 1e-12)
 
     def test_target_comparison(self):
         clean = ghz_state(3)
-        f = reconstruction_fidelity(Circuit(3), (), clean, self.SPLIT,
-                                    basis_state(1), target=clean)
-        assert 0.0 <= f <= 1.0
+        for circ in (Circuit(3), random_circuit(3, 8, RNG)):
+            theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
+            states = [clean] + [random_state(3, RNG) for _ in range(3)]
+            cols = np.column_stack([s.amplitudes for s in states])
+            f = batch_reconstruction_fidelity(circ, theta, cols, self.SPLIT, self.REF,
+                                              target=clean)
+            want = [reconstruction_fidelity(circ, theta, s, self.SPLIT, self.REF, target=clean)
+                    for s in states]
+            assert np.max(np.abs(f - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The batched QAE costs against the density-matrix reference
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=None)
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def qae_cases(draw):
+    """A circuit over all 14 gate kinds at width 2-5 with its angles, a random
+    latent/trash split (not only the highest-index trash) and 1-4 input
+    columns."""
+    n = draw(st.integers(2, 5))
+    gates, slot = [], 0
+    for tag in draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), max_size=12)):
+        targets = tuple(draw(st.permutations(range(n)))[:GATE_KINDS[tag].arity])
+        if GATE_KINDS[tag].param_count:
+            gates.append(gate(tag, *targets, param_slot=slot))
+            slot += 1
+        else:
+            gates.append(gate(tag, *targets))
+    theta = np.array(draw(st.lists(ANGLES, min_size=slot, max_size=slot)), dtype=float)
+    trash = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    split = QaeSplit(tuple(q for q in range(n) if q not in trash), tuple(trash))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [random_state(n, rng) for _ in range(draw(st.integers(1, 4)))]
+    return Circuit(n, gates), theta, split, states
+
+
+def reference_encoded(circuit, theta, states):
+    """Density matrices of the encoded states, from the kron unitary."""
+    u = oracle_unitary(circuit, theta)
+    return [density(PureState(circuit.n_qubits, u @ s.amplitudes)) for s in states]
+
+
+def reference_cost(cost_mode, circuit, theta, split, states):
+    """Mean over the states of the global cost 1 - <0|rho_trash|0> or of the
+    local cost 1 - mean over trash qubits q of <0|rho_q|0>."""
+    costs = []
+    for rho in reference_encoded(circuit, theta, states):
+        if cost_mode == "trash":
+            costs.append(1.0 - partial_trace(rho, split.trash_qubits).entries[0, 0].real)
+        else:
+            costs.append(1.0 - np.mean([partial_trace(rho, (q,)).entries[0, 0].real
+                                        for q in split.trash_qubits]))
+    return float(np.mean(costs))
+
+
+@pytest.mark.parametrize("cost_mode", ["trash", "local"])
+@PROPERTY
+@given(case=qae_cases())
+def test_training_cost_matches_density_matrix_reference(cost_mode, case):
+    circuit, theta, split, states = case
+    got = qae_task(split, states, cost_mode).training_cost(circuit, theta)
+    assert abs(got - reference_cost(cost_mode, circuit, theta, split, states)) < 1e-12
+
+
+@pytest.mark.parametrize("with_target", [False, True], ids=["input", "target"])
+@PROPERTY
+@given(case=qae_cases(), seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_fidelity_matches_density_matrix_reference(with_target, case, seed):
+    circuit, theta, split, states = case
+    target = random_state(circuit.n_qubits, np.random.default_rng(seed)) if with_target else None
+    reference = basis_state(len(split.trash_qubits))
+    cols = np.column_stack([s.amplitudes for s in states])
+    got = batch_reconstruction_fidelity(circuit, theta, cols, split, reference, target=target)
+    want = [reconstruction_fidelity(circuit, theta, s, split, reference, target=target)
+            for s in states]
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestNoise:
@@ -341,12 +434,12 @@ class TestNoise:
         assert abs(np.mean(counts) - 0.6) < 0.05
 
     def test_depolarize_extremes(self):
-        rho = random_state(2, RNG).density()
+        rho = density(random_state(2, RNG))
         assert np.allclose(depolarize(rho, 0.0).entries, rho.entries)
         assert np.allclose(depolarize(rho, 1.0).entries, np.eye(4) / 4)
 
     def test_depolarize_on_zero_state(self):
-        out = depolarize(basis_state(1).density(), 0.2)
+        out = depolarize(density(basis_state(1)), 0.2)
         assert np.allclose(out.entries, np.diag([0.9, 0.1]), atol=1e-12)
 
     def test_pauli_channel_p_zero(self):
@@ -374,7 +467,7 @@ class TestNoise:
             out = pauli_channel_apply(state, p, rng)
             acc += np.outer(out.amplitudes, out.amplitudes.conj())
         acc /= n
-        expected = depolarize(state.density(), p).entries
+        expected = depolarize(density(state), p).entries
         assert np.max(np.abs(acc - expected)) < 0.02
 
 

@@ -3,7 +3,7 @@
 Two kinds of check:
 
 * property tests against an independent oracle: full unitaries assembled with
-  `np.kron` from textbook gate matrices (kron_oracle.py), never from
+  `np.kron` from textbook gate matrices (reference.py), never from
   `GateKind.matrix`;
 * bit-exactness against a plain per-gate reference kept here: `np.moveaxis`
   around each gate and the matrix rebuilt by `GateKind.matrix` on every call.
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kron_oracle import oracle_unitary
+from reference import oracle_unitary
 
 from qcas import tasks
 from qcas.cell import cell_to_circuit, random_cell

@@ -1,0 +1,76 @@
+"""Every top-level name in `src/qcas` is reached by the program itself.
+
+A function, class or constant defined at the top of a `src/qcas` module must
+be used somewhere in `src/qcas` or `perfbench` outside its own definition:
+as a `Name`, as an `Attribute` or as an imported alias.  Tests do not count,
+so code that only its own tests reach fails here; oracles belong in
+`tests/reference.py`.  The few names that stay for another reason are
+allow-listed below with that reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted((ROOT / "src" / "qcas").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+ALLOWED = {
+    "tasks.baseline_circuit": "the paper's hand-designed baseline encoder, checked by criterion 9",
+}
+
+
+def top_level_definitions(tree):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def used_names(tree, skip):
+    """Names used in `tree` as a Name, an Attribute or an imported alias,
+    outside the node `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+            if node.asname:
+                found.add(node.asname)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreached():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+    everywhere = {path: used_names(tree, None) for path, tree in trees.items()}
+    missing = []
+    for path, tree in trees.items():
+        if path.parent.name != "qcas":
+            continue
+        for name, node in top_level_definitions(tree):
+            elsewhere = any(name in names for other, names in everywhere.items()
+                            if other != path)
+            if not elsewhere and name not in used_names(tree, node):
+                missing.append(f"{path.stem}.{name}")
+    return missing
+
+
+def test_every_top_level_name_is_reached_by_the_program():
+    missing = [name for name in unreached() if name not in ALLOWED]
+    assert not missing, f"only tests reach {missing}; move oracles to tests/reference.py"
+
+
+def test_allow_list_is_current():
+    assert set(ALLOWED) <= set(unreached()), "an allow-listed name is now reached"

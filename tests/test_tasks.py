@@ -5,15 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from reference import bitflip_noise_circuit
 
 from qcas.cell import Cell, SoftConstraint, metrics
 from qcas.optim import OptBudget
 from qcas.sim import (
     Circuit,
     PureState,
+    QaeSplit,
     SPACE_CLIFFORD,
     basis_state,
-    bitflip_noise_circuit,
     gate,
     ghz_state,
     pure_fidelity,
@@ -197,6 +198,14 @@ class TestTaskCosts:
         assert 0.0 <= cost <= 1.0
         with pytest.raises(ValueError, match="^cost_mode .*'locl'"):
             make_denoise_task(ds, cost_mode="locl")
+
+    def test_split_must_cover_task_qubits(self):
+        from qcas.tasks import QaeTask
+        cols = np.eye(8, dtype=complex)[:, :2]
+        for split in (QaeSplit((0,), (1,)), QaeSplit((0, 1), (3,)),
+                      QaeSplit((0, 1, 2), (3,))):
+            with pytest.raises(ValueError, match="split does not cover"):
+                QaeTask("Check", 3, split, cols, cols)
 
 
 class TestEvaluation:
