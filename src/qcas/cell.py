@@ -55,23 +55,16 @@ class GateVocab:
     def v_ent(self) -> int:
         return len(self.entangle_ids)
 
-    def decode_rotation(self, idx: int) -> str:
-        return self.rotation_kinds[idx]
-
-    def decode_entangle(self, idx: int) -> str:
-        return self.entangle_kinds[idx]
-
 
 def build_vocab(space) -> GateVocab:
     """Deterministic id assignment: NO_OP at 0, then kinds sorted by name."""
-    space = set(space)
+    space = frozenset(space)
     if not space:
         raise ValueError("gate space must be nonempty")
     unknown = space - set(GATE_KINDS)
     if unknown:
         raise ValueError(f"unknown gate kinds: {sorted(unknown)}")
-    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
-    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
+    rot, ent = _space_kinds(space)
     rotation_ids = {NO_OP: 0, **{t: i + 1 for i, t in enumerate(rot)}}
     entangle_ids = {NO_OP: 0, **{t: i + 1 for i, t in enumerate(ent)}}
     return GateVocab(rotation_ids, entangle_ids)

@@ -14,8 +14,8 @@ Config schema (all keys optional except task.kind)::
       dataset: digits | tetris      # image
       n_trash: 1                    # image
       n_qubits: 3                   # unitary_regen
-      subtask: dense | hybrid | single
-      layers: 3
+      subtask: dense | hybrid | single  # unitary_regen
+      layers: 3                     # unitary_regen
       cost_mode: trash | local      # denoise, image, state_compress
     algorithm: rs | res | relm
     space: [RX, RY, RZ, CNOT, CRX, CRY, CRZ]   # null = task default
@@ -30,9 +30,12 @@ Config schema (all keys optional except task.kind)::
     out_dir: runs
     jobs: 1
 
-The res, relm and opt sections are the fields of `ResConfig`, `RelmConfig`
-and `OptBudget` with their defaults, less those the runner fills in itself
-(the seed, the optimizer budget, and RELM's constraint, which is res's).
+Each task key is read only by the kinds marked beside it; setting one that
+the configured kind does not read to anything but its default is a config
+error.  The res, relm and opt sections are the fields of `ResConfig`,
+`RelmConfig` and `OptBudget` with their defaults, less those the runner fills
+in itself (the seed, the optimizer budget, and RELM's constraint, which is
+res's).
 Each config object is built once at parse time, so a bad value is a config
 error naming its dotted key.
 """
@@ -62,7 +65,6 @@ from .tasks import (
     IMAGE_DATASETS,
     NOISE_KINDS,
     SUBTASK_CNOT_PROB,
-    evaluate_denoising,
     evaluate_qae_test,
     gen_hidden_targets,
     gen_noise_dataset,
@@ -115,7 +117,12 @@ DEFAULT_CONFIG = {
     "out_dir": "runs",
     "jobs": 1,
 }
-TASK_KINDS = ("denoise", "image", "state_compress", "unitary_regen")
+TASK_KEYS = {  # the task keys each kind reads, besides "kind"
+    "denoise": ("noise", "cost_mode"),
+    "image": ("dataset", "n_trash", "cost_mode"),
+    "state_compress": ("cost_mode",),
+    "unitary_regen": ("n_qubits", "subtask", "layers"),
+}
 
 
 def _merge_checked(defaults: dict, given: dict, path: str = "") -> dict:
@@ -174,7 +181,7 @@ def parse_config(source, environ=None) -> dict:
 def _validate(config: dict):
     task = config["task"]
     for key, value, choices in (
-        ("task.kind", task["kind"], TASK_KINDS),
+        ("task.kind", task["kind"], TASK_KEYS),
         ("task.noise", task["noise"], NOISE_KINDS),
         ("task.dataset", task["dataset"], IMAGE_DATASETS),
         ("task.subtask", task["subtask"], SUBTASK_CNOT_PROB),
@@ -183,6 +190,11 @@ def _validate(config: dict):
     ):
         if value not in tuple(choices):
             raise ConfigError(f"{key} must be one of {tuple(choices)}, got {value!r}")
+    kind = task["kind"]
+    for key, value in task.items():
+        if (key != "kind" and key not in TASK_KEYS[kind]
+                and value != DEFAULT_CONFIG["task"][key]):
+            raise ConfigError(f"task.{key} is not read by task kind {kind!r}")
     if not config["seeds"]:
         raise ConfigError("at least one seed is required")
     try:
@@ -220,8 +232,8 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
         task = make_denoise_task(dataset, cost_mode=task_cfg["cost_mode"])
 
         def evaluate(circuit, theta):
-            per_p = evaluate_denoising(circuit, theta, dataset)
-            return {"per_p": {str(p): [m, s] for p, (m, s) in per_p.items()}}
+            return {"per_p": {str(p): list(evaluate_qae_test(circuit, theta, task, cols))
+                              for p, cols in sorted(dataset.test.items())}}
 
         return BuiltTask(task, evaluate, lambda: {
             "noise": dataset.kind, "p_train": dataset.p_train,

@@ -15,10 +15,10 @@ of every angle (from `math`, as `GateKind.matrix` uses).  A gate's
 permutation depends only on its targets and on the axis order the previous
 gate left, so `_kernel_step` memoises it in a bounded cache shared by all
 compiles; a circuit that runs once, such as a parameter-free cell scored
-once, pays little more than its matmuls.  `apply_circuit_columns`,
-`run_circuit`, `circuit_unitary` and `apply_gate` all use the kernel, and
-give bit-for-bit the results of applying each gate with a matrix built by
-`GateKind.matrix`.
+once, pays little more than its matmuls.  `apply_circuit_columns` is the one
+entry to the kernel (`run_circuit`, `circuit_unitary` and the Pauli channel
+go through it), and gives bit-for-bit the results of applying each gate with
+a matrix built by `GateKind.matrix`.
 """
 
 from __future__ import annotations
@@ -184,30 +184,6 @@ def gate(tag: str, *targets: int, param_slot: int | None = None) -> GateInstance
     return GateInstance(GATE_KINDS[tag], tuple(targets), param_slot)
 
 
-@dataclass
-class QaeSplit:
-    """Latent (kept) and trash (discarded) qubit index sets of an autoencoder."""
-
-    latent_qubits: tuple[int, ...]
-    trash_qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        self.latent_qubits = tuple(sorted(self.latent_qubits))
-        self.trash_qubits = tuple(sorted(self.trash_qubits))
-        if set(self.latent_qubits) & set(self.trash_qubits):
-            raise ValueError("latent and trash sets overlap")
-        if not self.trash_qubits:
-            raise ValueError("trash set must be nonempty")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.latent_qubits) + len(self.trash_qubits)
-
-    def check(self, n_qubits: int):
-        if set(self.latent_qubits) | set(self.trash_qubits) != set(range(n_qubits)):
-            raise ValueError("split does not cover all circuit qubits")
-
-
 # ---------------------------------------------------------------------------
 # Gate application
 # ---------------------------------------------------------------------------
@@ -227,22 +203,6 @@ def _kernel_step(where: tuple, targets: tuple) -> tuple[tuple, int, tuple]:
     for i, a in enumerate(order):
         after[a] = i
     return tuple([where[a] for a in order]), 2 ** len(targets), tuple(after)
-
-
-def _kernel_steps(n_qubits: int, ops) -> tuple[list, tuple]:
-    """Kernel steps (perm, dim, matrix) for (targets, matrix) pairs, and the
-    permutation that restores qubit order after the last step.
-
-    Each perm brings the gate's target axes to the front of the axis order
-    the previous step left behind, so one transpose per gate suffices.
-    Non-target axes keep their relative order; the batch axis stays last.
-    """
-    where = tuple(range(n_qubits + 1))
-    steps = []
-    for targets, mat in ops:
-        perm, dim, where = _kernel_step(where, tuple(targets))
-        steps.append((perm, dim, mat))
-    return steps, where
 
 
 def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarray:
@@ -275,12 +235,15 @@ class CircuitPlan:
     """A circuit compiled once for runs at many parameter vectors.
 
     It holds the kernel steps of every gate, whose permutations come from
-    the bounded `_kernel_step` cache.  Fixed gates use their constant
-    matrices.  The matrices of parametric gates are views into one buffer,
-    which `bind` refills in place from a single cos/sin evaluation of
-    theta/2, with the entries `GateKind.matrix` builds; runs are therefore
-    bit-identical to building every matrix per gate.  The buffer is shared,
-    so one plan must not be run from two threads at once.
+    the bounded `_kernel_step` cache.  Each permutation brings the gate's
+    target axes to the front of the axis order the previous step left
+    behind, so one transpose per gate suffices; non-target axes keep their
+    relative order and the batch axis stays last.  Fixed gates use their
+    constant matrices.  The matrices of parametric gates are views into one
+    buffer, which `bind` refills in place from a single cos/sin evaluation
+    of theta/2, with the entries `GateKind.matrix` builds; runs are
+    therefore bit-identical to building every matrix per gate.  The buffer
+    is shared, so one plan must not be run from two threads at once.
     """
 
     def __init__(self, n_qubits: int, gates):
@@ -291,26 +254,27 @@ class CircuitPlan:
         self.slots = np.array([g.param_slot for g in param], dtype=np.intp)
         buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
         self._parts = buffer.view(np.float64)
-        dst, src, matrices = [], [], []
+        dst, src, self.steps = [], [], []
+        where = tuple(range(n_qubits + 1))
         offset = j = 0
         for g in self.gates:
             if g.param_slot is None:
-                matrices.append(g.kind.matrix())
-                continue
-            d = 2**g.kind.arity
-            mat = buffer[offset:offset + d * d].reshape(d, d)
-            corner = d - 2  # controlled gates rotate the control-|1> block
-            mat[:corner, :corner] = np.eye(corner)
-            for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
-                dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
-                src.append(value * self.n_params + j)
-            matrices.append(mat)
-            offset += d * d
-            j += 1
+                mat = g.kind.matrix()
+            else:
+                d = 2**g.kind.arity
+                mat = buffer[offset:offset + d * d].reshape(d, d)
+                corner = d - 2  # controlled gates rotate the control-|1> block
+                mat[:corner, :corner] = np.eye(corner)
+                for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
+                    dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
+                    src.append(value * self.n_params + j)
+                offset += d * d
+                j += 1
+            perm, dim, where = _kernel_step(where, g.targets)
+            self.steps.append((perm, dim, mat))
+        self.restore = where  # back to qubit order after the last step
         self._dst = np.array(dst, dtype=np.intp)
         self._src = np.array(src, dtype=np.intp)
-        self.steps, self.restore = _kernel_steps(
-            n_qubits, ((g.targets, mat) for g, mat in zip(self.gates, matrices)))
 
     def __reduce__(self):
         # copies and unpickled plans compile afresh, so their matrices stay
@@ -344,15 +308,6 @@ def circuit_plan(circuit: Circuit) -> CircuitPlan:
             or not all(map(operator.is_, plan.gates, gates))):
         plan = circuit.__dict__["_plan"] = CircuitPlan(circuit.n_qubits, gates)
     return plan
-
-
-def apply_gate(state: PureState, gate: GateInstance, angle: float | None = None) -> PureState:
-    """Apply one gate's unitary on its target qubits; other qubits untouched."""
-    if any(t >= state.n_qubits for t in gate.targets):
-        raise ValueError("gate target out of range")
-    steps, restore = _kernel_steps(state.n_qubits, [(gate.targets, gate.kind.matrix(angle))])
-    out = _apply_steps(state.amplitudes[:, None], state.n_qubits, steps, restore)
-    return PureState(state.n_qubits, out[:, 0])
 
 
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -404,12 +359,9 @@ def pauli_channel_apply(state: PureState, p: float, rng: np.random.Generator) ->
         raise ValueError("p must be in [0, 1]")
     probs = [1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0]
     labels = ("I", "X", "Y", "Z")
-    out = state
-    for q in range(state.n_qubits):
-        pick = labels[rng.choice(4, p=probs)]
-        if pick != "I":
-            out = apply_gate(out, gate(pick, q))
-    return out
+    picks = [labels[rng.choice(4, p=probs)] for _ in range(state.n_qubits)]
+    gates = [gate(pick, q) for q, pick in enumerate(picks) if pick != "I"]
+    return run_circuit(state, Circuit(state.n_qubits, gates)) if gates else state
 
 
 def amplitude_encode(x) -> PureState:

@@ -22,7 +22,6 @@ from .optim import OptBudget, score_cell
 from .sim import (
     Circuit,
     PureState,
-    QaeSplit,
     amplitude_encode,
     apply_circuit_columns,
     basis_state,
@@ -44,42 +43,34 @@ COST_MODES = ("trash", "local")
 # ---------------------------------------------------------------------------
 
 
-def _to_trash_major(cols: np.ndarray, n: int, split: QaeSplit) -> np.ndarray:
-    """(2^n, B) columns -> (dim_A, dim_B, B) with latent axes leading."""
-    batch = cols.shape[1]
-    tensor = cols.reshape((2,) * n + (batch,))
-    perm = list(split.latent_qubits) + list(split.trash_qubits) + [n]
-    moved = np.transpose(tensor, perm)
-    d_a = 2 ** len(split.latent_qubits)
-    d_b = 2 ** len(split.trash_qubits)
-    return moved.reshape(d_a, d_b, batch)
+def _to_trash_major(cols: np.ndarray, n_trash: int) -> np.ndarray:
+    """(2^n, B) columns -> (2^(n - n_trash), 2^n_trash, B): the trash qubits
+    are the last n_trash, so their index is the fastest-varying one."""
+    return cols.reshape(cols.shape[0] >> n_trash, 2**n_trash, cols.shape[1])
 
 
-def batch_trash_fidelity(encoded_cols: np.ndarray, n: int, split: QaeSplit) -> np.ndarray:
+def batch_trash_fidelity(encoded_cols: np.ndarray, n_trash: int) -> np.ndarray:
     """Per-column <0...0| Tr_A[|psi><psi|] |0...0> for pure encoded columns."""
-    m = _to_trash_major(encoded_cols, n, split)
+    m = _to_trash_major(encoded_cols, n_trash)
     return np.sum(np.abs(m[:, 0, :]) ** 2, axis=0)
 
 
-def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray,
-                                  split: QaeSplit, reference: PureState,
+def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray, n_trash: int,
                                   target: PureState | None = None) -> np.ndarray:
-    """Round-trip fidelity per column, against `target` or each input itself.
+    """Round-trip fidelity per column, against `target` or each input itself:
+    encode, reset the last n_trash qubits to |0...0>, decode.
 
     Uses F = || M_psi^dag w ||^2 with M the latent-by-trash reshaping of the
-    encoded state and w the reference-projected encoded comparison state.
+    encoded state and w the |0...0>-projected encoded comparison state.
     """
-    n = circuit.n_qubits
     encoded = apply_circuit_columns(circuit, theta, cols)
-    m = _to_trash_major(encoded, n, split)
-    a_conj = reference.amplitudes.conj()
+    m = _to_trash_major(encoded, n_trash)
     if target is not None:
         phi = run_circuit(target, circuit, theta)
-        m_phi = _to_trash_major(phi.amplitudes[:, None], n, split)[:, :, 0]
-        w = m_phi @ a_conj  # (dim_A,)
+        w = _to_trash_major(phi.amplitudes[:, None], n_trash)[:, 0, 0]  # (dim_A,)
         inner = np.einsum("abz,a->bz", m.conj(), w)
     else:
-        w = np.einsum("abz,b->az", m, a_conj)  # per-column latent vector
+        w = m[:, 0, :]  # per-column latent vector
         inner = np.einsum("abz,az->bz", m.conj(), w)
     return np.sum(np.abs(inner) ** 2, axis=0)
 
@@ -272,10 +263,7 @@ def gen_state_compress_dataset(seed: int = 0) -> StateCompressDataset:
 @dataclass
 class HiddenTarget:
     circuit: Circuit
-    unitary: np.ndarray
-    evolved: PureState
-    subtask: str
-    layers: int
+    evolved: PureState  # the circuit's image of |0...0>
 
 
 _ONE_QUBIT_TAGS = ("H", "S", "T", "I")
@@ -309,9 +297,8 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
             circuit = Circuit(n_qubits, gates)
             if gates:
                 break
-        u = circuit_unitary(circuit)
-        evolved = PureState(n_qubits, u[:, 0])
-        targets.append(HiddenTarget(circuit, u, evolved, subtask, layers))
+        evolved = PureState(n_qubits, circuit_unitary(circuit)[:, 0])
+        targets.append(HiddenTarget(circuit, evolved))
     return targets
 
 
@@ -320,21 +307,14 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
 # ---------------------------------------------------------------------------
 
 
-def default_split(n_qubits: int, n_trash: int) -> QaeSplit:
-    """Highest-index qubits form the trash subsystem."""
-    return QaeSplit(
-        tuple(range(n_qubits - n_trash)),
-        tuple(range(n_qubits - n_trash, n_qubits)),
-    )
-
-
 @dataclass
 class QaeTask:
-    """Autoencoder task over fixed train/validation state columns."""
+    """Autoencoder task over fixed train/validation state columns.  The
+    trash qubits are the last `n_trash`; a round trip resets them to |0...0>."""
 
     kind: str
     n_qubits: int
-    split: QaeSplit
+    n_trash: int
     train_cols: np.ndarray
     val_cols: np.ndarray
     cost_mode: str = "trash"  # one of COST_MODES
@@ -343,8 +323,8 @@ class QaeTask:
     def __post_init__(self):
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
-        self.split.check(self.n_qubits)
-        self.reference = basis_state(len(self.split.trash_qubits))
+        if not 1 <= self.n_trash < self.n_qubits:
+            raise ValueError(f"n_trash must be in 1..{self.n_qubits - 1}, got {self.n_trash!r}")
 
     def training_cost(self, circuit: Circuit, theta) -> float:
         if circuit.n_qubits != self.n_qubits:
@@ -353,7 +333,7 @@ class QaeTask:
                                         self.train_cols)
         if self.cost_mode == "local":
             return 1.0 - float(np.mean(self._local_populations(encoded)))
-        f = batch_trash_fidelity(encoded, self.n_qubits, self.split)
+        f = batch_trash_fidelity(encoded, self.n_trash)
         return float(np.mean(1.0 - f))
 
     def _local_populations(self, encoded: np.ndarray) -> np.ndarray:
@@ -362,15 +342,13 @@ class QaeTask:
         tensor = np.abs(encoded) ** 2
         tensor = tensor.reshape((2,) * n + (batch,))
         pops = []
-        for q in self.split.trash_qubits:
+        for q in range(n - self.n_trash, n):
             pops.append(np.take(tensor, 0, axis=q).reshape(-1, batch).sum(axis=0))
         return np.mean(pops, axis=0)
 
     def validation_score(self, circuit: Circuit, theta) -> float:
-        f = batch_reconstruction_fidelity(
-            circuit, theta, self.val_cols, self.split, self.reference,
-            target=self.val_target,
-        )
+        f = batch_reconstruction_fidelity(circuit, theta, self.val_cols, self.n_trash,
+                                          target=self.val_target)
         return float(np.mean(f))
 
 
@@ -394,8 +372,7 @@ class UnitaryRegenTask:
 
 
 def make_denoise_task(dataset: NoiseDataset, cost_mode: str = "trash") -> QaeTask:
-    split = default_split(dataset.n_qubits, dataset.n_qubits - 1)
-    return QaeTask("Denoise", dataset.n_qubits, split, dataset.train, dataset.val,
+    return QaeTask("Denoise", dataset.n_qubits, dataset.n_qubits - 1, dataset.train, dataset.val,
                    cost_mode=cost_mode, val_target=dataset.clean)
 
 
@@ -413,15 +390,13 @@ def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
     train = cols[:, order[:n_train]]
     val = cols[:, order[n_train:n_train + n_val]]
     test = cols[:, order[n_train + n_val:]]
-    task = QaeTask("ImageCompress", n_qubits, default_split(n_qubits, n_trash),
-                   train, val, cost_mode=cost_mode)
+    task = QaeTask("ImageCompress", n_qubits, n_trash, train, val, cost_mode=cost_mode)
     return task, test
 
 
 def make_state_compress_task(dataset: StateCompressDataset,
                              cost_mode: str = "trash") -> QaeTask:
-    return QaeTask("StateCompress", 4, default_split(4, 2), dataset.train,
-                   dataset.test, cost_mode=cost_mode)
+    return QaeTask("StateCompress", 4, 2, dataset.train, dataset.test, cost_mode=cost_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +404,11 @@ def make_state_compress_task(dataset: StateCompressDataset,
 # ---------------------------------------------------------------------------
 
 
-def evaluate_denoising(circuit: Circuit, theta, dataset: NoiseDataset,
-                       split: QaeSplit | None = None) -> dict:
-    """Per-noise-level (mean, std) of round-trip fidelity vs the clean state."""
-    if split is None:
-        split = default_split(dataset.n_qubits, dataset.n_qubits - 1)
-    reference = basis_state(len(split.trash_qubits))
-    out = {}
-    for p, cols in sorted(dataset.test.items()):
-        f = batch_reconstruction_fidelity(circuit, theta, cols, split, reference,
-                                          target=dataset.clean)
-        out[p] = (float(np.mean(f)), float(np.std(f)))
-    return out
-
-
 def evaluate_qae_test(circuit: Circuit, theta, task: QaeTask, test_cols: np.ndarray):
-    f = batch_reconstruction_fidelity(circuit, theta, test_cols, task.split,
-                                      task.reference, target=task.val_target)
+    """(mean, std) of the round-trip fidelity of `test_cols`, against the
+    task's target if it has one."""
+    f = batch_reconstruction_fidelity(circuit, theta, test_cols, task.n_trash,
+                                      target=task.val_target)
     return float(np.mean(f)), float(np.std(f))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcas.controller import controller_forward
-from qcas.sim import Circuit, PureState, gate
+from qcas.sim import Circuit, PureState, basis_state, gate
 
 PSD_TOL = 1e-9
 
@@ -171,17 +171,17 @@ def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> f
     return min(max(2.0 * p0 - 1.0, 0.0), 1.0)
 
 
-def encoded_output_state(circuit: Circuit, theta, input: PureState, split,
-                         reference: PureState) -> DensityMatrix:
-    """Encode, trace out trash, substitute the fresh reference, decode with U^dag."""
-    split.check(circuit.n_qubits)
+def encoded_output_state(circuit: Circuit, theta, input: PureState, trash) -> DensityMatrix:
+    """Encode, trace out the `trash` qubits, substitute a fresh |0...0> for
+    them, decode with U^dag."""
     n = circuit.n_qubits
+    latent = [q for q in range(n) if q not in trash]
     u = oracle_unitary(circuit, theta)
     encoded = PureState(n, u @ input.amplitudes)
-    rho_a = partial_trace(density(encoded), split.latent_qubits)
-    # rebuild on (latent_qubits..., trash_qubits...) then permute into place
-    combined = np.kron(rho_a.entries, density(reference).entries)
-    order = list(split.latent_qubits) + list(split.trash_qubits)
+    rho_a = partial_trace(density(encoded), latent)
+    # rebuild on (latent qubits..., trash qubits...) then permute into place
+    combined = np.kron(rho_a.entries, density(basis_state(len(trash))).entries)
+    order = latent + sorted(trash)
     perm = [order.index(q) for q in range(n)]
     tensor = combined.reshape((2,) * (2 * n))
     tensor = np.transpose(tensor, perm + [n + p for p in perm])
@@ -191,10 +191,10 @@ def encoded_output_state(circuit: Circuit, theta, input: PureState, split,
     return DensityMatrix(n, out)
 
 
-def reconstruction_fidelity(circuit: Circuit, theta, input: PureState, split,
-                            reference: PureState, target: PureState | None = None) -> float:
+def reconstruction_fidelity(circuit: Circuit, theta, input: PureState, trash,
+                            target: PureState | None = None) -> float:
     """Round-trip fidelity of the autoencoder against `target` (default: input)."""
-    rho_out = encoded_output_state(circuit, theta, input, split, reference)
+    rho_out = encoded_output_state(circuit, theta, input, trash)
     cmp = input if target is None else target
     f = float(np.real(cmp.amplitudes.conj() @ rho_out.entries @ cmp.amplitudes))
     return min(max(f, 0.0), 1.0)

@@ -55,7 +55,7 @@ from qcas.sim import (
 from qcas.tasks import (
     UnitaryRegenTask,
     baseline_circuit,
-    evaluate_denoising,
+    evaluate_qae_test,
     gen_hidden_targets,
     gen_noise_dataset,
     make_denoise_task,
@@ -243,7 +243,8 @@ def test_criterion_07_denoising_desk_scale():
         budget = OptBudget(max_evals=4000, restarts=3)
         result = minimize(lambda th: task.training_cost(circuit, th), theta0,
                           budget, rng)
-        per_p = evaluate_denoising(circuit, result.theta_star, dataset)
+        per_p = {p: evaluate_qae_test(circuit, result.theta_star, task, cols)
+                 for p, cols in dataset.test.items()}
         curve = [per_p[p][0] for p in sorted(per_p)]
         assert curve[0] > 0.9
         # bitflip pattern x at p has the probability of its complement at 1-p

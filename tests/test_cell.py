@@ -120,9 +120,9 @@ class TestVocab:
     def test_decode_is_inverse_of_ids(self):
         vocab = build_vocab(SPACE_GENERIC)
         for tag, idx in vocab.rotation_ids.items():
-            assert vocab.decode_rotation(idx) == tag
+            assert vocab.rotation_kinds[idx] == tag
         for tag, idx in vocab.entangle_ids.items():
-            assert vocab.decode_entangle(idx) == tag
+            assert vocab.entangle_kinds[idx] == tag
 
     def test_id_assignment_deterministic(self):
         a = build_vocab(SPACE_GENERIC)

@@ -124,6 +124,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"opt\\.{field}"):
             parse_config({"task": {"kind": "denoise"}, "opt": opt}, environ={})
 
+    @pytest.mark.parametrize("kind, key, value, source", [
+        ("state_compress", "n_trash", 3, "doc"),
+        ("unitary_regen", "noise", "qdc", "doc"),
+        ("unitary_regen", "n_trash", 3, "doc"),
+        ("unitary_regen", "noise", "qdc", "env"),
+    ])
+    def test_task_key_its_kind_does_not_read_rejected(self, kind, key, value, source):
+        task, environ = {"kind": kind}, {}
+        if source == "doc":
+            task[key] = value
+        else:
+            environ[f"QCAS_TASK__{key.upper()}"] = str(value)
+        with pytest.raises(ConfigError,
+                           match=f"^task\\.{key} is not read by task kind '{kind}'$"):
+            parse_config({"task": task}, environ=environ)
+
+    def test_unread_task_key_at_its_default_accepted(self):
+        config = parse_config({"task": {"kind": "state_compress", "n_trash": 1,
+                                        "noise": "bitflip", "layers": 3}}, environ={})
+        assert config["task"]["kind"] == "state_compress"
+
     def test_bad_opt_budget_from_yaml_and_env_rejected(self):
         # PyYAML reads an exponent without a dot as a string
         with pytest.raises(ConfigError, match="opt\\.x_tol .*'1e-6'"):
@@ -148,11 +169,15 @@ class TestBuildTask:
     @pytest.mark.parametrize("kind", ["image", "state_compress"])
     def test_local_cost_mode_is_honoured(self, kind):
         # two trash qubits, where the local and the global cost differ
-        task_cfg = {"kind": kind, "n_trash": 2, "cost_mode": "local"}
+        # (state_compress always has two)
+        task_cfg = {"kind": kind, "cost_mode": "local"}
+        if kind == "image":
+            task_cfg["n_trash"] = 2
         local = build_task(parse_config({"task": task_cfg}, environ={})["task"], seed=0).task
         task_cfg["cost_mode"] = "trash"
         trash = build_task(parse_config({"task": task_cfg}, environ={})["task"], seed=0).task
         n = local.n_qubits
+        assert local.n_trash == trash.n_trash == 2
         circuit = Circuit(n, [gate("RY", n - 2, param_slot=0), gate("CNOT", n - 2, n - 1),
                               gate("RX", n - 1, param_slot=1)])
         theta = np.array([0.9, -0.4])
@@ -379,6 +404,13 @@ class TestMain:
         assert err.startswith(f"config error: {key} ")
         assert "Traceback" not in err
         assert not os.path.exists(out)
+
+    def test_unread_task_key_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text("task:\n  kind: state_compress\n  n_trash: 3\n")
+        assert main(["search", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: task.n_trash is not read by task kind 'state_compress'\n")
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -30,10 +30,8 @@ from qcas.sim import (
     Circuit,
     GATE_KINDS,
     PureState,
-    QaeSplit,
     amplitude_encode,
     apply_circuit_columns,
-    apply_gate,
     basis_state,
     circuit_unitary,
     gate,
@@ -70,23 +68,30 @@ def random_circuit(n, n_gates, rng):
     return Circuit(n, gates)
 
 
+def one_gate(state, tag, *targets, angle=None):
+    """`state` after one gate, run as a one-gate circuit."""
+    slot = None if angle is None else 0
+    circuit = Circuit(state.n_qubits, [gate(tag, *targets, param_slot=slot)])
+    return run_circuit(state, circuit, () if angle is None else (angle,))
+
+
 class TestGates:
     def test_x_flips_zero(self):
-        out = apply_gate(basis_state(1), gate("X", 0))
+        out = one_gate(basis_state(1), "X", 0)
         assert np.allclose(out.amplitudes, [0, 1])
 
     def test_h_makes_plus(self):
-        out = apply_gate(basis_state(1), gate("H", 0))
+        out = one_gate(basis_state(1), "H", 0)
         assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
 
     def test_ry_pi_flips_up_to_phase(self):
-        out = apply_gate(basis_state(1), gate("RY", 0, param_slot=0), math.pi)
+        out = one_gate(basis_state(1), "RY", 0, angle=math.pi)
         assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
 
     def test_cnot_completes_bell(self):
         amps = np.zeros(4)
         amps[0] = amps[2] = 1 / math.sqrt(2)  # (|00> + |10>)/sqrt(2)
-        out = apply_gate(PureState(2, amps), gate("CNOT", 0, 1))
+        out = one_gate(PureState(2, amps), "CNOT", 0, 1)
         expected = np.zeros(4)
         expected[0] = expected[3] = 1 / math.sqrt(2)
         assert np.allclose(out.amplitudes, expected)
@@ -108,8 +113,7 @@ class TestGates:
             tag = PARAM_TAGS[RNG.integers(len(PARAM_TAGS))]
             kind = GATE_KINDS[tag]
             targets = tuple(int(q) for q in RNG.choice(3, size=kind.arity, replace=False))
-            state = apply_gate(state, gate(tag, *targets, param_slot=0),
-                               float(RNG.uniform(-math.pi, math.pi)))
+            state = one_gate(state, tag, *targets, angle=float(RNG.uniform(-math.pi, math.pi)))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
 
 
@@ -166,7 +170,7 @@ class TestCircuitUnitary:
 class TestFidelities:
     def test_pure_fidelity_basics(self):
         zero, one = basis_state(1), basis_state(1, 1)
-        plus = apply_gate(zero, gate("H", 0))
+        plus = one_gate(zero, "H", 0)
         assert pure_fidelity(zero, zero) == pytest.approx(1.0)
         assert pure_fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
         assert pure_fidelity(zero, plus) == pytest.approx(0.5)
@@ -196,7 +200,7 @@ class TestFidelities:
 
 class TestPartialTrace:
     def test_product_state(self):
-        plus = apply_gate(basis_state(1), gate("H", 0))
+        plus = one_gate(basis_state(1), "H", 0)
         amps = np.kron(basis_state(1).amplitudes, plus.amplitudes)
         reduced = partial_trace(density(PureState(2, amps)), (0,))
         assert np.allclose(reduced.entries, [[1, 0], [0, 0]], atol=1e-12)
@@ -236,23 +240,21 @@ class TestPartialTrace:
         assert np.trace(reduced.entries).real == pytest.approx(1.0, abs=1e-10)
 
 
-def qae_task(split, states, cost_mode="trash"):
+def qae_task(n_trash, states, cost_mode="trash"):
     cols = np.column_stack([s.amplitudes for s in states])
-    return QaeTask("Check", split.n_qubits, split, cols, cols, cost_mode=cost_mode)
+    return QaeTask("Check", states[0].n_qubits, n_trash, cols, cols, cost_mode=cost_mode)
 
 
 class TestTrashCost:
     """`QaeTask.training_cost`, the trash cost of every search."""
 
-    SPLIT = QaeSplit((0, 1), (2,))
-
     def test_identity_circuit_zero_cost(self):
-        cost = qae_task(self.SPLIT, [basis_state(3)]).training_cost(Circuit(3), ())
+        cost = qae_task(1, [basis_state(3)]).training_cost(Circuit(3), ())
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_trash_full_cost(self):
-        noisy = apply_gate(basis_state(3), gate("X", 2))
-        cost = qae_task(self.SPLIT, [noisy]).training_cost(Circuit(3), ())
+        noisy = one_gate(basis_state(3), "X", 2)
+        cost = qae_task(1, [noisy]).training_cost(Circuit(3), ())
         assert cost == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_swap_test_oracle(self):
@@ -260,9 +262,9 @@ class TestTrashCost:
             circ = random_circuit(3, 10, RNG)
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             state = random_state(3, RNG)
-            cost = qae_task(self.SPLIT, [state]).training_cost(circ, theta)
+            cost = qae_task(1, [state]).training_cost(circ, theta)
             encoded = PureState(3, oracle_unitary(circ, theta) @ state.amplitudes)
-            rho_b = partial_trace(density(encoded), self.SPLIT.trash_qubits)
+            rho_b = partial_trace(density(encoded), (2,))
             f = swap_test_expectation(rho_b, basis_state(1))
             assert abs((1.0 - f) - cost) < 1e-9
 
@@ -270,8 +272,8 @@ class TestTrashCost:
         circ = random_circuit(3, 8, RNG)
         theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
         states = [random_state(3, RNG) for _ in range(4)]
-        local = qae_task(self.SPLIT, states, "local").training_cost(circ, theta)
-        trash = qae_task(self.SPLIT, states).training_cost(circ, theta)
+        local = qae_task(1, states, "local").training_cost(circ, theta)
+        trash = qae_task(1, states).training_cost(circ, theta)
         assert abs(local - trash) < 1e-12
 
 
@@ -305,21 +307,17 @@ class TestSwapTest:
 class TestReconstruction:
     """`tasks.batch_reconstruction_fidelity`, the round trip of every score."""
 
-    SPLIT = QaeSplit((0, 1), (2,))
-    REF = basis_state(1)
-
     def test_identity_on_product_input(self):
         cols = basis_state(3).amplitudes[:, None]
-        f = batch_reconstruction_fidelity(Circuit(3), (), cols, self.SPLIT, self.REF)
+        f = batch_reconstruction_fidelity(Circuit(3), (), cols, 1)
         assert f[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_trash_cost_implies_perfect_roundtrip(self):
         # an encoder that maps the input's trash qubit exactly onto |0>
-        state = apply_gate(basis_state(3), gate("X", 2))
+        state = one_gate(basis_state(3), "X", 2)
         circ = Circuit(3, [gate("X", 2)])
-        assert qae_task(self.SPLIT, [state]).training_cost(circ, ()) < 1e-12
-        f = batch_reconstruction_fidelity(circ, (), state.amplitudes[:, None], self.SPLIT,
-                                          self.REF)
+        assert qae_task(1, [state]).training_cost(circ, ()) < 1e-12
+        f = batch_reconstruction_fidelity(circ, (), state.amplitudes[:, None], 1)
         assert f[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_trash_bound_exploratory(self):
@@ -331,8 +329,8 @@ class TestReconstruction:
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             cols = np.column_stack([random_state(3, RNG).amplitudes for _ in range(8)])
             encoded = apply_circuit_columns(circ, theta, cols)
-            cost = 1.0 - batch_trash_fidelity(encoded, 3, self.SPLIT)
-            f = batch_reconstruction_fidelity(circ, theta, cols, self.SPLIT, self.REF)
+            cost = 1.0 - batch_trash_fidelity(encoded, 1)
+            f = batch_reconstruction_fidelity(circ, theta, cols, 1)
             assert np.all(f >= (1.0 - cost) ** 2 - 1e-12)
 
     def test_target_comparison(self):
@@ -341,9 +339,8 @@ class TestReconstruction:
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             states = [clean] + [random_state(3, RNG) for _ in range(3)]
             cols = np.column_stack([s.amplitudes for s in states])
-            f = batch_reconstruction_fidelity(circ, theta, cols, self.SPLIT, self.REF,
-                                              target=clean)
-            want = [reconstruction_fidelity(circ, theta, s, self.SPLIT, self.REF, target=clean)
+            f = batch_reconstruction_fidelity(circ, theta, cols, 1, target=clean)
+            want = [reconstruction_fidelity(circ, theta, s, (2,), target=clean)
                     for s in states]
             assert np.max(np.abs(f - want)) < 1e-12
 
@@ -358,9 +355,8 @@ ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 @st.composite
 def qae_cases(draw):
-    """A circuit over all 14 gate kinds at width 2-5 with its angles, a random
-    latent/trash split (not only the highest-index trash) and 1-4 input
-    columns."""
+    """A circuit over all 14 gate kinds at width 2-5 with its angles, a number
+    of trash qubits from 1 to n - 1 and 1-4 input columns."""
     n = draw(st.integers(2, 5))
     gates, slot = [], 0
     for tag in draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), max_size=12)):
@@ -371,11 +367,15 @@ def qae_cases(draw):
         else:
             gates.append(gate(tag, *targets))
     theta = np.array(draw(st.lists(ANGLES, min_size=slot, max_size=slot)), dtype=float)
-    trash = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    split = QaeSplit(tuple(q for q in range(n) if q not in trash), tuple(trash))
+    n_trash = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = [random_state(n, rng) for _ in range(draw(st.integers(1, 4)))]
-    return Circuit(n, gates), theta, split, states
+    return Circuit(n, gates), theta, n_trash, states
+
+
+def trash_qubits(n, n_trash):
+    """The trash qubits, spelt out for the reference: the last n_trash."""
+    return tuple(range(n - n_trash, n))
 
 
 def reference_encoded(circuit, theta, states):
@@ -384,16 +384,17 @@ def reference_encoded(circuit, theta, states):
     return [density(PureState(circuit.n_qubits, u @ s.amplitudes)) for s in states]
 
 
-def reference_cost(cost_mode, circuit, theta, split, states):
+def reference_cost(cost_mode, circuit, theta, n_trash, states):
     """Mean over the states of the global cost 1 - <0|rho_trash|0> or of the
     local cost 1 - mean over trash qubits q of <0|rho_q|0>."""
+    trash = trash_qubits(circuit.n_qubits, n_trash)
     costs = []
     for rho in reference_encoded(circuit, theta, states):
         if cost_mode == "trash":
-            costs.append(1.0 - partial_trace(rho, split.trash_qubits).entries[0, 0].real)
+            costs.append(1.0 - partial_trace(rho, trash).entries[0, 0].real)
         else:
             costs.append(1.0 - np.mean([partial_trace(rho, (q,)).entries[0, 0].real
-                                        for q in split.trash_qubits]))
+                                        for q in trash]))
     return float(np.mean(costs))
 
 
@@ -401,22 +402,21 @@ def reference_cost(cost_mode, circuit, theta, split, states):
 @PROPERTY
 @given(case=qae_cases())
 def test_training_cost_matches_density_matrix_reference(cost_mode, case):
-    circuit, theta, split, states = case
-    got = qae_task(split, states, cost_mode).training_cost(circuit, theta)
-    assert abs(got - reference_cost(cost_mode, circuit, theta, split, states)) < 1e-12
+    circuit, theta, n_trash, states = case
+    got = qae_task(n_trash, states, cost_mode).training_cost(circuit, theta)
+    assert abs(got - reference_cost(cost_mode, circuit, theta, n_trash, states)) < 1e-12
 
 
 @pytest.mark.parametrize("with_target", [False, True], ids=["input", "target"])
 @PROPERTY
 @given(case=qae_cases(), seed=st.integers(0, 2**32 - 1))
 def test_reconstruction_fidelity_matches_density_matrix_reference(with_target, case, seed):
-    circuit, theta, split, states = case
+    circuit, theta, n_trash, states = case
     target = random_state(circuit.n_qubits, np.random.default_rng(seed)) if with_target else None
-    reference = basis_state(len(split.trash_qubits))
     cols = np.column_stack([s.amplitudes for s in states])
-    got = batch_reconstruction_fidelity(circuit, theta, cols, split, reference, target=target)
-    want = [reconstruction_fidelity(circuit, theta, s, split, reference, target=target)
-            for s in states]
+    got = batch_reconstruction_fidelity(circuit, theta, cols, n_trash, target=target)
+    trash = trash_qubits(circuit.n_qubits, n_trash)
+    want = [reconstruction_fidelity(circuit, theta, s, trash, target=target) for s in states]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -498,7 +498,7 @@ class TestGhzState:
         assert np.allclose(amps, expected)
 
     def test_one_qubit_equals_plus(self):
-        plus = apply_gate(basis_state(1), gate("H", 0))
+        plus = one_gate(basis_state(1), "H", 0)
         assert pure_fidelity(ghz_state(1), plus) == pytest.approx(1.0)
 
 
@@ -511,9 +511,3 @@ class TestValidation:
         bad = np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             DensityMatrix(1, bad)
-
-    def test_split_must_cover_circuit(self):
-        with pytest.raises(ValueError):
-            QaeSplit((0,), (1,)).check(3)
-        with pytest.raises(ValueError):
-            QaeSplit((0, 1), ())

@@ -28,9 +28,9 @@ from qcas.sim import (
     GATE_KINDS,
     SPACE_GENERIC,
     Circuit,
+    GateInstance,
     PureState,
     apply_circuit_columns,
-    apply_gate,
     circuit_plan,
     circuit_unitary,
     gate,
@@ -64,10 +64,10 @@ def reference_run(state, circuit, theta=()):
 
 
 def reference_training_cost(task, circuit, theta):
-    """QaeTask trash cost with the per-gate simulator and the einsum projection."""
+    """QaeTask trash cost with the per-gate simulator: the |0...0> trash
+    component of a column is its rows whose last n_trash bits are all 0."""
     encoded = reference_columns(circuit, np.asarray(theta, dtype=float), task.train_cols)
-    m = tasks._to_trash_major(encoded, task.n_qubits, task.split)
-    proj = np.einsum("abz,b->az", m, task.reference.amplitudes.conj())
+    proj = encoded[::2**task.n_trash]
     return float(np.mean(1.0 - np.sum(np.abs(proj) ** 2, axis=0)))
 
 
@@ -156,9 +156,10 @@ def test_entry_points_agree(case, seed):
     n = circuit.n_qubits
     state = PureState(n, random_columns(n, 1, seed)[:, 0])
     stepped = state
-    for g in circuit.gates:
-        angle = theta[g.param_slot] if g.param_slot is not None else None
-        stepped = apply_gate(stepped, g, angle)
+    for g in circuit.gates:  # one one-gate circuit per gate
+        slot = None if g.param_slot is None else 0
+        one = Circuit(n, [GateInstance(g.kind, g.targets, slot)])
+        stepped = run_circuit(stepped, one, () if slot is None else (theta[g.param_slot],))
     whole = run_circuit(state, circuit, theta)
     assert same_bits(stepped.amplitudes, whole.amplitudes)
     via_unitary = circuit_unitary(circuit, theta) @ state.amplitudes
@@ -281,14 +282,15 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, monkeypa
 # ---------------------------------------------------------------------------
 
 
-def reference_kernel_steps(n_qubits, ops):
-    """The kernel steps worked out gate by gate, without a cache."""
+def reference_kernel_steps(n_qubits, gates):
+    """The (perm, dim) of each gate's kernel step and the restoring
+    permutation, worked out gate by gate without a cache."""
     axes = range(n_qubits + 1)
     where = list(axes)
     steps = []
-    for targets, mat in ops:
-        order = tuple(targets) + tuple(a for a in axes if a not in targets)
-        steps.append((tuple([where[a] for a in order]), 2 ** len(targets), mat))
+    for g in gates:
+        order = g.targets + tuple(a for a in axes if a not in g.targets)
+        steps.append((tuple([where[a] for a in order]), 2 ** len(g.targets)))
         for i, a in enumerate(order):
             where[a] = i
     return steps, tuple(where)
@@ -298,14 +300,13 @@ def reference_kernel_steps(n_qubits, ops):
 @given(data=st.data())
 def test_memoised_kernel_steps_equal_uncached(data):
     n = data.draw(st.integers(1, 6), label="width")
-    targets = st.integers(1, min(3, n)).flatmap(
-        lambda k: st.permutations(range(n)).map(lambda p: tuple(p[:k])))
-    ops = [(t, object()) for t in data.draw(st.lists(targets, max_size=12), label="ops")]
-    steps, restore = sim._kernel_steps(n, ops)
-    want_steps, want_restore = reference_kernel_steps(n, ops)
-    assert restore == want_restore
-    assert [(perm, dim) for perm, dim, _ in steps] == [(p, d) for p, d, _ in want_steps]
-    assert all(mat is want for (_, _, mat), (_, _, want) in zip(steps, want_steps))
+    tags = sorted(t for t, k in GATE_KINDS.items() if k.arity <= n)
+    gates = build_circuit(n, data.draw(st.lists(gate_specs(n, tags), max_size=12),
+                                       label="gates")).gates
+    plan = sim.CircuitPlan(n, gates)
+    want_steps, want_restore = reference_kernel_steps(n, gates)
+    assert plan.restore == want_restore
+    assert [(perm, dim) for perm, dim, _ in plan.steps] == want_steps
 
 
 def test_kernel_step_cache_is_bounded():
@@ -314,6 +315,5 @@ def test_kernel_step_cache_is_bounded():
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        ops = [(tuple(rng.permutation(n)[:2].tolist()), None) for _ in range(5)]
-        sim._kernel_steps(n, ops)
+        sim.CircuitPlan(n, [gate("CNOT", *rng.permutation(n)[:2].tolist()) for _ in range(5)])
     assert sim._kernel_step.cache_info().currsize <= info.maxsize

@@ -1,7 +1,8 @@
 """Every top-level name in `src/qcas` is reached by the program itself.
 
-A function, class or constant defined at the top of a `src/qcas` module must
-be used somewhere in `src/qcas` or `perfbench` outside its own definition:
+A function, class or constant defined at the top of a `src/qcas` module, and
+each non-dunder method of such a class, must be used somewhere in `src/qcas`
+or `perfbench` outside its own definition:
 as a `Name`, as an `Attribute` or as an imported alias.  Tests do not count,
 so code that only its own tests reach fails here; oracles belong in
 `tests/reference.py`.  The few names that stay for another reason are
@@ -19,16 +20,25 @@ ALLOWED = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def top_level_definitions(tree):
-    """(name, node) for each top-level function, class and assigned name."""
+    """(label, name, node) for each top-level function, class and assigned
+    name, and for each non-dunder method of a top-level class, labelled
+    `Class.method`."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node
+                    yield target.id, target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def used_names(tree, skip):
@@ -59,11 +69,11 @@ def unreached():
     for path, tree in trees.items():
         if path.parent.name != "qcas":
             continue
-        for name, node in top_level_definitions(tree):
+        for label, name, node in top_level_definitions(tree):
             elsewhere = any(name in names for other, names in everywhere.items()
                             if other != path)
             if not elsewhere and name not in used_names(tree, node):
-                missing.append(f"{path.stem}.{name}")
+                missing.append(f"{path.stem}.{label}")
     return missing
 
 

@@ -12,7 +12,6 @@ from qcas.optim import OptBudget
 from qcas.sim import (
     Circuit,
     PureState,
-    QaeSplit,
     SPACE_CLIFFORD,
     basis_state,
     gate,
@@ -22,9 +21,9 @@ from qcas.sim import (
 )
 from qcas.tasks import (
     _noisy_ghz_columns,
+    QaeTask,
     UnitaryRegenTask,
     baseline_circuit,
-    evaluate_denoising,
     evaluate_qae_test,
     gen_digits,
     gen_hidden_targets,
@@ -186,8 +185,7 @@ class TestTaskCosts:
         # a [1,0,...,0] image amplitude-encodes to |0...0>: trash already |0>
         cols = np.zeros((32, 1), dtype=complex)
         cols[0, 0] = 1.0
-        from qcas.tasks import QaeTask, default_split
-        task = QaeTask("ImageCompress", 5, default_split(5, 1), cols, cols)
+        task = QaeTask("ImageCompress", 5, 1, cols, cols)
         assert task.training_cost(Circuit(5), ()) == pytest.approx(0.0, abs=1e-12)
 
     def test_local_cost_mode(self):
@@ -199,13 +197,17 @@ class TestTaskCosts:
         with pytest.raises(ValueError, match="^cost_mode .*'locl'"):
             make_denoise_task(ds, cost_mode="locl")
 
-    def test_split_must_cover_task_qubits(self):
-        from qcas.tasks import QaeTask
+    def test_n_trash_must_be_at_least_one(self):
         cols = np.eye(8, dtype=complex)[:, :2]
-        for split in (QaeSplit((0,), (1,)), QaeSplit((0, 1), (3,)),
-                      QaeSplit((0, 1, 2), (3,))):
-            with pytest.raises(ValueError, match="split does not cover"):
-                QaeTask("Check", 3, split, cols, cols)
+        for n_trash in (0, -1):
+            with pytest.raises(ValueError, match=f"^n_trash .*got {n_trash}"):
+                QaeTask("Check", 3, n_trash, cols, cols)
+
+    def test_n_trash_must_leave_a_latent_qubit(self):
+        cols = np.eye(8, dtype=complex)[:, :2]
+        for n_trash in (3, 4):
+            with pytest.raises(ValueError, match=f"^n_trash must be in 1..2, got {n_trash}"):
+                QaeTask("Check", 3, n_trash, cols, cols)
 
 
 class TestEvaluation:
@@ -214,16 +216,16 @@ class TestEvaluation:
                                n_test=20, p_grid=(0.0, 0.5))
         # decoder-perfect circuit: inverse GHZ preparation
         circ = Circuit(3, [gate("CNOT", 1, 2), gate("CNOT", 0, 1), gate("H", 0)])
-        out = evaluate_denoising(circ, (), ds)
-        mean, std = out[0.0]
+        mean, std = evaluate_qae_test(circ, (), make_denoise_task(ds), ds.test[0.0])
         assert mean == pytest.approx(1.0, abs=1e-9)
         assert std == pytest.approx(0.0, abs=1e-9)
 
     def test_outputs_bounded(self):
         ds = gen_noise_dataset("bitflip", seed=0, n_train=5, n_val=5,
                                n_test=20, p_grid=(0.3, 0.8))
-        out = evaluate_denoising(Circuit(3), (), ds)
-        for mean, std in out.values():
+        task = make_denoise_task(ds)
+        for cols in ds.test.values():
+            mean, std = evaluate_qae_test(Circuit(3), (), task, cols)
             assert 0.0 <= mean <= 1.0 and math.isfinite(std)
 
     def test_qae_test_protocol(self):
