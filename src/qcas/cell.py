@@ -90,13 +90,6 @@ class Cell:
             if c == t or not (0 <= c < self.n_qubits) or not (0 <= t < self.n_qubits):
                 raise ValueError(f"invalid edge ({c}, {t})")
 
-    def copy(self) -> "Cell":
-        return Cell(
-            self.n_qubits,
-            [list(ops) for ops in self.node_ops],
-            {k: list(v) for k, v in self.edge_ops.items()},
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cell):
             return NotImplemented
@@ -161,6 +154,21 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     edge_ops = {edge: list(ops) for edge, ops in seed.edge_ops.items()}
     edge_ops.update(new_edges)
     return Cell(n, [ops + more for ops, more in zip(seed.node_ops, added)], edge_ops)
+
+
+def sample_admissible(make, count: int, max_tries: int = 100,
+                      exclude: Cell | None = None) -> list:
+    """Up to `count` cells from at most count * max_tries calls of `make`,
+    which samples one candidate and returns None for one that breaks the
+    constraint; a candidate equal to `exclude` is skipped too."""
+    cells = []
+    for _ in range(count * max_tries):
+        if len(cells) == count:
+            break
+        cell = make()
+        if cell is not None and (exclude is None or cell != exclude):
+            cells.append(cell)
+    return cells
 
 
 def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> int:

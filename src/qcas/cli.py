@@ -26,9 +26,9 @@ Config schema (all keys optional except task.kind)::
            reward_mode, reward_sign, alpha, population_size, layer_budget,
            max_seq, embed_dim, n_heads, n_blocks, ff_dim}
     opt:  {max_evals, x_tol, f_tol, restarts}
-    seeds: [1]
+    seeds: [1]                    # non-empty, integers >= 0
     out_dir: runs
-    jobs: 1
+    jobs: 1                       # 1..os.cpu_count()
 
 Each task key is read only by the kinds marked beside it; setting one that
 the configured kind does not read to anything but its default is a config
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from .cell import SoftConstraint, build_vocab, cell_from_dict, cell_to_dict, metrics
-from .optim import OptBudget
+from .optim import OptBudget, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
 from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
@@ -64,11 +64,14 @@ from .tasks import (
     COST_MODES,
     IMAGE_DATASETS,
     NOISE_KINDS,
+    REGEN_LAYERS,
+    REGEN_QUBITS,
     SUBTASK_CNOT_PROB,
     evaluate_qae_test,
     gen_hidden_targets,
     gen_noise_dataset,
     gen_state_compress_dataset,
+    image_qubits,
     logfidelity,
     make_denoise_task,
     make_image_task,
@@ -195,12 +198,26 @@ def _validate(config: dict):
         if (key != "kind" and key not in TASK_KEYS[kind]
                 and value != DEFAULT_CONFIG["task"][key]):
             raise ConfigError(f"task.{key} is not read by task kind {kind!r}")
-    if not config["seeds"]:
-        raise ConfigError("at least one seed is required")
+    seeds, space = config["seeds"], config["space"]
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
     try:
+        check_range("jobs", config["jobs"], 1, os.cpu_count() or 1)
+        if kind == "image":
+            check_range("task.n_trash", task["n_trash"], 1, image_qubits(task["dataset"]) - 1)
+        elif kind == "unitary_regen":
+            check_range("task.n_qubits", task["n_qubits"], *REGEN_QUBITS)
+            check_range("task.layers", task["layers"], *REGEN_LAYERS)
         _configs(config, seed=0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not isinstance(space, (list, type(None))):
+        raise ConfigError(f"space must be null or a list of gate kinds, got {space!r}")
+    if space is not None:
+        try:
+            build_vocab(space)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"space: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +343,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
         trace = {"res": [vars(p) for p in result.trace.phases]}
     else:
         pop, res_result = init_population(task, space, relm_cfg, res_cfg)
-        init_best = max(e.score for e in pop.entries)
+        init_best = max(e.score for e in pop)
         result = relm_search(task, relm_cfg, pop, build_vocab(space))
         cell, theta, score = result.best_cell, result.theta, result.score
         trace = {"relm": [vars(r) for r in result.epochs],
@@ -359,12 +376,11 @@ def _seed_worker(args):
 
 def run(config: dict) -> dict:
     """Execute the configured algorithm for every seed and return the record."""
-    jobs = max(1, int(config["jobs"]))
     work = [(config, seed) for seed in config["seeds"]]
-    if jobs > 1 and len(work) > 1:
+    if config["jobs"] > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only jobs > 1 needs it
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
             runs = list(pool.map(_seed_worker, work))
     else:
         runs = [_seed_worker(w) for w in work]
@@ -515,14 +531,11 @@ def _add_common(p):
 
 def _resolved(args) -> dict:
     config = parse_config(args.config)
-    if args.seed:
-        config["seeds"] = args.seed
-    if args.out:
-        config["out_dir"] = args.out
-    if getattr(args, "jobs", None):
-        config["jobs"] = args.jobs
-    if getattr(args, "algo", None):
-        config["algorithm"] = args.algo
+    for key, flag in (("seeds", args.seed), ("out_dir", args.out), ("jobs", args.jobs),
+                      ("algorithm", args.algo)):
+        if flag not in (None, ""):
+            config[key] = flag
+    _validate(config)  # the flags are checked like the keys they set
     return config
 
 

@@ -4,11 +4,12 @@ projection, categorical action sampling, REINFORCE gradients and Adam.
 Everything is plain numpy with hand-written backpropagation; gradient
 correctness is pinned by a finite-difference test at desk scale.
 
-`controller_forward(..., with_cache=True)` returns the logits and the cache
-that `reinforce_grads` backpropagates from.  The backward pass only reads the
+`controller_forward` returns the logits together with the cache that
+`reinforce_grads` backpropagates from.  The backward pass only reads the
 cache, so one forward serves every action sampled and every gradient taken at
 the same parameters and views, and `reinforce_grads` sums a batch of samples'
-gradients in one backward pass; RELM runs one of each per epoch.
+gradients in one backward pass; RELM runs one of each per epoch.  Actions
+are always sampled, from the caller's rng.
 
 Token layout: n_qubits * max_seq rotation-slot tokens followed by
 n_qubits * (n_qubits - 1) ordered-pair entanglement tokens (lexicographic,
@@ -63,9 +64,6 @@ class ControllerConfig:
 class ControllerParams:
     config: ControllerConfig
     tensors: dict = field(default_factory=dict)
-
-    def copy(self) -> "ControllerParams":
-        return ControllerParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def init_controller(config: ControllerConfig, rng: np.random.Generator) -> ControllerParams:
@@ -223,8 +221,9 @@ def _flatten_views(views: CellViews):
     return rot_onehots, ent_onehots, pairs
 
 
-def controller_forward(params: ControllerParams, views: CellViews, with_cache=False):
-    """Map cell views to per-slot logits over the two gate vocabularies."""
+def controller_forward(params: ControllerParams, views: CellViews):
+    """Map cell views to per-slot logits over the two gate vocabularies;
+    returns ((rot_logits, ent_logits), cache)."""
     cfg = params.config
     p = params.tensors
     if views.rotation_view.shape != (cfg.n_qubits, cfg.max_seq, cfg.v_rot):
@@ -250,8 +249,6 @@ def controller_forward(params: ControllerParams, views: CellViews, with_cache=Fa
     ent_logits[:, :, 0] = 0.0
     for idx, (c, t) in enumerate(pairs):
         ent_logits[c, t] = ent_flat[idx]
-    if not with_cache:
-        return rot_logits, ent_logits
     cache = (rot_onehots, ent_onehots, pairs, block_caches, x, rot_half, ent_half)
     return (rot_logits, ent_logits), cache
 
@@ -284,19 +281,14 @@ def controller_backward(params: ControllerParams, cache, d_rot_flat, d_ent_flat)
 # ---------------------------------------------------------------------------
 
 
-def sample_actions(rot_logits, ent_logits, rng: np.random.Generator | None = None,
-                   greedy: bool = False):
-    """Per-slot categorical sample (or argmax when greedy); returns the
-    rotation and entanglement action index tensors.
+def sample_actions(rot_logits, ent_logits, rng: np.random.Generator):
+    """Per-slot categorical sample; returns the rotation and entanglement
+    action index tensors.
 
     The categorical sample is the Gumbel-max argmax, so the picks follow
     softmax(logits), the policy that `reinforce_grads` differentiates.  The
     entanglement diagonal is forced to NO_OP by the forward pass.
     """
-    if rng is None and not greedy:
-        raise ValueError("sampling mode needs an rng")
-    if greedy:
-        return rot_logits.argmax(axis=-1), ent_logits.argmax(axis=-1)
     gumbel_r = rng.gumbel(size=rot_logits.shape)
     gumbel_e = rng.gumbel(size=ent_logits.shape)
     return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
@@ -319,10 +311,10 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
                     ent_actions, reward):
     """Gradients of -sum_j reward_j * log pi(actions_j | views) for every tensor.
 
-    `forward` is `controller_forward(params, views, with_cache=True)`; it is
-    read, never written, so many calls may share it.  Actions carry a leading
-    sample axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample,
-    or none with a scalar reward.  The backward pass is linear in the logit
+    `forward` is `controller_forward(params, views)`; it is read, never
+    written, so many calls may share it.  Actions carry a leading sample
+    axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample, or
+    none with a scalar reward.  The backward pass is linear in the logit
     gradients, so the summed gradient takes one backward of
     `sum_j reward_j * (softmax - onehot(action_j))`.
     """

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,14 @@ def check_int(name: str, value, least: int):
     integer >= `least`; the config classes name their fields this way."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_range(name: str, value, least: int, most: int):
+    """Raise a ValueError that starts with `name` unless `value` is an
+    integer in least..most."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not least <= value <= most):
+        raise ValueError(f"{name} must be in {least}..{most}, got {value!r}")
 
 
 def check_positive(name: str, value):
@@ -229,10 +238,19 @@ def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptRe
     return OptResult(best_theta, best_cost, evals, converged)
 
 
+class Scored(NamedTuple):
+    """A cell with its fitted parameters and validation score: the entry
+    every search keeps, unpacking as (cell, theta, score)."""
+
+    cell: object
+    theta: np.ndarray
+    score: float
+
+
 def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
-               theta_init: np.ndarray | None = None):
+               theta_init: np.ndarray | None = None) -> Scored:
     """Lazily materialize a cell into a circuit, fit its parameters on the
-    task's training cost and return (theta_star, validation score).
+    task's training cost and return it scored on validation.
 
     Validation score is the task's own figure of merit (higher is better).
     `theta_init` warm-starts the optimizer when its shape matches.
@@ -245,10 +263,11 @@ def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
     n = circuit.n_params
     if n == 0:
         theta = np.zeros(0)
-        return theta, task.validation_score(circuit, theta)
+        return Scored(cell, theta, task.validation_score(circuit, theta))
     if theta_init is not None and np.shape(theta_init) == (n,):
         theta0 = np.asarray(theta_init, dtype=float)
     else:
         theta0 = rng.uniform(-math.pi, math.pi, size=n)
     result = minimize(lambda th: task.training_cost(circuit, th), theta0, budget, rng)
-    return result.theta_star, task.validation_score(circuit, result.theta_star)
+    theta = result.theta_star
+    return Scored(cell, theta, task.validation_score(circuit, theta))

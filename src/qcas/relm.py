@@ -1,11 +1,12 @@
 """Regularized evolution with a learned mutation policy: tournament selection
-over a cell population, transformer-controller mutation of the winner and
-policy-gradient training of the controller from parent/child score deltas.
+over a population of `Scored` cells, transformer-controller mutation of the
+winner and policy-gradient training of the controller from parent/child score
+deltas.
 
 The policy is fixed within an epoch and every child mutates the same parent,
-so each epoch runs one controller forward and one backward: each child samples
-from the forward's logits, and the children's policy gradients are summed in
-one backward pass from its cache.
+so each epoch runs one controller forward and one backward: it samples its
+whole batch of children from the forward's logits, then scores them, and the
+children's policy gradients are summed in one backward pass from its cache.
 
 Tournament selection removes the tournament's worst member, not the oldest
 member of the population as in aging (regularized) evolution (Real et al.,
@@ -80,28 +81,6 @@ class RelmConfig:
             raise ValueError("eps_tan must be in (0, 1)")
 
 
-@dataclass
-class PopEntry:
-    cell: Cell
-    theta: np.ndarray
-    score: float
-
-
-@dataclass
-class ScoredPopulation:
-    entries: list
-    capacity: int
-
-    def __post_init__(self):
-        if len(self.entries) > self.capacity:
-            raise ValueError("population exceeds capacity")
-        if any(not math.isfinite(e.score) for e in self.entries):
-            raise ValueError("population scores must be finite")
-
-    def __len__(self):
-        return len(self.entries)
-
-
 # ---------------------------------------------------------------------------
 # Rewards
 # ---------------------------------------------------------------------------
@@ -137,8 +116,8 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float = 1.5,
 
 
 def init_population(task, space, config: RelmConfig, res_config: ResConfig | None = None):
-    """Scored starting population of `config.population_size` cells, by
-    `config.init_mode`: random search over cells that satisfy
+    """Starting population, a list of `config.population_size` `Scored`
+    cells, by `config.init_mode`: random search over cells that satisfy
     `config.constraint` (when set), or the final population of RES run with
     `res_config` (topped up with admissible random cells if short).
 
@@ -146,25 +125,24 @@ def init_population(task, space, config: RelmConfig, res_config: ResConfig | Non
     """
     size = config.population_size
     if config.init_mode == "random_search":
-        _, scored = random_search(task, space, size, config.constraint, config.seed,
-                                  layer_budget=config.layer_budget,
-                                  opt_budget=config.opt_budget)
-        entries = [PopEntry(c, th, sc) for c, th, sc in scored]
-        return ScoredPopulation(entries, size), None
+        _, population = random_search(task, space, size, config.constraint, config.seed,
+                                      layer_budget=config.layer_budget,
+                                      opt_budget=config.opt_budget)
+        return population, None
     if res_config is None:
         raise ValueError("init_mode 'res' needs a res_config")
     result = res_search(task, space, res_config)
-    entries = [PopEntry(c, th, sc) for c, th, sc in result.population[:size]]
-    if len(entries) < size:
-        _, extra = random_search(task, space, size - len(entries),
+    population = result.population[:size]
+    if len(population) < size:
+        _, extra = random_search(task, space, size - len(population),
                                  res_config.constraint, config.seed + 1,
                                  layer_budget=config.layer_budget,
                                  opt_budget=config.opt_budget)
-        entries.extend(PopEntry(c, th, sc) for c, th, sc in extra)
-    return ScoredPopulation(entries, size), result
+        population += extra
+    return population, result
 
 
-def tournament_step(pop: ScoredPopulation, k: int, rng: np.random.Generator):
+def tournament_step(pop: list, k: int, rng: np.random.Generator):
     """Sample k members without replacement; drop the worst from the
     population, return (best entry, removed worst entry).
 
@@ -173,11 +151,8 @@ def tournament_step(pop: ScoredPopulation, k: int, rng: np.random.Generator):
     if len(pop) < k:
         raise ValueError("population smaller than tournament size")
     idx = rng.choice(len(pop), size=k, replace=False)
-    best_i = max(idx, key=lambda i: pop.entries[i].score)
-    worst_i = min(idx, key=lambda i: pop.entries[i].score)
-    worst = pop.entries.pop(worst_i)
-    best = pop.entries[best_i if best_i < worst_i else best_i - 1] \
-        if best_i != worst_i else worst
+    best = pop[max(idx, key=lambda i: pop[i].score)]
+    worst = pop.pop(min(idx, key=lambda i: pop[i].score))
     return best, worst
 
 
@@ -193,14 +168,12 @@ class MutationSample:
     ent_actions: np.ndarray
 
 
-def mutate(forward, vocab: GateVocab, rng: np.random.Generator | None = None,
-           greedy: bool = False) -> MutationSample:
-    """Sample (or argmax) per-slot actions from the parent's policy forward
-    `controller_forward(controller, views, with_cache=True)` and decode them
-    into a child cell."""
+def mutate(forward, vocab: GateVocab, rng: np.random.Generator) -> MutationSample:
+    """Sample per-slot actions from the parent's policy forward
+    `controller_forward(controller, views)` and decode them into a child
+    cell."""
     rot_logits, ent_logits = forward[0]
-    rot_actions, ent_actions = sample_actions(rot_logits, ent_logits, rng=rng,
-                                              greedy=greedy)
+    rot_actions, ent_actions = sample_actions(rot_logits, ent_logits, rng)
     child = decode_actions(rot_actions, ent_actions, vocab)
     return MutationSample(child, rot_actions, ent_actions)
 
@@ -234,57 +207,50 @@ class RelmResult:
     controller: ControllerParams | None = None
 
 
-def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVocab,
+def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
                 controller: ControllerParams | None = None) -> RelmResult:
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
     and admit the best child; the global best entry is tracked throughout.
+    `pop` is a list of `Scored` cells with finite scores; each epoch removes
+    one and appends one.
 
     The parent's policy forward runs once per epoch and is shared by all
     batch_size mutations of that epoch; the policy gradients of its
     non-zero-reward children are summed in one backward pass from it."""
+    if any(not math.isfinite(e.score) for e in pop):
+        raise ValueError("population scores must be finite")
     rng = np.random.default_rng([config.seed, 0xE70])
     if controller is None:
-        n = task.n_qubits
         ctrl_cfg = ControllerConfig(
-            n_qubits=n, max_seq=config.max_seq, v_rot=vocab.v_rot,
-            v_ent=vocab.v_ent, embed_dim=config.embed_dim,
-            n_heads=config.n_heads, n_blocks=config.n_blocks,
-            ff_dim=config.ff_dim,
-        )
+            n_qubits=task.n_qubits, max_seq=config.max_seq, v_rot=vocab.v_rot,
+            v_ent=vocab.v_ent, embed_dim=config.embed_dim, n_heads=config.n_heads,
+            n_blocks=config.n_blocks, ff_dim=config.ff_dim)
         controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
     adam = AdamState(lr=config.learning_rate)
-    eligible = pop.entries
-    if config.constraint is not None:
-        ok = [e for e in pop.entries
-              if eval_soft_constraint(config.constraint, e.cell)]
-        eligible = ok or pop.entries
+    eligible = [e for e in pop if config.constraint is None
+                or eval_soft_constraint(config.constraint, e.cell)] or pop
     global_best = max(eligible, key=lambda e: e.score)
     records = []
 
     for epoch in range(1, config.epochs + 1):
-        parent, _removed = tournament_step(pop, config.tournament_size, rng)
+        parent, _ = tournament_step(pop, config.tournament_size, rng)
         views = encode_views(parent.cell, vocab, controller.config.max_seq)
-        forward = controller_forward(controller, views, with_cache=True)
-        samples, rewards, scored_children = [], [], []
-        for j in range(config.batch_size):
-            sample = mutate(forward, vocab, rng=rng)
-            child_rng = np.random.default_rng([config.seed, 0x5C0, epoch, j])
-            theta, score = score_cell(sample.child, task, config.opt_budget,
-                                      child_rng, theta_init=parent.theta)
-            if config.reward_mode == "unitary":
-                reward = unitary_reward(1.0 - parent.score, 1.0 - score,
-                                        config.alpha, config.eps_tan)
-            else:
-                reward = qae_reward(parent.score, score, config.eps_tan,
-                                    config.reward_sign)
-            samples.append(sample)
-            rewards.append(reward)
-            scored_children.append(PopEntry(sample.child, theta, score))
+        forward = controller_forward(controller, views)
+        samples = [mutate(forward, vocab, rng) for _ in range(config.batch_size)]
+        # each child is fitted with its own rng, so scoring draws nothing from `rng`
+        children = [score_cell(s.child, task, config.opt_budget,
+                               np.random.default_rng([config.seed, 0x5C0, epoch, j]),
+                               theta_init=parent.theta)
+                    for j, s in enumerate(samples)]
+        rewards = np.array([
+            unitary_reward(1.0 - parent.score, 1.0 - c.score, config.alpha, config.eps_tan)
+            if config.reward_mode == "unitary"
+            else qae_reward(parent.score, c.score, config.eps_tan, config.reward_sign)
+            for c in children])
 
         # Adam moves the parameters even on a zero gradient (through its
         # moments), so an epoch whose rewards are all zero takes no step.
-        rewards = np.array(rewards)
         nonzero = rewards != 0.0
         if nonzero.any():
             grads = reinforce_grads(
@@ -296,23 +262,15 @@ def relm_search(task, config: RelmConfig, pop: ScoredPopulation, vocab: GateVoca
                 g /= config.batch_size
             controller, adam = adam_step(controller, grads, adam)
 
-        admissible = scored_children
-        if config.constraint is not None:
-            admissible = [e for e in scored_children
-                          if eval_soft_constraint(config.constraint, e.cell)]
+        admissible = [e for e in children if config.constraint is None
+                      or eval_soft_constraint(config.constraint, e.cell)]
         best_child = max(admissible or [parent], key=lambda e: e.score)
-        pop.entries.append(best_child)
+        pop.append(best_child)
         if best_child.score > global_best.score:
             global_best = best_child
         records.append(EpochRecord(
-            epoch=epoch,
-            parent_score=parent.score,
-            mean_reward=float(np.mean(rewards)),
-            best_child_score=best_child.score,
-            best_score=global_best.score,
-            n_scored=len(scored_children),
-            n_admissible=len(admissible),
-        ))
+            epoch=epoch, parent_score=parent.score, mean_reward=float(np.mean(rewards)),
+            best_child_score=best_child.score, best_score=global_best.score,
+            n_scored=len(children), n_admissible=len(admissible)))
 
-    return RelmResult(global_best.cell, global_best.theta, global_best.score,
-                      records, controller)
+    return RelmResult(*global_best, records, controller)

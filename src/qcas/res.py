@@ -17,6 +17,7 @@ from .cell import (
     expand_cell,
     metrics,
     random_cell,
+    sample_admissible,
     select_best,
 )
 from .optim import OptBudget, check_int, score_cell
@@ -59,7 +60,7 @@ class ResResult:
     theta: np.ndarray
     score: float
     trace: SearchTrace
-    population: list  # final phase's scored (cell, theta, score) entries
+    population: list  # final phase's `Scored` entries
 
 
 def _cell_seed(master_seed: int, cell: Cell) -> np.random.Generator:
@@ -71,24 +72,9 @@ def _cell_seed(master_seed: int, cell: Cell) -> np.random.Generator:
 
 
 def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
-    """Score every cell with its own derived rng; results do not depend on
-    list order or evaluation schedule."""
+    """`Scored` entries of the cells, each scored with its own derived rng;
+    results do not depend on list order or evaluation schedule."""
     return [score_cell(cell, task, opt_budget, _cell_seed(seed, cell)) for cell in cells]
-
-
-def _sample_admissible(make, count: int, max_tries: int = 100,
-                       exclude: Cell | None = None):
-    """Up to `count` cells from at most count * max_tries calls of `make`,
-    which samples one candidate and returns None for one that breaks the
-    constraint; a candidate equal to `exclude` is skipped too."""
-    cells = []
-    for _ in range(count * max_tries):
-        if len(cells) == count:
-            break
-        cell = make()
-        if cell is not None and (exclude is None or cell != exclude):
-            cells.append(cell)
-    return cells
 
 
 def res_search(task, space, config: ResConfig) -> ResResult:
@@ -102,7 +88,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
     constraint = config.constraint
     rng = np.random.default_rng([config.seed, 0x2E5])
 
-    cells = _sample_admissible(
+    cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,
                             constraint),
         config.population_size,
@@ -114,14 +100,13 @@ def res_search(task, space, config: ResConfig) -> ResResult:
         )
 
     trace = SearchTrace()
-    results = evaluate_population(cells, task, config.opt_budget, config.seed)
-    population = [(c, th, sc) for c, (th, sc) in zip(cells, results)]
+    population = evaluate_population(cells, task, config.opt_budget, config.seed)
     global_best = population[select_best(population)]
-    trace.record(1, global_best[2], global_best[0], len(population))
+    trace.record(1, global_best.score, global_best.cell, len(population))
 
     for phase in range(2, config.max_phases + 1):
-        seed_cell = global_best[0]
-        children = _sample_admissible(
+        seed_cell = global_best.cell
+        children = sample_admissible(
             lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
                                 constraint),
             config.population_size - 1, exclude=seed_cell,
@@ -130,13 +115,13 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             break  # no admissible expansion headroom left
         # elitism: the seed entry is carried forward with its known score,
         # only the fresh children cost evaluations
-        results = evaluate_population(children, task, config.opt_budget, config.seed)
-        population = [global_best] + [(c, th, sc) for c, (th, sc) in zip(children, results)]
+        population = [global_best] + evaluate_population(children, task, config.opt_budget,
+                                                         config.seed)
         best = population[select_best(population)]
-        if best[2] > global_best[2]:
+        if best.score > global_best.score:
             global_best = best
-        trace.record(phase, best[2], best[0], len(children))
+        trace.record(phase, best.score, best.cell, len(children))
 
-    if not eval_soft_constraint(constraint, global_best[0]):
+    if not eval_soft_constraint(constraint, global_best.cell):
         raise RuntimeError("search terminated without a constraint-satisfying cell")
     return ResResult(*global_best, trace, population)

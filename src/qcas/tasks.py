@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# `metrics` stays importable here: perfbench/tracing.py wraps tasks.metrics.
+# `metrics` and `eval_soft_constraint` stay importable here: perfbench/tracing.py
+# wraps tasks.metrics and tasks.eval_soft_constraint.
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
-                   random_cell, select_best)
-from .optim import OptBudget, score_cell
+                   random_cell, sample_admissible, select_best)
+from .optim import OptBudget, check_range, score_cell
 from .sim import (
     Circuit,
     PureState,
@@ -216,6 +217,11 @@ def gen_tetris(seed: int = 0, count: int = 500) -> ImageDataset:
 IMAGE_DATASETS = {"digits": gen_digits, "tetris": gen_tetris}
 
 
+def image_qubits(dataset: str) -> int:
+    """Width of the image task over `dataset`, read from one generated image."""
+    return amplitude_encode(IMAGE_DATASETS[dataset](count=1).images[0]).n_qubits
+
+
 def encode_images(images: np.ndarray) -> np.ndarray:
     """Amplitude-encode each image into a column of a (2^n, count) matrix."""
     states = [amplitude_encode(img).amplitudes for img in images]
@@ -268,16 +274,16 @@ class HiddenTarget:
 
 _ONE_QUBIT_TAGS = ("H", "S", "T", "I")
 SUBTASK_CNOT_PROB = {"dense": 0.5, "hybrid": 0.25, "single": 0.0}
+REGEN_QUBITS = (1, 10)  # the least and most n_qubits of a hidden target
+REGEN_LAYERS = (1, 6)
 
 
 def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
                        seed: int = 0) -> list:
     if subtask not in SUBTASK_CNOT_PROB:
         raise ValueError(f"unsupported subtask {subtask!r}")
-    if not 1 <= layers <= 6:
-        raise ValueError("layers must be in 1..6")
-    if not 1 <= n_qubits <= 10:
-        raise ValueError("n_qubits must be in 1..10")
+    check_range("layers", layers, *REGEN_LAYERS)
+    check_range("n_qubits", n_qubits, *REGEN_QUBITS)
     rng = np.random.default_rng([seed, 0x717])
     cnot_p = SUBTASK_CNOT_PROB[subtask] if n_qubits > 1 else 0.0
     targets = []
@@ -323,8 +329,7 @@ class QaeTask:
     def __post_init__(self):
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
-        if not 1 <= self.n_trash < self.n_qubits:
-            raise ValueError(f"n_trash must be in 1..{self.n_qubits - 1}, got {self.n_trash!r}")
+        check_range("n_trash", self.n_trash, 1, self.n_qubits - 1)
 
     def training_cost(self, circuit: Circuit, theta) -> float:
         if circuit.n_qubits != self.n_qubits:
@@ -442,22 +447,17 @@ def random_search(task, space, budget_evals: int, constraint: SoftConstraint | N
                   seed: int, layer_budget: int = 2,
                   opt_budget: OptBudget | None = None):
     """Independent random cells, best kept; serves as the RS baseline and the
-    RELM random initializer."""
+    RELM random initializer.  Returns (best, all) `Scored` entries."""
     if budget_evals < 1:
         raise ValueError("budget must be >= 1")
     if opt_budget is None:
         opt_budget = OptBudget()
     rng = np.random.default_rng([seed, 0xA5])
-    scored = []
-    attempts = 0
-    while len(scored) < budget_evals and attempts < 200 * budget_evals:
-        attempts += 1
-        cell = random_cell(space, task.n_qubits, rng, layer_budget=layer_budget)
-        if constraint is not None and not eval_soft_constraint(constraint, cell):
-            continue
-        theta, score = score_cell(cell, task, opt_budget,
-                                  np.random.default_rng([seed, 0xEC, len(scored)]))
-        scored.append((cell, theta, score))
-    if not scored:
+    cells = sample_admissible(
+        lambda: random_cell(space, task.n_qubits, rng, layer_budget, constraint),
+        budget_evals, max_tries=200)
+    if not cells:
         raise RuntimeError("random search found no admissible cell")
+    scored = [score_cell(cell, task, opt_budget, np.random.default_rng([seed, 0xEC, i]))
+              for i, cell in enumerate(cells)]
     return scored[select_best(scored)], scored

@@ -244,5 +244,5 @@ def action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) -> float:
 
 def reinforce_loss(params, views, rot_actions, ent_actions, reward: float) -> float:
     """-reward * log pi(actions | views), the loss `reinforce_grads` differentiates."""
-    rot_logits, ent_logits = controller_forward(params, views)
+    rot_logits, ent_logits = controller_forward(params, views)[0]
     return -action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) * reward

@@ -180,10 +180,10 @@ def test_criterion_05_controller_gradient_check():
         cell = Cell(2, [["RY"], ["RX"]], {(0, 1): ["CNOT"]})
         views = encode_views(cell, vocab, config.max_seq)
         rng = np.random.default_rng(505)
-        rot_logits, ent_logits = controller_forward(params, views)
+        rot_logits, ent_logits = controller_forward(params, views)[0]
         rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.8
-        grads = reinforce_grads(params, controller_forward(params, views, with_cache=True),
+        grads = reinforce_grads(params, controller_forward(params, views),
                                 rot_a, ent_a, reward)
         step = 1e-5
         worst = 0.0
@@ -278,7 +278,7 @@ def test_criterion_08_relm_progress_property():
                                    layer_budget_per_phase=1, opt_budget=opt,
                                    max_phases=2, seed=seed)
             pop, _ = init_population(task, SPACE_GENERIC, config, res_config)
-            init_best = max(e.score for e in pop.entries)
+            init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, vocab)
             assert eval_soft_constraint(constraint, result.best_cell)
             wins += result.score >= init_best - 1e-12

@@ -1,6 +1,7 @@
 """Cell IR: vocabularies, sampling, expansion, circuit emission, one-hot
 views, action decoding, metrics, soft constraints and serialization."""
 
+import copy
 import dataclasses
 import json
 
@@ -218,7 +219,7 @@ class TestCellCircuit:
 
     def test_gate_instances_are_shared_and_immutable(self):
         cell = Cell(2, [["RY", "H"], []], {(0, 1): ["CNOT"]})
-        a, b = cell_to_circuit(cell), cell_to_circuit(cell.copy())
+        a, b = cell_to_circuit(cell), cell_to_circuit(copy.deepcopy(cell))
         assert all(x is y for x, y in zip(a.gates, b.gates))
         assert _gate_instance.cache_info().maxsize is not None
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -3,6 +3,7 @@ records, CSV export, dataset generation and exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from qcas.sim import Circuit, circuit_unitary, gate
 from qcas.tasks import gen_hidden_targets
 
 from qcas.cli import (
+    DEFAULT_CONFIG,
     ConfigError,
     EXIT_CONFIG,
     EXIT_OK,
@@ -152,6 +154,77 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="opt\\.f_tol .*nan"):
             parse_config({"task": {"kind": "denoise"}},
                          environ={"QCAS_OPT__F_TOL": ".nan"})
+
+    @pytest.mark.parametrize("source", ["doc", "env"])
+    @pytest.mark.parametrize("value", ["x", -3, 0, 2.7, True, 100000])
+    def test_bad_jobs_rejected(self, value, source):
+        doc, environ = {"task": {"kind": "denoise"}}, {}
+        if source == "doc":
+            doc["jobs"] = value
+        else:
+            environ["QCAS_JOBS"] = str(value)
+        cpus = os.cpu_count() or 1
+        with pytest.raises(ConfigError,
+                           match="^" + re.escape(f"jobs must be in 1..{cpus}, got {value!r}")):
+            parse_config(doc, environ=environ)
+
+    def test_jobs_up_to_the_cpu_count_accepted(self):
+        cpus = os.cpu_count() or 1
+        for jobs in (1, cpus):
+            assert parse_config({"task": {"kind": "denoise"}, "jobs": jobs},
+                                environ={})["jobs"] == jobs
+
+    @pytest.mark.parametrize("seeds", [3, [], None, [1, "x"], [True], [-1], [1.5]])
+    def test_bad_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")):
+            parse_config({"task": {"kind": "denoise"}, "seeds": seeds}, environ={})
+
+    @pytest.mark.parametrize("space, message", [
+        (["FOO"], "space: unknown gate kinds: ['FOO']"),
+        (["RX", "FOO"], "space: unknown gate kinds: ['FOO']"),
+        ([], "space: gate space must be nonempty"),
+        ([["RX"]], "space: unhashable type: 'list'"),
+        ("RX", "space must be null or a list of gate kinds, got 'RX'"),
+    ])
+    def test_bad_space_rejected(self, space, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config({"task": {"kind": "denoise"}, "space": space}, environ={})
+
+    def test_known_space_or_null_accepted(self):
+        for space in (None, ["RX", "CNOT"]):
+            config = parse_config({"task": {"kind": "denoise"}, "space": space}, environ={})
+            assert config["space"] == space
+
+    @pytest.mark.parametrize("task", [
+        {"kind": "image", "n_trash": 0},
+        {"kind": "image", "n_trash": 5},
+        {"kind": "image", "n_trash": 1.5},
+        {"kind": "image", "dataset": "tetris", "n_trash": 4},
+        {"kind": "unitary_regen", "n_qubits": 0},
+        {"kind": "unitary_regen", "n_qubits": 11},
+        {"kind": "unitary_regen", "layers": 7},
+        {"kind": "unitary_regen", "layers": True},
+    ])
+    def test_task_key_out_of_range_rejected_as_building_would(self, task):
+        # the parse-time check and the task's own check are one range
+        with pytest.raises(ValueError) as built:
+            build_task(dict(DEFAULT_CONFIG["task"], **task), seed=0)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config({"task": task}, environ={})
+        assert str(parsed.value) == f"task.{built.value}"
+
+    def test_task_ranges_checked_without_building_the_task(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a task was built at parse time")
+
+        for name in ("build_task", "make_image_task", "gen_hidden_targets"):
+            monkeypatch.setattr(qcas.cli, name, unexpected)
+        monkeypatch.setattr(qcas.tasks, "encode_images", unexpected)
+        for task in ({"kind": "image", "n_trash": 4},
+                     {"kind": "image", "dataset": "tetris", "n_trash": 3},
+                     {"kind": "unitary_regen", "n_qubits": 10, "layers": 6}):
+            assert parse_config({"task": task}, environ={})["task"]["kind"] == task["kind"]
 
 
 class TestBuildTask:
@@ -411,6 +484,41 @@ class TestMain:
         assert main(["search", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: task.n_trash is not read by task kind 'state_compress'\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("task:\n  kind: image\n  n_trash: 5\n", "task.n_trash must be in 1..4, got 5"),
+        ("task:\n  kind: unitary_regen\n  n_qubits: 11\n",
+         "task.n_qubits must be in 1..10, got 11"),
+        ("task:\n  kind: unitary_regen\n  layers: 7\n", "task.layers must be in 1..6, got 7"),
+        ("task:\n  kind: denoise\nseeds: 3\n",
+         "seeds must be a non-empty list of integers >= 0, got 3"),
+        ("task:\n  kind: denoise\nspace: [FOO]\n", "space: unknown gate kinds: ['FOO']"),
+        ("task:\n  kind: denoise\nspace: RX\n",
+         "space must be null or a list of gate kinds, got 'RX'"),
+    ])
+    def test_bad_run_key_is_a_config_error(self, tmp_path, capsys, body, message):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(body)
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(cfg_path), "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["x", "-3", "0", "2.7", "True", "100000"])
+    def test_bad_jobs_flag_is_a_config_error(self, tmp_path, capsys, flag):
+        # rejected while parsing: the search, and so any worker, never starts
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("task:\n  kind: denoise\nseeds: [1]\n")
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(cfg_path), "--out", out,
+                     "--jobs", flag]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        if flag.lstrip("-").isdigit():
+            assert err == (f"config error: jobs must be in 1..{os.cpu_count() or 1}, "
+                           f"got {flag}\n")
+        else:
+            assert "--jobs: invalid int value" in err
+        assert not os.path.exists(out)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -263,8 +263,9 @@ def clean_task():
 class TestScoreCell:
 
     def test_zero_param_cell_direct_evaluation(self, clean_task):
-        theta, score = score_cell(Cell(3), clean_task, OptBudget(),
-                                  np.random.default_rng(0))
+        cell, theta, score = score_cell(Cell(3), clean_task, OptBudget(),
+                                        np.random.default_rng(0))
+        assert cell == Cell(3)
         assert theta.size == 0
         assert 0.0 <= score <= 1.0
 
@@ -272,8 +273,7 @@ class TestScoreCell:
         # every sample is the clean GHZ state.  The empty encoder leaves the
         # trash entangled, so substituting the |00> reference during the round
         # trip gives <GHZ| rho_A (x) |00><00| |GHZ> = (1/2)(1/2) = 0.25
-        _, score = score_cell(Cell(3), clean_task, OptBudget(),
-                              np.random.default_rng(0))
+        score = score_cell(Cell(3), clean_task, OptBudget(), np.random.default_rng(0)).score
         assert score == pytest.approx(0.25, abs=1e-9)
 
     def test_perfect_encoder_on_clean_data_scores_one(self, clean_task):
@@ -292,14 +292,15 @@ class TestScoreCell:
         budget = OptBudget(max_evals=60, restarts=1)
         a = score_cell(cell, clean_task, budget, np.random.default_rng(4))
         b = score_cell(cell, clean_task, budget, np.random.default_rng(4))
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        assert a.cell is b.cell is cell
+        assert np.array_equal(a.theta, b.theta) and a.score == b.score
 
     def test_warm_start_used_when_shape_matches(self, clean_task):
         cell = Cell(3, [["RY"], [], []])
         warm = np.array([0.0])
         budget = OptBudget(max_evals=5, restarts=1)
-        theta, _ = score_cell(cell, clean_task, budget, np.random.default_rng(0),
-                              theta_init=warm)
+        theta = score_cell(cell, clean_task, budget, np.random.default_rng(0),
+                           theta_init=warm).theta
         assert abs(theta[0]) < 1.0  # stayed near the warm start, not a random angle
 
     def test_width_mismatch_rejected(self, clean_task):

@@ -26,12 +26,10 @@ from qcas.controller import (
     reinforce_grads,
     sample_actions,
 )
-from qcas.optim import OptBudget, score_cell
+from qcas.optim import OptBudget, Scored, score_cell
 from qcas.relm import (
     EpochRecord,
-    PopEntry,
     RelmConfig,
-    ScoredPopulation,
     init_population,
     mutate,
     qae_reward,
@@ -100,31 +98,29 @@ class TestUnitaryReward:
 
 class TestPopulation:
     def entries(self, scores):
-        return [PopEntry(Cell(2), np.zeros(0), s) for s in scores]
-
-    def test_capacity_enforced(self):
-        with pytest.raises(ValueError):
-            ScoredPopulation(self.entries([0.1, 0.2]), capacity=1)
+        return [Scored(Cell(2), np.zeros(0), s) for s in scores]
 
     def test_nonfinite_scores_rejected(self):
-        with pytest.raises(ValueError):
-            ScoredPopulation(self.entries([float("nan")]), capacity=1)
+        config = RelmConfig(epochs=1, tournament_size=1, batch_size=1, population_size=2)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^population scores must be finite"):
+                relm_search(small_task(), config, self.entries([0.5, bad]), VOCAB)
 
     def test_tournament_best_and_worst(self):
-        pop = ScoredPopulation(self.entries([0.9, 0.5, 0.7]), capacity=3)
+        pop = self.entries([0.9, 0.5, 0.7])
         best, worst = tournament_step(pop, 3, np.random.default_rng(0))
         assert best.score == 0.9
         assert worst.score == 0.5
         assert len(pop) == 2
 
     def test_degenerate_single_member(self):
-        pop = ScoredPopulation(self.entries([0.4]), capacity=1)
+        pop = self.entries([0.4])
         best, worst = tournament_step(pop, 1, np.random.default_rng(0))
         assert best.score == worst.score == 0.4
         assert len(pop) == 0
 
     def test_tournament_larger_than_population_rejected(self):
-        pop = ScoredPopulation(self.entries([0.4]), capacity=1)
+        pop = self.entries([0.4])
         with pytest.raises(ValueError):
             tournament_step(pop, 2, np.random.default_rng(0))
 
@@ -139,13 +135,7 @@ class TestMutate:
 
     def forward(self, parent):
         views = encode_views(parent, VOCAB, self.CONTROLLER.config.max_seq)
-        return controller_forward(self.CONTROLLER, views, with_cache=True)
-
-    def test_greedy_mutation_deterministic(self):
-        parent = Cell(2, [["H"], ["S"]], {(0, 1): ["CNOT"]})
-        a = mutate(self.forward(parent), VOCAB, greedy=True)
-        b = mutate(self.forward(parent), VOCAB, greedy=True)
-        assert a.child == b.child
+        return controller_forward(self.CONTROLLER, views)
 
     def test_all_noop_actions_give_empty_child(self):
         child = decode_actions(np.zeros((2, 4), dtype=int),
@@ -158,7 +148,7 @@ class TestMutate:
         forward = self.forward(parent)
         seen_different = False
         for _ in range(100):
-            sample = mutate(forward, VOCAB, rng=rng)
+            sample = mutate(forward, VOCAB, rng)
             if sample.child != parent:
                 seen_different = True
                 break
@@ -168,7 +158,7 @@ class TestMutate:
         parent = Cell(2)
         rng = np.random.default_rng(2)
         forward = self.forward(parent)
-        sample = mutate(forward, VOCAB, rng=rng)
+        sample = mutate(forward, VOCAB, rng)
         logprob = action_logprob(*forward[0], sample.rot_actions, sample.ent_actions)
         assert logprob <= 0.0
         assert math.isfinite(logprob)
@@ -260,7 +250,7 @@ class TestRelmSearch:
                                    constraint=SoftConstraint("n_layers", 2),
                                    opt_budget=FAST_OPT, max_phases=2, seed=seed)
             pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config)
-            init_best = max(e.score for e in pop.entries)
+            init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, VOCAB)
             wins += result.score >= init_best - 1e-12
         assert wins >= 6
@@ -303,10 +293,10 @@ def reference_relm_search(task, config, pop, vocab, controller):
     policy gradient its own backward pass, summed here."""
     rng = np.random.default_rng([config.seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
-    eligible = pop.entries
+    eligible = pop
     if config.constraint is not None:
-        eligible = [e for e in pop.entries
-                    if eval_soft_constraint(config.constraint, e.cell)] or pop.entries
+        eligible = [e for e in pop
+                    if eval_soft_constraint(config.constraint, e.cell)] or pop
     global_best = max(eligible, key=lambda e: e.score)
     records = []
     for epoch in range(1, config.epochs + 1):
@@ -314,21 +304,22 @@ def reference_relm_search(task, config, pop, vocab, controller):
         views = encode_views(parent.cell, vocab, config.max_seq)
         children = []
         for j in range(config.batch_size):
-            rot_a, ent_a = sample_actions(*controller_forward(controller, views), rng=rng)
+            rot_a, ent_a = sample_actions(*controller_forward(controller, views)[0], rng=rng)
             child = decode_actions(rot_a, ent_a, vocab)
-            theta, score = score_cell(child, task, config.opt_budget,
-                                      np.random.default_rng([config.seed, 0x5C0, epoch, j]),
-                                      theta_init=parent.theta)
+            entry = score_cell(child, task, config.opt_budget,
+                               np.random.default_rng([config.seed, 0x5C0, epoch, j]),
+                               theta_init=parent.theta)
             if config.reward_mode == "unitary":
-                reward = unitary_reward(1.0 - parent.score, 1.0 - score,
+                reward = unitary_reward(1.0 - parent.score, 1.0 - entry.score,
                                         config.alpha, config.eps_tan)
             else:
-                reward = qae_reward(parent.score, score, config.eps_tan, config.reward_sign)
-            children.append((rot_a, ent_a, reward, PopEntry(child, theta, score)))
+                reward = qae_reward(parent.score, entry.score, config.eps_tan,
+                                    config.reward_sign)
+            children.append((rot_a, ent_a, reward, entry))
         total = None
         for rot_a, ent_a, reward, _ in children:
             if reward != 0.0:
-                forward = controller_forward(controller, views, with_cache=True)
+                forward = controller_forward(controller, views)
                 grads = reinforce_grads(controller, forward, rot_a, ent_a, reward)
                 total = grads if total is None else {k: total[k] + grads[k] for k in grads}
         if total is not None:
@@ -339,7 +330,7 @@ def reference_relm_search(task, config, pop, vocab, controller):
         if config.constraint is not None:
             scored = [e for e in scored if eval_soft_constraint(config.constraint, e.cell)]
         best_child = max(scored or [parent], key=lambda e: e.score)
-        pop.entries.append(best_child)
+        pop.append(best_child)
         if best_child.score > global_best.score:
             global_best = best_child
         records.append(EpochRecord(epoch, parent.score,
@@ -373,9 +364,9 @@ class TestSharedForward:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_one_forward_per_child(self, case):
         task, config, pop, vocab, controller = self.setup_search(**self.CASES[case])
-        result = relm_search(task, config, copy.deepcopy(pop), vocab, controller.copy())
+        result = relm_search(task, config, copy.deepcopy(pop), vocab, copy.deepcopy(controller))
         best, records, ref_controller = reference_relm_search(
-            task, config, copy.deepcopy(pop), vocab, controller.copy())
+            task, config, copy.deepcopy(pop), vocab, copy.deepcopy(controller))
 
         def table(recs):
             return np.array([[r.epoch, r.parent_score, r.mean_reward,
@@ -427,7 +418,7 @@ class TestSharedForward:
         monkeypatch.setattr(qcas.relm, "unitary_reward", lambda *args: 0.0)
         task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
                                                                  reward_mode="unitary")
-        before = controller.copy()
+        before = copy.deepcopy(controller)
         result = relm_search(task, config, pop, vocab, controller)
         assert [r.mean_reward for r in result.epochs] == [0.0] * config.epochs
         assert [state.step for state in states] == [0]

@@ -1,6 +1,8 @@
 """Random Elastic Search: population evaluation, constraint handling,
 expansion phases, elitism and determinism."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,10 @@ from qcas.cell import (
     expand_cell,
     metrics,
     random_cell,
+    sample_admissible,
 )
 from qcas.optim import OptBudget
-from qcas.res import ResConfig, _sample_admissible, evaluate_population, res_search
+from qcas.res import ResConfig, evaluate_population, res_search
 from qcas.sim import (
     GATE_KINDS,
     SPACE_CLIFFORD,
@@ -59,14 +62,14 @@ class TestEvaluatePopulation:
     def test_identity_cell_analytic_score(self, task):
         results = evaluate_population([Cell(3)], task, FAST_OPT, seed=0)
         # clean GHZ through the trash-substituting round trip: see optimizer tests
-        assert results[0][1] == pytest.approx(0.25, abs=1e-9)
+        assert results[0].score == pytest.approx(0.25, abs=1e-9)
 
     def test_scores_independent_of_list_order(self, task):
         cells = [Cell(3), Cell(3, [["RY"], [], []]), Cell(3, [[], ["RX"], []])]
         forward = evaluate_population(cells, task, FAST_OPT, seed=7)
         backward = evaluate_population(cells[::-1], task, FAST_OPT, seed=7)
-        for (_, sf), (_, sb) in zip(forward, backward[::-1]):
-            assert sf == sb
+        for f, b in zip(forward, backward[::-1]):
+            assert f.cell is b.cell and f.score == b.score
 
 
 class TestResSearch:
@@ -148,7 +151,7 @@ def reference_expand_cell(seed, space, rng, layer_budget=1):
     then draw its additions."""
     rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
     ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
-    child = seed.copy()
+    child = copy.deepcopy(seed)
     for q in range(seed.n_qubits):
         if rot:
             k = int(rng.integers(0, layer_budget + 1))
@@ -213,13 +216,13 @@ class TestSampler:
         ref_rng = np.random.default_rng(rng_seed)
         if fresh:  # phase 1: random cells, nothing excluded
             n = seed.n_qubits
-            got = _sample_admissible(
+            got = sample_admissible(
                 lambda: random_cell(space, n, rng, layer_budget, constraint), count, max_tries)
             want = reference_sample(
                 lambda: reference_expand_cell(Cell(n), space, ref_rng, layer_budget),
                 constraint, count, max_tries, None)
         else:  # later phases: expansions of the seed, the seed excluded
-            got = _sample_admissible(
+            got = sample_admissible(
                 lambda: expand_cell(seed, space, rng, layer_budget, constraint),
                 count, max_tries, exclude=seed)
             want = reference_sample(
