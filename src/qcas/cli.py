@@ -32,10 +32,10 @@ Config schema (all keys optional except task.kind)::
 
 Each task key is read only by the kinds marked beside it; setting one that
 the configured kind does not read to anything but its default is a config
-error.  The res, relm and opt sections are the fields of `ResConfig`,
-`RelmConfig` and `OptBudget` with their defaults, less those the runner fills
-in itself (the seed, the optimizer budget, and RELM's constraint, which is
-res's).
+error.  The task, rs, res, relm and opt sections are the fields of
+`TaskConfig`, `RsConfig`, `ResConfig`, `RelmConfig` and `OptBudget` with
+their defaults, less those the runner fills in itself (the seed, the
+optimizer budget, and RELM's constraint, which is res's).
 Each config object is built once at parse time, so a bad value is a config
 error naming its dotted key.
 """
@@ -61,17 +61,13 @@ from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
 from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
 from .tasks import (
-    COST_MODES,
     IMAGE_DATASETS,
-    NOISE_KINDS,
-    REGEN_LAYERS,
-    REGEN_QUBITS,
-    SUBTASK_CNOT_PROB,
+    RsConfig,
+    TaskConfig,
     evaluate_qae_test,
     gen_hidden_targets,
     gen_noise_dataset,
     gen_state_compress_dataset,
-    image_qubits,
     logfidelity,
     make_denoise_task,
     make_image_task,
@@ -86,6 +82,7 @@ RECORD_FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+ALGORITHMS = ("rs", "res", "relm")
 
 
 class ConfigError(ValueError):
@@ -100,31 +97,16 @@ def _section(cls, *filled_by_runner) -> dict:
 
 
 DEFAULT_CONFIG = {
-    "task": {
-        "kind": None,
-        "noise": "bitflip",
-        "dataset": "digits",
-        "n_trash": 1,
-        "n_qubits": 3,
-        "subtask": "dense",
-        "layers": 3,
-        "cost_mode": "trash",
-    },
+    "task": _section(TaskConfig),
     "algorithm": "res",
     "space": None,
-    "rs": {"budget_evals": 30, "layer_budget": 2},
+    "rs": _section(RsConfig),
     "res": _section(ResConfig),
-    "relm": _section(RelmConfig, "constraint", "eps_tan"),
+    "relm": _section(RelmConfig, "constraint"),
     "opt": _section(OptBudget),
     "seeds": [1],
     "out_dir": "runs",
     "jobs": 1,
-}
-TASK_KEYS = {  # the task keys each kind reads, besides "kind"
-    "denoise": ("noise", "cost_mode"),
-    "image": ("dataset", "n_trash", "cost_mode"),
-    "state_compress": ("cost_mode",),
-    "unitary_regen": ("n_qubits", "subtask", "layers"),
 }
 
 
@@ -182,32 +164,14 @@ def parse_config(source, environ=None) -> dict:
 
 
 def _validate(config: dict):
-    task = config["task"]
-    for key, value, choices in (
-        ("task.kind", task["kind"], TASK_KEYS),
-        ("task.noise", task["noise"], NOISE_KINDS),
-        ("task.dataset", task["dataset"], IMAGE_DATASETS),
-        ("task.subtask", task["subtask"], SUBTASK_CNOT_PROB),
-        ("task.cost_mode", task["cost_mode"], COST_MODES),
-        ("algorithm", config["algorithm"], ("rs", "res", "relm")),
-    ):
-        if value not in tuple(choices):
-            raise ConfigError(f"{key} must be one of {tuple(choices)}, got {value!r}")
-    kind = task["kind"]
-    for key, value in task.items():
-        if (key != "kind" and key not in TASK_KEYS[kind]
-                and value != DEFAULT_CONFIG["task"][key]):
-            raise ConfigError(f"task.{key} is not read by task kind {kind!r}")
-    seeds, space = config["seeds"], config["space"]
+    algorithm, seeds, space = config["algorithm"], config["seeds"], config["space"]
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
     try:
+        _build("task", TaskConfig, config["task"])
         check_range("jobs", config["jobs"], 1, os.cpu_count() or 1)
-        if kind == "image":
-            check_range("task.n_trash", task["n_trash"], 1, image_qubits(task["dataset"]) - 1)
-        elif kind == "unitary_regen":
-            check_range("task.n_qubits", task["n_qubits"], *REGEN_QUBITS)
-            check_range("task.layers", task["layers"], *REGEN_LAYERS)
         _configs(config, seed=0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -309,8 +273,9 @@ def _build(section: str, cls, values: dict, **filled):
 
 
 def _configs(config: dict, seed: int):
-    """The OptBudget, ResConfig and RelmConfig of one seed's run.  A bad value
-    raises a ValueError that starts with its dotted config key."""
+    """The RsConfig, OptBudget, ResConfig and RelmConfig of one seed's run.
+    A bad value raises a ValueError that starts with its dotted config key."""
+    rs_cfg = _build("rs", RsConfig, config["rs"])
     opt = _build("opt", OptBudget, config["opt"])
     res = config["res"]
     constraint = _build("res.constraint", SoftConstraint, res["constraint"])
@@ -318,7 +283,7 @@ def _configs(config: dict, seed: int):
                      opt_budget=opt, seed=seed)
     relm_cfg = _build("relm", RelmConfig, config["relm"], constraint=constraint,
                       opt_budget=opt, seed=seed)
-    return opt, res_cfg, relm_cfg
+    return rs_cfg, opt, res_cfg, relm_cfg
 
 
 def _run_single_seed(config: dict, seed: int) -> dict:
@@ -329,13 +294,12 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     task = built.task
     space = config["space"] or default_space(config["task"])
     algorithm = config["algorithm"]
-    opt, res_cfg, relm_cfg = _configs(config, seed)
+    rs_cfg, opt, res_cfg, relm_cfg = _configs(config, seed)
     trace = None
     if algorithm == "rs":
-        rs = config["rs"]
         (cell, theta, score), _ = random_search(
-            task, space, rs["budget_evals"], None, seed,
-            layer_budget=rs["layer_budget"], opt_budget=opt,
+            task, space, rs_cfg.budget_evals, None, seed,
+            layer_budget=rs_cfg.layer_budget, opt_budget=opt,
         )
     elif algorithm == "res":
         result = res_search(task, space, res_cfg)
@@ -526,7 +490,7 @@ def _add_common(p):
                    help="override config seeds (repeatable)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--jobs", type=int, default=None, help="parallel seed workers")
-    p.add_argument("--algo", choices=["rs", "res", "relm"], default=None)
+    p.add_argument("--algo", choices=ALGORITHMS, default=None)
 
 
 def _resolved(args) -> dict:

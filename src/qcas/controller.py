@@ -30,6 +30,9 @@ from .cell import CellViews
 
 _LN_EPS = 1e-5
 _NEG_INF = -1e9
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,10 @@ class ControllerConfig:
     max_seq: int
     v_rot: int
     v_ent: int
-    embed_dim: int = 32
-    n_heads: int = 4
-    n_blocks: int = 2
-    ff_dim: int = 64
-
-    def __post_init__(self):
-        if self.embed_dim % self.n_heads != 0:
-            raise ValueError("embed_dim must be divisible by n_heads")
+    embed_dim: int
+    n_heads: int  # divides embed_dim, as `RelmConfig` checks
+    n_blocks: int
+    ff_dim: int
 
     @property
     def n_rot_tokens(self) -> int:
@@ -211,16 +210,6 @@ def _block_backward(dx2, cache, p, grads):
 # ---------------------------------------------------------------------------
 
 
-def _flatten_views(views: CellViews):
-    n, max_seq, v_rot = views.rotation_view.shape
-    rot_onehots = views.rotation_view.reshape(n * max_seq, v_rot)
-    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
-    ent_onehots = np.array([views.entangle_view[c, t] for c, t in pairs])
-    if ent_onehots.size == 0:
-        ent_onehots = ent_onehots.reshape(0, views.entangle_view.shape[2])
-    return rot_onehots, ent_onehots, pairs
-
-
 def controller_forward(params: ControllerParams, views: CellViews):
     """Map cell views to per-slot logits over the two gate vocabularies;
     returns ((rot_logits, ent_logits), cache)."""
@@ -230,7 +219,9 @@ def controller_forward(params: ControllerParams, views: CellViews):
         raise ValueError("rotation view shape does not match controller config")
     if views.entangle_view.shape != (cfg.n_qubits, cfg.n_qubits, cfg.v_ent):
         raise ValueError("entangle view shape does not match controller config")
-    rot_onehots, ent_onehots, pairs = _flatten_views(views)
+    off_diagonal = ~np.eye(cfg.n_qubits, dtype=bool)  # the ordered pairs
+    rot_onehots = views.rotation_view.reshape(cfg.n_rot_tokens, cfg.v_rot)
+    ent_onehots = views.entangle_view[off_diagonal]
     x = np.concatenate([rot_onehots @ p["W_s"], ent_onehots @ p["W_m"]], axis=0)
     x = x + p["pos"]
     block_caches = []
@@ -247,9 +238,8 @@ def controller_forward(params: ControllerParams, views: CellViews):
     rot_logits = rot_flat.reshape(cfg.n_qubits, cfg.max_seq, cfg.v_rot)
     ent_logits = np.full((cfg.n_qubits, cfg.n_qubits, cfg.v_ent), _NEG_INF)
     ent_logits[:, :, 0] = 0.0
-    for idx, (c, t) in enumerate(pairs):
-        ent_logits[c, t] = ent_flat[idx]
-    cache = (rot_onehots, ent_onehots, pairs, block_caches, x, rot_half, ent_half)
+    ent_logits[off_diagonal] = ent_flat
+    cache = (rot_onehots, ent_onehots, block_caches, x, rot_half, ent_half)
     return (rot_logits, ent_logits), cache
 
 
@@ -257,7 +247,7 @@ def controller_backward(params: ControllerParams, cache, d_rot_flat, d_ent_flat)
     """Backpropagate per-slot logit gradients to every parameter tensor."""
     cfg = params.config
     p = params.tensors
-    rot_onehots, ent_onehots, pairs, block_caches, x_final, rot_half, ent_half = cache
+    rot_onehots, ent_onehots, block_caches, x_final, rot_half, ent_half = cache
     grads = {name: np.zeros_like(t) for name, t in p.items()}
     nr = cfg.n_rot_tokens
     e = cfg.embed_dim
@@ -313,18 +303,15 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
 
     `forward` is `controller_forward(params, views)`; it is read, never
     written, so many calls may share it.  Actions carry a leading sample
-    axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample, or
-    none with a scalar reward.  The backward pass is linear in the logit
-    gradients, so the summed gradient takes one backward of
-    `sum_j reward_j * (softmax - onehot(action_j))`.
+    axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample.  The
+    backward pass is linear in the logit gradients, so the summed gradient
+    takes one backward of `sum_j reward_j * (softmax - onehot(action_j))`.
     """
     cfg = params.config
     (rot_logits, ent_logits), cache = forward
     rot_actions = np.asarray(rot_actions, dtype=int)
     ent_actions = np.asarray(ent_actions, dtype=int)
     reward = np.asarray(reward, dtype=float)
-    if rot_actions.ndim == 2:
-        rot_actions, ent_actions, reward = rot_actions[None], ent_actions[None], reward[None]
     n, b = cfg.n_qubits, len(rot_actions)
     if (reward.shape != (b,) or rot_actions.shape != (b, n, cfg.max_seq)
             or ent_actions.shape != (b, n, n)):
@@ -345,10 +332,7 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
 
 @dataclass
 class AdamState:
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -364,13 +348,13 @@ def adam_step(params: ControllerParams, grads: dict, state: AdamState):
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m.get(name, np.zeros_like(g))
         v = state.v.get(name, np.zeros_like(g))
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * g**2
+        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * g**2
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        stepped[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = m / (1 - _ADAM_BETA1**t)
+        v_hat = v / (1 - _ADAM_BETA2**t)
+        stepped[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     tensors = {name: stepped[name] if name in stepped else tensor.copy()
                for name, tensor in params.tensors.items()}
     return ControllerParams(params.config, tensors), state

@@ -212,11 +212,9 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
 
 
 def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptResult:
-    """Derivative-free local minimization; never returns worse than theta0."""
+    """Derivative-free local minimization; never returns worse than theta0,
+    which has at least one parameter (`score_cell` fits no other)."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if theta0.size == 0:
-        value = _guard(cost)(theta0)
-        return OptResult(theta0, value, 1, True)
     f = _guard(cost)
     max_evals = budget.evals_for(theta0.size)
     best_theta = theta0.copy()

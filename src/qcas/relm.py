@@ -34,7 +34,7 @@ from .optim import OptBudget, check_int, check_positive, score_cell
 from .res import ResConfig, res_search
 from .tasks import random_search
 
-DEFAULT_EPS_TAN = 1e-3
+DEFAULT_EPS_TAN = 1e-3  # keeps the rewards' tan arguments below pi/2
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class RelmConfig:
     reward_mode: str = "qae"  # "qae" | "unitary"
     reward_sign: str = "text"  # "text" | "printed" (worse-child branch sign)
     alpha: float = 1.5
-    eps_tan: float = DEFAULT_EPS_TAN
     constraint: object = None  # optional SoftConstraint gating admission
     population_size: int = 30
     layer_budget: int = 2
@@ -77,8 +76,6 @@ class RelmConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
-        if not 0.0 < self.eps_tan < 1.0:
-            raise ValueError("eps_tan must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +83,12 @@ class RelmConfig:
 # ---------------------------------------------------------------------------
 
 
-def _clamped_tan(arg: float, eps_tan: float) -> float:
-    bound = (1.0 - eps_tan) * math.pi / 2.0
+def _clamped_tan(arg: float) -> float:
+    bound = (1.0 - DEFAULT_EPS_TAN) * math.pi / 2.0
     return math.tan(min(max(arg, -bound), bound))
 
 
-def qae_reward(f_parent: float, f_child: float, eps_tan: float = DEFAULT_EPS_TAN,
-               sign: str = "text") -> float:
+def qae_reward(f_parent: float, f_child: float, sign: str) -> float:
     """Fidelity-delta reward: negative when the child is strictly worse,
     otherwise tan(f_child * pi/2) with the argument clamped below pi/2.
 
@@ -101,13 +97,12 @@ def qae_reward(f_parent: float, f_child: float, eps_tan: float = DEFAULT_EPS_TAN
     if f_parent > f_child:
         delta = f_child - f_parent
         return delta if sign == "text" else -delta
-    return _clamped_tan(min(f_child, 1.0 - eps_tan) * math.pi / 2.0, eps_tan)
+    return _clamped_tan(min(f_child, 1.0 - DEFAULT_EPS_TAN) * math.pi / 2.0)
 
 
-def unitary_reward(l_parent: float, l_child: float, alpha: float = 1.5,
-                   eps_tan: float = DEFAULT_EPS_TAN) -> float:
+def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
     """tan(alpha * (L_child - L_parent) * pi/2) with a clamped argument."""
-    return _clamped_tan(alpha * (l_child - l_parent) * math.pi / 2.0, eps_tan)
+    return _clamped_tan(alpha * (l_child - l_parent) * math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float = 1.5,
 # ---------------------------------------------------------------------------
 
 
-def init_population(task, space, config: RelmConfig, res_config: ResConfig | None = None):
+def init_population(task, space, config: RelmConfig, res_config: ResConfig):
     """Starting population, a list of `config.population_size` `Scored`
     cells, by `config.init_mode`: random search over cells that satisfy
     `config.constraint` (when set), or the final population of RES run with
@@ -129,8 +124,6 @@ def init_population(task, space, config: RelmConfig, res_config: ResConfig | Non
                                       layer_budget=config.layer_budget,
                                       opt_budget=config.opt_budget)
         return population, None
-    if res_config is None:
-        raise ValueError("init_mode 'res' needs a res_config")
     result = res_search(task, space, res_config)
     population = result.population[:size]
     if len(population) < size:
@@ -244,9 +237,9 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
                                theta_init=parent.theta)
                     for j, s in enumerate(samples)]
         rewards = np.array([
-            unitary_reward(1.0 - parent.score, 1.0 - c.score, config.alpha, config.eps_tan)
+            unitary_reward(1.0 - parent.score, 1.0 - c.score, config.alpha)
             if config.reward_mode == "unitary"
-            else qae_reward(parent.score, c.score, config.eps_tan, config.reward_sign)
+            else qae_reward(parent.score, c.score, config.reward_sign)
             for c in children])
 
         # Adam moves the parameters even on a zero gradient (through its

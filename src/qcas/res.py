@@ -34,6 +34,7 @@ class ResConfig:
 
     def __post_init__(self):
         check_int("population_size", self.population_size, 1)
+        check_int("layer_budget_per_phase", self.layer_budget_per_phase, 1)
         check_int("max_phases", self.max_phases, 1)
 
 

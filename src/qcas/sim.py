@@ -2,8 +2,7 @@
 
 Qubit 0 is the most significant bit of the computational-basis index, so the
 basis state |q0 q1 ... q_{n-1}> sits at index sum_k q_k * 2^(n-1-k).  All
-expectation values are exact (no shot sampling); randomness only enters through
-explicitly passed generators in the noise channels.
+expectation values are exact (no shot sampling).
 
 Every gate application goes through one kernel, `_apply_steps`, which runs a
 list of (transpose permutation, dimension, matrix) steps on a
@@ -11,14 +10,14 @@ list of (transpose permutation, dimension, matrix) steps on a
 into a `CircuitPlan` kept on the circuit object: the permutations of all its
 gates, the constant matrices of its fixed gates, and one buffer holding the
 matrices of its parametric gates, refilled for each theta with the cos/sin
-of every angle (from `math`, as `GateKind.matrix` uses).  A gate's
-permutation depends only on its targets and on the axis order the previous
-gate left, so `_kernel_step` memoises it in a bounded cache shared by all
-compiles; a circuit that runs once, such as a parameter-free cell scored
-once, pays little more than its matmuls.  `apply_circuit_columns` is the one
-entry to the kernel (`run_circuit`, `circuit_unitary` and the Pauli channel
-go through it), and gives bit-for-bit the results of applying each gate with
-a matrix built by `GateKind.matrix`.
+of every angle (from `math`).  A gate's permutation depends only on its
+targets and on the axis order the previous gate left, so `_kernel_step`
+memoises it in a bounded cache shared by all compiles; a circuit that runs
+once, such as a parameter-free cell scored once, pays little more than its
+matmuls.  `apply_circuit_columns` is the one entry to the kernel
+(`run_circuit` and `circuit_unitary` go through it).  It gives bit for bit
+the results of applying each gate with the matrix that `exact_gate_matrix`
+in `tests/reference.py` builds.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-_FIXED_1Q = {
+_FIXED = {  # the matrices of the parameter-free gates
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
@@ -45,29 +44,8 @@ _FIXED_1Q = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-
-def _rot(axis: str, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.array(
-        [[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]],
-        dtype=complex,
-    )
-
-
-def _controlled(u: np.ndarray) -> np.ndarray:
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = u
-    return out
 
 
 @dataclass(frozen=True)
@@ -78,22 +56,9 @@ class GateKind:
     arity: int
     param_count: int
 
-    def matrix(self, angle: float | None = None) -> np.ndarray:
-        if self.param_count == 1:
-            if angle is None:
-                raise ValueError(f"{self.tag} requires an angle")
-            if self.tag in ("RX", "RY", "RZ"):
-                return _rot(self.tag[1], angle)
-            return _controlled(_rot(self.tag[2], angle))
-        if angle is not None:
-            raise ValueError(f"{self.tag} takes no angle")
-        if self.tag == "CNOT":
-            return CNOT_MATRIX
-        return _FIXED_1Q[self.tag]
-
 
 GATE_KINDS: dict[str, GateKind] = {}
-for _tag in _FIXED_1Q:
+for _tag in ("H", "S", "T", "I", "X", "Y", "Z"):
     GATE_KINDS[_tag] = GateKind(_tag, 1, 0)
 for _tag in ("RX", "RY", "RZ"):
     GATE_KINDS[_tag] = GateKind(_tag, 1, 1)
@@ -223,7 +188,7 @@ def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarr
 # part 0 = real, 1 = imaginary and value 0 = cos, 1 = sin, 2 = -sin,
 # 3 = sin + 0.0 of theta/2.  The last is what cmath.exp(1j * theta / 2)
 # gives, whose argument turns theta = -0.0 into +0.0.  Every other component
-# is +0.0, as in `_rot`.
+# is +0.0.
 _ROT_ENTRIES = {
     "X": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 2), (1, 0, 1, 2)),
     "Y": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 2), (1, 0, 0, 1)),
@@ -241,9 +206,10 @@ class CircuitPlan:
     relative order and the batch axis stays last.  Fixed gates use their
     constant matrices.  The matrices of parametric gates are views into one
     buffer, which `bind` refills in place from a single cos/sin evaluation
-    of theta/2, with the entries `GateKind.matrix` builds; runs are
-    therefore bit-identical to building every matrix per gate.  The buffer
-    is shared, so one plan must not be run from two threads at once.
+    of theta/2, with the entries of `exact_gate_matrix` in
+    `tests/reference.py`; runs are therefore bit-identical to building every
+    matrix per gate.  The buffer is shared, so one plan must not be run from
+    two threads at once.
     """
 
     def __init__(self, n_qubits: int, gates):
@@ -259,7 +225,7 @@ class CircuitPlan:
         offset = j = 0
         for g in self.gates:
             if g.param_slot is None:
-                mat = g.kind.matrix()
+                mat = _FIXED[g.kind.tag]
             else:
                 d = 2**g.kind.arity
                 mat = buffer[offset:offset + d * d].reshape(d, d)
@@ -284,8 +250,8 @@ class CircuitPlan:
     def bind(self, theta: np.ndarray):
         """Write the parametric gate matrices for `theta` into the buffer.
 
-        cos and sin come from `math`, as in `_rot` and `cmath.exp`, so the
-        entries match `GateKind.matrix` bit for bit on any platform.
+        cos and sin come from `math`, as in `cmath.exp`, so the entries
+        match `exact_gate_matrix` bit for bit on any platform.
         """
         if self.n_params:
             half = (theta[self.slots] / 2).tolist()
@@ -349,19 +315,8 @@ def pure_fidelity(a: PureState, b: PureState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noise channels and encodings
+# Encodings
 # ---------------------------------------------------------------------------
-
-
-def pauli_channel_apply(state: PureState, p: float, rng: np.random.Generator) -> PureState:
-    """Per qubit, apply I/X/Y/Z with probabilities {1-3p/4, p/4, p/4, p/4}."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    probs = [1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0]
-    labels = ("I", "X", "Y", "Z")
-    picks = [labels[rng.choice(4, p=probs)] for _ in range(state.n_qubits)]
-    gates = [gate(pick, q) for q, pick in enumerate(picks) if pick != "I"]
-    return run_circuit(state, Circuit(state.n_qubits, gates)) if gates else state
 
 
 def amplitude_encode(x) -> PureState:

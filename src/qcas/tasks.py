@@ -11,7 +11,7 @@ costs cheap inside optimizer loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ import numpy as np
 # wraps tasks.metrics and tasks.eval_soft_constraint.
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
-from .optim import OptBudget, check_range, score_cell
+from .optim import OptBudget, check_int, check_range, score_cell
 from .sim import (
     Circuit,
     PureState,
@@ -29,7 +29,6 @@ from .sim import (
     circuit_unitary,
     gate,
     ghz_state,
-    pauli_channel_apply,
     pure_fidelity,
     run_circuit,
 )
@@ -37,6 +36,12 @@ from .sim import (
 DEFAULT_P_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 NOISE_KINDS = ("bitflip", "qdc")
 COST_MODES = ("trash", "local")
+TASK_KINDS = {  # the `TaskConfig` fields each task kind reads, besides its kind
+    "denoise": ("noise", "cost_mode"),
+    "image": ("dataset", "n_trash", "cost_mode"),
+    "state_compress": ("cost_mode",),
+    "unitary_regen": ("n_qubits", "subtask", "layers"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -97,29 +102,31 @@ class NoiseDataset:
     clean: PureState
 
 
-def _bitflip_columns(clean: PureState, p: float, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """`count` copies of `clean`, each qubit of each copy flipped by an X
-    with probability p, drawing one uniform per qubit in copy-major order.
-    X on qubit q moves amplitude i to i ^ 2^(n-1-q), so each column is the
-    clean vector indexed by idx ^ mask."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    n = clean.n_qubits
-    flips = rng.random((count, n)) < p
-    masks = flips @ (1 << np.arange(n - 1, -1, -1))
-    return clean.amplitudes[np.arange(2**n)[:, None] ^ masks]
-
-
 def _noisy_ghz_columns(kind: str, n_qubits: int, p: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
-    clean = ghz_state(n_qubits)
+    """`count` copies of the GHZ state, with one draw per qubit of each copy
+    in copy-major order: "bitflip" applies X with probability p, "qdc" one
+    of I, X, Y, Z with probabilities 1 - 3p/4, p/4, p/4, p/4.
+
+    X and Y on qubit q move amplitude i to i ^ 2^(n-1-q), so each column is
+    the clean vector indexed by idx ^ mask.  Y then multiplies an amplitude
+    by i or -i as its source bit on q is 0 or 1, and Z by 1 or -1.  Only
+    nonzero amplitudes are multiplied, so every zero stays +0.0: at 3
+    qubits that is the per-copy Pauli circuit's output bit for bit."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    clean = ghz_state(n_qubits).amplitudes
+    weights = 1 << np.arange(n_qubits - 1, -1, -1)
+    index = np.arange(2**n_qubits)[:, None]
     if kind == "bitflip":
-        return _bitflip_columns(clean, p, count, rng)
-    cols = np.empty((2**n_qubits, count), dtype=complex)
-    for i in range(count):
-        cols[:, i] = pauli_channel_apply(clean, p, rng).amplitudes
-    return cols
+        return clean[index ^ ((rng.random((count, n_qubits)) < p) @ weights)]
+    picks = rng.choice(4, size=(count, n_qubits),
+                       p=[1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
+    source = index ^ (((picks == 1) | (picks == 2)) @ weights)
+    y, ones = picks == 2, (source[:, :, None] & weights) != 0
+    quarter_turns = (y.sum(axis=1) + 2 * ((y | (picks == 3)) & ones).sum(axis=2)) % 4
+    cols = clean[source]
+    return np.where(cols != 0, cols * np.array([1, 1j, -1, -1j])[quarter_turns], cols)
 
 
 def gen_noise_dataset(kind: str, n_qubits: int = 3, seed: int = 0,
@@ -443,15 +450,55 @@ def baseline_circuit(task) -> Circuit:
     raise ValueError(f"no baseline defined for task kind {task.kind!r}")
 
 
+@dataclass(frozen=True)
+class TaskConfig:
+    """The task section of a run config.  A kind reads only the fields that
+    `TASK_KINDS` lists for it; any other field must keep its default."""
+
+    kind: str | None = None
+    noise: str = "bitflip"
+    dataset: str = "digits"
+    n_trash: int = 1
+    n_qubits: int = 3
+    subtask: str = "dense"
+    layers: int = 3
+    cost_mode: str = "trash"
+
+    def __post_init__(self):
+        for name, choices in (("kind", TASK_KINDS), ("noise", NOISE_KINDS),
+                              ("dataset", IMAGE_DATASETS), ("subtask", SUBTASK_CNOT_PROB),
+                              ("cost_mode", COST_MODES)):
+            if getattr(self, name) not in tuple(choices):
+                raise ValueError(f"{name} must be one of {tuple(choices)}, "
+                                 f"got {getattr(self, name)!r}")
+        read = ("kind",) + TASK_KINDS[self.kind]
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} is not read by task kind {self.kind!r}")
+        if self.kind == "image":
+            check_range("n_trash", self.n_trash, 1, image_qubits(self.dataset) - 1)
+        elif self.kind == "unitary_regen":
+            check_range("n_qubits", self.n_qubits, *REGEN_QUBITS)
+            check_range("layers", self.layers, *REGEN_LAYERS)
+
+
+@dataclass(frozen=True)
+class RsConfig:
+    """The rs section of a run config: the random-search baseline's number
+    of scored cells and the layer budget of each."""
+
+    budget_evals: int = 30
+    layer_budget: int = 2
+
+    def __post_init__(self):
+        check_int("budget_evals", self.budget_evals, 1)
+        check_int("layer_budget", self.layer_budget, 1)
+
+
 def random_search(task, space, budget_evals: int, constraint: SoftConstraint | None,
-                  seed: int, layer_budget: int = 2,
-                  opt_budget: OptBudget | None = None):
+                  seed: int, layer_budget: int, opt_budget: OptBudget):
     """Independent random cells, best kept; serves as the RS baseline and the
     RELM random initializer.  Returns (best, all) `Scored` entries."""
-    if budget_evals < 1:
-        raise ValueError("budget must be >= 1")
-    if opt_budget is None:
-        opt_budget = OptBudget()
     rng = np.random.default_rng([seed, 0xA5])
     cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, layer_budget, constraint),

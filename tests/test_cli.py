@@ -16,7 +16,7 @@ from qcas.optim import OptBudget
 from qcas.relm import RelmConfig
 from qcas.res import ResConfig
 from qcas.sim import Circuit, circuit_unitary, gate
-from qcas.tasks import gen_hidden_targets
+from qcas.tasks import RsConfig, TaskConfig, gen_hidden_targets
 
 from qcas.cli import (
     DEFAULT_CONFIG,
@@ -55,6 +55,8 @@ class TestParseConfig:
 
     def test_sections_are_the_config_classes_defaults(self):
         config = parse_config({"task": {"kind": "denoise"}}, environ={})
+        assert TaskConfig(**config["task"]) == TaskConfig(kind="denoise")
+        assert RsConfig(**config["rs"]) == RsConfig()
         assert OptBudget(**config["opt"]) == OptBudget()
         res = dict(config["res"], constraint=SoftConstraint(**config["res"]["constraint"]))
         assert ResConfig(**res) == ResConfig()
@@ -463,6 +465,11 @@ class TestMain:
         ("relm", "alpha: .nan", "relm.alpha"),
         ("relm", "max_seq: 0", "relm.max_seq"),
         ("relm", "ff_dim: 2.5", "relm.ff_dim"),
+        ("res", "layer_budget_per_phase: 0", "res.layer_budget_per_phase"),
+        ("res", "layer_budget_per_phase: x", "res.layer_budget_per_phase"),
+        ("rs", "budget_evals: 0", "rs.budget_evals"),
+        ("rs", "budget_evals: x", "rs.budget_evals"),
+        ("rs", "layer_budget: 0", "rs.layer_budget"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, body, key):
         cfg_path = tmp_path / "bad.yaml"

@@ -104,12 +104,6 @@ class TestMinimize:
                           np.random.default_rng(0))
         assert math.isfinite(result.cost)
 
-    def test_zero_parameter_vector(self):
-        result = minimize(lambda th: 0.25, np.zeros(0), OptBudget(),
-                          np.random.default_rng(0))
-        assert result.cost == 0.25
-        assert result.theta_star.size == 0
-
     def test_deterministic_given_seed(self):
         def f(th):
             return float(np.sum((th - 1.3) ** 2))

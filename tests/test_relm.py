@@ -51,27 +51,27 @@ def small_task(seed=3):
 
 class TestQaeReward:
     def test_worse_child_negative_delta(self):
-        assert qae_reward(0.9, 0.5) == pytest.approx(-0.4, abs=1e-12)
+        assert qae_reward(0.9, 0.5, "text") == pytest.approx(-0.4, abs=1e-12)
 
     def test_better_child_tangent(self):
-        assert qae_reward(0.3, 0.5) == pytest.approx(math.tan(0.25 * math.pi), abs=1e-12)
-        assert qae_reward(0.3, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert qae_reward(0.3, 0.5, "text") == pytest.approx(math.tan(0.25 * math.pi), abs=1e-12)
+        assert qae_reward(0.3, 0.5, "text") == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_scores_take_second_branch(self):
         f = 0.6
-        assert qae_reward(f, f) == pytest.approx(math.tan(f * math.pi / 2), abs=1e-12)
+        assert qae_reward(f, f, "text") == pytest.approx(math.tan(f * math.pi / 2), abs=1e-12)
 
     def test_perfect_child_is_finite(self):
-        assert math.isfinite(qae_reward(0.2, 1.0))
+        assert math.isfinite(qae_reward(0.2, 1.0, "text"))
 
     def test_sign_flag_flips_worse_branch(self):
-        assert qae_reward(0.9, 0.5, sign="printed") == pytest.approx(0.4, abs=1e-12)
+        assert qae_reward(0.9, 0.5, "printed") == pytest.approx(0.4, abs=1e-12)
 
     def test_sign_properties(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             fp, fc = rng.uniform(0, 1, size=2)
-            r = qae_reward(fp, fc)
+            r = qae_reward(fp, fc, "text")
             if fp > fc:
                 assert r < 0
             elif fc > 0:
@@ -80,20 +80,20 @@ class TestQaeReward:
 
 class TestUnitaryReward:
     def test_equal_losses_zero(self):
-        assert unitary_reward(0.4, 0.4) == 0.0
+        assert unitary_reward(0.4, 0.4, 1.5) == 0.0
 
     def test_formula_value(self):
         expected = math.tan(1.5 * 0.2 * math.pi / 2)
-        assert unitary_reward(0.3, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert unitary_reward(0.3, 0.5, 1.5) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.50952544949, abs=1e-9)
 
     def test_clamp_guarantees_finiteness(self):
         for delta in (1.0, 5.0, -5.0, 100.0):
-            assert math.isfinite(unitary_reward(0.0, delta))
+            assert math.isfinite(unitary_reward(0.0, delta, 1.5))
 
     def test_clamped_value_is_the_boundary_tangent(self):
         bound = (1.0 - 1e-3) * math.pi / 2.0
-        assert unitary_reward(0.0, 10.0) == pytest.approx(math.tan(bound), abs=1e-9)
+        assert unitary_reward(0.0, 10.0, 1.5) == pytest.approx(math.tan(bound), abs=1e-9)
 
 
 class TestPopulation:
@@ -170,7 +170,7 @@ class TestInitPopulation:
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
                             init_mode="random_search", population_size=5,
                             opt_budget=FAST_OPT, seed=1)
-        pop, trace = init_population(task, SPACE_CLIFFORD, config)
+        pop, trace = init_population(task, SPACE_CLIFFORD, config, None)
         assert len(pop) == 5 and trace is None
 
     def test_res_mode_members_satisfy_constraint(self):
@@ -190,11 +190,6 @@ class TestInitPopulation:
         with pytest.raises(ValueError, match="^init_mode .*'annealing'"):
             RelmConfig(init_mode="annealing", population_size=3, tournament_size=2)
 
-    def test_res_mode_needs_a_res_config(self):
-        config = RelmConfig(init_mode="res", population_size=3, tournament_size=2)
-        with pytest.raises(ValueError, match="res_config"):
-            init_population(small_task(), SPACE_CLIFFORD, config)
-
 
 class TestRelmSearch:
     def run_search(self, seed=1, epochs=3, **kwargs):
@@ -204,7 +199,7 @@ class TestRelmSearch:
                             population_size=4, max_seq=6, embed_dim=4, n_heads=1,
                             n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed,
                             **kwargs)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config, None)
         return relm_search(task, config, pop, VOCAB), config
 
     def test_minimal_run_returns_valid_cell(self):
@@ -213,7 +208,7 @@ class TestRelmSearch:
                             init_mode="random_search", reward_mode="unitary",
                             population_size=1, max_seq=6, embed_dim=4, n_heads=1,
                             n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config, None)
         result = relm_search(task, config, pop, VOCAB)
         assert isinstance(result.best_cell, Cell)
         assert 0.0 <= result.score <= 1.0
@@ -283,8 +278,6 @@ class TestRelmSearch:
             RelmConfig(epochs=0)
         with pytest.raises(ValueError, match="^tournament_size "):
             RelmConfig(tournament_size=10, population_size=5)
-        with pytest.raises(ValueError):
-            RelmConfig(eps_tan=0.0)
 
 
 def reference_relm_search(task, config, pop, vocab, controller):
@@ -311,16 +304,16 @@ def reference_relm_search(task, config, pop, vocab, controller):
                                theta_init=parent.theta)
             if config.reward_mode == "unitary":
                 reward = unitary_reward(1.0 - parent.score, 1.0 - entry.score,
-                                        config.alpha, config.eps_tan)
+                                        config.alpha)
             else:
-                reward = qae_reward(parent.score, entry.score, config.eps_tan,
-                                    config.reward_sign)
+                reward = qae_reward(parent.score, entry.score, config.reward_sign)
             children.append((rot_a, ent_a, reward, entry))
         total = None
         for rot_a, ent_a, reward, _ in children:
             if reward != 0.0:
                 forward = controller_forward(controller, views)
-                grads = reinforce_grads(controller, forward, rot_a, ent_a, reward)
+                grads = reinforce_grads(controller, forward, rot_a[None], ent_a[None],
+                                        [reward])
                 total = grads if total is None else {k: total[k] + grads[k] for k in grads}
         if total is not None:
             for g in total.values():
@@ -354,7 +347,7 @@ class TestSharedForward:
                             embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8,
                             opt_budget=FAST_OPT, seed=seed, **kwargs)
         vocab = build_vocab(space)
-        pop, _ = init_population(task, space, config)
+        pop, _ = init_population(task, space, config, None)
         ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
                                     v_rot=vocab.v_rot, v_ent=vocab.v_ent, embed_dim=4,
                                     n_heads=1, n_blocks=1, ff_dim=8)

@@ -3,12 +3,13 @@
 Two kinds of check:
 
 * property tests against an independent oracle: full unitaries assembled with
-  `np.kron` from textbook gate matrices (reference.py), never from
-  `GateKind.matrix`;
+  `np.kron` from textbook gate matrices (reference.py), never from the
+  simulator's matrices;
 * bit-exactness against a plain per-gate reference kept here: `np.moveaxis`
-  around each gate and the matrix rebuilt by `GateKind.matrix` on every call.
-  The compiled plan must reproduce it bit for bit, so seeded searches compute
-  the same numbers as the per-gate algorithm.
+  around each gate and the matrix rebuilt by reference.py's
+  `exact_gate_matrix` on every call.  The compiled plan must reproduce it bit
+  for bit, so seeded searches compute the same numbers as the per-gate
+  algorithm.
 """
 
 import copy
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import oracle_unitary
+from reference import exact_gate_matrix, oracle_unitary
 
 from qcas import tasks
 from qcas.cell import cell_to_circuit, random_cell
@@ -52,7 +53,8 @@ def reference_columns(circuit, theta, columns):
         angle = theta[g.param_slot] if g.param_slot is not None else None
         k = len(g.targets)
         moved = np.moveaxis(tensor, g.targets, range(k))
-        out = (g.kind.matrix(angle) @ moved.reshape(2**k, -1)).reshape(moved.shape)
+        mat = exact_gate_matrix(g.kind.tag, angle)
+        out = (mat @ moved.reshape(2**k, -1)).reshape(moved.shape)
         tensor = np.moveaxis(out, range(k), g.targets)
     return tensor.reshape(2**n, batch)
 
@@ -237,7 +239,7 @@ def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
         theta = np.full(circuit.n_params, angle)
         plan.bind(theta)
         for g, (_perm, _dim, mat) in zip(circuit.gates, plan.steps):
-            assert same_bits(mat, g.kind.matrix(theta[g.param_slot]))
+            assert same_bits(mat, exact_gate_matrix(g.kind.tag, theta[g.param_slot]))
 
 
 @pytest.mark.parametrize("n", [3, 5])

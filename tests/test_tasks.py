@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import bitflip_noise_circuit
+from reference import bitflip_noise_circuit, pauli_channel_apply
 
 from qcas.cell import Cell, SoftConstraint, metrics
 from qcas.optim import OptBudget
@@ -82,6 +82,23 @@ class TestNoiseDataset:
         assert cols.dtype == expected.dtype and cols.shape == expected.shape
         # equal down to the sign bits of the zero amplitudes
         assert np.array_equal(cols.view(np.uint64), expected.view(np.uint64))
+        assert rng.random() == twin.random()  # the same number of draws
+
+    @pytest.mark.parametrize("n_qubits,p", [(1, 0.5), (2, 0.6), (3, 0.0), (3, 0.2), (3, 1.0),
+                                            (4, 0.7), (5, 0.35)])
+    def test_qdc_columns_match_per_sample_circuits(self, n_qubits, p):
+        rng, twin = np.random.default_rng([8, n_qubits]), np.random.default_rng([8, n_qubits])
+        cols = _noisy_ghz_columns("qdc", n_qubits, p, 2000, rng)
+        clean = ghz_state(n_qubits)
+        expected = np.column_stack([pauli_channel_apply(clean, p, twin).amplitudes
+                                    for _ in range(2000)])
+        assert cols.dtype == expected.dtype and cols.shape == expected.shape
+        assert np.array_equal(cols, expected)
+        if n_qubits != 2:
+            # equal down to the sign bits of the zero amplitudes; at 2 qubits
+            # the per-sample circuit leaves -0.0 on some zeros, which no
+            # dataset the program builds (3 qubits) has
+            assert np.array_equal(cols.view(np.uint64), expected.view(np.uint64))
         assert rng.random() == twin.random()  # the same number of draws
 
     def test_bitflip_probability_checked(self):
@@ -272,23 +289,23 @@ class TestBaselines:
 class TestRandomSearch:
     def test_budget_one_returns_single_cell(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 1, 1, seed=0)[0])
-        (cell, theta, score), scored = random_search(task, SPACE_CLIFFORD, 1,
-                                                     None, 0, opt_budget=FAST_OPT)
+        (cell, theta, score), scored = random_search(task, SPACE_CLIFFORD, 1, None, 0,
+                                                     layer_budget=2, opt_budget=FAST_OPT)
         assert len(scored) == 1
         assert scored[0][0] == cell
 
     def test_nested_budgets_prefix_property(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 2, 1, seed=1)[0])
         (_, _, small), _ = random_search(task, SPACE_CLIFFORD, 3, None, 7,
-                                         opt_budget=FAST_OPT)
+                                         layer_budget=2, opt_budget=FAST_OPT)
         (_, _, large), _ = random_search(task, SPACE_CLIFFORD, 9, None, 7,
-                                         opt_budget=FAST_OPT)
+                                         layer_budget=2, opt_budget=FAST_OPT)
         assert large >= small - 1e-12
 
     def test_constraint_respected(self):
         task = UnitaryRegenTask(gen_hidden_targets(3, "dense", 2, 1, seed=2)[0])
         constraint = SoftConstraint("n_gates", 2)
         _, scored = random_search(task, SPACE_CLIFFORD, 5, constraint, 3,
-                                  opt_budget=FAST_OPT)
+                                  layer_budget=2, opt_budget=FAST_OPT)
         for cell, _, _ in scored:
             assert metrics(cell).n_gates <= 2
