@@ -128,6 +128,8 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     With a `constraint`, the child's constrained quantity is worked out from
     the seed and the drawn additions, and a child that breaks it is never
     built: None is returned instead.  The rng draws are the same either way.
+    A category with one kind draws no index for it: numpy's `integers` draws
+    nothing for a one-value range, so skipping the call keeps the draws.
     """
     rot, ent = _space_kinds(frozenset(space))
     n = seed.n_qubits
@@ -137,7 +139,7 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
         for q in range(n):
             k = int(integers(0, layer_budget + 1))
             if k:
-                added[q] = [rot[integers(len(rot))] for _ in range(k)]
+                added[q] = [rot[integers(len(rot))] if len(rot) > 1 else rot[0] for _ in range(k)]
     new_edges = {}
     if ent:
         have = seed.edge_ops
@@ -147,7 +149,7 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
                     continue
                 if random() < 0.5:
                     edge = (a, b) if random() < 0.5 else (b, a)
-                    new_edges[edge] = [ent[integers(len(ent))]]
+                    new_edges[edge] = [ent[integers(len(ent))] if len(ent) > 1 else ent[0]]
     if (constraint is not None
             and _grown_quantity(constraint.quantity, seed, added, new_edges) > constraint.bound):
         return None

@@ -8,9 +8,10 @@ only rely on the derivative-free minimization contract.
 ``adaptive=True`` (Nelder & Mead 1965; adaptive parameters of Gao & Han,
 Comput. Optim. Appl. 51, 2012), cut down to the one path qcas uses: no
 bounds, no callback, no iteration cap, an evaluation budget and absolute
-x/f tolerances.  It performs SciPy's numpy operations in SciPy's order, so
-it returns the same points, costs, evaluation counts and success flags bit
-for bit, and importing qcas does not import SciPy's optimize package, which
+x/f tolerances.  It performs SciPy's arithmetic in SciPy's order, with its
+reductions, sorts and gathers through equivalent ndarray methods, so it
+returns the same points, costs, evaluation counts and success flags bit for
+bit, and importing qcas does not import SciPy's optimize package, which
 alone took longer to import than the rest of qcas.
 
 `OptResult.converged` means that some restart met both tolerances before
@@ -19,6 +20,7 @@ the evaluation budget ran out.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -78,13 +80,12 @@ class OptResult:
 
 
 def _guard(cost):
-    """Wrap the cost so non-finite values are reported as +inf, not fatal."""
+    """Wrap the cost so non-finite values are reported as +inf, not fatal.
+    The optimizer passes float vectors only, so the argument is not converted."""
 
     def wrapped(theta):
-        value = float(cost(np.asarray(theta, dtype=float)))
-        if not math.isfinite(value):
-            return math.inf
-        return value
+        value = float(cost(theta))
+        return value if math.isfinite(value) else math.inf
 
     return wrapped
 
@@ -99,7 +100,8 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
     `func` maps a float vector to a float.  `success` is ``nfev < maxfev``:
     the simplex met both tolerances with budget to spare.  An evaluation
     that would exceed `maxfev` aborts the rest of its iteration, a shrink
-    included, as in SciPy.
+    included, as in SciPy.  The same arithmetic in the same order, with
+    reductions, sorts and gathers through equivalent ndarray methods.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1:
@@ -133,7 +135,7 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return func(np.copy(x))  # the cost may keep or change its argument
+        return func(x.copy())  # the cost may keep or change its argument
 
     try:
         for k in range(N + 1):
@@ -142,18 +144,18 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
         pass
     # Sorted twice, as in SciPy: argsort's default sort is not stable, so
     # the second pass is not assumed to leave tied costs in place.
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind)
+    ind = fsim.argsort()
+    fsim = fsim.take(ind)
+    sim = sim.take(ind, 0)
 
     while nfev < maxfev:
         try:
-            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol:
+            if np.abs(sim[1:] - sim[0]).max() <= xatol:
                 with np.errstate(invalid="ignore"):  # inf - inf when costs are +inf
-                    f_spread = np.max(np.abs(fsim[0] - fsim[1:]))
+                    f_spread = np.abs(fsim[0] - fsim[1:]).max()
                 if f_spread <= fatol:
                     break
 
@@ -204,11 +206,11 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
                             fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind)
 
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
+    return sim[0], fsim.min(), nfev, nfev < maxfev
 
 
 def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptResult:
@@ -266,6 +268,6 @@ def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
         theta0 = np.asarray(theta_init, dtype=float)
     else:
         theta0 = rng.uniform(-math.pi, math.pi, size=n)
-    result = minimize(lambda th: task.training_cost(circuit, th), theta0, budget, rng)
+    result = minimize(functools.partial(task.training_cost, circuit), theta0, budget, rng)
     theta = result.theta_star
     return Scored(cell, theta, task.validation_score(circuit, theta))

@@ -175,13 +175,19 @@ def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarr
 
     Each step views the (2,)*n + (batch,) tensor with the gate's target axes
     first, flattens it to (2^k, rest) and multiplies by the 2^k x 2^k matrix.
+    A step whose targets are already in front (as for consecutive gates on
+    one qubit) multiplies the last product as it lies.  `ndarray.dot` makes
+    the same BLAS call as `@` on these 2-D operands, with less dispatch.
     """
     batch = columns.shape[1]
-    tensor = np.ascontiguousarray(columns, dtype=complex).reshape((2,) * n_qubits + (batch,))
-    shape = tensor.shape
+    shape = (2,) * n_qubits + (batch,)
+    unmoved = tuple(range(n_qubits + 1))
+    x = np.ascontiguousarray(columns, dtype=complex)
     for perm, dim, mat in steps:
-        tensor = (mat @ tensor.transpose(perm).reshape(dim, -1)).reshape(shape)
-    return tensor.transpose(restore).reshape(2**n_qubits, batch)
+        if perm != unmoved:
+            x = x.reshape(shape).transpose(perm)
+        x = mat.dot(x.reshape(dim, -1))
+    return x.reshape(shape).transpose(restore).reshape(2**n_qubits, batch)
 
 
 # Where theta enters a rotation's 2x2 block, as (row, col, part, value) with
@@ -216,13 +222,13 @@ class CircuitPlan:
         self.n_qubits = n_qubits
         self.gates = tuple(gates)
         param = [g for g in self.gates if g.param_slot is not None]
-        self.n_params = len(param)
-        self.slots = np.array([g.param_slot for g in param], dtype=np.intp)
+        n = self.n_params = len(param)
         buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
         self._parts = buffer.view(np.float64)
+        self._values = np.empty((4, n))  # cos, sin, -sin, sin + 0.0 of theta/2 by slot
         dst, src, self.steps = [], [], []
         where = tuple(range(n_qubits + 1))
-        offset = j = 0
+        offset = 0
         for g in self.gates:
             if g.param_slot is None:
                 mat = _FIXED[g.kind.tag]
@@ -233,9 +239,8 @@ class CircuitPlan:
                 mat[:corner, :corner] = np.eye(corner)
                 for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
                     dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
-                    src.append(value * self.n_params + j)
+                    src.append(value * n + g.param_slot)
                 offset += d * d
-                j += 1
             perm, dim, where = _kernel_step(where, g.targets)
             self.steps.append((perm, dim, mat))
         self.restore = where  # back to qubit order after the last step
@@ -251,14 +256,16 @@ class CircuitPlan:
         """Write the parametric gate matrices for `theta` into the buffer.
 
         cos and sin come from `math`, as in `cmath.exp`, so the entries
-        match `exact_gate_matrix` bit for bit on any platform.
+        match `exact_gate_matrix` bit for bit on any platform; -sin and
+        sin + 0.0 are exact, so they are formed as array operations.
         """
         if self.n_params:
-            half = (theta[self.slots] / 2).tolist()
-            sin = [math.sin(h) for h in half]
-            values = np.array([math.cos(h) for h in half] + sin
-                              + [-s for s in sin] + [s + 0.0 for s in sin])
-            self._parts[self._dst] = values[self._src]
+            half = (theta / 2).tolist()
+            values = self._values
+            values[:2] = list(map(math.cos, half)), list(map(math.sin, half))
+            np.negative(values[1], out=values[2])
+            np.add(values[1], 0.0, out=values[3])
+            self._parts[self._dst] = values.take(self._src)
 
 
 def circuit_plan(circuit: Circuit) -> CircuitPlan:
@@ -290,16 +297,14 @@ def run_circuit(input: PureState, circuit: Circuit, theta=()) -> PureState:
     """Sequentially apply all gates of `circuit` to `input`."""
     if input.n_qubits != circuit.n_qubits:
         raise ValueError("state width does not match circuit width")
-    out = apply_circuit_columns(circuit, np.asarray(theta, dtype=float),
-                                input.amplitudes[:, None])
+    out = apply_circuit_columns(circuit, theta, input.amplitudes[:, None])
     return PureState(input.n_qubits, out[:, 0])
 
 
 def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:
     """Dense unitary of the circuit; column k is the image of basis state |k>."""
     d = 2**circuit.n_qubits
-    return apply_circuit_columns(circuit, np.asarray(theta, dtype=float),
-                                 np.eye(d, dtype=complex))
+    return apply_circuit_columns(circuit, theta, np.eye(d, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

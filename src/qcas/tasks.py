@@ -58,7 +58,7 @@ def _to_trash_major(cols: np.ndarray, n_trash: int) -> np.ndarray:
 def batch_trash_fidelity(encoded_cols: np.ndarray, n_trash: int) -> np.ndarray:
     """Per-column <0...0| Tr_A[|psi><psi|] |0...0> for pure encoded columns."""
     m = _to_trash_major(encoded_cols, n_trash)
-    return np.sum(np.abs(m[:, 0, :]) ** 2, axis=0)
+    return (np.abs(m[:, 0, :]) ** 2).sum(axis=0)
 
 
 def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray, n_trash: int,
@@ -341,12 +341,11 @@ class QaeTask:
     def training_cost(self, circuit: Circuit, theta) -> float:
         if circuit.n_qubits != self.n_qubits:
             raise ValueError("circuit width does not match task")
-        encoded = apply_circuit_columns(circuit, np.asarray(theta, dtype=float),
-                                        self.train_cols)
+        encoded = apply_circuit_columns(circuit, theta, self.train_cols)
         if self.cost_mode == "local":
             return 1.0 - float(np.mean(self._local_populations(encoded)))
         f = batch_trash_fidelity(encoded, self.n_trash)
-        return float(np.mean(1.0 - f))
+        return float((1.0 - f).sum()) / f.size  # np.mean's own sum and division
 
     def _local_populations(self, encoded: np.ndarray) -> np.ndarray:
         n = self.n_qubits
@@ -371,12 +370,15 @@ class UnitaryRegenTask:
     target: HiddenTarget
     kind: str = "UnitaryRegen"
 
+    def __post_init__(self):
+        self._zero = basis_state(self.n_qubits)
+
     @property
     def n_qubits(self) -> int:
         return self.target.circuit.n_qubits
 
     def training_cost(self, circuit: Circuit, theta) -> float:
-        generated = run_circuit(basis_state(self.n_qubits), circuit, theta)
+        generated = run_circuit(self._zero, circuit, theta)
         return 1.0 - pure_fidelity(generated, self.target.evolved)
 
     def validation_score(self, circuit: Circuit, theta) -> float:

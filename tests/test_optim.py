@@ -300,3 +300,61 @@ class TestScoreCell:
     def test_width_mismatch_rejected(self, clean_task):
         with pytest.raises(ValueError):
             score_cell(Cell(2), clean_task, OptBudget(), np.random.default_rng(0))
+
+
+class TestEvaluationAccounting:
+    """`evals_used` is the number of cost calls, the SciPy oracle asks for as
+    many, and a scored cell costs exactly that many calls of the task's
+    `training_cost`.  An evaluation made cheaper keeps all three; skipping or
+    batching evaluations breaks them, so "cheaper per eval" stays apart from
+    "fewer evals"."""
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("max_evals,converged", [(40, False), (2000, True)],
+                             ids=["budget-spent", "converged"])
+    def test_evals_used_is_the_number_of_cost_calls(self, restarts, max_evals, converged):
+        def bowl(theta):
+            return float(np.sum((theta - np.array([0.3, -0.2])) ** 2))
+
+        def counting(calls):
+            def cost(theta):
+                calls.append(1)
+                return bowl(theta)
+            return cost
+
+        budget = OptBudget(max_evals=max_evals, restarts=restarts)
+        calls, oracle_calls = [], []
+        result = minimize(counting(calls), [1.0, -0.5], budget, np.random.default_rng(3))
+        _, _, oracle_evals, _ = scipy_reference_minimize(
+            counting(oracle_calls), [1.0, -0.5], budget, np.random.default_rng(3))
+        assert result.converged is converged
+        assert result.evals_used == len(calls) == oracle_evals == len(oracle_calls)
+        if not converged:  # theta0 once, then every restart spends its budget
+            assert len(calls) == 1 + restarts * max_evals
+
+    @pytest.mark.parametrize("budget", [OptBudget(max_evals=30, restarts=3),
+                                        OptBudget(max_evals=2000, restarts=1)],
+                             ids=["budget-spent", "converged"])
+    def test_score_cell_calls_training_cost_once_per_evaluation(self, clean_task, budget,
+                                                                monkeypatch):
+        # patched on the class, as perfbench's evaluation counter does
+        from qcas import optim
+
+        results, calls = [], []
+        real_minimize, real_cost = optim.minimize, type(clean_task).training_cost
+
+        def recording(*args):
+            results.append(real_minimize(*args))
+            return results[-1]
+
+        def counted(self, circuit, theta):
+            calls.append(1)
+            return real_cost(self, circuit, theta)
+
+        monkeypatch.setattr(optim, "minimize", recording)
+        monkeypatch.setattr(type(clean_task), "training_cost", counted)
+        cell = Cell(3, [["RY"], ["RX"], []], {(0, 1): ["CRZ"]})
+        score_cell(cell, clean_task, budget, np.random.default_rng(8))
+        assert len(results) == 1
+        assert results[0].converged is (budget.max_evals == 2000)
+        assert len(calls) == results[0].evals_used

@@ -181,7 +181,10 @@ def reference_sample(make, constraint, count, max_tries, exclude):
     return cells
 
 
-SPACES = [SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC]
+# The last two have a gate category with one kind (as CNOT is in
+# SPACE_CLIFFORD), for which expand_cell draws no index.
+SPACES = [SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC,
+          frozenset({"RY", "CNOT"}), frozenset({"RX", "CRX", "CRZ"})]
 
 
 @st.composite
@@ -255,6 +258,15 @@ class TestSampler:
             ref_rng = np.random.default_rng(rng_seed)
             reference_expand_cell(seed, space, ref_rng, layer_budget)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("args", [(1,), (0, 1)])
+    def test_one_value_integers_draws_nothing(self, args):
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        assert rng.integers(*args) == 0
+        assert rng.bit_generator.state == state, (
+            f"numpy's integers{args} now draws from the generator; expand_cell skips "
+            "that call for a gate category with one kind, so its seeded cells would change")
 
     def test_rejected_candidate_builds_no_cell(self, monkeypatch):
         built = []

@@ -40,6 +40,11 @@ from qcas.tasks import (
 FAST_OPT = OptBudget(max_evals=40, restarts=1)
 
 
+def ensemble_density(cols):
+    """The mean of |c><c| over the state columns `cols`."""
+    return cols @ cols.conj().T / cols.shape[1]
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return gen_noise_dataset("bitflip", seed=0, n_train=20, n_val=20, n_test=30)
@@ -100,6 +105,27 @@ class TestNoiseDataset:
             # dataset the program builds (3 qubits) has
             assert np.array_equal(cols.view(np.uint64), expected.view(np.uint64))
         assert rng.random() == twin.random()  # the same number of draws
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_qdc_ensemble_is_the_depolarizing_channel(self, p):
+        # the program's own draw, not the reference circuit: at one qubit the
+        # GHZ state is |+>, and the ensemble density of the copies is
+        # (1 - p) |+><+| + p I/2
+        cols = _noisy_ghz_columns("qdc", 1, p, 100_000, np.random.default_rng([113, int(p * 10)]))
+        plus = ghz_state(1).amplitudes
+        expected = (1 - p) * np.outer(plus, plus.conj()) + p * np.eye(2) / 2
+        assert np.max(np.abs(ensemble_density(cols) - expected)) <= 0.01
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_qdc_ensemble_on_ghz_is_the_per_qubit_channel_product(self, p):
+        cols = _noisy_ghz_columns("qdc", 3, p, 100_000, np.random.default_rng([313, int(p * 10)]))
+        ghz = ghz_state(3).amplitudes
+        rho = np.outer(ghz, ghz.conj())
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        for q in range(3):  # rho -> (1 - 3p/4) rho + p/4 (X rho X + Y rho Y + Z rho Z) on q
+            on_q = [np.kron(np.kron(np.eye(2**q), pauli), np.eye(2**(2 - q))) for pauli in paulis]
+            rho = (1 - 3 * p / 4) * rho + p / 4 * sum(m @ rho @ m.conj().T for m in on_q)
+        assert np.max(np.abs(ensemble_density(cols) - rho)) <= 0.01
 
     def test_bitflip_probability_checked(self):
         with pytest.raises(ValueError):
