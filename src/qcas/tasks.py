@@ -4,8 +4,10 @@ and unitary regeneration.
 
 Tasks expose `training_cost(circuit, theta)` (minimizable, in [0, 1]) and
 `validation_score(circuit, theta)` (higher is better); the search algorithms
-only rely on this surface.  Batched column simulation keeps dataset-level
-costs cheap inside optimizer loops.
+only rely on this surface.  An autoencoder task simulates each distinct
+column of its data once and gathers the values back to the whole set; the
+count is padded to a multiple of 4 columns, on which OpenBLAS's zgemm rounds
+every column alike, so each value is the whole batch's bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ def _to_trash_major(cols: np.ndarray, n_trash: int) -> np.ndarray:
     """(2^n, B) columns -> (2^(n - n_trash), 2^n_trash, B): the trash qubits
     are the last n_trash, so their index is the fastest-varying one."""
     return cols.reshape(cols.shape[0] >> n_trash, 2**n_trash, cols.shape[1])
+
+
+def _distinct_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of `cols` by their bits, padded by repeats to a
+    multiple of 4, as one C-contiguous array; and the index that rebuilds `cols`."""
+    slots = {}  # column bytes -> slot, in order of first appearance
+    index = np.array([slots.setdefault(col.tobytes(), len(slots)) for col in cols.T])
+    firsts = np.unique(index, return_index=True)[1]
+    return np.ascontiguousarray(cols[:, np.resize(firsts, -(-len(firsts) // 4) * 4)]), index
 
 
 def batch_trash_fidelity(encoded_cols: np.ndarray, n_trash: int) -> np.ndarray:
@@ -320,10 +331,13 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QaeTask:
     """Autoencoder task over fixed train/validation state columns.  The
-    trash qubits are the last `n_trash`; a round trip resets them to |0...0>."""
+    trash qubits are the last `n_trash`; a round trip resets them to |0...0>.
+    The costs simulate the distinct columns of each set, found here and padded
+    to a multiple of 4 (module docstring), and gather their values back to
+    the whole set before the same mean."""
 
     kind: str
     n_qubits: int
@@ -337,14 +351,17 @@ class QaeTask:
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
         check_range("n_trash", self.n_trash, 1, self.n_qubits - 1)
+        object.__setattr__(self, "_train", _distinct_columns(self.train_cols))
+        object.__setattr__(self, "_val", _distinct_columns(self.val_cols))
 
     def training_cost(self, circuit: Circuit, theta) -> float:
         if circuit.n_qubits != self.n_qubits:
             raise ValueError("circuit width does not match task")
-        encoded = apply_circuit_columns(circuit, theta, self.train_cols)
+        cols, index = self._train
+        encoded = apply_circuit_columns(circuit, theta, cols)
         if self.cost_mode == "local":
-            return 1.0 - float(np.mean(self._local_populations(encoded)))
-        f = batch_trash_fidelity(encoded, self.n_trash)
+            return 1.0 - float(np.mean(self._local_populations(encoded)[index]))
+        f = batch_trash_fidelity(encoded, self.n_trash)[index]
         return float((1.0 - f).sum()) / f.size  # np.mean's own sum and division
 
     def _local_populations(self, encoded: np.ndarray) -> np.ndarray:
@@ -358,9 +375,10 @@ class QaeTask:
         return np.mean(pops, axis=0)
 
     def validation_score(self, circuit: Circuit, theta) -> float:
-        f = batch_reconstruction_fidelity(circuit, theta, self.val_cols, self.n_trash,
+        cols, index = self._val
+        f = batch_reconstruction_fidelity(circuit, theta, cols, self.n_trash,
                                           target=self.val_target)
-        return float(np.mean(f))
+        return float(np.mean(f[index]))
 
 
 @dataclass

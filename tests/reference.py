@@ -5,7 +5,7 @@
   matrices or kernel, so the oracle is independent of the code it checks.
 * Exact gate matrices: each rotation built entry by entry as the compiled
   plan must build it, down to the sign of zero, for the bit-level checks of
-  the kernel.
+  the kernel, and `same_bits`, the comparison those checks use.
 * Density-matrix physics.  Explicit density matrices, Uhlmann fidelity,
   partial trace, the SWAP test and the autoencoder round trip, with every
   encoded state built from the kron unitary.  `tasks.QaeTask.training_cost`
@@ -107,6 +107,13 @@ def exact_gate_matrix(tag, angle=None):
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = rot
     return out
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Benchmark tasks: dataset generators, cost surfaces, evaluation protocols,
 baseline ansatz layouts and the random-search baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from reference import bitflip_noise_circuit, pauli_channel_apply
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import bitflip_noise_circuit, pauli_channel_apply, same_bits
 
-from qcas.cell import Cell, SoftConstraint, metrics
+from qcas.cell import Cell, SoftConstraint, cell_to_circuit, metrics, random_cell
 from qcas.optim import OptBudget
 from qcas.sim import (
     Circuit,
     PureState,
     SPACE_CLIFFORD,
+    SPACE_GENERIC,
+    apply_circuit_columns,
     basis_state,
     gate,
     ghz_state,
@@ -20,6 +25,7 @@ from qcas.sim import (
     run_circuit,
 )
 from qcas.tasks import (
+    _distinct_columns,
     _noisy_ghz_columns,
     QaeTask,
     UnitaryRegenTask,
@@ -251,6 +257,60 @@ class TestTaskCosts:
         for n_trash in (3, 4):
             with pytest.raises(ValueError, match=f"^n_trash must be in 1..2, got {n_trash}"):
                 QaeTask("Check", 3, n_trash, cols, cols)
+
+
+class TestDistinctColumns:
+    def check(self, cols, count):
+        distinct, index = _distinct_columns(cols)
+        assert distinct.shape == (cols.shape[0], count)
+        assert distinct.flags.c_contiguous
+        assert same_bits(distinct[:, index], cols)
+
+    def test_one_column_repeated(self):
+        self.check(np.repeat(ghz_state(3).amplitudes[:, None], 100, axis=1), 4)
+
+    def test_all_columns_distinct(self):
+        task, _ = make_image_task(gen_digits(seed=5), seed=5)
+        assert task.train_cols.shape[1] == 60
+        self.check(task.train_cols, 60)
+
+    def test_count_padded_to_a_multiple_of_four(self):
+        cols = np.eye(8, dtype=complex)
+        for count, padded in ((1, 4), (4, 4), (5, 8), (6, 8), (8, 8)):
+            self.check(cols[:, [k % count for k in range(3 * count)]], padded)
+
+    def test_sign_of_zero_keeps_columns_apart(self):
+        plus = np.array([0.0, 1.0 + 0.0j, 0.0, 0.0])
+        minus = np.array([complex(-0.0, 0.0), 1.0, 0.0, complex(0.0, -0.0)])
+        assert np.array_equal(plus, minus)  # equal in value, not in bits
+        cols = np.stack([plus, minus, plus, minus], axis=1)
+        self.check(cols, 4)
+        assert len(set(_distinct_columns(cols)[1].tolist())) == 2
+
+
+DENOISE_TASKS = {(kind, seed): make_denoise_task(gen_noise_dataset(kind, seed=seed))
+                 for kind in ("bitflip", "qdc") for seed in (5, 1000, 1001)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(DENOISE_TASKS)), cell_seed=st.integers(0, 2**32 - 1),
+       layer_budget=st.integers(1, 3))
+def test_distinct_columns_simulate_bit_identically_to_the_whole_set(key, cell_seed, layer_budget):
+    """Each column of a set, simulated among the task's distinct columns and
+    gathered back, equals the column simulated in the whole set, bit for bit."""
+    task = DENOISE_TASKS[key]
+    rng = np.random.default_rng(cell_seed)
+    circuit = cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget))
+    theta = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
+    for (cols, index), whole in ((task._train, task.train_cols), (task._val, task.val_cols)):
+        assert same_bits(apply_circuit_columns(circuit, theta, cols)[:, index],
+                         apply_circuit_columns(circuit, theta, whole))
+
+
+def test_task_is_frozen():
+    task = make_denoise_task(gen_noise_dataset("bitflip", seed=0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.train_cols = task.val_cols
 
 
 class TestEvaluation:
