@@ -31,29 +31,29 @@ CELL_FORMAT_VERSION = 1
 class GateVocab:
     """Bijection between gate kinds and dense integer ids, per category.
 
-    NO_OP always takes id 0 in both categories so one-hot padding and
-    action decoding share the same convention.  The kinds in id order are
-    worked out once per vocabulary, on first use.
+    The kinds of each category in id order, with NO_OP at id 0 in both so
+    one-hot padding and action decoding share the same convention.  The ids
+    are worked out once per vocabulary, on first use.
     """
 
-    rotation_ids: dict
-    entangle_ids: dict
+    rotation_kinds: tuple[str, ...]
+    entangle_kinds: tuple[str, ...]
 
     @cached_property
-    def rotation_kinds(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rotation_ids, key=self.rotation_ids.get))
+    def rotation_ids(self) -> dict:
+        return {t: i for i, t in enumerate(self.rotation_kinds)}
 
     @cached_property
-    def entangle_kinds(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entangle_ids, key=self.entangle_ids.get))
+    def entangle_ids(self) -> dict:
+        return {t: i for i, t in enumerate(self.entangle_kinds)}
 
     @property
     def v_rot(self) -> int:
-        return len(self.rotation_ids)
+        return len(self.rotation_kinds)
 
     @property
     def v_ent(self) -> int:
-        return len(self.entangle_ids)
+        return len(self.entangle_kinds)
 
 
 def build_vocab(space) -> GateVocab:
@@ -65,9 +65,7 @@ def build_vocab(space) -> GateVocab:
     if unknown:
         raise ValueError(f"unknown gate kinds: {sorted(unknown)}")
     rot, ent = _space_kinds(space)
-    rotation_ids = {NO_OP: 0, **{t: i + 1 for i, t in enumerate(rot)}}
-    entangle_ids = {NO_OP: 0, **{t: i + 1 for i, t in enumerate(ent)}}
-    return GateVocab(rotation_ids, entangle_ids)
+    return GateVocab((NO_OP, *rot), (NO_OP, *ent))
 
 
 # ---------------------------------------------------------------------------

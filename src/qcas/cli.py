@@ -55,7 +55,8 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .cell import SoftConstraint, build_vocab, cell_from_dict, cell_to_dict, metrics
+from .cell import (SoftConstraint, build_vocab, cell_from_dict, cell_to_circuit, cell_to_dict,
+                   metrics)
 from .optim import OptBudget, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
@@ -287,8 +288,6 @@ def _configs(config: dict, seed: int):
 
 
 def _run_single_seed(config: dict, seed: int) -> dict:
-    from .cell import cell_to_circuit
-
     start = time.monotonic()
     built = build_task(config["task"], seed)
     task = built.task
@@ -304,7 +303,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     elif algorithm == "res":
         result = res_search(task, space, res_cfg)
         cell, theta, score = result.best_cell, result.theta, result.score
-        trace = {"res": [vars(p) for p in result.trace.phases]}
+        trace = {"res": [vars(p) for p in result.phases]}
     else:
         pop, res_result = init_population(task, space, relm_cfg, res_cfg)
         init_best = max(e.score for e in pop)
@@ -313,7 +312,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
         trace = {"relm": [vars(r) for r in result.epochs],
                  "init_best_score": init_best}
         if res_result is not None:
-            trace["res"] = [vars(p) for p in res_result.trace.phases]
+            trace["res"] = [vars(p) for p in res_result.phases]
     circuit = cell_to_circuit(cell)
     test_metrics = built.evaluate(circuit, np.asarray(theta, dtype=float))
     return {
@@ -460,8 +459,6 @@ def gen_data(task_cfg: dict, seed: int, out_dir: str) -> str:
 def eval_record(record_path: str, out_dir: str) -> str:
     """Re-evaluate every run in a record on its task's test protocol."""
     record = load_record(record_path)
-    from .cell import cell_to_circuit
-
     results = []
     for r in record["runs"]:
         if "error" in r:

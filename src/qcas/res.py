@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +47,11 @@ class PhaseRecord:
 
 
 @dataclass
-class SearchTrace:
-    phases: list = field(default_factory=list)
-
-    def record(self, phase: int, best_score: float, best_cell: Cell, evals: int):
-        m = metrics(best_cell)
-        self.phases.append(PhaseRecord(phase, best_score, vars(m), evals))
-
-
-@dataclass
 class ResResult:
     best_cell: Cell
     theta: np.ndarray
     score: float
-    trace: SearchTrace
+    phases: list  # a `PhaseRecord` per phase
     population: list  # final phase's `Scored` entries
 
 
@@ -100,10 +91,10 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             f"found in phase 1 (layer budget {config.layer_budget_per_phase})"
         )
 
-    trace = SearchTrace()
     population = evaluate_population(cells, task, config.opt_budget, config.seed)
     global_best = population[select_best(population)]
-    trace.record(1, global_best.score, global_best.cell, len(population))
+    phases = [PhaseRecord(1, global_best.score, vars(metrics(global_best.cell)),
+                          len(population))]
 
     for phase in range(2, config.max_phases + 1):
         seed_cell = global_best.cell
@@ -121,8 +112,8 @@ def res_search(task, space, config: ResConfig) -> ResResult:
         best = population[select_best(population)]
         if best.score > global_best.score:
             global_best = best
-        trace.record(phase, best.score, best.cell, len(children))
+        phases.append(PhaseRecord(phase, best.score, vars(metrics(best.cell)), len(children)))
 
     if not eval_soft_constraint(constraint, global_best.cell):
         raise RuntimeError("search terminated without a constraint-satisfying cell")
-    return ResResult(*global_best, trace, population)
+    return ResResult(*global_best, phases, population)

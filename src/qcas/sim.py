@@ -6,18 +6,18 @@ expectation values are exact (no shot sampling).
 
 Every gate application goes through one kernel, `_apply_steps`, which runs a
 list of (transpose permutation, dimension, matrix) steps on a
-(2,)*n + (batch,) tensor.  A `Circuit` is compiled once, on its first run,
-into a `CircuitPlan` kept on the circuit object: the permutations of all its
-gates, the constant matrices of its fixed gates, and one buffer holding the
-matrices of its parametric gates, refilled for each theta with the cos/sin
-of every angle (from `math`).  A gate's permutation depends only on its
-targets and on the axis order the previous gate left, so `_kernel_step`
-memoises it in a bounded cache shared by all compiles; a circuit that runs
-once, such as a parameter-free cell scored once, pays little more than its
-matmuls.  `apply_circuit_columns` is the one entry to the kernel
-(`run_circuit` and `circuit_unitary` go through it).  It gives bit for bit
-the results of applying each gate with the matrix that `exact_gate_matrix`
-in `tests/reference.py` builds.
+(2,)*n + (batch,) tensor.  A `Circuit` is an immutable value whose plan, a
+cached property, is compiled on its first run into a `CircuitPlan`: the
+permutations of all its gates, the constant matrices of its fixed gates, and
+one buffer holding the matrices of its parametric gates, refilled for each
+theta with the cos/sin of every angle (from `math`).  A gate's permutation
+depends only on its targets and on the axis order the previous gate left, so
+`_kernel_step` memoises it in a bounded cache shared by all compiles; a
+circuit that runs once, such as a parameter-free cell scored once, pays
+little more than its matmuls.  `apply_circuit_columns` is the one entry to
+the kernel (`run_circuit` and `circuit_unitary` go through it).  It gives
+bit for bit the results of applying each gate with the matrix that
+`exact_gate_matrix` in `tests/reference.py` builds.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,12 +126,17 @@ class GateInstance:
             raise ValueError("param_slot present iff gate is parametric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """An immutable gate sequence.  Its plan is compiled on the first run and
+    kept; the plan's parameter buffer is refilled by every run, so one circuit
+    must not be run from two threads at once."""
+
     n_qubits: int
-    gates: list[GateInstance] = field(default_factory=list)
+    gates: tuple[GateInstance, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         slots = sorted(g.param_slot for g in self.gates if g.param_slot is not None)
         if slots != list(range(len(slots))):
             raise ValueError("param slots must be exactly 0..n_params-1, each once")
@@ -143,6 +147,10 @@ class Circuit:
     @property
     def n_params(self) -> int:
         return sum(1 for g in self.gates if g.param_slot is not None)
+
+    @functools.cached_property
+    def plan(self) -> CircuitPlan:
+        return CircuitPlan(self.n_qubits, self.gates)
 
 
 def gate(tag: str, *targets: int, param_slot: int | None = None) -> GateInstance:
@@ -214,8 +222,7 @@ class CircuitPlan:
     buffer, which `bind` refills in place from a single cos/sin evaluation
     of theta/2, with the entries of `exact_gate_matrix` in
     `tests/reference.py`; runs are therefore bit-identical to building every
-    matrix per gate.  The buffer is shared, so one plan must not be run from
-    two threads at once.
+    matrix per gate.
     """
 
     def __init__(self, n_qubits: int, gates):
@@ -268,25 +275,10 @@ class CircuitPlan:
             self._parts[self._dst] = values.take(self._src)
 
 
-def circuit_plan(circuit: Circuit) -> CircuitPlan:
-    """The circuit's plan, compiled on first use and kept on the circuit.
-
-    It lives in the instance `__dict__`, not in a dataclass field, so
-    equality and repr are unchanged.  It is compiled again if the circuit's
-    width or gate list has changed since.
-    """
-    plan = circuit.__dict__.get("_plan")
-    gates = circuit.gates
-    if (plan is None or plan.n_qubits != circuit.n_qubits or len(plan.gates) != len(gates)
-            or not all(map(operator.is_, plan.gates, gates))):
-        plan = circuit.__dict__["_plan"] = CircuitPlan(circuit.n_qubits, gates)
-    return plan
-
-
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Run `circuit` on every column of a (2^n, batch) amplitude matrix."""
     theta = np.asarray(theta, dtype=float)
-    plan = circuit_plan(circuit)
+    plan = circuit.plan
     if theta.shape != (plan.n_params,):
         raise ValueError("theta length must equal circuit.n_params")
     plan.bind(theta)

@@ -381,7 +381,7 @@ class QaeTask:
         return float(np.mean(f[index]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitaryRegenTask:
     """Match the state evolved by a hidden unitary from |0...0>."""
 
@@ -389,7 +389,7 @@ class UnitaryRegenTask:
     kind: str = "UnitaryRegen"
 
     def __post_init__(self):
-        self._zero = basis_state(self.n_qubits)
+        object.__setattr__(self, "_zero", basis_state(self.n_qubits))
 
     @property
     def n_qubits(self) -> int:

@@ -1,0 +1,84 @@
+"""Bit-identity check: run 39 fixed, seeded searches and print a digest of each.
+
+    PYTHONPATH=src python3 tests/digests.py > digests.txt
+
+`PYTHONPATH` selects the `qcas` that runs, so running the script against two
+checkouts and diffing the outputs shows whether a change alters any result.
+pytest does not collect it.  Each line holds the case, the qcas seed, the
+sha256 of the record `qcas.cli.run` returns without the runs' `wall_time_s`
+(JSON, sorted keys), the sha256 of the files `export_csv` writes for it (name
+and content, sorted by name) and the number of `training_cost` calls, counted
+by perfbench's `EvalCounter` on the two task classes.
+
+The cases are qcas seeds 1000-1011 of the `denoise-relm` and `regen-relm`
+benchmark workloads, and seeds 1-3 each of `image-res`, a denoise `rs` search
+with `budget_evals: 8` and `denoise-relm`'s `opt`, `denoise-relm` and
+`regen-relm` with `relm.init_mode: random_search`, and `denoise-relm` with
+`task.noise: qdc`.  The configs come from `perfbench/workloads.py`.
+"""
+
+import copy
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from qcas import tasks
+from qcas.cli import export_csv, parse_config, run
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import EvalCounter  # noqa: E402
+from workloads import WORKLOADS, qcas_seed  # noqa: E402
+
+
+def variant(workload: str, **sections) -> dict:
+    """A workload's config with some keys of its sections replaced."""
+    doc = copy.deepcopy(WORKLOADS[workload])
+    for name, values in sections.items():
+        doc[name] = dict(doc.get(name, {}), **values)
+    return doc
+
+
+def cases():
+    denoise, regen = (WORKLOADS[w] for w in ("denoise-relm", "regen-relm"))
+    rs_init = {"init_mode": "random_search"}
+    for name, doc in (("denoise-relm", denoise), ("regen-relm", regen)):
+        for i in range(12):
+            yield name, doc, qcas_seed(1, i)
+    for name, doc in (
+            ("image-res", WORKLOADS["image-res"]),
+            ("denoise-rs", {"task": denoise["task"], "algorithm": "rs",
+                            "rs": {"budget_evals": 8}, "opt": denoise["opt"]}),
+            ("denoise-rsinit", variant("denoise-relm", relm=rs_init)),
+            ("regen-rsinit", variant("regen-relm", relm=rs_init)),
+            ("denoise-qdc", variant("denoise-relm", task={"noise": "qdc"}))):
+        for seed in (1, 2, 3):
+            yield name, doc, seed
+
+
+def digest(doc: dict, seed: int, counter: EvalCounter) -> tuple:
+    config = parse_config(dict(copy.deepcopy(doc), seeds=[seed], jobs=1), environ={})
+    before = counter.calls
+    record = run(config)
+    calls = counter.calls - before
+    runs = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in record["runs"]]
+    record_hash = hashlib.sha256(json.dumps(dict(record, runs=runs), sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as out:
+        csv = hashlib.sha256()
+        for path in sorted(export_csv(record, out)):
+            csv.update(os.path.basename(path).encode())
+            csv.update(Path(path).read_bytes())
+    return record_hash.hexdigest(), csv.hexdigest(), calls
+
+
+def main():
+    counter = EvalCounter(tasks)
+    for name, doc, seed in cases():
+        record_hash, csv_hash, calls = digest(doc, seed, counter)
+        print(name, seed, record_hash, csv_hash, calls, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -220,7 +220,7 @@ def test_criterion_06_res_constraint_soundness_and_noninferiority():
                                    max_phases=3, seed=seed * 100 + ti)
                 result = res_search(task, SPACE_CLIFFORD, config)
                 assert eval_soft_constraint(constraint, result.best_cell)
-                evals = sum(p.evals for p in result.trace.phases)
+                evals = sum(p.evals for p in result.phases)
                 res_losses.append(1.0 - result.score)
                 (_, _, score), _ = random_search(task, SPACE_CLIFFORD, evals,
                                                  None, seed * 100 + ti,

@@ -35,7 +35,6 @@ from qcas.sim import (
     SPACE_CLIFFORD,
     SPACE_GENERIC,
     SPACE_SINGLE_CLIFFORD,
-    circuit_plan,
     gate,
 )
 
@@ -197,7 +196,7 @@ class TestExpandCell:
 class TestCellCircuit:
     def test_empty_cell_empty_circuit(self):
         circ = cell_to_circuit(Cell(2))
-        assert circ.gates == [] and circ.n_params == 0
+        assert circ.gates == () and circ.n_params == 0
 
     def test_simple_cell_emission(self):
         cell = Cell(2, [["RY"], []], {(0, 1): ["CNOT"]})
@@ -224,11 +223,13 @@ class TestCellCircuit:
         assert _gate_instance.cache_info().maxsize is not None
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.gates[0].targets = (1,)
-        # a run compiles a's plan; editing b's gate list leaves a's gates alone
-        circuit_plan(a)
-        b.gates[0] = gate("RX", 1, param_slot=0)
+        # circuits that share gate instances cannot edit each other's gates
+        with pytest.raises(TypeError):
+            b.gates[0] = gate("RX", 1, param_slot=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.gates = ()
         assert a.gates[0] == gate("RY", 0, param_slot=0)
-        assert circuit_plan(a).gates == tuple(a.gates)
+        assert a.plan.gates == a.gates
 
 
 class TestViews:

@@ -121,23 +121,23 @@ class TestResSearch:
         b = res_search(task, SPACE_CLIFFORD, config)
         assert a.best_cell == b.best_cell
         assert a.score == b.score
-        assert [vars(p) for p in a.trace.phases] == [vars(p) for p in b.trace.phases]
+        assert [vars(p) for p in a.phases] == [vars(p) for p in b.phases]
 
     def test_trace_phases_are_sequential(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=10)[0]
         config = ResConfig(population_size=6, opt_budget=FAST_OPT,
                            max_phases=4, seed=5)
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
-        phases = [p.phase for p in result.trace.phases]
+        phases = [p.phase for p in result.phases]
         assert phases == list(range(1, len(phases) + 1))
-        assert all(p.evals <= config.population_size for p in result.trace.phases)
+        assert all(p.evals <= config.population_size for p in result.phases)
 
     def test_global_best_never_below_phase_one(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=12)[0]
         config = ResConfig(population_size=6, opt_budget=FAST_OPT,
                            max_phases=4, seed=6)
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
-        assert result.score >= result.trace.phases[0].best_score - 1e-12
+        assert result.score >= result.phases[0].best_score - 1e-12
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="^population_size "):

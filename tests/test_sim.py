@@ -420,7 +420,7 @@ def test_reconstruction_fidelity_matches_density_matrix_reference(with_target, c
 class TestNoise:
     def test_bitflip_extremes(self):
         rng = np.random.default_rng(0)
-        assert bitflip_noise_circuit(3, 0.0, rng).gates == []
+        assert bitflip_noise_circuit(3, 0.0, rng).gates == ()
         circ = bitflip_noise_circuit(3, 1.0, rng)
         assert sorted(g.targets[0] for g in circ.gates) == [0, 1, 2]
         assert all(g.kind.tag == "X" for g in circ.gates)

@@ -13,6 +13,7 @@ Two kinds of check:
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -32,7 +33,6 @@ from qcas.sim import (
     GateInstance,
     PureState,
     apply_circuit_columns,
-    circuit_plan,
     circuit_unitary,
     gate,
     run_circuit,
@@ -198,17 +198,30 @@ def test_copied_circuits_keep_working():
     assert repr(circuit) == repr(Circuit(3, list(circuit.gates)))
 
 
-def test_changed_gate_list_is_recompiled():
-    circuit = build_circuit(3, [("RX", (0,)), ("CNOT", (0, 1))])
-    cols = random_columns(3, 2, 5)
-    apply_circuit_columns(circuit, np.array([0.4]), cols)  # compile
-    circuit.gates.append(gate("CRY", 2, 1, param_slot=1))
+def test_compiled_circuit_cannot_be_edited():
+    """A circuit is an immutable value, so its compiled plan cannot go stale:
+    a gate list the constructor rejects (two gates on slot 0, a target out of
+    range) cannot reach the kernel by editing a compiled circuit."""
+    circuit = build_circuit(2, [("RX", (0,)), ("RY", (1,))])
+    cols = random_columns(2, 3, 11)
     theta = np.array([0.4, -1.3])
-    assert same_bits(apply_circuit_columns(circuit, theta, cols),
-                     reference_columns(circuit, theta, cols))
-    circuit.gates[0] = gate("RZ", 2, param_slot=0)
-    assert same_bits(apply_circuit_columns(circuit, theta, cols),
-                     reference_columns(circuit, theta, cols))
+    expected = apply_circuit_columns(circuit, theta, cols)  # compile
+    same_slot = [gate("RX", 0, param_slot=0), gate("RY", 1, param_slot=0)]
+    with pytest.raises(TypeError):
+        circuit.gates[1] = same_slot[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circuit.gates = same_slot
+    with pytest.raises(AttributeError):
+        circuit.gates.append(gate("CNOT", 0, 5))
+    with pytest.raises(ValueError, match="param slots"):
+        Circuit(2, same_slot)
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(2, [gate("CNOT", 0, 5)])
+    assert circuit.plan.gates == circuit.gates
+    assert same_bits(apply_circuit_columns(circuit, theta, cols), expected)
+    # the compiled plan is no field: equality and hash are the gate list's
+    fresh = Circuit(2, list(circuit.gates))
+    assert fresh == circuit and hash(fresh) == hash(circuit)
 
 
 def test_theta_length_checked():
@@ -235,7 +248,7 @@ def every_kind_circuit(n, extra, rng):
 def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
     tags = sorted(t for t, k in GATE_KINDS.items() if k.param_count)
     circuit = build_circuit(2, [(t, (0,) if GATE_KINDS[t].arity == 1 else (1, 0)) for t in tags])
-    plan = circuit_plan(circuit)
+    plan = circuit.plan
     for angle in (0.0, -0.0, 0.7, -2.9, math.pi, 1e-300):
         theta = np.full(circuit.n_params, angle)
         plan.bind(theta)

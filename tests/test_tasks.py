@@ -313,6 +313,13 @@ def test_task_is_frozen():
         task.train_cols = task.val_cols
 
 
+def test_regen_task_is_frozen():
+    first, second = gen_hidden_targets(2, "dense", 1, 2, seed=0)
+    task = UnitaryRegenTask(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.target = second
+
+
 class TestEvaluation:
     def test_perfect_encoder_at_p_zero(self):
         ds = gen_noise_dataset("bitflip", seed=0, n_train=5, n_val=5,
