@@ -1,16 +1,19 @@
 """Cell intermediate representation for circuit search.
 
-A cell is a directed graph over qubit nodes: rotation self-loops carry an
-ordered list of 1-qubit gate kinds per qubit, entanglement edges carry an
-ordered list of 2-qubit gate kinds per (control, target) pair.  Gate order
-between locations is deliberately not encoded; `cell_to_circuit` fixes a
-canonical emission order so runs are reproducible.
+A cell is a directed graph over qubit nodes: rotation self-loops carry a
+tuple of 1-qubit gate kinds per qubit, entanglement edges carry a tuple of
+2-qubit gate kinds per (control, target) pair.  A cell is an immutable value
+in canonical form, checked once when it is built, so equal cells compare and
+hash equal.  Gate order between locations is deliberately not encoded;
+`cell_to_circuit` fixes a canonical emission order so runs are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -73,30 +76,50 @@ def build_vocab(space) -> GateVocab:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# the tags a node may carry and the tags an edge may carry
+_NODE_TAGS, _EDGE_TAGS = (frozenset(t for t, k in GATE_KINDS.items() if k.arity == arity)
+                          for arity in (1, 2))
+
+
+@dataclass(frozen=True)
 class Cell:
+    """`node_ops` holds one tuple of 1-qubit tags per qubit (all empty when
+    none is given); `edge_ops` holds `((control, target), tags)` pairs in
+    sorted edge order, for the edges that have ops.  Lists, and edges as a
+    mapping or as pairs, are put in that form here."""
+
     n_qubits: int
-    node_ops: list = field(default_factory=list)  # per qubit: list of 1q tags
-    edge_ops: dict = field(default_factory=dict)  # (control, target) -> list of 2q tags
+    node_ops: tuple = ()
+    edge_ops: tuple = ()
 
     def __post_init__(self):
-        if not self.node_ops:
-            self.node_ops = [[] for _ in range(self.n_qubits)]
-        if len(self.node_ops) != self.n_qubits:
-            raise ValueError("node_ops must have one entry per qubit")
-        for (c, t) in self.edge_ops:
-            if c == t or not (0 <= c < self.n_qubits) or not (0 <= t < self.n_qubits):
-                raise ValueError(f"invalid edge ({c}, {t})")
+        n = self.n_qubits
+        check_int("n_qubits", n, 1)
+        node_ops = tuple(map(tuple, self.node_ops)) or ((),) * n
+        if len(node_ops) != n:
+            raise ValueError(f"node_ops must have one entry per qubit, got {len(node_ops)}")
+        edge_ops, valid = {}, _edges(n)
+        for edge, ops in (self.edge_ops.items() if isinstance(self.edge_ops, Mapping)
+                          else self.edge_ops):
+            if edge not in valid or edge in edge_ops:
+                raise ValueError(f"{'repeated' if edge in edge_ops else 'invalid'} edge {edge}")
+            edge_ops[edge] = tuple(ops)
+        for allowed, groups in ((_NODE_TAGS, node_ops), (_EDGE_TAGS, edge_ops.values())):
+            if not allowed.issuperset(chain(*groups)):
+                tag = next(tag for tag in chain(*groups) if tag not in allowed)
+                kind = GATE_KINDS.get(tag)
+                raise ValueError(f"unknown gate kind {tag!r}" if kind is None
+                                 else f"{tag} needs {kind.arity} targets")
+        object.__setattr__(self, "node_ops", node_ops)
+        if not all(edge_ops.values()):
+            edge_ops = {edge: ops for edge, ops in edge_ops.items() if ops}
+        object.__setattr__(self, "edge_ops", tuple(sorted(edge_ops.items())))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cell):
-            return NotImplemented
-        return (
-            self.n_qubits == other.n_qubits
-            and self.node_ops == other.node_ops
-            and {k: v for k, v in self.edge_ops.items() if v}
-            == {k: v for k, v in other.edge_ops.items() if v}
-        )
+
+@lru_cache(maxsize=64)
+def _edges(n: int) -> frozenset:
+    """The (control, target) pairs of two distinct qubits of n."""
+    return frozenset((c, t) for c in range(n) for t in range(n) if c != t)
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +163,7 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
                 added[q] = [rot[integers(len(rot))] if len(rot) > 1 else rot[0] for _ in range(k)]
     new_edges = {}
     if ent:
-        have = seed.edge_ops
+        have = dict(seed.edge_ops)
         for a in range(n):
             for b in range(a + 1, n):
                 if (a, b) in have or (b, a) in have:
@@ -151,9 +174,8 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     if (constraint is not None
             and _grown_quantity(constraint.quantity, seed, added, new_edges) > constraint.bound):
         return None
-    edge_ops = {edge: list(ops) for edge, ops in seed.edge_ops.items()}
-    edge_ops.update(new_edges)
-    return Cell(n, [ops + more for ops, more in zip(seed.node_ops, added)], edge_ops)
+    return Cell(n, [(*ops, *more) for ops, more in zip(seed.node_ops, added)],
+                [*seed.edge_ops, *new_edges.items()])
 
 
 def sample_admissible(make, count: int, max_tries: int = 100,
@@ -176,12 +198,8 @@ def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> 
     `seed`, the rotations `added` per qubit and `new_edges`, read without
     building the child."""
     if quantity == "n_layers":
-        # metrics' depth rule over the merged edges in sorted order
-        depth = [len(ops) + len(more) for ops, more in zip(seed.node_ops, added)]
-        for (c, t), ops in sorted([*seed.edge_ops.items(), *new_edges.items()]):
-            for _ in ops:
-                depth[c] = depth[t] = max(depth[c], depth[t]) + 1
-        return max(depth, default=0)
+        return _depth([len(ops) + len(more) for ops, more in zip(seed.node_ops, added)],
+                      sorted([*seed.edge_ops, *new_edges.items()]))
     # the other quantities add up over the gates
     base = getattr(metrics(seed), quantity)
     if quantity == "n_two_qubit":
@@ -218,9 +236,9 @@ def cell_to_circuit(cell: Cell) -> Circuit:
     for q in range(cell.n_qubits):
         for tag in cell.node_ops[q]:
             emit(tag, (q,))
-    for (c, t) in sorted(cell.edge_ops):
-        for tag in cell.edge_ops[(c, t)]:
-            emit(tag, (c, t))
+    for edge, ops in cell.edge_ops:
+        for tag in ops:
+            emit(tag, edge)
     return Circuit(cell.n_qubits, gates)
 
 
@@ -247,10 +265,9 @@ def encode_views(cell: Cell, vocab: GateVocab, max_seq: int) -> CellViews:
         for s, tag in enumerate(cell.node_ops[q]):
             rot[q, s, 0] = 0.0
             rot[q, s, vocab.rotation_ids[tag]] = 1.0
-    for (c, t), ops in cell.edge_ops.items():
-        if ops:
-            ent[c, t, 0] = 0.0
-            ent[c, t, vocab.entangle_ids[ops[0]]] = 1.0
+    for (c, t), ops in cell.edge_ops:
+        ent[c, t, 0] = 0.0
+        ent[c, t, vocab.entangle_ids[ops[0]]] = 1.0
     return CellViews(rot, ent)
 
 
@@ -268,11 +285,8 @@ def decode_actions(rot_actions: np.ndarray, ent_actions: np.ndarray,
         raise ValueError("action index out of vocab range")
     rot_kinds, ent_kinds = vocab.rotation_kinds, vocab.entangle_kinds
     node_ops = [[rot_kinds[idx] for idx in row if idx] for row in rot_actions.tolist()]
-    edge_ops = {}
-    for c, row in enumerate(ent_actions.tolist()):
-        for t, idx in enumerate(row):
-            if idx and c != t:
-                edge_ops[(c, t)] = [ent_kinds[idx]]
+    edge_ops = [((c, t), (ent_kinds[idx],)) for c, row in enumerate(ent_actions.tolist())
+                for t, idx in enumerate(row) if idx and c != t]
     return Cell(n, node_ops, edge_ops)
 
 
@@ -289,35 +303,26 @@ class CellMetrics:
     n_gates: int
 
 
+def _depth(rotations, edges) -> int:
+    """Layer count of `rotations[q]` rotations on each qubit q followed by
+    the ops of `edges`, `(edge, ops)` pairs in emission order: a gate's
+    layer is one past the deepest of its qubits."""
+    depth = list(rotations)
+    for (c, t), ops in edges:
+        for _ in ops:
+            depth[c] = depth[t] = max(depth[c], depth[t]) + 1
+    return max(depth, default=0)
+
+
 def metrics(cell: Cell) -> CellMetrics:
-    """Resource counts of `cell_to_circuit(cell)`, read from the cell in the
-    same emission order (rotations per qubit, then edges in sorted order); a
-    gate's layer is one past the deepest of its qubits."""
-    depth = [0] * cell.n_qubits
-    n_params = n_gates = 0
-    for q in range(cell.n_qubits):
-        for tag in cell.node_ops[q]:
-            kind = GATE_KINDS[tag]
-            if kind.arity != 1:
-                raise ValueError(f"{tag} needs {kind.arity} targets")
-            depth[q] += 1
-            n_params += kind.param_count
-            n_gates += 1
-    n_two_qubit = 0
-    for (c, t) in sorted(cell.edge_ops):
-        for tag in cell.edge_ops[(c, t)]:
-            kind = GATE_KINDS[tag]
-            if kind.arity != 2:
-                raise ValueError(f"{tag} needs {kind.arity} targets")
-            level = max(depth[c], depth[t]) + 1
-            depth[c] = depth[t] = level
-            n_params += kind.param_count
-            n_two_qubit += 1
+    """Resource counts of `cell_to_circuit(cell)`, read from the cell."""
+    one = [tag for ops in cell.node_ops for tag in ops]
+    two = [tag for _, ops in cell.edge_ops for tag in ops]
     return CellMetrics(
-        n_params=n_params,
-        n_layers=max(depth, default=0),
-        n_two_qubit=n_two_qubit,
-        n_gates=n_gates + n_two_qubit,
+        n_params=sum(GATE_KINDS[tag].param_count for tag in one + two),
+        n_layers=_depth(map(len, cell.node_ops), cell.edge_ops),
+        n_two_qubit=len(two),
+        n_gates=len(one) + len(two),
     )
 
 
@@ -358,19 +363,13 @@ def cell_to_dict(cell: Cell) -> dict:
         "format": CELL_FORMAT_VERSION,
         "n_qubits": cell.n_qubits,
         "node_ops": [list(ops) for ops in cell.node_ops],
-        "edge_ops": [
-            {"control": c, "target": t, "ops": list(ops)}
-            for (c, t), ops in sorted(cell.edge_ops.items())
-            if ops
-        ],
+        "edge_ops": [{"control": c, "target": t, "ops": list(ops)}
+                     for (c, t), ops in cell.edge_ops],
     }
 
 
 def cell_from_dict(doc: dict) -> Cell:
     if doc.get("format") != CELL_FORMAT_VERSION:
         raise ValueError(f"unsupported cell format {doc.get('format')!r}")
-    return Cell(
-        doc["n_qubits"],
-        [list(ops) for ops in doc["node_ops"]],
-        {(e["control"], e["target"]): list(e["ops"]) for e in doc["edge_ops"]},
-    )
+    return Cell(doc["n_qubits"], doc["node_ops"],
+                [((e["control"], e["target"]), e["ops"]) for e in doc["edge_ops"]])

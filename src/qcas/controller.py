@@ -339,7 +339,8 @@ class AdamState:
 
 
 def adam_step(params: ControllerParams, grads: dict, state: AdamState):
-    """One bias-corrected Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update: returns new params, and `state`
+    updated in place."""
     state.step += 1
     t = state.step
     stepped = {}

@@ -15,7 +15,7 @@ AAAI 2019); this is a deliberate deviation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,12 +196,11 @@ class RelmResult:
     best_cell: Cell
     theta: np.ndarray
     score: float
-    epochs: list = field(default_factory=list)
-    controller: ControllerParams | None = None
+    epochs: list
+    controller: ControllerParams
 
 
-def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
-                controller: ControllerParams | None = None) -> RelmResult:
+def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmResult:
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
     and admit the best child; the global best entry is tracked throughout.
@@ -214,12 +213,11 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     if any(not math.isfinite(e.score) for e in pop):
         raise ValueError("population scores must be finite")
     rng = np.random.default_rng([config.seed, 0xE70])
-    if controller is None:
-        ctrl_cfg = ControllerConfig(
-            n_qubits=task.n_qubits, max_seq=config.max_seq, v_rot=vocab.v_rot,
-            v_ent=vocab.v_ent, embed_dim=config.embed_dim, n_heads=config.n_heads,
-            n_blocks=config.n_blocks, ff_dim=config.ff_dim)
-        controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
+    ctrl_cfg = ControllerConfig(
+        n_qubits=task.n_qubits, max_seq=config.max_seq, v_rot=vocab.v_rot,
+        v_ent=vocab.v_ent, embed_dim=config.embed_dim, n_heads=config.n_heads,
+        n_blocks=config.n_blocks, ff_dim=config.ff_dim)
+    controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
     adam = AdamState(lr=config.learning_rate)
     eligible = [e for e in pop if config.constraint is None
                 or eval_soft_constraint(config.constraint, e.cell)] or pop

@@ -77,8 +77,9 @@ def circuit_metrics(cell):
 def reference_cell_to_circuit(cell):
     """The canonical emission with a fresh, validated gate per emitted op."""
     gates, slot = [], 0
+    edge_ops = dict(cell.edge_ops)
     locations = [((q,), ops) for q, ops in enumerate(cell.node_ops)]
-    locations += [(edge, cell.edge_ops[edge]) for edge in sorted(cell.edge_ops)]
+    locations += [(edge, edge_ops[edge]) for edge in sorted(edge_ops)]
     for targets, ops in locations:
         for tag in ops:
             if GATE_KINDS[tag].param_count:
@@ -92,18 +93,56 @@ def reference_cell_to_circuit(cell):
 def reference_decode_actions(rot_actions, ent_actions, vocab):
     """Decoding index by index, looking each kind up in a freshly sorted
     vocabulary."""
-    cell = Cell(rot_actions.shape[0])
-    for q in range(cell.n_qubits):
+    n = rot_actions.shape[0]
+    node_ops, edge_ops = [[] for _ in range(n)], {}
+    for q in range(n):
         for idx in rot_actions[q]:
             if idx != 0:
                 kinds = sorted(vocab.rotation_ids, key=vocab.rotation_ids.get)
-                cell.node_ops[q].append(kinds[int(idx)])
-    for c in range(cell.n_qubits):
-        for t in range(cell.n_qubits):
+                node_ops[q].append(kinds[int(idx)])
+    for c in range(n):
+        for t in range(n):
             if c != t and ent_actions[c, t] != 0:
                 kinds = sorted(vocab.entangle_ids, key=vocab.entangle_ids.get)
-                cell.edge_ops[(c, t)] = [kinds[int(ent_actions[c, t])]]
-    return cell
+                edge_ops[(c, t)] = [kinds[int(ent_actions[c, t])]]
+    return Cell(n, node_ops, edge_ops)
+
+
+class TestCellValue:
+    def test_fields_cannot_be_set(self):
+        cell = Cell(2, [["RY"], []], {(0, 1): ["CNOT"]})
+        for name, value in (("n_qubits", 3), ("node_ops", ()), ("edge_ops", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cell, name, value)
+        assert cell == Cell(2, [["RY"], []], {(0, 1): ["CNOT"]})
+
+    def test_canonical_form(self):
+        # lists, a dict, an edge with no ops and the input edge order make
+        # no difference: the cell holds tuples, edges sorted, empty ones gone
+        loose = Cell(3, [["RY"], [], ["RX", "RZ"]],
+                     {(2, 0): ["CRX"], (1, 2): [], (0, 1): ["CNOT", "CRZ"]})
+        exact = Cell(3, (("RY",), (), ("RX", "RZ")),
+                     (((0, 1), ("CNOT", "CRZ")), ((2, 0), ("CRX",))))
+        assert loose == exact and hash(loose) == hash(exact)
+        assert loose.node_ops == (("RY",), (), ("RX", "RZ"))
+        assert loose.edge_ops == (((0, 1), ("CNOT", "CRZ")), ((2, 0), ("CRX",)))
+        assert Cell(2) == Cell(2, [[], []], {(1, 0): []}) == Cell(2, ((), ()), ())
+        assert len({loose, exact, Cell(2)}) == 2
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, [[], []], [((0, 1), ["CNOT"]), ((0, 1), ["CRX"])]), r"repeated edge \(0, 1\)"),
+        ((2, [[], []], {(1, 1): ["CNOT"]}), r"invalid edge \(1, 1\)"),
+        ((2, [[], []], {(0, 2): ["CNOT"]}), r"invalid edge \(0, 2\)"),
+        ((2, [[], []], [(("0", 1), ["CNOT"])]), r"invalid edge \('0', 1\)"),
+        ((2, [["FOO"], []]), "unknown gate kind 'FOO'"),
+        ((2, [[], []], {(0, 1): ["BAR"]}), "unknown gate kind 'BAR'"),
+        ((2, [["RY"]]), "node_ops must have one entry per qubit, got 1"),
+        ((0,), "n_qubits must be an integer >= 1, got 0"),
+    ], ids=["repeated-edge", "self-loop-edge", "edge-out-of-range", "edge-of-strings",
+            "unknown-node-tag", "unknown-edge-tag", "missing-qubit", "no-qubits"])
+    def test_bad_cell_rejected_by_name(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Cell(*args)
 
 
 class TestVocab:
@@ -141,12 +180,12 @@ class TestRandomCell:
     def test_single_qubit_space_has_no_edges(self):
         for _ in range(20):
             cell = random_cell(SPACE_SINGLE_CLIFFORD, 3, RNG)
-            assert cell.edge_ops == {}
+            assert cell.edge_ops == ()
 
     def test_fresh_edges_carry_one_op(self):
         for _ in range(100):
             cell = random_cell(SPACE_GENERIC, 3, RNG)
-            for ops in cell.edge_ops.values():
+            for _, ops in cell.edge_ops:
                 assert len(ops) == 1
 
     def test_edge_frequency_half(self):
@@ -176,8 +215,8 @@ class TestExpandCell:
             child = expand_cell(seed, SPACE_GENERIC, RNG)
             for q in range(3):
                 assert child.node_ops[q][: len(seed.node_ops[q])] == seed.node_ops[q]
-            for edge, ops in seed.edge_ops.items():
-                assert child.edge_ops[edge] == ops
+            for edge, ops in seed.edge_ops:
+                assert dict(child.edge_ops)[edge] == ops
 
     def test_gate_count_monotone(self):
         for _ in range(50):
@@ -189,8 +228,8 @@ class TestExpandCell:
         seed = Cell(2, [[], []], {(0, 1): ["CNOT"]})
         for _ in range(20):
             child = expand_cell(seed, SPACE_GENERIC, RNG)
-            assert child.edge_ops[(0, 1)] == ["CNOT"]
-            assert (1, 0) not in child.edge_ops
+            assert dict(child.edge_ops)[(0, 1)] == ("CNOT",)
+            assert (1, 0) not in dict(child.edge_ops)
 
 
 class TestCellCircuit:
@@ -278,7 +317,7 @@ class TestDecodeActions:
     def test_diagonal_ignored(self):
         ent = np.ones((2, 2), dtype=int)  # diagonal nonzero on purpose
         cell = decode_actions(np.zeros((2, 2), dtype=int), ent, self.VOCAB)
-        assert all(c != t for (c, t) in cell.edge_ops)
+        assert all(c != t for (c, t), _ in cell.edge_ops)
 
     def test_out_of_range_action_rejected(self):
         with pytest.raises(ValueError):
@@ -299,10 +338,7 @@ class TestDecodeActions:
         rng = np.random.default_rng(seed)
         rot = rng.integers(0, vocab.v_rot, size=(n, max_seq))
         ent = rng.integers(0, vocab.v_ent, size=(n, n))
-        got = decode_actions(rot, ent, vocab)
-        want = reference_decode_actions(rot, ent, vocab)
-        assert (got.n_qubits, got.node_ops, got.edge_ops) == \
-            (want.n_qubits, want.node_ops, want.edge_ops)
+        assert decode_actions(rot, ent, vocab) == reference_decode_actions(rot, ent, vocab)
 
     def test_vocab_kinds_in_id_order(self):
         vocab = build_vocab(SPACE_GENERIC)
@@ -336,15 +372,14 @@ class TestMetrics:
     def test_matches_metrics_of_the_emitted_circuit(self, cell):
         assert metrics(cell) == circuit_metrics(cell)
 
-    @pytest.mark.parametrize("cell", [
-        Cell(2, [["CNOT"], []]),
-        Cell(2, [[], []], {(0, 1): ["RX"]}),
+    @pytest.mark.parametrize("node_ops, edge_ops, message", [
+        ([["CNOT"], []], {}, "CNOT needs 2 targets"),
+        ([[], []], {(0, 1): ["RX"]}, "RX needs 1 targets"),
     ], ids=["two-qubit-tag-on-node", "one-qubit-tag-on-edge"])
-    def test_tag_arity_must_fit_its_location(self, cell):
-        with pytest.raises(ValueError, match="needs"):
-            cell_to_circuit(cell)
-        with pytest.raises(ValueError, match="needs"):
-            metrics(cell)
+    def test_tag_arity_must_fit_its_location(self, node_ops, edge_ops, message):
+        # checked when the cell is built, so no circuit or metric sees it
+        with pytest.raises(ValueError, match=message):
+            Cell(2, node_ops, edge_ops)
 
 
 class TestSelectBest:

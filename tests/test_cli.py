@@ -23,6 +23,7 @@ from qcas.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     build_task,
     eval_record,
     export_csv,
@@ -444,6 +445,24 @@ class TestMain:
         assert main(["export", "--config", str(cfg_path), "--out", out,
                      "--record", rec]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    @pytest.mark.parametrize("node_ops, edge_ops, message", [
+        ([[], []], [(0, 1, "CNOT"), (0, 1, "CRX")], "repeated edge (0, 1)"),
+        ([["FOO"], []], [], "unknown gate kind 'FOO'"),
+        ([["CNOT"], []], [], "CNOT needs 2 targets"),
+    ], ids=["repeated-edge", "unknown-tag", "two-qubit-tag-on-node"])
+    def test_eval_of_a_tampered_cell_names_the_value(self, tmp_path, capsys,
+                                                     node_ops, edge_ops, message):
+        record = run(parse_config(FAST, environ={}))
+        record["runs"][0]["best_cell"].update(
+            node_ops=node_ops,
+            edge_ops=[{"control": c, "target": t, "ops": [tag]} for c, t, tag in edge_ops])
+        cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")
+        cfg_path.write_text(json.dumps(FAST))
+        write_record(record, rec_path)
+        assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--record", rec_path]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.yaml"

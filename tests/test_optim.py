@@ -273,8 +273,7 @@ class TestScoreCell:
     def test_perfect_encoder_on_clean_data_scores_one(self, clean_task):
         # inverse GHZ preparation maps GHZ to |000>: trash hits the reference
         # exactly and the round trip is lossless
-        cell = Cell(3, [[], [], []], {(1, 2): ["CNOT"], (0, 1): ["CNOT"]})
-        cell.node_ops[0] = ["H"]
+        cell = Cell(3, [["H"], [], []], {(1, 2): ["CNOT"], (0, 1): ["CNOT"]})
         # emission order is rotations first, so encode with the adjoint layout:
         # CNOT(1,2), CNOT(0,1), H(0) expressed directly as a circuit
         circ = Circuit(3, [gate("CNOT", 1, 2), gate("CNOT", 0, 1), gate("H", 0)])

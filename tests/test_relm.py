@@ -280,10 +280,20 @@ class TestRelmSearch:
             RelmConfig(tournament_size=10, population_size=5)
 
 
-def reference_relm_search(task, config, pop, vocab, controller):
+def initial_controller(task, config, vocab):
+    """The policy that `relm_search` starts from."""
+    ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
+                                v_rot=vocab.v_rot, v_ent=vocab.v_ent,
+                                embed_dim=config.embed_dim, n_heads=config.n_heads,
+                                n_blocks=config.n_blocks, ff_dim=config.ff_dim)
+    return init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
+
+
+def reference_relm_search(task, config, pop, vocab):
     """The RELM epoch loop with one controller forward per child: every
     mutation and every policy gradient runs its own forward pass, and every
     policy gradient its own backward pass, summed here."""
+    controller = initial_controller(task, config, vocab)
     rng = np.random.default_rng([config.seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
     eligible = pop
@@ -348,18 +358,14 @@ class TestSharedForward:
                             opt_budget=FAST_OPT, seed=seed, **kwargs)
         vocab = build_vocab(space)
         pop, _ = init_population(task, space, config, None)
-        ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
-                                    v_rot=vocab.v_rot, v_ent=vocab.v_ent, embed_dim=4,
-                                    n_heads=1, n_blocks=1, ff_dim=8)
-        controller = init_controller(ctrl_cfg, np.random.default_rng(seed))
-        return task, config, pop, vocab, controller
+        return task, config, pop, vocab, initial_controller(task, config, vocab)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_one_forward_per_child(self, case):
         task, config, pop, vocab, controller = self.setup_search(**self.CASES[case])
-        result = relm_search(task, config, copy.deepcopy(pop), vocab, copy.deepcopy(controller))
+        result = relm_search(task, config, copy.deepcopy(pop), vocab)
         best, records, ref_controller = reference_relm_search(
-            task, config, copy.deepcopy(pop), vocab, copy.deepcopy(controller))
+            task, config, copy.deepcopy(pop), vocab)
 
         def table(recs):
             return np.array([[r.epoch, r.parent_score, r.mean_reward,
@@ -390,9 +396,8 @@ class TestSharedForward:
 
         for name in calls:
             monkeypatch.setattr(qcas.relm, name, counted(name))
-        task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
-                                                                 reward_mode="unitary")
-        relm_search(task, config, pop, vocab, controller)
+        task, config, pop, vocab, _ = self.setup_search(SPACE_CLIFFORD, reward_mode="unitary")
+        relm_search(task, config, pop, vocab)
         # every epoch of this seed has a non-zero reward, so one backward each
         assert calls == {"controller_forward": config.epochs,
                          "mutate": config.epochs * config.batch_size,
@@ -409,10 +414,9 @@ class TestSharedForward:
 
         monkeypatch.setattr(qcas.relm, "AdamState", recorded_adam)
         monkeypatch.setattr(qcas.relm, "unitary_reward", lambda *args: 0.0)
-        task, config, pop, vocab, controller = self.setup_search(SPACE_CLIFFORD,
-                                                                 reward_mode="unitary")
-        before = copy.deepcopy(controller)
-        result = relm_search(task, config, pop, vocab, controller)
+        task, config, pop, vocab, before = self.setup_search(SPACE_CLIFFORD,
+                                                             reward_mode="unitary")
+        result = relm_search(task, config, pop, vocab)
         assert [r.mean_reward for r in result.epochs] == [0.0] * config.epochs
         assert [state.step for state in states] == [0]
         for name, tensor in before.tensors.items():

@@ -1,8 +1,6 @@
 """Random Elastic Search: population evaluation, constraint handling,
 expansion phases, elitism and determinism."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,24 +145,25 @@ class TestResSearch:
 
 
 def reference_expand_cell(seed, space, rng, layer_budget=1):
-    """expand_cell as it was before it took a constraint: copy the seed,
-    then draw its additions."""
+    """expand_cell as it was before it took a constraint: copy the seed's
+    ops, draw the additions onto the copy, then build the child."""
     rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
     ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
-    child = copy.deepcopy(seed)
+    node_ops = [list(ops) for ops in seed.node_ops]
+    edge_ops = dict(seed.edge_ops)
     for q in range(seed.n_qubits):
         if rot:
             k = int(rng.integers(0, layer_budget + 1))
-            child.node_ops[q].extend(rot[rng.integers(len(rot))] for _ in range(k))
+            node_ops[q].extend(rot[rng.integers(len(rot))] for _ in range(k))
     if ent:
         for a in range(seed.n_qubits):
             for b in range(a + 1, seed.n_qubits):
-                if (a, b) in child.edge_ops or (b, a) in child.edge_ops:
+                if (a, b) in edge_ops or (b, a) in edge_ops:
                     continue
                 if rng.random() < 0.5:
                     c, t = (a, b) if rng.random() < 0.5 else (b, a)
-                    child.edge_ops[(c, t)] = [ent[rng.integers(len(ent))]]
-    return child
+                    edge_ops[(c, t)] = [ent[rng.integers(len(ent))]]
+    return Cell(seed.n_qubits, node_ops, edge_ops)
 
 
 def reference_sample(make, constraint, count, max_tries, exclude):
@@ -195,14 +194,15 @@ def expansions(draw):
     n = draw(st.integers(1, 5))
     rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
     ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
-    seed = Cell(n)
+    node_ops, edge_ops = [], {}
     if draw(st.booleans()):
-        seed.node_ops = [draw(st.lists(st.sampled_from(rot), max_size=3)) for _ in range(n)]
+        node_ops = [draw(st.lists(st.sampled_from(rot), max_size=3)) for _ in range(n)]
         pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
         if ent and pairs:
             for c, t in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)):
-                if (t, c) not in seed.edge_ops:
-                    seed.edge_ops[(c, t)] = draw(st.lists(st.sampled_from(ent), max_size=2))
+                if (t, c) not in edge_ops:
+                    edge_ops[(c, t)] = draw(st.lists(st.sampled_from(ent), max_size=2))
+    seed = Cell(n, node_ops, edge_ops)
     quantity = draw(st.sampled_from([None, "n_params", "n_layers", "n_two_qubit", "n_gates"]))
     constraint = (None if quantity is None
                   else SoftConstraint(quantity, draw(st.integers(1, 12))))
@@ -231,8 +231,7 @@ class TestSampler:
             want = reference_sample(
                 lambda: reference_expand_cell(seed, space, ref_rng, layer_budget),
                 constraint, count, max_tries, seed)
-        assert [(c.n_qubits, c.node_ops, c.edge_ops) for c in got] == \
-            [(c.n_qubits, c.node_ops, c.edge_ops) for c in want]
+        assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -251,8 +250,7 @@ class TestSampler:
             rng = np.random.default_rng(rng_seed)
             got = expand_cell(seed, space, rng, layer_budget, SoftConstraint(quantity, bound))
             if bound == amount:
-                assert (got.n_qubits, got.node_ops, got.edge_ops) == \
-                    (want.n_qubits, want.node_ops, want.edge_ops)
+                assert got == want
             else:
                 assert got is None
             ref_rng = np.random.default_rng(rng_seed)

@@ -1,11 +1,13 @@
 """The benchmark's hooks into qcas: every site that perfbench/tracing.py wraps
-resolves, and every cell a search scores goes through one of the three
+resolves, every cell a search scores goes through one of the three
 module-level `score_cell` names that the tracer and perfbench/setup_probe.py
-patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`)."""
+patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), and the
+benchmark's self-test of its output checks passes on this qcas."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,10 +16,17 @@ import qcas.res
 import qcas.tasks
 from qcas.cli import parse_config, run
 
-_spec = importlib.util.spec_from_file_location(
-    "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_perfbench("tracing")
 
 QCAS_MODULES = ("sim", "cell", "optim", "tasks", "res", "controller", "relm", "cli")
 SCORE_SITES = (qcas.res, qcas.relm, qcas.tasks)
@@ -110,3 +119,10 @@ def test_random_search_initialised_relm_scores_through_the_sites(score_calls):
 def test_random_search_scores_through_the_sites(score_calls):
     config, _ = search("rs")
     assert len(score_calls) == config["rs"]["budget_evals"]
+
+
+def test_benchmark_selftest_passes(monkeypatch):
+    # selftest.py imports its sibling modules `checks` and `oracle` by name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    selftest = load_perfbench("selftest")
+    assert selftest.selftest(SimpleNamespace(**modules())) == []
