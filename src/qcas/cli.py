@@ -126,12 +126,24 @@ def _merge_checked(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
+def _load_yaml(text: str, where: str):
+    """The YAML document `text`; a parse error is a one-line ConfigError
+    that names `where` the text came from."""
+    import yaml  # imported here: a run from a dict config never needs it
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        reason = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where} is not valid YAML{at}: {reason}") from None
+
+
 def _apply_env_overrides(config: dict, environ=None) -> dict:
     environ = os.environ if environ is None else environ
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
-        import yaml  # imported here: a run from a dict config never needs it
         parts = [p.lower() for p in name[len(ENV_PREFIX):].split("__")]
         node = config
         for part in parts[:-1]:
@@ -140,22 +152,25 @@ def _apply_env_overrides(config: dict, environ=None) -> dict:
             node = node[part]
         if parts[-1] not in node:
             raise ConfigError(f"unknown config key in {name}")
-        node[parts[-1]] = yaml.safe_load(raw)
+        node[parts[-1]] = _load_yaml(raw, name)
     return config
 
 
 def parse_config(source, environ=None) -> dict:
-    """Parse and validate a YAML config (path or text); fill defaults, then
-    apply environment overrides.  Unknown keys are errors."""
+    """Parse and validate a config, given as a mapping or as the path of a
+    YAML file; fill defaults, then apply environment overrides.  Unknown
+    keys are errors."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if os.path.exists(str(source)):
+        where = f"config {str(source)!r}"
+        try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        import yaml
-        doc = yaml.safe_load(text) or {}
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read {where}: {reason}") from None
+        doc = _load_yaml(text, where) or {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     config = _merge_checked(DEFAULT_CONFIG, doc)
@@ -254,7 +269,7 @@ def build_task(task_cfg: dict, seed: int) -> BuiltTask:
         return {"loss": loss, "fidelity": 1.0 - loss}
 
     return BuiltTask(task, evaluate, lambda: {
-        "targets": [_cols_to_list(target.evolved.amplitudes[:, None])]})
+        "targets": [_cols_to_list(target.evolved[:, None])]})
 
 
 def _cols_to_list(cols: np.ndarray):

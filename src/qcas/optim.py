@@ -95,7 +95,8 @@ class _BudgetSpent(RuntimeError):
 
 
 def _nelder_mead(func, x0, maxfev, xatol, fatol):
-    """Adaptive Nelder-Mead from `x0`; returns (x, fun, nfev, success).
+    """Adaptive Nelder-Mead from `x0`; returns (x, fun, nfev, success, f0),
+    with f0 the cost of `x0`, the first vertex it evaluates.
 
     `func` maps a float vector to a float.  `success` is ``nfev < maxfev``:
     the simplex met both tolerances with budget to spare.  An evaluation
@@ -142,6 +143,7 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
+    f0 = float(fsim[0])  # maxfev >= 1, so x0 was evaluated
     # Sorted twice, as in SciPy: argsort's default sort is not stable, so
     # the second pass is not assumed to leave tied costs in place.
     ind = fsim.argsort()
@@ -210,26 +212,30 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
         sim = sim.take(ind, 0)
         fsim = fsim.take(ind)
 
-    return sim[0], fsim.min(), nfev, nfev < maxfev
+    return sim[0], fsim.min(), nfev, nfev < maxfev, f0
 
 
 def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptResult:
     """Derivative-free local minimization; never returns worse than theta0,
-    which has at least one parameter (`score_cell` fits no other)."""
+    which has at least one parameter (`score_cell` fits no other).  The
+    first restart starts at theta0, and its first evaluation is theta0's
+    cost, so a tie with theta0 keeps theta0."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     f = _guard(cost)
     max_evals = budget.evals_for(theta0.size)
     best_theta = theta0.copy()
-    best_cost = f(theta0)
-    evals = 1
+    best_cost = None
+    evals = 0
     converged = False
     starts = [theta0] + [
         rng.uniform(-math.pi, math.pi, size=theta0.size)
         for _ in range(budget.restarts - 1)
     ]
     for start in starts:
-        x, fun, nfev, success = _nelder_mead(f, start, max_evals,
-                                             budget.x_tol, budget.f_tol)
+        x, fun, nfev, success, f0 = _nelder_mead(f, start, max_evals,
+                                                 budget.x_tol, budget.f_tol)
+        if best_cost is None:
+            best_cost = f0
         evals += nfev
         if fun < best_cost:
             best_cost = float(fun)

@@ -1,8 +1,10 @@
 """Dense statevector simulation primitives.
 
 Qubit 0 is the most significant bit of the computational-basis index, so the
-basis state |q0 q1 ... q_{n-1}> sits at index sum_k q_k * 2^(n-1-k).  All
-expectation values are exact (no shot sampling).
+basis state |q0 q1 ... q_{n-1}> sits at index sum_k q_k * 2^(n-1-k).  A state
+is its (2^n,) complex amplitude vector, and a batch of states is a (2^n,
+batch) matrix of such columns.  All expectation values are exact (no shot
+sampling).
 
 Every gate application goes through one kernel, `_apply_steps`, which runs a
 list of (transpose permutation, dimension, matrix) steps on a
@@ -15,8 +17,9 @@ depends only on its targets and on the axis order the previous gate left, so
 `_kernel_step` memoises it in a bounded cache shared by all compiles; a
 circuit that runs once, such as a parameter-free cell scored once, pays
 little more than its matmuls.  `apply_circuit_columns` is the one entry to
-the kernel (`run_circuit` and `circuit_unitary` go through it).  It gives
-bit for bit the results of applying each gate with the matrix that
+the kernel (`circuit_unitary` goes through it; one state runs as
+`state[:, None]`), and it checks the columns' width there.  It gives bit for
+bit the results of applying each gate with the matrix that
 `exact_gate_matrix` in `tests/reference.py` builds.
 """
 
@@ -77,33 +80,19 @@ SPACE_GENERIC = frozenset({"RX", "RY", "RZ", "CNOT", "CRX", "CRY", "CRZ"})
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PureState:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError("amplitude vector length must be 2^n_qubits")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm}")
-
-
-def basis_state(n_qubits: int, index: int = 0) -> PureState:
+def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[index] = 1.0
-    return PureState(n_qubits, amps)
+    return amps
 
 
-def ghz_state(n: int) -> PureState:
+def ghz_state(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if n < 1:
         raise ValueError("GHZ state needs at least one qubit")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / _SQRT2
-    return PureState(n, amps)
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +266,15 @@ class CircuitPlan:
 
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Run `circuit` on every column of a (2^n, batch) amplitude matrix."""
+    if columns.shape[0] != 2**circuit.n_qubits:
+        raise ValueError(f"columns have {columns.shape[0]} rows, but a "
+                         f"{circuit.n_qubits}-qubit circuit needs {2**circuit.n_qubits}")
     theta = np.asarray(theta, dtype=float)
     plan = circuit.plan
     if theta.shape != (plan.n_params,):
         raise ValueError("theta length must equal circuit.n_params")
     plan.bind(theta)
     return _apply_steps(columns, circuit.n_qubits, plan.steps, plan.restore)
-
-
-def run_circuit(input: PureState, circuit: Circuit, theta=()) -> PureState:
-    """Sequentially apply all gates of `circuit` to `input`."""
-    if input.n_qubits != circuit.n_qubits:
-        raise ValueError("state width does not match circuit width")
-    out = apply_circuit_columns(circuit, theta, input.amplitudes[:, None])
-    return PureState(input.n_qubits, out[:, 0])
 
 
 def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:
@@ -300,23 +284,11 @@ def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fidelities
-# ---------------------------------------------------------------------------
-
-
-def pure_fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("state widths differ")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-# ---------------------------------------------------------------------------
 # Encodings
 # ---------------------------------------------------------------------------
 
 
-def amplitude_encode(x) -> PureState:
+def amplitude_encode(x) -> np.ndarray:
     """Zero-pad to the next power of two, L2-normalize and load as amplitudes."""
     x = np.asarray(x, dtype=float).ravel()
     norm = float(np.linalg.norm(x))
@@ -327,4 +299,4 @@ def amplitude_encode(x) -> PureState:
     amps[: len(x)] = x / norm
     # renormalize once more against rounding
     amps /= np.linalg.norm(amps)
-    return PureState(n, amps)
+    return amps

@@ -22,18 +22,8 @@ import numpy as np
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
 from .optim import OptBudget, check_int, check_range, score_cell
-from .sim import (
-    Circuit,
-    PureState,
-    amplitude_encode,
-    apply_circuit_columns,
-    basis_state,
-    circuit_unitary,
-    gate,
-    ghz_state,
-    pure_fidelity,
-    run_circuit,
-)
+from .sim import (Circuit, amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary,
+                  gate, ghz_state)
 
 DEFAULT_P_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 NOISE_KINDS = ("bitflip", "qdc")
@@ -73,7 +63,7 @@ def batch_trash_fidelity(encoded_cols: np.ndarray, n_trash: int) -> np.ndarray:
 
 
 def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray, n_trash: int,
-                                  target: PureState | None = None) -> np.ndarray:
+                                  target: np.ndarray | None = None) -> np.ndarray:
     """Round-trip fidelity per column, against `target` or each input itself:
     encode, reset the last n_trash qubits to |0...0>, decode.
 
@@ -83,8 +73,8 @@ def batch_reconstruction_fidelity(circuit: Circuit, theta, cols: np.ndarray, n_t
     encoded = apply_circuit_columns(circuit, theta, cols)
     m = _to_trash_major(encoded, n_trash)
     if target is not None:
-        phi = run_circuit(target, circuit, theta)
-        w = _to_trash_major(phi.amplitudes[:, None], n_trash)[:, 0, 0]  # (dim_A,)
+        phi = apply_circuit_columns(circuit, theta, target[:, None])
+        w = _to_trash_major(phi, n_trash)[:, 0, 0]  # (dim_A,)
         inner = np.einsum("abz,a->bz", m.conj(), w)
     else:
         w = m[:, 0, :]  # per-column latent vector
@@ -110,7 +100,7 @@ class NoiseDataset:
     train: np.ndarray  # (2^n, n_train) noisy state columns
     val: np.ndarray
     test: dict  # p -> (2^n, n_test) columns
-    clean: PureState
+    clean: np.ndarray  # the GHZ state
 
 
 def _noisy_ghz_columns(kind: str, n_qubits: int, p: float, count: int,
@@ -126,7 +116,7 @@ def _noisy_ghz_columns(kind: str, n_qubits: int, p: float, count: int,
     qubits that is the per-copy Pauli circuit's output bit for bit."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    clean = ghz_state(n_qubits).amplitudes
+    clean = ghz_state(n_qubits)
     weights = 1 << np.arange(n_qubits - 1, -1, -1)
     index = np.arange(2**n_qubits)[:, None]
     if kind == "bitflip":
@@ -237,12 +227,12 @@ IMAGE_DATASETS = {"digits": gen_digits, "tetris": gen_tetris}
 
 def image_qubits(dataset: str) -> int:
     """Width of the image task over `dataset`, read from one generated image."""
-    return amplitude_encode(IMAGE_DATASETS[dataset](count=1).images[0]).n_qubits
+    return int(math.log2(len(amplitude_encode(IMAGE_DATASETS[dataset](count=1).images[0]))))
 
 
 def encode_images(images: np.ndarray) -> np.ndarray:
     """Amplitude-encode each image into a column of a (2^n, count) matrix."""
-    states = [amplitude_encode(img).amplitudes for img in images]
+    states = [amplitude_encode(img) for img in images]
     return np.array(states).T
 
 
@@ -287,7 +277,7 @@ def gen_state_compress_dataset(seed: int = 0) -> StateCompressDataset:
 @dataclass
 class HiddenTarget:
     circuit: Circuit
-    evolved: PureState  # the circuit's image of |0...0>
+    evolved: np.ndarray  # the circuit's image of |0...0>
 
 
 _ONE_QUBIT_TAGS = ("H", "S", "T", "I")
@@ -321,8 +311,7 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
             circuit = Circuit(n_qubits, gates)
             if gates:
                 break
-        evolved = PureState(n_qubits, circuit_unitary(circuit)[:, 0])
-        targets.append(HiddenTarget(circuit, evolved))
+        targets.append(HiddenTarget(circuit, circuit_unitary(circuit)[:, 0]))
     return targets
 
 
@@ -345,7 +334,7 @@ class QaeTask:
     train_cols: np.ndarray
     val_cols: np.ndarray
     cost_mode: str = "trash"  # one of COST_MODES
-    val_target: PureState | None = None  # compare round-trips to this state
+    val_target: np.ndarray | None = None  # compare round-trips to this state
 
     def __post_init__(self):
         if self.cost_mode not in COST_MODES:
@@ -355,8 +344,6 @@ class QaeTask:
         object.__setattr__(self, "_val", _distinct_columns(self.val_cols))
 
     def training_cost(self, circuit: Circuit, theta) -> float:
-        if circuit.n_qubits != self.n_qubits:
-            raise ValueError("circuit width does not match task")
         cols, index = self._train
         encoded = apply_circuit_columns(circuit, theta, cols)
         if self.cost_mode == "local":
@@ -389,15 +376,15 @@ class UnitaryRegenTask:
     kind: str = "UnitaryRegen"
 
     def __post_init__(self):
-        object.__setattr__(self, "_zero", basis_state(self.n_qubits))
+        object.__setattr__(self, "_zero", basis_state(self.n_qubits)[:, None])
 
     @property
     def n_qubits(self) -> int:
         return self.target.circuit.n_qubits
 
     def training_cost(self, circuit: Circuit, theta) -> float:
-        generated = run_circuit(self._zero, circuit, theta)
-        return 1.0 - pure_fidelity(generated, self.target.evolved)
+        generated = apply_circuit_columns(circuit, theta, self._zero)[:, 0]
+        return 1.0 - float(abs(np.vdot(generated, self.target.evolved)) ** 2)
 
     def validation_score(self, circuit: Circuit, theta) -> float:
         return 1.0 - self.training_cost(circuit, theta)

@@ -8,7 +8,10 @@ pytest does not collect it.  Each line holds the case, the qcas seed, the
 sha256 of the record `qcas.cli.run` returns without the runs' `wall_time_s`
 (JSON, sorted keys), the sha256 of the files `export_csv` writes for it (name
 and content, sorted by name) and the number of `training_cost` calls, counted
-by perfbench's `EvalCounter` on the two task classes.
+by perfbench's `EvalCounter` on the two task classes.  After the cases, one
+line per group gives the group's name, the first 16 hex digits of sha256
+over its cases' record digests (hex, concatenated in case order), the same
+over their CSV digests, and its summed `training_cost` calls.
 
 The cases are qcas seeds 1000-1011 of the `denoise-relm` and `regen-relm`
 benchmark workloads, and seeds 1-3 each of `image-res`, a denoise `rs` search
@@ -75,9 +78,15 @@ def digest(doc: dict, seed: int, counter: EvalCounter) -> tuple:
 
 def main():
     counter = EvalCounter(tasks)
+    groups = {}  # name -> (record digests, CSV digests, calls), in case order
     for name, doc, seed in cases():
         record_hash, csv_hash, calls = digest(doc, seed, counter)
         print(name, seed, record_hash, csv_hash, calls, flush=True)
+        records, csvs, total = groups.get(name, ("", "", 0))
+        groups[name] = records + record_hash, csvs + csv_hash, total + calls
+    for name, (records, csvs, total) in groups.items():
+        print(name, *(hashlib.sha256(h.encode()).hexdigest()[:16] for h in (records, csvs)),
+              total)
 
 
 if __name__ == "__main__":

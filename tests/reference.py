@@ -14,6 +14,8 @@
   must average to, and the per-sample bit-flip and Pauli circuits, whose
   draws the batched noisy datasets must reproduce.
 * The REINFORCE loss, whose finite differences check `reinforce_grads`.
+
+A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 """
 
 import cmath
@@ -24,7 +26,7 @@ import numpy as np
 
 from qcas.controller import controller_forward
 from qcas import sim
-from qcas.sim import Circuit, PureState, basis_state, gate, run_circuit
+from qcas.sim import Circuit, apply_circuit_columns, basis_state, gate
 
 PSD_TOL = 1e-9
 
@@ -137,9 +139,14 @@ class DensityMatrix:
             raise ValueError("density matrix trace must be 1")
 
 
-def density(state: PureState) -> DensityMatrix:
+def width(state: np.ndarray) -> int:
+    """The number of qubits of an amplitude vector."""
+    return len(state).bit_length() - 1
+
+
+def density(state: np.ndarray) -> DensityMatrix:
     """|psi><psi| of a pure state."""
-    return DensityMatrix(state.n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
+    return DensityMatrix(width(state), np.outer(state, state.conj()))
 
 
 def _psd_sqrt(mat):
@@ -186,7 +193,7 @@ def _cswap(control, a, b, n):
     return kron_embed({control: _KET0}, n) + swap
 
 
-def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> float:
+def swap_test_expectation(trash_state: DensityMatrix, reference: np.ndarray) -> float:
     """SWAP-test fidelity estimate via the explicit ancilla circuit, exactly.
 
     On (ancilla (x) trash (x) reference), applies H, a controlled SWAP of
@@ -194,7 +201,7 @@ def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> f
     P(ancilla=0) to fidelity via F = 2 P(0) - 1 (exact expectation, no shots).
     """
     m = trash_state.n_qubits
-    if reference.n_qubits != m:
+    if width(reference) != m:
         raise ValueError("trash and reference widths differ")
     if np.linalg.eigvalsh(trash_state.entries).min() < -PSD_TOL:
         raise ValueError("trash state not positive semidefinite")
@@ -204,21 +211,20 @@ def swap_test_expectation(trash_state: DensityMatrix, reference: PureState) -> f
     for i in range(m):
         u = _cswap(0, 1 + i, 1 + m + i, n) @ u
     u = h @ u
-    ref = np.outer(reference.amplitudes, reference.amplitudes.conj())
+    ref = np.outer(reference, reference.conj())
     total = np.kron(np.kron(_KET0, trash_state.entries), ref)
     out = u @ total @ u.conj().T
     p0 = float(np.trace(out[: 2 ** (n - 1), : 2 ** (n - 1)]).real)
     return min(max(2.0 * p0 - 1.0, 0.0), 1.0)
 
 
-def encoded_output_state(circuit: Circuit, theta, input: PureState, trash) -> DensityMatrix:
+def encoded_output_state(circuit: Circuit, theta, input: np.ndarray, trash) -> DensityMatrix:
     """Encode, trace out the `trash` qubits, substitute a fresh |0...0> for
     them, decode with U^dag."""
     n = circuit.n_qubits
     latent = [q for q in range(n) if q not in trash]
     u = oracle_unitary(circuit, theta)
-    encoded = PureState(n, u @ input.amplitudes)
-    rho_a = partial_trace(density(encoded), latent)
+    rho_a = partial_trace(density(u @ input), latent)
     # rebuild on (latent qubits..., trash qubits...) then permute into place
     combined = np.kron(rho_a.entries, density(basis_state(len(trash))).entries)
     order = latent + sorted(trash)
@@ -231,12 +237,12 @@ def encoded_output_state(circuit: Circuit, theta, input: PureState, trash) -> De
     return DensityMatrix(n, out)
 
 
-def reconstruction_fidelity(circuit: Circuit, theta, input: PureState, trash,
-                            target: PureState | None = None) -> float:
+def reconstruction_fidelity(circuit: Circuit, theta, input: np.ndarray, trash,
+                            target: np.ndarray | None = None) -> float:
     """Round-trip fidelity of the autoencoder against `target` (default: input)."""
     rho_out = encoded_output_state(circuit, theta, input, trash)
     cmp = input if target is None else target
-    f = float(np.real(cmp.amplitudes.conj() @ rho_out.entries @ cmp.amplitudes))
+    f = float(np.real(cmp.conj() @ rho_out.entries @ cmp))
     return min(max(f, 0.0), 1.0)
 
 
@@ -262,16 +268,19 @@ def bitflip_noise_circuit(n_qubits: int, p: float, rng: np.random.Generator) -> 
     return Circuit(n_qubits, gates)
 
 
-def pauli_channel_apply(state: PureState, p: float, rng: np.random.Generator) -> PureState:
+def pauli_channel_apply(state: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     """Per qubit, apply I/X/Y/Z with probabilities {1-3p/4, p/4, p/4, p/4},
     one draw per qubit, as a circuit through the simulator."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     probs = [1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0]
     labels = ("I", "X", "Y", "Z")
-    picks = [labels[rng.choice(4, p=probs)] for _ in range(state.n_qubits)]
+    n = width(state)
+    picks = [labels[rng.choice(4, p=probs)] for _ in range(n)]
     gates = [gate(pick, q) for q, pick in enumerate(picks) if pick != "I"]
-    return run_circuit(state, Circuit(state.n_qubits, gates)) if gates else state
+    if not gates:
+        return state
+    return apply_circuit_columns(Circuit(n, gates), (), state[:, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------

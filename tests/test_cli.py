@@ -91,9 +91,10 @@ class TestParseConfig:
             parse_config({"task": {"kind": "denoise"}},
                          environ={"QCAS_RES__POPSIZE": "7"})
 
-    def test_yaml_text_source(self):
-        config = parse_config("task:\n  kind: image\n  dataset: tetris\n",
-                              environ={})
+    def test_yaml_text_source(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("task:\n  kind: image\n  dataset: tetris\n")
+        config = parse_config(str(path), environ={})
         assert config["task"]["dataset"] == "tetris"
 
     def test_bad_task_kind_rejected(self):
@@ -150,10 +151,12 @@ class TestParseConfig:
                                         "noise": "bitflip", "layers": 3}}, environ={})
         assert config["task"]["kind"] == "state_compress"
 
-    def test_bad_opt_budget_from_yaml_and_env_rejected(self):
+    def test_bad_opt_budget_from_yaml_and_env_rejected(self, tmp_path):
         # PyYAML reads an exponent without a dot as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text("task:\n  kind: denoise\nopt:\n  x_tol: 1e-6\n")
         with pytest.raises(ConfigError, match="opt\\.x_tol .*'1e-6'"):
-            parse_config("task:\n  kind: denoise\nopt:\n  x_tol: 1e-6\n", environ={})
+            parse_config(str(path), environ={})
         with pytest.raises(ConfigError, match="opt\\.f_tol .*nan"):
             parse_config({"task": {"kind": "denoise"}},
                          environ={"QCAS_OPT__F_TOL": ".nan"})
@@ -387,8 +390,8 @@ class TestGenDataAndEval:
         path = gen_data(cfg["task"], 4, str(tmp_path))
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        amplitudes = build_task(cfg["task"], 4).task.target.evolved.amplitudes
-        tenth = gen_hidden_targets(3, "dense", 3, 10, seed=4)[0].evolved.amplitudes
+        amplitudes = build_task(cfg["task"], 4).task.target.evolved
+        tenth = gen_hidden_targets(3, "dense", 3, 10, seed=4)[0].evolved
         assert np.array_equal(amplitudes, tenth)
         # one target, stored as a one-column state list
         assert doc["targets"] == [[[[float(v.real), float(v.imag)] for v in amplitudes]]]
@@ -446,16 +449,21 @@ class TestMain:
                      "--record", rec]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "summary.csv"))
 
-    @pytest.mark.parametrize("node_ops, edge_ops, message", [
-        ([[], []], [(0, 1, "CNOT"), (0, 1, "CRX")], "repeated edge (0, 1)"),
-        ([["FOO"], []], [], "unknown gate kind 'FOO'"),
-        ([["CNOT"], []], [], "CNOT needs 2 targets"),
-    ], ids=["repeated-edge", "unknown-tag", "two-qubit-tag-on-node"])
+    @pytest.mark.parametrize("node_ops, edge_ops, task, message", [
+        ([[], []], [(0, 1, "CNOT"), (0, 1, "CRX")], None, "repeated edge (0, 1)"),
+        ([["FOO"], []], [], None, "unknown gate kind 'FOO'"),
+        ([["CNOT"], []], [], None, "CNOT needs 2 targets"),
+        ([[]] * 4, [], {"kind": "denoise"}, "columns have 8 rows, but a 4-qubit circuit needs 16"),
+    ], ids=["repeated-edge", "unknown-tag", "two-qubit-tag-on-node", "cell-wider-than-task"])
     def test_eval_of_a_tampered_cell_names_the_value(self, tmp_path, capsys,
-                                                     node_ops, edge_ops, message):
+                                                     node_ops, edge_ops, task, message):
+        # `task`, if given, replaces the record's task: a cell whose width
+        # is not the task's reaches the simulator on the eval path
         record = run(parse_config(FAST, environ={}))
+        if task is not None:
+            record["config"]["task"] = parse_config({"task": task}, environ={})["task"]
         record["runs"][0]["best_cell"].update(
-            node_ops=node_ops,
+            n_qubits=len(node_ops), node_ops=node_ops,
             edge_ops=[{"control": c, "target": t, "ops": [tag]} for c, t, tag in edge_ops])
         cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")
         cfg_path.write_text(json.dumps(FAST))
@@ -463,6 +471,34 @@ class TestMain:
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--record", rec_path]) == EXIT_RUNTIME
         assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot read config '{path}': No such file or directory"),
+        ("directory", "cannot read config '{path}': Is a directory"),
+        ("not-utf-8", "cannot read config '{path}': 'utf-8' codec can't decode byte 0xff"),
+        ("bad-yaml-file", "config '{path}' is not valid YAML at line 3, column 2: "),
+        ("bad-yaml-env", "QCAS_RES__POPULATION_SIZE is not valid YAML at line 1, column 6: "),
+    ], ids=["missing", "directory", "not-utf-8", "bad-yaml-file", "bad-yaml-env"])
+    def test_unreadable_config_is_a_one_line_config_error(self, tmp_path, capsys, monkeypatch,
+                                                          case, message):
+        path = tmp_path / "cfg.yaml"
+        if case == "missing":
+            path = tmp_path / "nosuch.yaml"
+        elif case == "directory":
+            path = tmp_path
+        elif case == "not-utf-8":
+            path.write_bytes(b"\xfftask: {kind: denoise}\n")
+        elif case == "bad-yaml-file":
+            path.write_text("task:\n  kind: denoise\n opt: [\n")
+        else:
+            path.write_text("task:\n  kind: denoise\n")
+            monkeypatch.setenv("QCAS_RES__POPULATION_SIZE", "[1, 2")
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(path), "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=path))
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not os.path.exists(out)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.yaml"

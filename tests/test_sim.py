@@ -26,22 +26,21 @@ from reference import (
     reconstruction_fidelity,
     state_fidelity,
     swap_test_expectation,
+    width,
 )
 
 from qcas.sim import (
     Circuit,
     GATE_KINDS,
-    PureState,
     amplitude_encode,
     apply_circuit_columns,
     basis_state,
     circuit_unitary,
     gate,
     ghz_state,
-    pure_fidelity,
-    run_circuit,
 )
-from qcas.tasks import QaeTask, batch_reconstruction_fidelity, batch_trash_fidelity
+from qcas.tasks import (QaeTask, batch_reconstruction_fidelity, batch_trash_fidelity,
+                        gen_hidden_targets)
 
 RNG = np.random.default_rng(20240817)
 
@@ -50,7 +49,7 @@ PARAM_TAGS = [t for t, k in GATE_KINDS.items() if k.param_count == 1]
 
 def random_state(n, rng):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return PureState(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def random_circuit(n, n_gates, rng):
@@ -69,33 +68,38 @@ def random_circuit(n, n_gates, rng):
     return Circuit(n, gates)
 
 
+def run(state, circuit, theta=()):
+    """`state` after `circuit`, run as one column."""
+    return apply_circuit_columns(circuit, theta, state[:, None])[:, 0]
+
+
 def one_gate(state, tag, *targets, angle=None):
     """`state` after one gate, run as a one-gate circuit."""
     slot = None if angle is None else 0
-    circuit = Circuit(state.n_qubits, [gate(tag, *targets, param_slot=slot)])
-    return run_circuit(state, circuit, () if angle is None else (angle,))
+    circuit = Circuit(width(state), [gate(tag, *targets, param_slot=slot)])
+    return run(state, circuit, () if angle is None else (angle,))
 
 
 class TestGates:
     def test_x_flips_zero(self):
         out = one_gate(basis_state(1), "X", 0)
-        assert np.allclose(out.amplitudes, [0, 1])
+        assert np.allclose(out, [0, 1])
 
     def test_h_makes_plus(self):
         out = one_gate(basis_state(1), "H", 0)
-        assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
+        assert np.allclose(out, [1 / math.sqrt(2)] * 2)
 
     def test_ry_pi_flips_up_to_phase(self):
         out = one_gate(basis_state(1), "RY", 0, angle=math.pi)
-        assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
+        assert abs(abs(out[1]) - 1.0) < 1e-12
 
     def test_cnot_completes_bell(self):
         amps = np.zeros(4)
         amps[0] = amps[2] = 1 / math.sqrt(2)  # (|00> + |10>)/sqrt(2)
-        out = one_gate(PureState(2, amps), "CNOT", 0, 1)
+        out = one_gate(amps.astype(complex), "CNOT", 0, 1)
         expected = np.zeros(4)
         expected[0] = expected[3] = 1 / math.sqrt(2)
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_all_gate_matrices_unitary(self):
         # the simulator's fixed matrices and the reference's rotations
@@ -111,31 +115,32 @@ class TestGates:
             kind = GATE_KINDS[tag]
             targets = tuple(int(q) for q in RNG.choice(3, size=kind.arity, replace=False))
             state = one_gate(state, tag, *targets, angle=float(RNG.uniform(-math.pi, math.pi)))
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
 
 class TestRunCircuit:
     def test_empty_circuit_is_identity(self):
         state = random_state(3, RNG)
-        out = run_circuit(state, Circuit(3))
-        assert np.allclose(out.amplitudes, state.amplitudes)
+        out = run(state, Circuit(3))
+        assert np.allclose(out, state)
 
     def test_ghz_preparation(self):
         circ = Circuit(3, [gate("H", 0), gate("CNOT", 0, 1), gate("CNOT", 1, 2)])
-        out = run_circuit(basis_state(3), circ)
-        assert pure_fidelity(out, ghz_state(3)) > 1.0 - 1e-12
+        out = run(basis_state(3), circ)
+        assert abs(np.vdot(out, ghz_state(3))) ** 2 > 1.0 - 1e-12
 
     def test_matches_kron_oracle(self):
         circ = random_circuit(4, 20, RNG)
         theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
         state = random_state(4, RNG)
-        out = run_circuit(state, circ, theta)
-        expected = oracle_unitary(circ, theta) @ state.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+        out = run(state, circ, theta)
+        expected = oracle_unitary(circ, theta) @ state
+        assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            run_circuit(basis_state(2), Circuit(3))
+        with pytest.raises(ValueError, match="^columns have 4 rows, but a 3-qubit circuit "
+                                             "needs 8$"):
+            run(basis_state(2), Circuit(3))
 
 
 class TestCircuitUnitary:
@@ -157,21 +162,14 @@ class TestCircuitUnitary:
     def test_batched_columns_match_per_state_runs(self):
         circ = random_circuit(3, 12, RNG)
         theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
-        cols = np.column_stack([random_state(3, RNG).amplitudes for _ in range(6)])
+        cols = np.column_stack([random_state(3, RNG) for _ in range(6)])
         batched = apply_circuit_columns(circ, theta, cols)
         for i in range(6):
-            single = run_circuit(PureState(3, cols[:, i]), circ, theta)
-            assert np.allclose(batched[:, i], single.amplitudes, atol=1e-10)
+            single = run(cols[:, i], circ, theta)
+            assert np.allclose(batched[:, i], single, atol=1e-10)
 
 
 class TestFidelities:
-    def test_pure_fidelity_basics(self):
-        zero, one = basis_state(1), basis_state(1, 1)
-        plus = one_gate(zero, "H", 0)
-        assert pure_fidelity(zero, zero) == pytest.approx(1.0)
-        assert pure_fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
-        assert pure_fidelity(zero, plus) == pytest.approx(0.5)
-
     def test_uhlmann_self_fidelity(self):
         state = random_state(2, RNG)
         rho = density(state)
@@ -185,7 +183,7 @@ class TestFidelities:
     def test_uhlmann_reduces_to_pure_overlap(self):
         for _ in range(20):
             a, b = random_state(2, RNG), random_state(2, RNG)
-            f_pure = pure_fidelity(a, b)
+            f_pure = abs(np.vdot(a, b)) ** 2
             f_mixed = state_fidelity(density(a), density(b))
             assert abs(f_pure - f_mixed) < 1e-9
 
@@ -198,8 +196,8 @@ class TestFidelities:
 class TestPartialTrace:
     def test_product_state(self):
         plus = one_gate(basis_state(1), "H", 0)
-        amps = np.kron(basis_state(1).amplitudes, plus.amplitudes)
-        reduced = partial_trace(density(PureState(2, amps)), (0,))
+        amps = np.kron(basis_state(1), plus)
+        reduced = partial_trace(density(amps), (0,))
         assert np.allclose(reduced.entries, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
@@ -209,7 +207,7 @@ class TestPartialTrace:
         for keep in ((0,), (1,)):
             reduced = partial_trace(DensityMatrix(2, rho), keep)
             assert np.array_equal(reduced.entries, np.eye(2) / 2)
-        bell = run_circuit(basis_state(2), Circuit(2, [gate("H", 0), gate("CNOT", 0, 1)]))
+        bell = run(basis_state(2), Circuit(2, [gate("H", 0), gate("CNOT", 0, 1)]))
         reduced = partial_trace(density(bell), (0,))
         assert np.max(np.abs(reduced.entries - np.eye(2) / 2)) < 1e-15
 
@@ -238,8 +236,8 @@ class TestPartialTrace:
 
 
 def qae_task(n_trash, states, cost_mode="trash"):
-    cols = np.column_stack([s.amplitudes for s in states])
-    return QaeTask("Check", states[0].n_qubits, n_trash, cols, cols, cost_mode=cost_mode)
+    cols = np.column_stack(states)
+    return QaeTask("Check", width(states[0]), n_trash, cols, cols, cost_mode=cost_mode)
 
 
 class TestTrashCost:
@@ -260,7 +258,7 @@ class TestTrashCost:
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             state = random_state(3, RNG)
             cost = qae_task(1, [state]).training_cost(circ, theta)
-            encoded = PureState(3, oracle_unitary(circ, theta) @ state.amplitudes)
+            encoded = oracle_unitary(circ, theta) @ state
             rho_b = partial_trace(density(encoded), (2,))
             f = swap_test_expectation(rho_b, basis_state(1))
             assert abs((1.0 - f) - cost) < 1e-9
@@ -292,7 +290,7 @@ class TestSwapTest:
             rho = depolarize(density(random_state(1, RNG)), float(RNG.uniform(0, 1)))
             ref = random_state(1, RNG)
             f = swap_test_expectation(rho, ref)
-            expected = float(np.real(ref.amplitudes.conj() @ rho.entries @ ref.amplitudes))
+            expected = float(np.real(ref.conj() @ rho.entries @ ref))
             assert abs(f - expected) < 1e-9
 
     def test_two_qubit_trash(self):
@@ -305,7 +303,7 @@ class TestReconstruction:
     """`tasks.batch_reconstruction_fidelity`, the round trip of every score."""
 
     def test_identity_on_product_input(self):
-        cols = basis_state(3).amplitudes[:, None]
+        cols = basis_state(3)[:, None]
         f = batch_reconstruction_fidelity(Circuit(3), (), cols, 1)
         assert f[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -314,7 +312,7 @@ class TestReconstruction:
         state = one_gate(basis_state(3), "X", 2)
         circ = Circuit(3, [gate("X", 2)])
         assert qae_task(1, [state]).training_cost(circ, ()) < 1e-12
-        f = batch_reconstruction_fidelity(circ, (), state.amplitudes[:, None], 1)
+        f = batch_reconstruction_fidelity(circ, (), state[:, None], 1)
         assert f[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_trash_bound_exploratory(self):
@@ -324,7 +322,7 @@ class TestReconstruction:
         for _ in range(50):
             circ = random_circuit(3, 8, RNG)
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
-            cols = np.column_stack([random_state(3, RNG).amplitudes for _ in range(8)])
+            cols = np.column_stack([random_state(3, RNG) for _ in range(8)])
             encoded = apply_circuit_columns(circ, theta, cols)
             cost = 1.0 - batch_trash_fidelity(encoded, 1)
             f = batch_reconstruction_fidelity(circ, theta, cols, 1)
@@ -335,7 +333,7 @@ class TestReconstruction:
         for circ in (Circuit(3), random_circuit(3, 8, RNG)):
             theta = RNG.uniform(-math.pi, math.pi, size=circ.n_params)
             states = [clean] + [random_state(3, RNG) for _ in range(3)]
-            cols = np.column_stack([s.amplitudes for s in states])
+            cols = np.column_stack(states)
             f = batch_reconstruction_fidelity(circ, theta, cols, 1, target=clean)
             want = [reconstruction_fidelity(circ, theta, s, (2,), target=clean)
                     for s in states]
@@ -378,7 +376,7 @@ def trash_qubits(n, n_trash):
 def reference_encoded(circuit, theta, states):
     """Density matrices of the encoded states, from the kron unitary."""
     u = oracle_unitary(circuit, theta)
-    return [density(PureState(circuit.n_qubits, u @ s.amplitudes)) for s in states]
+    return [density(u @ s) for s in states]
 
 
 def reference_cost(cost_mode, circuit, theta, n_trash, states):
@@ -410,7 +408,7 @@ def test_training_cost_matches_density_matrix_reference(cost_mode, case):
 def test_reconstruction_fidelity_matches_density_matrix_reference(with_target, case, seed):
     circuit, theta, n_trash, states = case
     target = random_state(circuit.n_qubits, np.random.default_rng(seed)) if with_target else None
-    cols = np.column_stack([s.amplitudes for s in states])
+    cols = np.column_stack(states)
     got = batch_reconstruction_fidelity(circuit, theta, cols, n_trash, target=target)
     trash = trash_qubits(circuit.n_qubits, n_trash)
     want = [reconstruction_fidelity(circuit, theta, s, trash, target=target) for s in states]
@@ -442,7 +440,7 @@ class TestNoise:
     def test_pauli_channel_p_zero(self):
         state = random_state(2, RNG)
         out = pauli_channel_apply(state, 0.0, np.random.default_rng(0))
-        assert np.allclose(out.amplitudes, state.amplitudes)
+        assert np.allclose(out, state)
 
     def test_pauli_channel_p_one_on_zero(self):
         # with p=1 the qubit gets I/X/Y/Z uniformly: |0> survives under I or Z
@@ -451,7 +449,7 @@ class TestNoise:
         n = 20_000
         for _ in range(n):
             out = pauli_channel_apply(basis_state(1), 1.0, rng)
-            hits += abs(out.amplitudes[0]) > 0.5
+            hits += abs(out[0]) > 0.5
         assert abs(hits / n - 0.5) < 0.02
 
     def test_pauli_ensemble_matches_depolarize(self):
@@ -462,7 +460,7 @@ class TestNoise:
         n = 20_000
         for _ in range(n):
             out = pauli_channel_apply(state, p, rng)
-            acc += np.outer(out.amplitudes, out.amplitudes.conj())
+            acc += np.outer(out, out.conj())
         acc /= n
         expected = depolarize(density(state), p).entries
         assert np.max(np.abs(acc - expected)) < 0.02
@@ -471,16 +469,16 @@ class TestNoise:
 class TestAmplitudeEncode:
     def test_basis_vector(self):
         out = amplitude_encode([1, 0, 0, 0])
-        assert out.n_qubits == 2
-        assert np.allclose(out.amplitudes, [1, 0, 0, 0])
+        assert out.shape == (4,)
+        assert np.allclose(out, [1, 0, 0, 0])
 
     def test_three_four_normalization(self):
         out = amplitude_encode([3, 4])
-        assert np.allclose(out.amplitudes, [0.6, 0.8])
+        assert np.allclose(out, [0.6, 0.8])
 
     def test_image_sized_vector_uses_five_qubits(self):
         out = amplitude_encode(np.arange(1, 33, dtype=float))
-        assert out.n_qubits == 5
+        assert out.shape == (32,)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -489,21 +487,36 @@ class TestAmplitudeEncode:
 
 class TestGhzState:
     def test_three_qubits(self):
-        amps = ghz_state(3).amplitudes
+        amps = ghz_state(3)
         expected = np.zeros(8)
         expected[0] = expected[7] = 1 / math.sqrt(2)
         assert np.allclose(amps, expected)
 
     def test_one_qubit_equals_plus(self):
         plus = one_gate(basis_state(1), "H", 0)
-        assert pure_fidelity(ghz_state(1), plus) == pytest.approx(1.0)
+        assert abs(np.vdot(ghz_state(1), plus)) ** 2 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: basis_state(3), 3),
+    (lambda: basis_state(2, 3), 2),
+    (lambda: ghz_state(1), 1),
+    (lambda: ghz_state(4), 4),
+    (lambda: amplitude_encode([3, 4, 0]), 2),
+    (lambda: amplitude_encode(np.arange(1, 33, dtype=float)), 5),
+    (lambda: gen_hidden_targets(5, "dense", 3, 4, seed=2)[3].evolved, 5),
+    (lambda: gen_hidden_targets(3, "single", 6, 2, seed=9)[1].evolved, 3),
+], ids=["basis", "basis-index", "ghz-1", "ghz-4", "encode-padded", "encode-32",
+        "hidden-dense", "hidden-single"])
+def test_states_are_unit_norm_complex_vectors(make, n):
+    """A state is its (2^n,) complex amplitude vector, built normalized."""
+    state = make()
+    assert state.shape == (2**n,)
+    assert state.dtype == complex
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 class TestValidation:
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            PureState(1, [1.0, 1.0])
-
     def test_nonhermitian_density_rejected(self):
         bad = np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)
         with pytest.raises(ValueError):

@@ -31,11 +31,9 @@ from qcas.sim import (
     SPACE_GENERIC,
     Circuit,
     GateInstance,
-    PureState,
     apply_circuit_columns,
     circuit_unitary,
     gate,
-    run_circuit,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -57,12 +55,6 @@ def reference_columns(circuit, theta, columns):
         out = (mat @ moved.reshape(2**k, -1)).reshape(moved.shape)
         tensor = np.moveaxis(out, range(k), g.targets)
     return tensor.reshape(2**n, batch)
-
-
-def reference_run(state, circuit, theta=()):
-    theta = np.asarray(theta, dtype=float)
-    out = reference_columns(circuit, theta, state.amplitudes[:, None])
-    return PureState(state.n_qubits, out[:, 0])
 
 
 def reference_training_cost(task, circuit, theta):
@@ -157,16 +149,17 @@ def test_random_circuits_match_kron_oracle(case, batch, seed):
 def test_entry_points_agree(case, seed):
     circuit, theta = case
     n = circuit.n_qubits
-    state = PureState(n, random_columns(n, 1, seed)[:, 0])
+    state = random_columns(n, 1, seed)
     stepped = state
     for g in circuit.gates:  # one one-gate circuit per gate
         slot = None if g.param_slot is None else 0
         one = Circuit(n, [GateInstance(g.kind, g.targets, slot)])
-        stepped = run_circuit(stepped, one, () if slot is None else (theta[g.param_slot],))
-    whole = run_circuit(state, circuit, theta)
-    assert same_bits(stepped.amplitudes, whole.amplitudes)
-    via_unitary = circuit_unitary(circuit, theta) @ state.amplitudes
-    assert np.max(np.abs(whole.amplitudes - via_unitary)) < 1e-12
+        stepped = apply_circuit_columns(one, () if slot is None else (theta[g.param_slot],),
+                                        stepped)
+    whole = apply_circuit_columns(circuit, theta, state)
+    assert same_bits(stepped, whole)
+    via_unitary = circuit_unitary(circuit, theta) @ state
+    assert np.max(np.abs(whole - via_unitary)) < 1e-12
 
 
 @PROPERTY
@@ -301,7 +294,6 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, monkeypa
 
     compiled = [(task.training_cost(c, th), task.validation_score(c, th)) for c, th in cases]
     monkeypatch.setattr(tasks, "apply_circuit_columns", reference_columns)
-    monkeypatch.setattr(tasks, "run_circuit", reference_run)
     for (circuit, theta), (cost, score) in zip(cases, compiled):
         assert cost == reference_training_cost(task, circuit, theta)
         assert score == float(np.mean(tasks.batch_reconstruction_fidelity(
