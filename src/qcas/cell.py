@@ -11,9 +11,9 @@ hash equal.  Gate order between locations is deliberately not encoded;
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -115,6 +115,20 @@ class Cell:
             edge_ops = {edge: ops for edge, ops in edge_ops.items() if ops}
         object.__setattr__(self, "edge_ops", tuple(sorted(edge_ops.items())))
 
+    @cached_property
+    def _growth(self) -> tuple:
+        """What every expansion of this cell reuses: the unordered pairs with
+        no edge either way, in drawing order; the rotation count per qubit; and
+        its metrics, the base of the quantities that add up over the gates."""
+        n, have = self.n_qubits, {edge for edge, _ in self.edge_ops}
+        pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n)
+                      if (a, b) not in have and (b, a) not in have)
+        return pairs, tuple(map(len, self.node_ops)), metrics(self)
+
+    def __getstate__(self):
+        # the growth profile is derived, so a pickle leaves it out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @lru_cache(maxsize=64)
 def _edges(n: int) -> frozenset:
@@ -138,7 +152,13 @@ def random_cell(space, n_qubits: int, rng: np.random.Generator,
     This is `expand_cell` of the empty cell, `constraint` included."""
     if layer_budget < 1:
         raise ValueError("layer_budget must be >= 1")
-    return expand_cell(Cell(n_qubits), space, rng, layer_budget, constraint)
+    return expand_cell(_empty_cell(n_qubits), space, rng, layer_budget, constraint)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _empty_cell(n: int) -> Cell:
+    """The cell of n qubits with no ops, shared so its growth profile is worked out once."""
+    return Cell(n)
 
 
 def expand_cell(seed: Cell, space, rng: np.random.Generator,
@@ -147,35 +167,43 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     fill in missing edges with newly sampled 2-qubit ops.
 
     With a `constraint`, the child's constrained quantity is worked out from
-    the seed and the drawn additions, and a child that breaks it is never
-    built: None is returned instead.  The rng draws are the same either way.
-    A category with one kind draws no index for it: numpy's `integers` draws
-    nothing for a one-value range, so skipping the call keeps the draws.
+    the seed's growth profile and the drawn additions, and a child that breaks
+    it is never built: None is returned instead.  The rng draws are the same
+    either way.  A category with one kind draws no index for it: numpy's
+    `integers` draws nothing for a one-value range, so skipping the call keeps
+    the draws.  With one 2-qubit kind the edge loop draws only uniforms, so
+    it draws them in batches that stop where the scalar loop would.
     """
     rot, ent = _space_kinds(frozenset(space))
-    n = seed.n_qubits
+    pairs, rotations, _ = seed._growth
     integers, random = rng.integers, rng.random
-    added = [[] for _ in range(n)]
+    sizes, tags = list(rotations), []  # the child's rotations per qubit; the added tags
     if rot:
-        for q in range(n):
+        for q in range(seed.n_qubits):
             k = int(integers(0, layer_budget + 1))
-            if k:
-                added[q] = [rot[integers(len(rot))] if len(rot) > 1 else rot[0] for _ in range(k)]
-    new_edges = {}
-    if ent:
-        have = dict(seed.edge_ops)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (a, b) in have or (b, a) in have:
-                    continue
-                if random() < 0.5:
-                    edge = (a, b) if random() < 0.5 else (b, a)
-                    new_edges[edge] = [ent[integers(len(ent))] if len(ent) > 1 else ent[0]]
-    if (constraint is not None
-            and _grown_quantity(constraint.quantity, seed, added, new_edges) > constraint.bound):
+            sizes[q] += k
+            for _ in range(k):
+                tags.append(rot[integers(len(rot))] if len(rot) > 1 else rot[0])
+    # pairs[:i] have had their coin; `pending` while pairs[i - 1] waits for its
+    # direction.  With one kind nothing else draws between the uniforms, so they
+    # come in batches of the draws still due: one per pair left, one if pending.
+    new_edges, i, pending = [], 0, False
+    while ent and (i < len(pairs) or pending):
+        for u in random(len(pairs) - i + pending).tolist() if len(ent) == 1 else (random(),):
+            if not pending:
+                i += 1
+                pending = u < 0.5
+                continue
+            a, b = pairs[i - 1]
+            new_edges.append(((a, b) if u < 0.5 else (b, a),
+                              ent if len(ent) == 1 else (ent[integers(len(ent))],)))
+            pending = False
+    if (constraint is not None and _grown_quantity(constraint.quantity, seed, sizes, tags,
+                                                   new_edges) > constraint.bound):
         return None
-    return Cell(n, [(*ops, *more) for ops, more in zip(seed.node_ops, added)],
-                [*seed.edge_ops, *new_edges.items()])
+    added = iter(tags)
+    node_ops = [(*ops, *islice(added, size - len(ops))) for ops, size in zip(seed.node_ops, sizes)]
+    return Cell(seed.n_qubits, node_ops, [*seed.edge_ops, *new_edges])
 
 
 def sample_admissible(make, count: int, max_tries: int = 100,
@@ -193,22 +221,22 @@ def sample_admissible(make, count: int, max_tries: int = 100,
     return cells
 
 
-def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> int:
+def _grown_quantity(quantity: str, seed: Cell, sizes: list, tags: list,
+                    new_edges: list) -> int:
     """`quantity` of `metrics` of the child that `expand_cell` builds from
-    `seed`, the rotations `added` per qubit and `new_edges`, read without
-    building the child."""
+    `seed`, with `sizes[q]` rotations on qubit q (the added ones' `tags` in
+    order) and the `(edge, ops)` pairs `new_edges` added, read from the seed's
+    growth profile without building the child."""
     if quantity == "n_layers":
-        return _depth([len(ops) + len(more) for ops, more in zip(seed.node_ops, added)],
-                      sorted([*seed.edge_ops, *new_edges.items()]))
+        return _depth(sizes, sorted([*seed.edge_ops, *new_edges]) if new_edges else seed.edge_ops)
     # the other quantities add up over the gates
-    base = getattr(metrics(seed), quantity)
+    *_, base = seed._growth
     if quantity == "n_two_qubit":
-        return base + len(new_edges)
-    tags = [tag for more in added for tag in more]
-    tags += [ops[0] for ops in new_edges.values()]
-    if quantity == "n_params":
-        return base + sum(GATE_KINDS[tag].param_count for tag in tags)
-    return base + len(tags)
+        return base.n_two_qubit + len(new_edges)
+    if quantity == "n_gates":
+        return base.n_gates + len(tags) + len(new_edges)
+    return base.n_params + sum(GATE_KINDS[tag].param_count
+                               for tag in chain(tags, *(ops for _, ops in new_edges)))
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,4 @@
-"""Bit-identity check: run 39 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 42 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -16,8 +16,10 @@ over their CSV digests, and its summed `training_cost` calls.
 The cases are qcas seeds 1000-1011 of the `denoise-relm` and `regen-relm`
 benchmark workloads, and seeds 1-3 each of `image-res`, a denoise `rs` search
 with `budget_evals: 8` and `denoise-relm`'s `opt`, `denoise-relm` and
-`regen-relm` with `relm.init_mode: random_search`, and `denoise-relm` with
-`task.noise: qdc`.  The configs come from `perfbench/workloads.py`.
+`regen-relm` with `relm.init_mode: random_search`, `denoise-relm` with
+`task.noise: qdc`, and `regen-relm` under `n_gates <= 6` in place of its
+`n_layers` constraint, at which RES both admits and rejects candidates in
+each phase.  The configs come from `perfbench/workloads.py`.
 """
 
 import copy
@@ -56,7 +58,9 @@ def cases():
                             "rs": {"budget_evals": 8}, "opt": denoise["opt"]}),
             ("denoise-rsinit", variant("denoise-relm", relm=rs_init)),
             ("regen-rsinit", variant("regen-relm", relm=rs_init)),
-            ("denoise-qdc", variant("denoise-relm", task={"noise": "qdc"}))):
+            ("denoise-qdc", variant("denoise-relm", task={"noise": "qdc"})),
+            ("regen-ngates", variant("regen-relm",
+                                     res={"constraint": {"quantity": "n_gates", "bound": 6}}))):
         for seed in (1, 2, 3):
             yield name, doc, seed
 

@@ -14,6 +14,11 @@
   must average to, and the per-sample bit-flip and Pauli circuits, whose
   draws the batched noisy datasets must reproduce.
 * The REINFORCE loss, whose finite differences check `reinforce_grads`.
+* The RES sampler as it drew before cells cached a growth profile:
+  `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
+  `random()` call and `_grown_quantity` re-derives the seed's part of the
+  constrained quantity for every candidate.  `qcas.cell`'s sampler must give
+  the same cells, the same `None`s and the same generator state.
 
 A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 """
@@ -24,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qcas.cell import Cell, SoftConstraint, _depth, _space_kinds, metrics
 from qcas.controller import controller_forward
 from qcas import sim
-from qcas.sim import Circuit, apply_circuit_columns, basis_state, gate
+from qcas.sim import GATE_KINDS, Circuit, apply_circuit_columns, basis_state, gate
 
 PSD_TOL = 1e-9
 
@@ -307,3 +313,74 @@ def reinforce_loss(params, views, rot_actions, ent_actions, reward: float) -> fl
     """-reward * log pi(actions | views), the loss `reinforce_grads` differentiates."""
     rot_logits, ent_logits = controller_forward(params, views)[0]
     return -action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) * reward
+
+
+# ---------------------------------------------------------------------------
+# RES sampler
+# ---------------------------------------------------------------------------
+
+
+def random_cell(space, n_qubits: int, rng: np.random.Generator,
+                layer_budget: int = 1, constraint: SoftConstraint | None = None):
+    """Sample a fresh cell: up to `layer_budget` rotations per qubit and at
+    most one 2-qubit op per edge (each unordered pair drawn with prob 1/2).
+
+    This is `expand_cell` of the empty cell, `constraint` included."""
+    if layer_budget < 1:
+        raise ValueError("layer_budget must be >= 1")
+    return expand_cell(Cell(n_qubits), space, rng, layer_budget, constraint)
+
+
+def expand_cell(seed: Cell, space, rng: np.random.Generator,
+                layer_budget: int = 1, constraint: SoftConstraint | None = None):
+    """Grow a seed cell: keep everything it has, append fresh rotations and
+    fill in missing edges with newly sampled 2-qubit ops.
+
+    With a `constraint`, the child's constrained quantity is worked out from
+    the seed and the drawn additions, and a child that breaks it is never
+    built: None is returned instead.  The rng draws are the same either way.
+    A category with one kind draws no index for it: numpy's `integers` draws
+    nothing for a one-value range, so skipping the call keeps the draws.
+    """
+    rot, ent = _space_kinds(frozenset(space))
+    n = seed.n_qubits
+    integers, random = rng.integers, rng.random
+    added = [[] for _ in range(n)]
+    if rot:
+        for q in range(n):
+            k = int(integers(0, layer_budget + 1))
+            if k:
+                added[q] = [rot[integers(len(rot))] if len(rot) > 1 else rot[0] for _ in range(k)]
+    new_edges = {}
+    if ent:
+        have = dict(seed.edge_ops)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if (a, b) in have or (b, a) in have:
+                    continue
+                if random() < 0.5:
+                    edge = (a, b) if random() < 0.5 else (b, a)
+                    new_edges[edge] = [ent[integers(len(ent))] if len(ent) > 1 else ent[0]]
+    if (constraint is not None
+            and _grown_quantity(constraint.quantity, seed, added, new_edges) > constraint.bound):
+        return None
+    return Cell(n, [(*ops, *more) for ops, more in zip(seed.node_ops, added)],
+                [*seed.edge_ops, *new_edges.items()])
+
+
+def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> int:
+    """`quantity` of `metrics` of the child that `expand_cell` builds from
+    `seed`, the rotations `added` per qubit and `new_edges`, read without
+    building the child."""
+    if quantity == "n_layers":
+        return _depth([len(ops) + len(more) for ops, more in zip(seed.node_ops, added)],
+                      sorted([*seed.edge_ops, *new_edges.items()]))
+    # the other quantities add up over the gates
+    base = getattr(metrics(seed), quantity)
+    if quantity == "n_two_qubit":
+        return base + len(new_edges)
+    tags = [tag for more in added for tag in more]
+    tags += [ops[0] for ops in new_edges.values()]
+    if quantity == "n_params":
+        return base + sum(GATE_KINDS[tag].param_count for tag in tags)
+    return base + len(tags)

@@ -4,12 +4,15 @@ views, action decoding, metrics, soft constraints and serialization."""
 import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcas.cell
 from qcas.cell import (
     Cell,
     CellMetrics,
@@ -230,6 +233,83 @@ class TestExpandCell:
             child = expand_cell(seed, SPACE_GENERIC, RNG)
             assert dict(child.edge_ops)[(0, 1)] == ("CNOT",)
             assert (1, 0) not in dict(child.edge_ops)
+
+
+QUANTITIES = ("n_params", "n_layers", "n_two_qubit", "n_gates")
+# one 2-qubit kind (the batched coin flips), four, none, and one with one
+# rotation kind as well
+SAMPLER_SPACES = {"clifford": SPACE_CLIFFORD, "generic": SPACE_GENERIC,
+                  "single-clifford": SPACE_SINGLE_CLIFFORD, "ry-cnot": frozenset({"RY", "CNOT"})}
+
+
+class TestDrawStream:
+    """`random_cell` / `expand_cell` against the reference sampler: the same
+    cell or None from every call, and the same generator state after it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
+    def test_matches_the_reference_sampler(self, space, n):
+        outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
+        has_uint32 = set()
+        for layer_budget in (1, 2, 3):
+            for quantity in (None, *QUANTITIES):
+                for rng_seed in range(3):
+                    seed = reference.random_cell(space, n, np.random.default_rng(rng_seed + 100),
+                                                 layer_budget)
+                    constraint = (None if quantity is None else SoftConstraint(
+                        quantity, max(1, getattr(metrics(seed), quantity) + 1)))
+                    rng, ref_rng = (np.random.default_rng(rng_seed) for _ in range(2))
+                    if rng_seed == 1:  # start from a half-used 32-bit buffer
+                        for generator in (rng, ref_rng):
+                            generator.integers(2)
+                    for i in range(12):
+                        if i % 3:
+                            got = expand_cell(seed, space, rng, layer_budget, constraint)
+                            want = reference.expand_cell(seed, space, ref_rng, layer_budget,
+                                                         constraint)
+                        else:
+                            got = random_cell(space, n, rng, layer_budget, constraint)
+                            want = reference.random_cell(space, n, ref_rng, layer_budget,
+                                                         constraint)
+                        assert got == want
+                        state = rng.bit_generator.state
+                        assert state == ref_rng.bit_generator.state
+                        has_uint32.add(state["has_uint32"])
+                        if constraint is not None:
+                            outcomes[got is not None] += 1
+        # the tight bounds both build and reject, and the 32-bit buffer of
+        # `integers` is seen both full and empty
+        assert outcomes[True] and outcomes[False]
+        assert has_uint32 == {0, 1}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=cells(), space=st.sampled_from(list(SAMPLER_SPACES.values())),
+           layer_budget=st.integers(1, 3), quantity=st.sampled_from(QUANTITIES),
+           rng_seed=st.integers(0, 2**32 - 1))
+    def test_grown_quantity_is_the_childs(self, seed, space, layer_budget, quantity, rng_seed):
+        # the quantity read from the seed's cached profile plus the draws is
+        # the metric of the child the same draws build with no constraint
+        real, grown = qcas.cell._grown_quantity, []
+
+        def spy(*args):
+            grown.append(real(*args))
+            return grown[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qcas.cell, "_grown_quantity", spy)
+            expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget,
+                        SoftConstraint(quantity, 1))
+        child = expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget)
+        assert grown == [getattr(metrics(child), quantity)]
+
+    def test_growth_profile_is_not_part_of_the_value(self):
+        seed, fresh = (Cell(3, [["RX"], [], ["H", "S"]], {(0, 1): ["CNOT"]}) for _ in range(2))
+        expand_cell(seed, SPACE_GENERIC, np.random.default_rng(0), 1, SoftConstraint("n_gates", 9))
+        assert "_growth" in vars(seed) and "_growth" not in vars(fresh)
+        assert seed == fresh and hash(seed) == hash(fresh) and repr(seed) == repr(fresh)
+        assert pickle.dumps(seed) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(seed))
+        assert restored == seed and "_growth" not in vars(restored)
 
 
 class TestCellCircuit:

@@ -1,6 +1,8 @@
 """Random Elastic Search: population evaluation, constraint handling,
 expansion phases, elitism and determinism."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,7 +264,9 @@ class TestSampler:
             f"numpy's integers{args} now draws from the generator; expand_cell skips "
             "that call for a gate category with one kind, so its seeded cells would change")
 
-    def test_rejected_candidate_builds_no_cell(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The cells `qcas.cell` builds from here on, in order."""
         built = []
 
         class CountedCell(Cell):
@@ -270,8 +274,11 @@ class TestSampler:
                 built.append(self)
                 super().__post_init__()
 
-        seed = Cell(3, [["RX", "RY"], [], ["RZ"]], {(0, 1): ["CNOT"]})
         monkeypatch.setattr(qcas.cell, "Cell", CountedCell)
+        return built
+
+    def test_rejected_candidate_builds_no_cell(self, built):
+        seed = Cell(3, [["RX", "RY"], [], ["RZ"]], {(0, 1): ["CNOT"]})
         rng = np.random.default_rng(0)
         # the seed already breaks n_layers <= 2, so every child does too
         for _ in range(50):
@@ -279,3 +286,15 @@ class TestSampler:
         assert built == []
         child = expand_cell(seed, SPACE_GENERIC, rng, 2, SoftConstraint("n_layers", 20))
         assert built == [child]
+
+    def test_random_cell_grows_a_shared_empty_cell(self, built, monkeypatch):
+        # one empty seed per width, built on first use; after that a call
+        # builds only the cell it returns
+        monkeypatch.setattr(qcas.cell, "_empty_cell",
+                            functools.lru_cache(typed=True)(qcas.cell._empty_cell.__wrapped__))
+        rng = np.random.default_rng(1)
+        cells = [random_cell(SPACE_CLIFFORD, 4, rng, 1, SoftConstraint("n_gates", 4))
+                 for _ in range(60)]
+        assert None in cells
+        assert built[0] is qcas.cell._empty_cell(4)
+        assert built[1:] == [cell for cell in cells if cell is not None] != []
