@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .optim import check_int
+from .optim import check_choice, check_int
 from .sim import GATE_KINDS, Circuit, GateInstance
 
 NO_OP = "NO_OP"
@@ -34,9 +34,9 @@ CELL_FORMAT_VERSION = 1
 class GateVocab:
     """Bijection between gate kinds and dense integer ids, per category.
 
-    The kinds of each category in id order, with NO_OP at id 0 in both so
-    one-hot padding and action decoding share the same convention.  The ids
-    are worked out once per vocabulary, on first use.
+    The kinds of each category in id order, with NO_OP, the id of an empty
+    action slot, at 0 in both.  The ids are worked out once per vocabulary,
+    on first use.
     """
 
     rotation_kinds: tuple[str, ...]
@@ -271,32 +271,23 @@ def cell_to_circuit(cell: Cell) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# One-hot views and action decoding
+# Action slots
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CellViews:
-    rotation_view: np.ndarray  # (n_qubits, max_seq, v_rot)
-    entangle_view: np.ndarray  # (n_qubits, n_qubits, v_ent)
-
-
-def encode_views(cell: Cell, vocab: GateVocab, max_seq: int) -> CellViews:
+def encode_actions(cell: Cell, vocab: GateVocab, max_seq: int):
+    """The action slots `decode_actions` turns back into `cell`: each qubit's
+    rotation ids, NO_OP-padded to `max_seq`, and each edge's first op id."""
     n = cell.n_qubits
-    rot = np.zeros((n, max_seq, vocab.v_rot))
-    ent = np.zeros((n, n, vocab.v_ent))
-    rot[:, :, 0] = 1.0
-    ent[:, :, 0] = 1.0
-    for q in range(n):
-        if len(cell.node_ops[q]) > max_seq:
-            raise ValueError("node op sequence exceeds max_seq")
-        for s, tag in enumerate(cell.node_ops[q]):
-            rot[q, s, 0] = 0.0
-            rot[q, s, vocab.rotation_ids[tag]] = 1.0
+    rot = np.zeros((n, max_seq), dtype=int)
+    ent = np.zeros((n, n), dtype=int)
+    for q, ops in enumerate(cell.node_ops):
+        if len(ops) > max_seq:
+            raise ValueError(f"qubit {q} has {len(ops)} rotations, more than max_seq {max_seq}")
+        rot[q, :len(ops)] = [vocab.rotation_ids[tag] for tag in ops]
     for (c, t), ops in cell.edge_ops:
-        ent[c, t, 0] = 0.0
-        ent[c, t, vocab.entangle_ids[ops[0]]] = 1.0
-    return CellViews(rot, ent)
+        ent[c, t] = vocab.entangle_ids[ops[0]]
+    return rot, ent
 
 
 def decode_actions(rot_actions: np.ndarray, ent_actions: np.ndarray,
@@ -371,9 +362,7 @@ class SoftConstraint:
     bound: int
 
     def __post_init__(self):
-        quantities = ("n_params", "n_layers", "n_two_qubit", "n_gates")
-        if self.quantity not in quantities:
-            raise ValueError(f"quantity must be one of {quantities}, got {self.quantity!r}")
+        check_choice("quantity", self.quantity, (f.name for f in fields(CellMetrics)))
         check_int("bound", self.bound, 1)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .cell import (SoftConstraint, build_vocab, cell_from_dict, cell_to_circuit, cell_to_dict,
                    metrics)
-from .optim import OptBudget, check_range
+from .optim import OptBudget, check_choice, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
 from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
@@ -180,12 +180,12 @@ def parse_config(source, environ=None) -> dict:
 
 
 def _validate(config: dict):
-    algorithm, seeds, space = config["algorithm"], config["seeds"], config["space"]
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
-        raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+    seeds, space = config["seeds"], config["space"]
     try:
+        check_choice("algorithm", config["algorithm"], ALGORITHMS)
+        if not (isinstance(seeds, list) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds)):
+            raise ValueError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
         _build("task", TaskConfig, config["task"])
         check_range("jobs", config["jobs"], 1, os.cpu_count() or 1)
         _configs(config, seed=0)

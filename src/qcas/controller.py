@@ -7,13 +7,15 @@ correctness is pinned by a finite-difference test at desk scale.
 `controller_forward` returns the logits together with the cache that
 `reinforce_grads` backpropagates from.  The backward pass only reads the
 cache, so one forward serves every action sampled and every gradient taken at
-the same parameters and views, and `reinforce_grads` sums a batch of samples'
+the same parameters and parent, and `reinforce_grads` sums a batch of samples'
 gradients in one backward pass; RELM runs one of each per epoch.  Actions
 are always sampled, from the caller's rng.
 
-Token layout: n_qubits * max_seq rotation-slot tokens followed by
-n_qubits * (n_qubits - 1) ordered-pair entanglement tokens (lexicographic,
-diagonal excluded).  Learned positional embeddings distinguish slots.  The
+A parent goes in as the action slots a child comes out as: rotation ids
+`(n_qubits, max_seq)` and entanglement ids `(n_qubits, n_qubits)`.  Token
+layout: the n_qubits * max_seq rotation slots followed by the n_qubits *
+(n_qubits - 1) ordered-pair entanglement slots (lexicographic, diagonal
+excluded).  Learned positional embeddings distinguish slots.  The
 output projection maps each token to 2e values; the first half is scored
 against the rotation embedding matrix, the second half against the
 entanglement embedding matrix (tied weights).
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .cell import CellViews
 
 _LN_EPS = 1e-5
 _NEG_INF = -1e9
@@ -210,18 +210,17 @@ def _block_backward(dx2, cache, p, grads):
 # ---------------------------------------------------------------------------
 
 
-def controller_forward(params: ControllerParams, views: CellViews):
-    """Map cell views to per-slot logits over the two gate vocabularies;
-    returns ((rot_logits, ent_logits), cache)."""
+def controller_forward(params: ControllerParams, rot_slots, ent_slots):
+    """Map a parent's action slots to per-slot logits over the two gate
+    vocabularies; returns ((rot_logits, ent_logits), cache)."""
     cfg = params.config
     p = params.tensors
-    if views.rotation_view.shape != (cfg.n_qubits, cfg.max_seq, cfg.v_rot):
-        raise ValueError("rotation view shape does not match controller config")
-    if views.entangle_view.shape != (cfg.n_qubits, cfg.n_qubits, cfg.v_ent):
-        raise ValueError("entangle view shape does not match controller config")
+    if (np.shape(rot_slots) != (cfg.n_qubits, cfg.max_seq)
+            or np.shape(ent_slots) != (cfg.n_qubits, cfg.n_qubits)):
+        raise ValueError("action slot shapes do not match controller config")
     off_diagonal = ~np.eye(cfg.n_qubits, dtype=bool)  # the ordered pairs
-    rot_onehots = views.rotation_view.reshape(cfg.n_rot_tokens, cfg.v_rot)
-    ent_onehots = views.entangle_view[off_diagonal]
+    rot_onehots = np.eye(cfg.v_rot)[np.reshape(rot_slots, -1)]
+    ent_onehots = np.eye(cfg.v_ent)[np.asarray(ent_slots)[off_diagonal]]
     x = np.concatenate([rot_onehots @ p["W_s"], ent_onehots @ p["W_m"]], axis=0)
     x = x + p["pos"]
     block_caches = []
@@ -299,9 +298,9 @@ def _weighted_onehot_sum(actions, weights, size):
 
 def reinforce_grads(params: ControllerParams, forward, rot_actions,
                     ent_actions, reward):
-    """Gradients of -sum_j reward_j * log pi(actions_j | views) for every tensor.
+    """Gradients of -sum_j reward_j * log pi(actions_j | parent) for every tensor.
 
-    `forward` is `controller_forward(params, views)`; it is read, never
+    `forward` is `controller_forward(params, *parent_slots)`; it is read, never
     written, so many calls may share it.  Actions carry a leading sample
     axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample.  The
     backward pass is linear in the logit gradients, so the summed gradient

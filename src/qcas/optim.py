@@ -36,6 +36,13 @@ def check_int(name: str, value, least: int):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_choice(name: str, value, choices):
+    """Raise a ValueError that starts with `name` unless `value` is in `choices`."""
+    choices = tuple(choices)
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def check_range(name: str, value, least: int, most: int):
     """Raise a ValueError that starts with `name` unless `value` is an
     integer in least..most."""

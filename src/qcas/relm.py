@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import Cell, GateVocab, decode_actions, encode_views, eval_soft_constraint
+from .cell import Cell, GateVocab, decode_actions, encode_actions, eval_soft_constraint
 from .controller import (
     AdamState,
     ControllerConfig,
@@ -30,7 +30,7 @@ from .controller import (
     reinforce_grads,
     sample_actions,
 )
-from .optim import OptBudget, check_int, check_positive, score_cell
+from .optim import OptBudget, check_choice, check_int, check_positive, score_cell
 from .res import ResConfig, res_search
 from .tasks import random_search
 
@@ -70,12 +70,12 @@ class RelmConfig:
         if self.tournament_size > self.population_size:
             raise ValueError(f"tournament_size must be <= population_size "
                              f"{self.population_size}, got {self.tournament_size}")
-        for name, choices in (("init_mode", ("res", "random_search")),
-                              ("reward_mode", ("qae", "unitary")),
-                              ("reward_sign", ("text", "printed"))):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, "
-                                 f"got {getattr(self, name)!r}")
+        if self.layer_budget > self.max_seq:
+            raise ValueError(f"layer_budget must be <= max_seq {self.max_seq}, "
+                             f"got {self.layer_budget}")
+        check_choice("init_mode", self.init_mode, ("res", "random_search"))
+        check_choice("reward_mode", self.reward_mode, ("qae", "unitary"))
+        check_choice("reward_sign", self.reward_sign, ("text", "printed"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +154,12 @@ def tournament_step(pop: list, k: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MutationSample:
-    child: Cell
-    rot_actions: np.ndarray
-    ent_actions: np.ndarray
-
-
-def mutate(forward, vocab: GateVocab, rng: np.random.Generator) -> MutationSample:
+def mutate(forward, vocab: GateVocab, rng: np.random.Generator):
     """Sample per-slot actions from the parent's policy forward
-    `controller_forward(controller, views)` and decode them into a child
-    cell."""
-    rot_logits, ent_logits = forward[0]
-    rot_actions, ent_actions = sample_actions(rot_logits, ent_logits, rng)
-    child = decode_actions(rot_actions, ent_actions, vocab)
-    return MutationSample(child, rot_actions, ent_actions)
+    `controller_forward(controller, *parent_slots)`; returns the child they
+    decode to, with its rotation and entanglement actions."""
+    rot_actions, ent_actions = sample_actions(*forward[0], rng)
+    return decode_actions(rot_actions, ent_actions, vocab), rot_actions, ent_actions
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +217,15 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
 
     for epoch in range(1, config.epochs + 1):
         parent, _ = tournament_step(pop, config.tournament_size, rng)
-        views = encode_views(parent.cell, vocab, controller.config.max_seq)
-        forward = controller_forward(controller, views)
-        samples = [mutate(forward, vocab, rng) for _ in range(config.batch_size)]
+        forward = controller_forward(controller,
+                                     *encode_actions(parent.cell, vocab, config.max_seq))
+        cells, rot_actions, ent_actions = zip(*(mutate(forward, vocab, rng)
+                                                for _ in range(config.batch_size)))
         # each child is fitted with its own rng, so scoring draws nothing from `rng`
-        children = [score_cell(s.child, task, config.opt_budget,
+        children = [score_cell(cell, task, config.opt_budget,
                                np.random.default_rng([config.seed, 0x5C0, epoch, j]),
                                theta_init=parent.theta)
-                    for j, s in enumerate(samples)]
+                    for j, cell in enumerate(cells)]
         rewards = np.array([
             unitary_reward(1.0 - parent.score, 1.0 - c.score, config.alpha)
             if config.reward_mode == "unitary"
@@ -245,10 +237,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
         nonzero = rewards != 0.0
         if nonzero.any():
             grads = reinforce_grads(
-                controller, forward,
-                np.stack([s.rot_actions for s in samples])[nonzero],
-                np.stack([s.ent_actions for s in samples])[nonzero],
-                rewards[nonzero])
+                controller, forward, np.stack(rot_actions)[nonzero],
+                np.stack(ent_actions)[nonzero], rewards[nonzero])
             for g in grads.values():
                 g /= config.batch_size
             controller, adam = adam_step(controller, grads, adam)

@@ -98,6 +98,8 @@ def res_search(task, space, config: ResConfig) -> ResResult:
 
     for phase in range(2, config.max_phases + 1):
         seed_cell = global_best.cell
+        if constraint.quantity == "n_gates" and metrics(seed_cell).n_gates >= constraint.bound:
+            break  # every expansion adds a gate, or is the excluded seed
         children = sample_admissible(
             lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
                                 constraint),

@@ -21,7 +21,7 @@ import numpy as np
 # wraps tasks.metrics and tasks.eval_soft_constraint.
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
-from .optim import OptBudget, check_int, check_range, score_cell
+from .optim import OptBudget, check_choice, check_int, check_range, score_cell
 from .sim import (Circuit, amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary,
                   gate, ghz_state)
 
@@ -337,8 +337,7 @@ class QaeTask:
     val_target: np.ndarray | None = None  # compare round-trips to this state
 
     def __post_init__(self):
-        if self.cost_mode not in COST_MODES:
-            raise ValueError(f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}")
+        check_choice("cost_mode", self.cost_mode, COST_MODES)
         check_range("n_trash", self.n_trash, 1, self.n_qubits - 1)
         object.__setattr__(self, "_train", _distinct_columns(self.train_cols))
         object.__setattr__(self, "_val", _distinct_columns(self.val_cols))
@@ -475,9 +474,7 @@ class TaskConfig:
         for name, choices in (("kind", TASK_KINDS), ("noise", NOISE_KINDS),
                               ("dataset", IMAGE_DATASETS), ("subtask", SUBTASK_CNOT_PROB),
                               ("cost_mode", COST_MODES)):
-            if getattr(self, name) not in tuple(choices):
-                raise ValueError(f"{name} must be one of {tuple(choices)}, "
-                                 f"got {getattr(self, name)!r}")
+            check_choice(name, getattr(self, name), choices)
         read = ("kind",) + TASK_KINDS[self.kind]
         for f in fields(self):
             if f.name not in read and getattr(self, f.name) != f.default:

@@ -1,4 +1,4 @@
-"""Bit-identity check: run 42 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 45 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -19,7 +19,8 @@ with `budget_evals: 8` and `denoise-relm`'s `opt`, `denoise-relm` and
 `regen-relm` with `relm.init_mode: random_search`, `denoise-relm` with
 `task.noise: qdc`, and `regen-relm` under `n_gates <= 6` in place of its
 `n_layers` constraint, at which RES both admits and rejects candidates in
-each phase.  The configs come from `perfbench/workloads.py`.
+each phase, and under `n_gates <= 5`, at which seed 2's RES seed reaches
+the bound before its last phase.  The configs come from `perfbench/workloads.py`.
 """
 
 import copy
@@ -60,7 +61,9 @@ def cases():
             ("regen-rsinit", variant("regen-relm", relm=rs_init)),
             ("denoise-qdc", variant("denoise-relm", task={"noise": "qdc"})),
             ("regen-ngates", variant("regen-relm",
-                                     res={"constraint": {"quantity": "n_gates", "bound": 6}}))):
+                                     res={"constraint": {"quantity": "n_gates", "bound": 6}})),
+            ("regen-ngates5", variant("regen-relm",
+                                      res={"constraint": {"quantity": "n_gates", "bound": 5}}))):
         for seed in (1, 2, 3):
             yield name, doc, seed
 

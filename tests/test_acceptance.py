@@ -26,7 +26,7 @@ from qcas.cell import (
     Cell,
     SoftConstraint,
     build_vocab,
-    encode_views,
+    encode_actions,
     eval_soft_constraint,
     metrics,
 )
@@ -174,12 +174,12 @@ def test_criterion_05_controller_gradient_check():
                                   n_blocks=1, ff_dim=8)
         params = init_controller(config, np.random.default_rng(105))
         cell = Cell(2, [["RY"], ["RX"]], {(0, 1): ["CNOT"]})
-        views = encode_views(cell, vocab, config.max_seq)
+        slots = encode_actions(cell, vocab, config.max_seq)
         rng = np.random.default_rng(505)
-        rot_logits, ent_logits = controller_forward(params, views)[0]
+        rot_logits, ent_logits = controller_forward(params, *slots)[0]
         rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.8
-        grads = reinforce_grads(params, controller_forward(params, views),
+        grads = reinforce_grads(params, controller_forward(params, *slots),
                                 rot_a[None], ent_a[None], [reward])
         step = 1e-5
         worst = 0.0
@@ -189,9 +189,9 @@ def test_criterion_05_controller_gradient_check():
             idx = tuple(int(rng.integers(s)) for s in tensor.shape)
             saved = tensor[idx]
             tensor[idx] = saved + step
-            up = reinforce_loss(params, views, rot_a, ent_a, reward)
+            up = reinforce_loss(params, slots, rot_a, ent_a, reward)
             tensor[idx] = saved - step
-            down = reinforce_loss(params, views, rot_a, ent_a, reward)
+            down = reinforce_loss(params, slots, rot_a, ent_a, reward)
             tensor[idx] = saved
             numeric = (up - down) / (2 * step)
             analytic = grads[name][idx]

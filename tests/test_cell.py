@@ -1,5 +1,5 @@
-"""Cell IR: vocabularies, sampling, expansion, circuit emission, one-hot
-views, action decoding, metrics, soft constraints and serialization."""
+"""Cell IR: vocabularies, sampling, expansion, circuit emission, action
+slots and their decoding, metrics, soft constraints and serialization."""
 
 import copy
 import dataclasses
@@ -24,7 +24,7 @@ from qcas.cell import (
     cell_to_circuit,
     cell_to_dict,
     decode_actions,
-    encode_views,
+    encode_actions,
     eval_soft_constraint,
     expand_cell,
     metrics,
@@ -352,30 +352,51 @@ class TestCellCircuit:
 
 
 class TestViews:
+    """A cell's action slots (`encode_actions`), the view of it RELM's
+    controller reads and one-hot encodes."""
+
     VOCAB = build_vocab(SPACE_GENERIC)
 
     def test_empty_cell_all_noop(self):
-        views = encode_views(Cell(2), self.VOCAB, max_seq=3)
-        assert np.all(views.rotation_view[:, :, 0] == 1.0)
-        assert np.all(views.entangle_view[:, :, 0] == 1.0)
+        rot, ent = encode_actions(Cell(2), self.VOCAB, max_seq=3)
+        assert rot.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert ent.tolist() == [[0, 0], [0, 0]]
 
     def test_single_rotation_slot(self):
         vocab = build_vocab({"RY"})
-        views = encode_views(Cell(1, [["RY"]]), vocab, max_seq=2)
-        assert views.rotation_view[0, 0].tolist() == [0.0, 1.0]
-        assert views.rotation_view[0, 1].tolist() == [1.0, 0.0]
+        rot, _ = encode_actions(Cell(1, [["RY"]]), vocab, max_seq=2)
+        assert rot.tolist() == [[1, 0]]
 
     def test_rows_sum_to_one(self):
+        # every slot holds one in-vocab id, so each one-hot row has a single 1
         for _ in range(20):
             cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
-            views = encode_views(cell, self.VOCAB, max_seq=4)
-            assert np.allclose(views.rotation_view.sum(axis=-1), 1.0)
-            assert np.allclose(views.entangle_view.sum(axis=-1), 1.0)
+            rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
+            assert rot.min() >= 0 and rot.max() < self.VOCAB.v_rot
+            assert ent.min() >= 0 and ent.max() < self.VOCAB.v_ent
+            assert np.allclose(np.eye(self.VOCAB.v_rot)[rot].sum(axis=-1), 1.0)
+            assert np.allclose(np.eye(self.VOCAB.v_ent)[ent].sum(axis=-1), 1.0)
 
     def test_overlong_sequence_rejected(self):
-        cell = Cell(1, [["RY", "RY", "RY"]])
-        with pytest.raises(ValueError):
-            encode_views(cell, self.VOCAB, max_seq=2)
+        cell = Cell(2, [[], ["RY", "RY", "RY"]])
+        with pytest.raises(ValueError, match="qubit 1 has 3 rotations, more than max_seq 2"):
+            encode_actions(cell, self.VOCAB, max_seq=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(space=st.sampled_from([SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC]),
+           n=st.integers(1, 5), layer_budget=st.integers(1, 3), grow=st.booleans(),
+           spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_decode_inverts_encode(self, space, n, layer_budget, grow, spare, seed):
+        # sampled and grown cells have one op per edge, so the slots keep them whole
+        rng = np.random.default_rng(seed)
+        cell = random_cell(space, n, rng, layer_budget)
+        if grow:
+            cell = expand_cell(cell, space, rng, layer_budget)
+        vocab = build_vocab(space)
+        max_seq = max(1, *map(len, cell.node_ops)) + spare
+        rot, ent = encode_actions(cell, vocab, max_seq)
+        assert rot.shape == (n, max_seq) and ent.shape == (n, n)
+        assert decode_actions(rot, ent, vocab) == cell
 
 
 class TestDecodeActions:
@@ -387,11 +408,12 @@ class TestDecodeActions:
         assert cell == Cell(2)
 
     def test_roundtrip_via_argmax(self):
+        # the argmax of the one-hots the controller builds from the slots
         for _ in range(100):
             cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
-            views = encode_views(cell, self.VOCAB, max_seq=4)
-            back = decode_actions(views.rotation_view.argmax(axis=-1),
-                                  views.entangle_view.argmax(axis=-1), self.VOCAB)
+            rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
+            back = decode_actions(np.eye(self.VOCAB.v_rot)[rot].argmax(axis=-1),
+                                  np.eye(self.VOCAB.v_ent)[ent].argmax(axis=-1), self.VOCAB)
             assert back == cell
 
     def test_diagonal_ignored(self):

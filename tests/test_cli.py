@@ -519,6 +519,7 @@ class TestMain:
         ("relm", "learning_rate: -1", "relm.learning_rate"),
         ("relm", "alpha: .nan", "relm.alpha"),
         ("relm", "max_seq: 0", "relm.max_seq"),
+        ("relm", "max_seq: 1", "relm.layer_budget"),
         ("relm", "ff_dim: 2.5", "relm.ff_dim"),
         ("res", "layer_budget_per_phase: 0", "res.layer_budget_per_phase"),
         ("res", "layer_budget_per_phase: x", "res.layer_budget_per_phase"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from reference import reinforce_loss
 
-from qcas.cell import Cell, build_vocab, encode_views
+from qcas.cell import Cell, build_vocab, encode_actions
 from qcas.controller import (
     AdamState,
     ControllerConfig,
@@ -67,24 +67,24 @@ def softmax(x):
 class TestForward:
     def test_logit_shapes(self):
         params = tiny_controller()
-        views = encode_views(Cell(2), VOCAB, TINY.max_seq)
-        rot_logits, ent_logits = controller_forward(params, views)[0]
+        slots = encode_actions(Cell(2), VOCAB, TINY.max_seq)
+        rot_logits, ent_logits = controller_forward(params, *slots)[0]
         assert rot_logits.shape == (2, 2, VOCAB.v_rot)
         assert ent_logits.shape == (2, 2, VOCAB.v_ent)
         assert np.all(np.isfinite(rot_logits))
 
     def test_softmax_rows_normalized(self):
         params = tiny_controller()
-        views = encode_views(Cell(2, [["RY"], []], {(0, 1): ["CNOT"]}),
-                             VOCAB, TINY.max_seq)
-        rot_logits, ent_logits = controller_forward(params, views)[0]
+        slots = encode_actions(Cell(2, [["RY"], []], {(0, 1): ["CNOT"]}),
+                               VOCAB, TINY.max_seq)
+        rot_logits, ent_logits = controller_forward(params, *slots)[0]
         assert np.allclose(softmax(rot_logits).sum(axis=-1), 1.0, atol=1e-9)
         assert np.allclose(softmax(ent_logits).sum(axis=-1), 1.0, atol=1e-9)
 
     def test_diagonal_forced_to_noop(self):
         params = tiny_controller()
-        views = encode_views(Cell(2), VOCAB, TINY.max_seq)
-        _, ent_logits = controller_forward(params, views)[0]
+        slots = encode_actions(Cell(2), VOCAB, TINY.max_seq)
+        _, ent_logits = controller_forward(params, *slots)[0]
         for q in range(2):
             assert ent_logits[q, q].argmax() == 0
             probs = softmax(ent_logits[q, q])
@@ -92,9 +92,9 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         params = tiny_controller()
-        views = encode_views(Cell(3), VOCAB, TINY.max_seq)
+        slots = encode_actions(Cell(3), VOCAB, TINY.max_seq)
         with pytest.raises(ValueError):
-            controller_forward(params, views)
+            controller_forward(params, *slots)
 
 
 class TestSampling:
@@ -127,17 +127,17 @@ class TestSampling:
 class TestReinforce:
     def test_zero_reward_zero_grads(self):
         params = tiny_controller()
-        views = encode_views(Cell(2), VOCAB, TINY.max_seq)
-        forward = controller_forward(params, views)
+        slots = encode_actions(Cell(2), VOCAB, TINY.max_seq)
+        forward = controller_forward(params, *slots)
         grads = reinforce_grads(params, forward, np.zeros((1, 2, 2), dtype=int),
                                 np.zeros((1, 2, 2), dtype=int), [0.0])
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_reward_linearity(self):
         params = tiny_controller(5)
-        views = encode_views(Cell(2, [["RX"], ["RZ"]]), VOCAB, TINY.max_seq)
+        slots = encode_actions(Cell(2, [["RX"], ["RZ"]]), VOCAB, TINY.max_seq)
         actions = (np.array([[[1, 0], [2, 0]]]), np.zeros((1, 2, 2), dtype=int))
-        forward = controller_forward(params, views)
+        forward = controller_forward(params, *slots)
         g1 = reinforce_grads(params, forward, *actions, [1.0])
         g2 = reinforce_grads(params, forward, *actions, [2.0])
         for name in g1:
@@ -146,24 +146,24 @@ class TestReinforce:
     def test_gradients_match_finite_differences(self):
         params = tiny_controller(7)
         cell = Cell(2, [["RY"], ["RX"]], {(0, 1): ["CNOT"]})
-        views = encode_views(cell, VOCAB, TINY.max_seq)
+        slots = encode_actions(cell, VOCAB, TINY.max_seq)
         rng = np.random.default_rng(11)
-        rot_logits, ent_logits = controller_forward(params, views)[0]
+        rot_logits, ent_logits = controller_forward(params, *slots)[0]
         rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
         reward = 0.7
-        grads = reinforce_grads(params, controller_forward(params, views),
+        grads = reinforce_grads(params, controller_forward(params, *slots),
                                 rot_a[None], ent_a[None], [reward])
         assert worst_fd_error(
-            params, grads, lambda: reinforce_loss(params, views, rot_a, ent_a, reward),
+            params, grads, lambda: reinforce_loss(params, slots, rot_a, ent_a, reward),
             rng) <= 1e-3
 
     def test_batched_gradients_match_finite_differences(self):
         # the batched gradient is that of sum_j r_j * reinforce_loss(a_j)
         params = tiny_controller(8)
         cell = Cell(2, [["RX"], ["RZ", "RY"]], {(1, 0): ["CNOT"]})
-        views = encode_views(cell, VOCAB, TINY.max_seq)
+        slots = encode_actions(cell, VOCAB, TINY.max_seq)
         rng = np.random.default_rng(12)
-        forward = controller_forward(params, views)
+        forward = controller_forward(params, *slots)
         samples = [sample_actions(*forward[0], rng=rng) for _ in range(4)]
         rewards = np.array([0.7, -0.4, 0.0, 1.3])
         rot = np.stack([r for r, _ in samples])
@@ -171,15 +171,15 @@ class TestReinforce:
         grads = reinforce_grads(params, forward, rot, ent, rewards)
 
         def loss():
-            return sum(reinforce_loss(params, views, r, e, w)
+            return sum(reinforce_loss(params, slots, r, e, w)
                        for r, e, w in zip(rot, ent, rewards))
         assert worst_fd_error(params, grads, loss, rng) <= 1e-3
 
     def test_batched_grads_equal_sum_of_samples(self):
         params = tiny_controller(17)
-        views = encode_views(Cell(2, [["RY"], []], {(0, 1): ["CNOT"]}),
-                             VOCAB, TINY.max_seq)
-        forward = controller_forward(params, views)
+        slots = encode_actions(Cell(2, [["RY"], []], {(0, 1): ["CNOT"]}),
+                               VOCAB, TINY.max_seq)
+        forward = controller_forward(params, *slots)
         rng = np.random.default_rng(21)
         for b in (1, 3, 8):
             rot = rng.integers(TINY.v_rot, size=(b, 2, 2))
@@ -196,7 +196,7 @@ class TestReinforce:
 
     def test_batched_shapes_and_actions_checked(self):
         params = tiny_controller()
-        forward = controller_forward(params, encode_views(Cell(2), VOCAB, TINY.max_seq))
+        forward = controller_forward(params, *encode_actions(Cell(2), VOCAB, TINY.max_seq))
         zeros = np.zeros((3, 2, 2), dtype=int)
         with pytest.raises(ValueError):
             reinforce_grads(params, forward, zeros, zeros, np.ones(2))
@@ -212,9 +212,9 @@ class TestReinforce:
         # each gives the gradients of a fresh forward or of a repeated call,
         # and none writes to the shared logits or cache
         params = tiny_controller(9)
-        views = encode_views(Cell(2, [["RY"], ["RX"]], {(1, 0): ["CRZ"]}),
-                             VOCAB, TINY.max_seq)
-        forward = controller_forward(params, views)
+        slots = encode_actions(Cell(2, [["RY"], ["RX"]], {(1, 0): ["CRZ"]}),
+                               VOCAB, TINY.max_seq)
+        forward = controller_forward(params, *slots)
         before = copy.deepcopy(forward)
         rng = np.random.default_rng(4)
         for reward in (0.9, -0.3):
@@ -222,7 +222,7 @@ class TestReinforce:
             one = (rot_a[None], ent_a[None], [reward])
             shared = reinforce_grads(params, forward, *one)
             again = reinforce_grads(params, forward, *one)
-            fresh = reinforce_grads(params, controller_forward(params, views), *one)
+            fresh = reinforce_grads(params, controller_forward(params, *slots), *one)
             for name in fresh:
                 assert np.array_equal(shared[name], again[name])
                 assert np.array_equal(shared[name], fresh[name])

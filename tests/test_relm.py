@@ -14,7 +14,7 @@ from qcas.cell import (
     SoftConstraint,
     build_vocab,
     decode_actions,
-    encode_views,
+    encode_actions,
     eval_soft_constraint,
 )
 from qcas.controller import (
@@ -134,8 +134,8 @@ class TestMutate:
     )
 
     def forward(self, parent):
-        views = encode_views(parent, VOCAB, self.CONTROLLER.config.max_seq)
-        return controller_forward(self.CONTROLLER, views)
+        return controller_forward(self.CONTROLLER,
+                                  *encode_actions(parent, VOCAB, self.CONTROLLER.config.max_seq))
 
     def test_all_noop_actions_give_empty_child(self):
         child = decode_actions(np.zeros((2, 4), dtype=int),
@@ -148,8 +148,8 @@ class TestMutate:
         forward = self.forward(parent)
         seen_different = False
         for _ in range(100):
-            sample = mutate(forward, VOCAB, rng)
-            if sample.child != parent:
+            child, _, _ = mutate(forward, VOCAB, rng)
+            if child != parent:
                 seen_different = True
                 break
         assert seen_different
@@ -158,8 +158,8 @@ class TestMutate:
         parent = Cell(2)
         rng = np.random.default_rng(2)
         forward = self.forward(parent)
-        sample = mutate(forward, VOCAB, rng)
-        logprob = action_logprob(*forward[0], sample.rot_actions, sample.ent_actions)
+        _, rot_actions, ent_actions = mutate(forward, VOCAB, rng)
+        logprob = action_logprob(*forward[0], rot_actions, ent_actions)
         assert logprob <= 0.0
         assert math.isfinite(logprob)
 
@@ -278,6 +278,9 @@ class TestRelmSearch:
             RelmConfig(epochs=0)
         with pytest.raises(ValueError, match="^tournament_size "):
             RelmConfig(tournament_size=10, population_size=5)
+        # a random parent has up to layer_budget rotations per qubit, one a slot
+        with pytest.raises(ValueError, match=r"^layer_budget must be <= max_seq 2, got 4$"):
+            RelmConfig(init_mode="random_search", layer_budget=4, max_seq=2)
 
 
 def initial_controller(task, config, vocab):
@@ -304,10 +307,10 @@ def reference_relm_search(task, config, pop, vocab):
     records = []
     for epoch in range(1, config.epochs + 1):
         parent, _ = tournament_step(pop, config.tournament_size, rng)
-        views = encode_views(parent.cell, vocab, config.max_seq)
+        slots = encode_actions(parent.cell, vocab, config.max_seq)
         children = []
         for j in range(config.batch_size):
-            rot_a, ent_a = sample_actions(*controller_forward(controller, views)[0], rng=rng)
+            rot_a, ent_a = sample_actions(*controller_forward(controller, *slots)[0], rng=rng)
             child = decode_actions(rot_a, ent_a, vocab)
             entry = score_cell(child, task, config.opt_budget,
                                np.random.default_rng([config.seed, 0x5C0, epoch, j]),
@@ -321,7 +324,7 @@ def reference_relm_search(task, config, pop, vocab):
         total = None
         for rot_a, ent_a, reward, _ in children:
             if reward != 0.0:
-                forward = controller_forward(controller, views)
+                forward = controller_forward(controller, *slots)
                 grads = reinforce_grads(controller, forward, rot_a[None], ent_a[None],
                                         [reward])
                 total = grads if total is None else {k: total[k] + grads[k] for k in grads}

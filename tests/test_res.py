@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference import oracle_unitary
 
 import qcas.cell
+import qcas.res
 from qcas.cell import (
     Cell,
     SoftConstraint,
@@ -134,6 +135,21 @@ class TestResSearch:
                            max_phases=4, seed=6)
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
         assert result.score >= result.phases[0].best_score - 1e-12
+
+    def test_seed_at_an_n_gates_bound_draws_nothing(self, monkeypatch):
+        # every expansion adds a gate or equals the excluded seed, so once the
+        # best cell reaches an n_gates bound no phase draws candidates from it
+        seeds = []
+
+        def counted(seed, *args):
+            seeds.append(seed)
+            return expand_cell(seed, *args)
+        monkeypatch.setattr(qcas.res, "expand_cell", counted)
+        config = ResConfig(population_size=10, constraint=SoftConstraint("n_gates", 1),
+                           opt_budget=FAST_OPT, max_phases=3, seed=0)
+        result = res_search(h_target_task(), SPACE_CLIFFORD, config)
+        assert [p.best_metrics["n_gates"] for p in result.phases] == [0, 1]
+        assert seeds and result.best_cell not in seeds
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="^population_size "):
