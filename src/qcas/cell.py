@@ -240,34 +240,19 @@ def _grown_quantity(quantity: str, seed: Cell, sizes: list, tags: list,
 
 
 @lru_cache(maxsize=4096)
-def _gate_instance(tag: str, targets: tuple, slot: int | None) -> GateInstance:
-    """One shared, immutable `GateInstance` per (tag, targets, slot)."""
-    return GateInstance(GATE_KINDS[tag], targets, slot)
+def _gate_instance(tag: str, targets: tuple) -> GateInstance:
+    """One shared, immutable `GateInstance` per (tag, targets)."""
+    return GateInstance(GATE_KINDS[tag], targets)
 
 
 def cell_to_circuit(cell: Cell) -> Circuit:
     """Canonical emission: per qubit ascending, its rotations in list order;
-    then edges in (control, target) lexicographic order.  Parametric gates
-    receive fresh parameter slots in emission order.  Gate instances are
+    then edges in (control, target) lexicographic order.  The circuit's
+    theta binds to its parametric gates in this order.  Gate instances are
     immutable, so circuits share them."""
-    gates = []
-    slot = 0
-
-    def emit(tag, targets):
-        nonlocal slot
-        if GATE_KINDS[tag].param_count:
-            gates.append(_gate_instance(tag, targets, slot))
-            slot += 1
-        else:
-            gates.append(_gate_instance(tag, targets, None))
-
-    for q in range(cell.n_qubits):
-        for tag in cell.node_ops[q]:
-            emit(tag, (q,))
-    for edge, ops in cell.edge_ops:
-        for tag in ops:
-            emit(tag, edge)
-    return Circuit(cell.n_qubits, gates)
+    nodes = [_gate_instance(tag, (q,)) for q, ops in enumerate(cell.node_ops) for tag in ops]
+    edges = [_gate_instance(tag, edge) for edge, ops in cell.edge_ops for tag in ops]
+    return Circuit(cell.n_qubits, nodes + edges)
 
 
 # ---------------------------------------------------------------------------

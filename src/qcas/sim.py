@@ -8,19 +8,21 @@ sampling).
 
 Every gate application goes through one kernel, `_apply_steps`, which runs a
 list of (transpose permutation, dimension, matrix) steps on a
-(2,)*n + (batch,) tensor.  A `Circuit` is an immutable value whose plan, a
-cached property, is compiled on its first run into a `CircuitPlan`: the
-permutations of all its gates, the constant matrices of its fixed gates, and
-one buffer holding the matrices of its parametric gates, refilled for each
-theta with the cos/sin of every angle (from `math`).  A gate's permutation
-depends only on its targets and on the axis order the previous gate left, so
-`_kernel_step` memoises it in a bounded cache shared by all compiles; a
-circuit that runs once, such as a parameter-free cell scored once, pays
-little more than its matmuls.  `apply_circuit_columns` is the one entry to
-the kernel (`circuit_unitary` goes through it; one state runs as
-`state[:, None]`), and it checks the columns' width there.  It gives bit for
-bit the results of applying each gate with the matrix that
-`exact_gate_matrix` in `tests/reference.py` builds.
+(2,)*n + (batch,) tensor.  A circuit's parameters are its parametric gates
+in gate order: theta[k] is the angle of its k-th parametric gate.  A
+`Circuit` is an immutable value whose plan, a cached property, is compiled
+on its first run into a `CircuitPlan`: the permutations of all its gates,
+the constant matrices of its fixed gates, and one buffer holding the
+matrices of its parametric gates, refilled for each theta with the cos/sin
+of every angle (from `math`).  A gate's permutation depends only on its
+targets and on the axis order the previous gate left, so `_kernel_step`
+memoises it in a bounded cache shared by all compiles; a circuit that runs
+once, such as a parameter-free cell scored once, pays little more than its
+matmuls.  `apply_circuit_columns` is the one entry to the kernel
+(`circuit_unitary` goes through it; one state runs as `state[:, None]`), and
+it checks the columns' width there.  It gives bit for bit the results of
+applying each gate with the matrix that `exact_gate_matrix` in
+`tests/reference.py` builds.
 """
 
 from __future__ import annotations
@@ -104,15 +106,12 @@ def ghz_state(n: int) -> np.ndarray:
 class GateInstance:
     kind: GateKind
     targets: tuple[int, ...]
-    param_slot: int | None = None
 
     def __post_init__(self):
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubit")
         if len(self.targets) != self.kind.arity:
             raise ValueError(f"{self.kind.tag} needs {self.kind.arity} targets")
-        if (self.param_slot is not None) != (self.kind.param_count == 1):
-            raise ValueError("param_slot present iff gate is parametric")
 
 
 @dataclass(frozen=True)
@@ -126,24 +125,21 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        slots = sorted(g.param_slot for g in self.gates if g.param_slot is not None)
-        if slots != list(range(len(slots))):
-            raise ValueError("param slots must be exactly 0..n_params-1, each once")
         targets = [t for g in self.gates for t in g.targets]
         if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
             raise ValueError("gate target out of range")
 
     @property
     def n_params(self) -> int:
-        return sum(1 for g in self.gates if g.param_slot is not None)
+        return sum(g.kind.param_count for g in self.gates)
 
     @functools.cached_property
     def plan(self) -> CircuitPlan:
         return CircuitPlan(self.n_qubits, self.gates)
 
 
-def gate(tag: str, *targets: int, param_slot: int | None = None) -> GateInstance:
-    return GateInstance(GATE_KINDS[tag], tuple(targets), param_slot)
+def gate(tag: str, *targets: int) -> GateInstance:
+    return GateInstance(GATE_KINDS[tag], tuple(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +205,24 @@ class CircuitPlan:
     relative order and the batch axis stays last.  Fixed gates use their
     constant matrices.  The matrices of parametric gates are views into one
     buffer, which `bind` refills in place from a single cos/sin evaluation
-    of theta/2, with the entries of `exact_gate_matrix` in
-    `tests/reference.py`; runs are therefore bit-identical to building every
-    matrix per gate.
+    of theta/2 (the k-th parametric gate's from theta[k]), with the entries
+    of `exact_gate_matrix` in `tests/reference.py`; runs are therefore
+    bit-identical to building every matrix per gate.
     """
 
     def __init__(self, n_qubits: int, gates):
         self.n_qubits = n_qubits
         self.gates = tuple(gates)
-        param = [g for g in self.gates if g.param_slot is not None]
+        param = [g for g in self.gates if g.kind.param_count]
         n = self.n_params = len(param)
         buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
         self._parts = buffer.view(np.float64)
-        self._values = np.empty((4, n))  # cos, sin, -sin, sin + 0.0 of theta/2 by slot
+        self._values = np.empty((4, n))  # cos, sin, -sin, sin + 0.0 of theta/2
         dst, src, self.steps = [], [], []
         where = tuple(range(n_qubits + 1))
-        offset = 0
+        offset = k = 0  # k: the next parametric gate's index in theta
         for g in self.gates:
-            if g.param_slot is None:
+            if not g.kind.param_count:
                 mat = _FIXED[g.kind.tag]
             else:
                 d = 2**g.kind.arity
@@ -235,8 +231,9 @@ class CircuitPlan:
                 mat[:corner, :corner] = np.eye(corner)
                 for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
                     dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
-                    src.append(value * n + g.param_slot)
+                    src.append(value * n + k)
                 offset += d * d
+                k += 1
             perm, dim, where = _kernel_step(where, g.targets)
             self.steps.append((perm, dim, mat))
         self.restore = where  # back to qubit order after the last step

@@ -328,7 +328,6 @@ class QaeTask:
     to a multiple of 4 (module docstring), and gather their values back to
     the whole set before the same mean."""
 
-    kind: str
     n_qubits: int
     n_trash: int
     train_cols: np.ndarray
@@ -372,7 +371,6 @@ class UnitaryRegenTask:
     """Match the state evolved by a hidden unitary from |0...0>."""
 
     target: HiddenTarget
-    kind: str = "UnitaryRegen"
 
     def __post_init__(self):
         object.__setattr__(self, "_zero", basis_state(self.n_qubits)[:, None])
@@ -390,7 +388,7 @@ class UnitaryRegenTask:
 
 
 def make_denoise_task(dataset: NoiseDataset, cost_mode: str = "trash") -> QaeTask:
-    return QaeTask("Denoise", dataset.n_qubits, dataset.n_qubits - 1, dataset.train, dataset.val,
+    return QaeTask(dataset.n_qubits, dataset.n_qubits - 1, dataset.train, dataset.val,
                    cost_mode=cost_mode, val_target=dataset.clean)
 
 
@@ -408,13 +406,13 @@ def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
     train = cols[:, order[:n_train]]
     val = cols[:, order[n_train:n_train + n_val]]
     test = cols[:, order[n_train + n_val:]]
-    task = QaeTask("ImageCompress", n_qubits, n_trash, train, val, cost_mode=cost_mode)
+    task = QaeTask(n_qubits, n_trash, train, val, cost_mode=cost_mode)
     return task, test
 
 
 def make_state_compress_task(dataset: StateCompressDataset,
                              cost_mode: str = "trash") -> QaeTask:
-    return QaeTask("StateCompress", 4, 2, dataset.train, dataset.test, cost_mode=cost_mode)
+    return QaeTask(4, 2, dataset.train, dataset.test, cost_mode=cost_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -430,30 +428,16 @@ def evaluate_qae_test(circuit: Circuit, theta, task: QaeTask, test_cols: np.ndar
     return float(np.mean(f)), float(np.std(f))
 
 
-def baseline_circuit(task) -> Circuit:
-    """Hand-designed reference encoder for the QAE tasks."""
-    if task.kind == "Denoise":
-        n = task.n_qubits
-        gates, slot = [], 0
-        for _ in range(8):  # 8 alternating blocks -> 48 parameters on 3 qubits
-            for q in range(n):
-                gates.append(gate("RZ", q, param_slot=slot))
-                slot += 1
-            for q in range(n):
-                gates.append(gate("CRX", q, (q + 1) % n, param_slot=slot))
-                slot += 1
-        return Circuit(n, gates)
-    if task.kind in ("ImageCompress", "StateCompress"):
-        n = task.n_qubits
-        gates, slot = [], 0
-        for _ in range(5):
-            for q in range(n):
-                gates.append(gate("RY", q, param_slot=slot))
-                slot += 1
-            for q in range(n - 1):
-                gates.append(gate("CNOT", q, q + 1))
-        return Circuit(n, gates)
-    raise ValueError(f"no baseline defined for task kind {task.kind!r}")
+def baseline_circuit(kind: str, n_qubits: int) -> Circuit:
+    """Hand-designed reference encoder for a QAE task kind of the config."""
+    n = n_qubits
+    if kind == "denoise":  # 8 alternating blocks -> 48 parameters on 3 qubits
+        block = [gate("RZ", q) for q in range(n)] + [gate("CRX", q, (q + 1) % n) for q in range(n)]
+        return Circuit(n, block * 8)
+    if kind in ("image", "state_compress"):
+        block = [gate("RY", q) for q in range(n)] + [gate("CNOT", q, q + 1) for q in range(n - 1)]
+        return Circuit(n, block * 5)
+    raise ValueError(f"no baseline defined for task kind {kind!r}")
 
 
 @dataclass(frozen=True)

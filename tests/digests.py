@@ -1,4 +1,4 @@
-"""Bit-identity check: run 45 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 51 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -15,12 +15,14 @@ over their CSV digests, and its summed `training_cost` calls.
 
 The cases are qcas seeds 1000-1011 of the `denoise-relm` and `regen-relm`
 benchmark workloads, and seeds 1-3 each of `image-res`, a denoise `rs` search
-with `budget_evals: 8` and `denoise-relm`'s `opt`, `denoise-relm` and
-`regen-relm` with `relm.init_mode: random_search`, `denoise-relm` with
-`task.noise: qdc`, and `regen-relm` under `n_gates <= 6` in place of its
-`n_layers` constraint, at which RES both admits and rejects candidates in
-each phase, and under `n_gates <= 5`, at which seed 2's RES seed reaches
-the bound before its last phase.  The configs come from `perfbench/workloads.py`.
+with `budget_evals: 8` and `denoise-relm`'s `opt`, a `state_compress` RES
+search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
+`denoise-relm` and `regen-relm` with `relm.init_mode: random_search`,
+`denoise-relm` with `task.noise: qdc` and with `task.cost_mode: local`, and
+`regen-relm` under `n_gates <= 6` in place of its `n_layers` constraint, at
+which RES both admits and rejects candidates in each phase, and under
+`n_gates <= 5`, at which seed 2's RES seed reaches the bound before its last
+phase.  The configs come from `perfbench/workloads.py`.
 """
 
 import copy
@@ -57,9 +59,12 @@ def cases():
             ("image-res", WORKLOADS["image-res"]),
             ("denoise-rs", {"task": denoise["task"], "algorithm": "rs",
                             "rs": {"budget_evals": 8}, "opt": denoise["opt"]}),
+            ("state-res", {"task": {"kind": "state_compress"}, "algorithm": "res",
+                           "res": denoise["res"], "opt": denoise["opt"]}),
             ("denoise-rsinit", variant("denoise-relm", relm=rs_init)),
             ("regen-rsinit", variant("regen-relm", relm=rs_init)),
             ("denoise-qdc", variant("denoise-relm", task={"noise": "qdc"})),
+            ("denoise-local", variant("denoise-relm", task={"cost_mode": "local"})),
             ("regen-ngates", variant("regen-relm",
                                      res={"constraint": {"quantity": "n_gates", "bound": 6}})),
             ("regen-ngates5", variant("regen-relm",

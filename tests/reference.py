@@ -83,8 +83,9 @@ def oracle_gate(tag, targets, theta, n):
 
 def oracle_unitary(circuit, theta):
     u = np.eye(2**circuit.n_qubits, dtype=complex)
+    angles = iter(theta)  # theta binds to the parametric gates in gate order
     for g in circuit.gates:
-        angle = theta[g.param_slot] if g.param_slot is not None else None
+        angle = next(angles) if g.kind.param_count else None
         u = oracle_gate(g.kind.tag, g.targets, angle, circuit.n_qubits) @ u
     return u
 

@@ -77,7 +77,7 @@ def random_state(n, rng):
 
 
 def random_circuit(n, n_gates, rng):
-    gates, slot = [], 0
+    gates = []
     tags = list(GATE_KINDS)
     for _ in range(n_gates):
         tag = tags[rng.integers(len(tags))]
@@ -85,11 +85,7 @@ def random_circuit(n, n_gates, rng):
         if kind.arity == 2 and n < 2:
             tag, kind = "H", GATE_KINDS["H"]
         targets = tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))
-        if kind.param_count == 1:
-            gates.append(gate(tag, *targets, param_slot=slot))
-            slot += 1
-        else:
-            gates.append(gate(tag, *targets))
+        gates.append(gate(tag, *targets))
     return Circuit(n, gates)
 
 
@@ -233,7 +229,7 @@ def test_criterion_07_denoising_desk_scale():
         start = time.monotonic()
         dataset = gen_noise_dataset("bitflip", seed=0)
         task = make_denoise_task(dataset)
-        circuit = baseline_circuit(task)
+        circuit = baseline_circuit("denoise", task.n_qubits)
         rng = np.random.default_rng(107)
         theta0 = rng.uniform(-math.pi, math.pi, size=circuit.n_params)
         budget = OptBudget(max_evals=4000, restarts=3)
@@ -286,7 +282,7 @@ def test_criterion_09_parameter_budgets():
     with verdict("criterion 9: parameter budgets vs the 48-parameter baseline"):
         dataset = gen_noise_dataset("bitflip", seed=0)
         task = make_denoise_task(dataset)
-        baseline_params = baseline_circuit(task).n_params
+        baseline_params = baseline_circuit("denoise", task.n_qubits).n_params
         assert baseline_params == 48
         opt = OptBudget(max_evals=150, restarts=1)
 

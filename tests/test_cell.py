@@ -34,10 +34,10 @@ from qcas.cell import (
 from qcas.sim import (
     GATE_KINDS,
     Circuit,
-    GateInstance,
     SPACE_CLIFFORD,
     SPACE_GENERIC,
     SPACE_SINGLE_CLIFFORD,
+    circuit_unitary,
     gate,
 )
 
@@ -79,17 +79,10 @@ def circuit_metrics(cell):
 
 def reference_cell_to_circuit(cell):
     """The canonical emission with a fresh, validated gate per emitted op."""
-    gates, slot = [], 0
     edge_ops = dict(cell.edge_ops)
     locations = [((q,), ops) for q, ops in enumerate(cell.node_ops)]
     locations += [(edge, edge_ops[edge]) for edge in sorted(edge_ops)]
-    for targets, ops in locations:
-        for tag in ops:
-            if GATE_KINDS[tag].param_count:
-                gates.append(gate(tag, *targets, param_slot=slot))
-                slot += 1
-            else:
-                gates.append(gate(tag, *targets))
+    gates = [gate(tag, *targets) for targets, ops in locations for tag in ops]
     return Circuit(cell.n_qubits, gates)
 
 
@@ -321,14 +314,15 @@ class TestCellCircuit:
         cell = Cell(2, [["RY"], []], {(0, 1): ["CNOT"]})
         circ = cell_to_circuit(cell)
         assert [g.kind.tag for g in circ.gates] == ["RY", "CNOT"]
-        assert circ.gates[0].param_slot == 0
         assert circ.n_params == 1
 
-    def test_param_slots_are_fresh_and_ordered(self):
-        cell = Cell(2, [["RX", "RZ"], ["RY"]], {(1, 0): ["CRX"]})
-        circ = cell_to_circuit(cell)
-        slots = [g.param_slot for g in circ.gates]
-        assert slots == [0, 1, 2, 3]
+    def test_theta_binds_in_gate_order(self):
+        circ = cell_to_circuit(Cell(1, [["RX", "RY"]]))
+        assert circ == Circuit(1, [gate("RX", 0), gate("RY", 0)])
+        a, b = 0.3, -1.1
+        want = reference.oracle_gate("RY", (0,), b, 1) @ reference.oracle_gate("RX", (0,), a, 1)
+        assert np.allclose(circuit_unitary(circ, [a, b]), want, atol=1e-12)
+        assert not np.allclose(circuit_unitary(circ, [b, a]), want, atol=1e-6)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(cell=cells())
@@ -344,10 +338,10 @@ class TestCellCircuit:
             a.gates[0].targets = (1,)
         # circuits that share gate instances cannot edit each other's gates
         with pytest.raises(TypeError):
-            b.gates[0] = gate("RX", 1, param_slot=0)
+            b.gates[0] = gate("RX", 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             b.gates = ()
-        assert a.gates[0] == gate("RY", 0, param_slot=0)
+        assert a.gates[0] == gate("RY", 0)
         assert a.plan.gates == a.gates
 
 

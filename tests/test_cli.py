@@ -257,8 +257,7 @@ class TestBuildTask:
         trash = build_task(parse_config({"task": task_cfg}, environ={})["task"], seed=0).task
         n = local.n_qubits
         assert local.n_trash == trash.n_trash == 2
-        circuit = Circuit(n, [gate("RY", n - 2, param_slot=0), gate("CNOT", n - 2, n - 1),
-                              gate("RX", n - 1, param_slot=1)])
+        circuit = Circuit(n, [gate("RY", n - 2), gate("CNOT", n - 2, n - 1), gate("RX", n - 1)])
         theta = np.array([0.9, -0.4])
         probs = np.abs(circuit_unitary(circuit, theta) @ local.train_cols) ** 2
         bits = np.arange(2**n)

@@ -61,7 +61,7 @@ class TestMinimize:
         assert abs(result.theta_star[0] - 2.0) < 1e-4
 
     def test_ry_rotation_angle(self):
-        circ = Circuit(1, [gate("RY", 0, param_slot=0)])
+        circ = Circuit(1, [gate("RY", 0)])
 
         def cost(th):
             out = apply_circuit_columns(circ, th, basis_state(1)[:, None])[:, 0]

@@ -53,18 +53,14 @@ def random_state(n, rng):
 
 
 def random_circuit(n, n_gates, rng):
-    gates, slot = [], 0
+    gates = []
     for _ in range(n_gates):
         tag = list(GATE_KINDS)[rng.integers(len(GATE_KINDS))]
         kind = GATE_KINDS[tag]
         if kind.arity == 2 and n < 2:
             tag, kind = "H", GATE_KINDS["H"]
         targets = tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))
-        if kind.param_count == 1:
-            gates.append(gate(tag, *targets, param_slot=slot))
-            slot += 1
-        else:
-            gates.append(gate(tag, *targets))
+        gates.append(gate(tag, *targets))
     return Circuit(n, gates)
 
 
@@ -75,8 +71,7 @@ def run(state, circuit, theta=()):
 
 def one_gate(state, tag, *targets, angle=None):
     """`state` after one gate, run as a one-gate circuit."""
-    slot = None if angle is None else 0
-    circuit = Circuit(width(state), [gate(tag, *targets, param_slot=slot)])
+    circuit = Circuit(width(state), [gate(tag, *targets)])
     return run(state, circuit, () if angle is None else (angle,))
 
 
@@ -237,7 +232,7 @@ class TestPartialTrace:
 
 def qae_task(n_trash, states, cost_mode="trash"):
     cols = np.column_stack(states)
-    return QaeTask("Check", width(states[0]), n_trash, cols, cols, cost_mode=cost_mode)
+    return QaeTask(width(states[0]), n_trash, cols, cols, cost_mode=cost_mode)
 
 
 class TestTrashCost:
@@ -353,19 +348,17 @@ def qae_cases(draw):
     """A circuit over all 14 gate kinds at width 2-5 with its angles, a number
     of trash qubits from 1 to n - 1 and 1-4 input columns."""
     n = draw(st.integers(2, 5))
-    gates, slot = [], 0
+    gates = []
     for tag in draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), max_size=12)):
         targets = tuple(draw(st.permutations(range(n)))[:GATE_KINDS[tag].arity])
-        if GATE_KINDS[tag].param_count:
-            gates.append(gate(tag, *targets, param_slot=slot))
-            slot += 1
-        else:
-            gates.append(gate(tag, *targets))
-    theta = np.array(draw(st.lists(ANGLES, min_size=slot, max_size=slot)), dtype=float)
+        gates.append(gate(tag, *targets))
+    circuit = Circuit(n, gates)
+    theta = np.array(draw(st.lists(ANGLES, min_size=circuit.n_params,
+                                   max_size=circuit.n_params)), dtype=float)
     n_trash = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = [random_state(n, rng) for _ in range(draw(st.integers(1, 4)))]
-    return Circuit(n, gates), theta, n_trash, states
+    return circuit, theta, n_trash, states
 
 
 def trash_qubits(n, n_trash):

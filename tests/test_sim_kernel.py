@@ -30,7 +30,6 @@ from qcas.sim import (
     GATE_KINDS,
     SPACE_GENERIC,
     Circuit,
-    GateInstance,
     apply_circuit_columns,
     circuit_unitary,
     gate,
@@ -47,8 +46,9 @@ def reference_columns(circuit, theta, columns):
     n = circuit.n_qubits
     batch = columns.shape[1]
     tensor = np.ascontiguousarray(columns, dtype=complex).reshape((2,) * n + (batch,))
+    angles = iter(theta)  # theta binds to the parametric gates in gate order
     for g in circuit.gates:
-        angle = theta[g.param_slot] if g.param_slot is not None else None
+        angle = next(angles) if g.kind.param_count else None
         k = len(g.targets)
         moved = np.moveaxis(tensor, g.targets, range(k))
         mat = exact_gate_matrix(g.kind.tag, angle)
@@ -88,14 +88,7 @@ def gate_specs(draw, n, tags):
 
 
 def build_circuit(n, specs):
-    gates, slot = [], 0
-    for tag, targets in specs:
-        if GATE_KINDS[tag].param_count:
-            gates.append(gate(tag, *targets, param_slot=slot))
-            slot += 1
-        else:
-            gates.append(gate(tag, *targets))
-    return Circuit(n, gates)
+    return Circuit(n, [gate(tag, *targets) for tag, targets in specs])
 
 
 @st.composite
@@ -151,11 +144,10 @@ def test_entry_points_agree(case, seed):
     n = circuit.n_qubits
     state = random_columns(n, 1, seed)
     stepped = state
+    angles = iter(theta)
     for g in circuit.gates:  # one one-gate circuit per gate
-        slot = None if g.param_slot is None else 0
-        one = Circuit(n, [GateInstance(g.kind, g.targets, slot)])
-        stepped = apply_circuit_columns(one, () if slot is None else (theta[g.param_slot],),
-                                        stepped)
+        one_theta = [next(angles) for _ in range(g.kind.param_count)]
+        stepped = apply_circuit_columns(Circuit(n, [g]), one_theta, stepped)
     whole = apply_circuit_columns(circuit, theta, state)
     assert same_bits(stepped, whole)
     via_unitary = circuit_unitary(circuit, theta) @ state
@@ -193,21 +185,19 @@ def test_copied_circuits_keep_working():
 
 def test_compiled_circuit_cannot_be_edited():
     """A circuit is an immutable value, so its compiled plan cannot go stale:
-    a gate list the constructor rejects (two gates on slot 0, a target out of
-    range) cannot reach the kernel by editing a compiled circuit."""
+    a gate list the constructor rejects (a target out of range) cannot reach
+    the kernel by editing a compiled circuit."""
     circuit = build_circuit(2, [("RX", (0,)), ("RY", (1,))])
     cols = random_columns(2, 3, 11)
     theta = np.array([0.4, -1.3])
     expected = apply_circuit_columns(circuit, theta, cols)  # compile
-    same_slot = [gate("RX", 0, param_slot=0), gate("RY", 1, param_slot=0)]
+    swapped = [gate("RY", 0), gate("RX", 1)]
     with pytest.raises(TypeError):
-        circuit.gates[1] = same_slot[1]
+        circuit.gates[1] = swapped[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        circuit.gates = same_slot
+        circuit.gates = swapped
     with pytest.raises(AttributeError):
         circuit.gates.append(gate("CNOT", 0, 5))
-    with pytest.raises(ValueError, match="param slots"):
-        Circuit(2, same_slot)
     with pytest.raises(ValueError, match="out of range"):
         Circuit(2, [gate("CNOT", 0, 5)])
     assert circuit.plan.gates == circuit.gates
@@ -245,8 +235,8 @@ def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
     for angle in (0.0, -0.0, 0.7, -2.9, math.pi, 1e-300):
         theta = np.full(circuit.n_params, angle)
         plan.bind(theta)
-        for g, (_perm, _dim, mat) in zip(circuit.gates, plan.steps):
-            assert same_bits(mat, exact_gate_matrix(g.kind.tag, theta[g.param_slot]))
+        for g, angle_k, (_perm, _dim, mat) in zip(circuit.gates, theta, plan.steps):
+            assert same_bits(mat, exact_gate_matrix(g.kind.tag, angle_k))
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -279,15 +269,16 @@ def _digits_task():
     return tasks.make_image_task(tasks.gen_digits(seed=5), n_trash=1, seed=5)[0]
 
 
-@pytest.mark.parametrize("make_task", [_denoise_task, _qdc_task, _qdc_local_task, _digits_task],
+@pytest.mark.parametrize("make_task,kind", [(_denoise_task, "denoise"), (_qdc_task, "denoise"),
+                                            (_qdc_local_task, "denoise"), (_digits_task, "image")],
                          ids=["denoise", "qdc", "qdc-local", "digits"])
-def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, monkeypatch):
+def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, kind, monkeypatch):
     """Costs and validation scores equal the per-gate reference run on every
     column of the task's sets, so simulating only the distinct columns
     changes no bit."""
     task = make_task()
     rng = np.random.default_rng(17)
-    circuits = [tasks.baseline_circuit(task)] + [
+    circuits = [tasks.baseline_circuit(kind, task.n_qubits)] + [
         cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget=3))
         for _ in range(8)]
     cases = [(c, rng.uniform(-math.pi, math.pi, c.n_params)) for c in circuits]

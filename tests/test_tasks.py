@@ -232,7 +232,7 @@ class TestTaskCosts:
         # a [1,0,...,0] image amplitude-encodes to |0...0>: trash already |0>
         cols = np.zeros((32, 1), dtype=complex)
         cols[0, 0] = 1.0
-        task = QaeTask("ImageCompress", 5, 1, cols, cols)
+        task = QaeTask(5, 1, cols, cols)
         assert task.training_cost(Circuit(5), ()) == pytest.approx(0.0, abs=1e-12)
 
     def test_local_cost_mode(self):
@@ -248,13 +248,13 @@ class TestTaskCosts:
         cols = np.eye(8, dtype=complex)[:, :2]
         for n_trash in (0, -1):
             with pytest.raises(ValueError, match=f"^n_trash .*got {n_trash}"):
-                QaeTask("Check", 3, n_trash, cols, cols)
+                QaeTask(3, n_trash, cols, cols)
 
     def test_n_trash_must_leave_a_latent_qubit(self):
         cols = np.eye(8, dtype=complex)[:, :2]
         for n_trash in (3, 4):
             with pytest.raises(ValueError, match=f"^n_trash must be in 1..2, got {n_trash}"):
-                QaeTask("Check", 3, n_trash, cols, cols)
+                QaeTask(3, n_trash, cols, cols)
 
 
 class TestDistinctColumns:
@@ -356,25 +356,24 @@ class TestBaselines:
     def test_denoise_baseline_parameter_count(self):
         ds = gen_noise_dataset("bitflip", seed=0, n_train=2, n_val=2, n_test=1,
                                p_grid=(0.0,))
-        circ = baseline_circuit(make_denoise_task(ds))
+        circ = baseline_circuit("denoise", make_denoise_task(ds).n_qubits)
         assert circ.n_params == 48
 
     def test_image_baseline_parameter_count(self):
         task, _ = make_image_task(gen_digits(seed=0, count=10), seed=0)
-        circ = baseline_circuit(task)
+        circ = baseline_circuit("image", task.n_qubits)
         assert task.n_qubits == 5
         assert circ.n_params == 25
 
     def test_baseline_gate_kinds(self):
         ds = gen_noise_dataset("bitflip", seed=0, n_train=2, n_val=2, n_test=1,
                                p_grid=(0.0,))
-        circ = baseline_circuit(make_denoise_task(ds))
+        circ = baseline_circuit("denoise", make_denoise_task(ds).n_qubits)
         assert {g.kind.tag for g in circ.gates} == {"RZ", "CRX"}
 
     def test_unknown_kind_rejected(self):
-        target = gen_hidden_targets(2, "dense", 1, 1, seed=0)[0]
         with pytest.raises(ValueError):
-            baseline_circuit(UnitaryRegenTask(target))
+            baseline_circuit("unitary_regen", 2)
 
 
 class TestRandomSearch:

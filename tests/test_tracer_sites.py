@@ -1,20 +1,26 @@
 """The benchmark's hooks into qcas: every site that perfbench/tracing.py wraps
 resolves, every cell a search scores goes through one of the three
 module-level `score_cell` names that the tracer and perfbench/setup_probe.py
-patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), and the
-benchmark's self-test of its output checks passes on this qcas."""
+patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), the
+benchmark's self-test of its output checks passes on this qcas, and the
+program's scores of parametric cells agree with the benchmark's oracle."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcas.relm
 import qcas.res
 import qcas.tasks
-from qcas.cli import parse_config, run
+from qcas.cell import Cell, cell_to_circuit, cell_to_dict, metrics
+from qcas.cli import build_task, parse_config, run
+from qcas.sim import GATE_KINDS, SPACE_GENERIC
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -126,3 +132,79 @@ def test_benchmark_selftest_passes(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     selftest = load_perfbench("selftest")
     assert selftest.selftest(SimpleNamespace(**modules())) == []
+
+
+@pytest.fixture(scope="module")
+def checks():
+    # checks.py imports its sibling module `oracle` by name
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        return load_perfbench("checks")
+
+
+ORACLE_SEED = 7
+ORACLE_TASKS = {3: {"kind": "denoise", "noise": "bitflip"},
+                5: {"kind": "image", "dataset": "digits", "n_trash": 1}}
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """n -> the parsed config of the n-qubit oracle task and the task qcas
+    builds from it at ORACLE_SEED."""
+    cases = {}
+    for n, task in ORACLE_TASKS.items():
+        config = parse_config({"task": task, "seeds": [ORACLE_SEED],
+                               "res": {"constraint": {"quantity": "n_gates", "bound": 99}}},
+                              environ={})
+        cases[n] = config, build_task(config["task"], ORACLE_SEED)
+    return cases
+
+
+@st.composite
+def parametric_cells(draw, n):
+    """A cell of n qubits over the generic gate set, with one to three
+    rotations on qubit 0, up to two on each other qubit and up to four
+    edges, and a theta with one angle per parametric gate."""
+    rotations = sorted(t for t in SPACE_GENERIC if GATE_KINDS[t].arity == 1)
+    entanglers = sorted(t for t in SPACE_GENERIC if GATE_KINDS[t].arity == 2)
+    node_ops = [draw(st.lists(st.sampled_from(rotations), min_size=1 if q == 0 else 0,
+                              max_size=3 if q == 0 else 2)) for q in range(n)]
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    cell = Cell(n, node_ops, {e: [draw(st.sampled_from(entanglers))] for e in edges})
+    count = metrics(cell).n_params
+    theta = draw(st.lists(st.floats(-math.pi, math.pi), min_size=count, max_size=count))
+    return cell, theta
+
+
+def leaves(doc, path=()):
+    """(path, number) for every number of a test-metrics document, in key order."""
+    if isinstance(doc, dict):
+        return [leaf for key in sorted(doc) for leaf in leaves(doc[key], path + (key,))]
+    if isinstance(doc, list):
+        return [leaf for i, item in enumerate(doc) for leaf in leaves(item, path + (i,))]
+    return [(path, doc)]
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_TASKS), ids=["denoise", "image"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parametric_cell_scores_match_the_benchmark_oracle(checks, oracle_cases, n, data):
+    """qcas binds theta to a cell's parametric gates in the order the oracle
+    does: its validation score and test metrics equal the oracle's, and the
+    benchmark's checks accept a record of the cell."""
+    cell, theta = data.draw(parametric_cells(n))
+    config, built = oracle_cases[n]
+    circuit = cell_to_circuit(cell)
+    score, test = built.task.validation_score(circuit, theta), built.evaluate(circuit, theta)
+    gates = checks.oracle.cell_gates(cell_to_dict(cell))
+    qcas = SimpleNamespace(**modules())
+    want_score, want_test = checks.expected(qcas, config["task"], ORACLE_SEED, gates, theta, n)
+    assert abs(score - want_score) <= 1e-12
+    got, want = leaves(test), leaves(want_test)
+    assert [path for path, _ in got] == [path for path, _ in want]
+    assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, want))
+    record = {"seed": ORACLE_SEED, "algorithm": "res", "best_cell": cell_to_dict(cell),
+              "theta": list(theta), "metrics": vars(metrics(cell)),
+              "validation_score": score, "test": test, "trace": None}
+    assert checks.check_run(qcas, config, record) == []
