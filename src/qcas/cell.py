@@ -206,6 +206,19 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     return Cell(seed.n_qubits, node_ops, [*seed.edge_ops, *new_edges])
 
 
+def can_grow(seed: Cell, space, constraint: SoftConstraint) -> bool:
+    """Whether `expand_cell` can draw a child other than `seed` within `constraint`.  As
+    every quantity grows with ops, iff one rotation or 2-qubit op (on an open pair) fits."""
+    rot, ent = _space_kinds(frozenset(space))
+    pairs, rotations, _ = seed._growth
+    additions = chain((([*rotations[:q], size + 1, *rotations[q + 1:]], [tag], [])
+                       for q, size in enumerate(rotations) for tag in rot),
+                      ((rotations, [], [(edge, (tag,))])
+                       for a, b in pairs for edge in ((a, b), (b, a)) for tag in ent))
+    return any(_grown_quantity(constraint.quantity, seed, *addition) <= constraint.bound
+               for addition in additions)
+
+
 def sample_admissible(make, count: int, max_tries: int = 100,
                       exclude: Cell | None = None) -> list:
     """Up to `count` cells from at most count * max_tries calls of `make`,

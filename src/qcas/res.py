@@ -12,6 +12,7 @@ import numpy as np
 from .cell import (
     Cell,
     SoftConstraint,
+    can_grow,
     cell_to_dict,
     eval_soft_constraint,
     expand_cell,
@@ -75,7 +76,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
 
     The constraint is a resource budget: candidates that would exceed it are
     rejected at sampling time, and each phase expands the best cell so far
-    while admissible growth exists.
+    until no child of it fits the bound (`can_grow`) or a phase admits none.
     """
     constraint = config.constraint
     rng = np.random.default_rng([config.seed, 0x2E5])
@@ -98,15 +99,15 @@ def res_search(task, space, config: ResConfig) -> ResResult:
 
     for phase in range(2, config.max_phases + 1):
         seed_cell = global_best.cell
-        if constraint.quantity == "n_gates" and metrics(seed_cell).n_gates >= constraint.bound:
-            break  # every expansion adds a gate, or is the excluded seed
+        if not can_grow(seed_cell, space, constraint):
+            break  # every expansion breaks the bound, or is the excluded seed
         children = sample_admissible(
             lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
                                 constraint),
             config.population_size - 1, exclude=seed_cell,
         )
         if not children:
-            break  # no admissible expansion headroom left
+            break  # headroom is left, but the draw cap found none of it
         # elitism: the seed entry is carried forward with its known score,
         # only the fresh children cost evaluations
         population = [global_best] + evaluate_population(children, task, config.opt_budget,

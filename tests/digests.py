@@ -1,4 +1,4 @@
-"""Bit-identity check: run 51 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 54 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -22,7 +22,8 @@ search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
 `regen-relm` under `n_gates <= 6` in place of its `n_layers` constraint, at
 which RES both admits and rejects candidates in each phase, and under
 `n_gates <= 5`, at which seed 2's RES seed reaches the bound before its last
-phase.  The configs come from `perfbench/workloads.py`.
+phase, and `denoise-relm` under `n_params <= 4`, at which seed 2's RES seed
+has no room left after phase 1.  The configs come from `perfbench/workloads.py`.
 """
 
 import copy
@@ -68,7 +69,10 @@ def cases():
             ("regen-ngates", variant("regen-relm",
                                      res={"constraint": {"quantity": "n_gates", "bound": 6}})),
             ("regen-ngates5", variant("regen-relm",
-                                      res={"constraint": {"quantity": "n_gates", "bound": 5}}))):
+                                      res={"constraint": {"quantity": "n_gates", "bound": 5}})),
+            ("denoise-nparams4", variant("denoise-relm",
+                                         res={"constraint": {"quantity": "n_params",
+                                                             "bound": 4}}))):
         for seed in (1, 2, 3):
             yield name, doc, seed
 

@@ -19,6 +19,8 @@
   `random()` call and `_grown_quantity` re-derives the seed's part of the
   constrained quantity for every candidate.  `qcas.cell`'s sampler must give
   the same cells, the same `None`s and the same generator state.
+* The one-op children of a seed, each built as a `Cell`: `qcas.cell.can_grow`
+  must say a seed can grow iff one of them is within the bound.
 
 A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 """
@@ -386,3 +388,21 @@ def _grown_quantity(quantity: str, seed: Cell, added: list, new_edges: dict) -> 
     if quantity == "n_params":
         return base + sum(GATE_KINDS[tag].param_count for tag in tags)
     return base + len(tags)
+
+
+def one_op_children(seed: Cell, space) -> list:
+    """Every cell that `expand_cell` can grow from `seed` by adding one op:
+    one rotation kind of `space` appended on one qubit, or one 2-qubit kind
+    on a pair with no edge either way, in either direction."""
+    rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
+    ent = sorted(t for t in space if GATE_KINDS[t].arity == 2)
+    n, have = seed.n_qubits, dict(seed.edge_ops)
+    children = [Cell(n, [(*ops, tag) if p == q else ops for p, ops in enumerate(seed.node_ops)],
+                     seed.edge_ops)
+                for q in range(n) for tag in rot]
+    for c in range(n):
+        for t in range(n):
+            if c != t and (c, t) not in have and (t, c) not in have:
+                children += [Cell(n, seed.node_ops, [*seed.edge_ops, ((c, t), (tag,))])
+                             for tag in ent]
+    return children

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcas.cell
@@ -20,6 +20,7 @@ from qcas.cell import (
     SoftConstraint,
     _gate_instance,
     build_vocab,
+    can_grow,
     cell_from_dict,
     cell_to_circuit,
     cell_to_dict,
@@ -303,6 +304,35 @@ class TestDrawStream:
         assert pickle.dumps(seed) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(seed))
         assert restored == seed and "_growth" not in vars(restored)
+
+
+HEADROOM_SPACES = (SPACE_GENERIC, SPACE_CLIFFORD, SPACE_SINGLE_CLIFFORD, frozenset({"CNOT"}),
+                   frozenset({"CNOT", "CRX"}))
+
+
+class TestCanGrow:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=cells(), space=st.sampled_from(HEADROOM_SPACES),
+           quantity=st.sampled_from(QUANTITIES), slack=st.integers(0, 2),
+           layer_budget=st.integers(1, 3))
+    # seeds with no room left: one qubit at its depth, and every pair filled;
+    # and one whose only child that fits adds CNOT(2, 1), not CNOT(1, 2)
+    @example(Cell(1, [["H"]]), SPACE_CLIFFORD, "n_layers", 0, 1)
+    @example(Cell(3, [[], ["H"], []], {(2, 0): ["CNOT"]}), frozenset({"CNOT"}), "n_layers", 1, 1)
+    @example(Cell(2, [["RX"], []], {(0, 1): ["CNOT"]}), frozenset({"CNOT"}), "n_params", 0, 2)
+    @example(Cell(2, [[], []], {(1, 0): ["CRX"]}), frozenset({"CNOT"}), "n_two_qubit", 2, 3)
+    def test_matches_the_one_op_children(self, seed, space, quantity, slack, layer_budget):
+        # a seed can grow iff a child with one op more is within the bound;
+        # where none is, expand_cell draws only rejections and the seed
+        bound = max(1, getattr(metrics(seed), quantity) + slack)
+        constraint = SoftConstraint(quantity, bound)
+        fits = any(getattr(metrics(child), quantity) <= bound
+                   for child in reference.one_op_children(seed, space))
+        assert can_grow(seed, space, constraint) == fits
+        if not fits:
+            rng = np.random.default_rng(bound)
+            assert all(expand_cell(seed, space, rng, layer_budget, constraint) in (None, seed)
+                       for _ in range(300))
 
 
 class TestCellCircuit:

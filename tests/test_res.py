@@ -14,6 +14,7 @@ import qcas.res
 from qcas.cell import (
     Cell,
     SoftConstraint,
+    can_grow,
     eval_soft_constraint,
     expand_cell,
     metrics,
@@ -136,20 +137,40 @@ class TestResSearch:
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
         assert result.score >= result.phases[0].best_score - 1e-12
 
-    def test_seed_at_an_n_gates_bound_draws_nothing(self, monkeypatch):
-        # every expansion adds a gate or equals the excluded seed, so once the
-        # best cell reaches an n_gates bound no phase draws candidates from it
+    @pytest.mark.parametrize("space, quantity, bound", [
+        (SPACE_CLIFFORD, "n_gates", 3), ({"CNOT"}, "n_gates", 2), ({"CNOT"}, "n_layers", 2),
+        ({"CNOT"}, "n_params", 1), ({"CNOT"}, "n_two_qubit", 2)],
+        ids=["clifford-n_gates", "cnot-n_gates", "cnot-n_layers", "cnot-n_params",
+             "cnot-n_two_qubit"])
+    def test_seed_without_headroom_draws_nothing(self, task, space, quantity, bound,
+                                                 monkeypatch):
+        # the search ends before its last phase, at a best cell with no room
+        # left (in the {CNOT} space, already after phase 1; under n_params, by
+        # filling every pair), without drawing from it; the loop that drew
+        # from it until the cap ran out, admitting nothing, returns the same
+        constraint = SoftConstraint(quantity, bound)
+        config = ResConfig(population_size=6, constraint=constraint, opt_budget=FAST_OPT,
+                           max_phases=4, seed=3)
         seeds = []
 
         def counted(seed, *args):
             seeds.append(seed)
             return expand_cell(seed, *args)
         monkeypatch.setattr(qcas.res, "expand_cell", counted)
-        config = ResConfig(population_size=10, constraint=SoftConstraint("n_gates", 1),
-                           opt_budget=FAST_OPT, max_phases=3, seed=0)
-        result = res_search(h_target_task(), SPACE_CLIFFORD, config)
-        assert [p.best_metrics["n_gates"] for p in result.phases] == [0, 1]
-        assert seeds and result.best_cell not in seeds
+        result = res_search(task, space, config)
+        assert len(result.phases) < config.max_phases
+        assert not can_grow(result.best_cell, space, constraint)
+        assert all(can_grow(seed, space, constraint) for seed in seeds)
+        grown = len(seeds)
+        monkeypatch.setattr(qcas.res, "can_grow", lambda *args: True)
+        drained = res_search(task, space, config)
+        cap = (config.population_size - 1) * 100
+        assert seeds[grown:] == seeds[:grown] + [result.best_cell] * cap
+        assert (drained.best_cell, drained.score) == (result.best_cell, result.score)
+        assert np.array_equal(drained.theta, result.theta)
+        assert [vars(p) for p in drained.phases] == [vars(p) for p in result.phases]
+        assert [(c, list(t), s) for c, t, s in drained.population] == [
+            (c, list(t), s) for c, t, s in result.population]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="^population_size "):
