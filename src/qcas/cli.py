@@ -60,7 +60,7 @@ from .cell import (SoftConstraint, build_vocab, cell_from_dict, cell_to_circuit,
 from .optim import OptBudget, check_choice, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
-from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
+from .sim import GATE_KINDS, SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
 from .tasks import (
     IMAGE_DATASETS,
     RsConfig,
@@ -188,7 +188,7 @@ def _validate(config: dict):
             raise ValueError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
         _build("task", TaskConfig, config["task"])
         check_range("jobs", config["jobs"], 1, os.cpu_count() or 1)
-        _configs(config, seed=0)
+        _, _, res_cfg, relm_cfg = _configs(config, seed=0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(space, (list, type(None))):
@@ -198,6 +198,19 @@ def _validate(config: dict):
             build_vocab(space)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"space: {exc}") from exc
+    if config["algorithm"] == "relm" and relm_cfg.init_mode == "res":
+        # RES adds up to layer_budget_per_phase rotations to a qubit a phase, fewer
+        # under a bound that counts each; RELM reads a parent's into max_seq slots
+        rot = [GATE_KINDS[t] for t in space or default_space(config["task"])
+               if GATE_KINDS[t].arity == 1]
+        most = res_cfg.max_phases * res_cfg.layer_budget_per_phase if rot else 0
+        quantity, bound = res_cfg.constraint.quantity, res_cfg.constraint.bound
+        if quantity in ("n_layers", "n_gates") or (
+                quantity == "n_params" and all(k.param_count for k in rot)):
+            most = min(most, bound)
+        if relm_cfg.max_seq < most:
+            raise ConfigError(f"relm.max_seq must be >= {most}, the most rotations RES "
+                              f"can put on one qubit, got {relm_cfg.max_seq}")
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,5 @@ def adam_step(params: ControllerParams, grads: dict, state: AdamState):
         m_hat = m / (1 - _ADAM_BETA1**t)
         v_hat = v / (1 - _ADAM_BETA2**t)
         stepped[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    tensors = {name: stepped[name] if name in stepped else tensor.copy()
-               for name, tensor in params.tensors.items()}
+    tensors = {name: stepped[name] for name in params.tensors}  # every tensor has a gradient
     return ControllerParams(params.config, tensors), state

@@ -10,19 +10,18 @@ Every gate application goes through one kernel, `_apply_steps`, which runs a
 list of (transpose permutation, dimension, matrix) steps on a
 (2,)*n + (batch,) tensor.  A circuit's parameters are its parametric gates
 in gate order: theta[k] is the angle of its k-th parametric gate.  A
-`Circuit` is an immutable value whose plan, a cached property, is compiled
-on its first run into a `CircuitPlan`: the permutations of all its gates,
-the constant matrices of its fixed gates, and one buffer holding the
-matrices of its parametric gates, refilled for each theta with the cos/sin
-of every angle (from `math`).  A gate's permutation depends only on its
-targets and on the axis order the previous gate left, so `_kernel_step`
-memoises it in a bounded cache shared by all compiles; a circuit that runs
-once, such as a parameter-free cell scored once, pays little more than its
-matmuls.  `apply_circuit_columns` is the one entry to the kernel
-(`circuit_unitary` goes through it; one state runs as `state[:, None]`), and
-it checks the columns' width there.  It gives bit for bit the results of
-applying each gate with the matrix that `exact_gate_matrix` in
-`tests/reference.py` builds.
+`Circuit` is an immutable value, compiled when it is built: it holds the
+permutations of all its gates, the constant matrices of its fixed gates, and
+one buffer holding the matrices of its parametric gates, refilled for each
+theta with the cos/sin of every angle (from `math`).  A gate's permutation
+depends only on its targets and on the axis order the previous gate left, so
+`_kernel_step` memoises it in a bounded cache shared by all compiles; a
+circuit that runs once, such as a parameter-free cell scored once, pays
+little more than its matmuls.  `apply_circuit_columns` is the one entry to
+the kernel (`circuit_unitary` goes through it; one state runs as
+`state[:, None]`), and it checks the columns' width there.  It gives bit for
+bit the results of applying each gate with the matrix that
+`exact_gate_matrix` in `tests/reference.py` builds.
 """
 
 from __future__ import annotations
@@ -49,6 +48,17 @@ _FIXED = {  # the matrices of the parameter-free gates
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
+# Where theta enters a rotation's 2x2 block, as (row, col, part, value) with
+# part 0 = real, 1 = imaginary and value 0 = cos, 1 = sin, 2 = -sin,
+# 3 = sin + 0.0 of theta/2.  The last is what cmath.exp(1j * theta / 2)
+# gives, whose argument turns theta = -0.0 into +0.0.  Every other component
+# is +0.0.
+_ROT_ENTRIES = {
+    "X": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 2), (1, 0, 1, 2)),
+    "Y": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 2), (1, 0, 0, 1)),
+    "Z": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 2), (1, 1, 1, 3)),
 }
 
 
@@ -116,9 +126,22 @@ class GateInstance:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable gate sequence.  Its plan is compiled on the first run and
-    kept; the plan's parameter buffer is refilled by every run, so one circuit
-    must not be run from two threads at once."""
+    """An immutable gate sequence, compiled when it is built for runs at many
+    parameter vectors.
+
+    It holds the kernel steps of every gate, whose permutations come from
+    the bounded `_kernel_step` cache.  Each permutation brings the gate's
+    target axes to the front of the axis order the previous step left
+    behind, so one transpose per gate suffices; non-target axes keep their
+    relative order and the batch axis stays last.  Fixed gates use their
+    constant matrices.  The matrices of parametric gates are views into one
+    buffer, which `bind` refills in place from a single cos/sin evaluation
+    of theta/2 (the k-th parametric gate's from theta[k]), with the entries
+    of `exact_gate_matrix` in `tests/reference.py`; runs are therefore
+    bit-identical to building every matrix per gate.  Every run refills the
+    buffer, so one circuit must not be run from two threads at once.
+    Equality, hash and repr see only `n_qubits` and `gates`.
+    """
 
     n_qubits: int
     gates: tuple[GateInstance, ...] = ()
@@ -128,14 +151,52 @@ class Circuit:
         targets = [t for g in self.gates for t in g.targets]
         if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
             raise ValueError("gate target out of range")
+        param = [g for g in self.gates if g.kind.param_count]
+        n = len(param)
+        buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
+        dst, src, steps = [], [], []
+        where = tuple(range(self.n_qubits + 1))
+        offset = k = 0  # k: the next parametric gate's index in theta
+        for g in self.gates:
+            if not g.kind.param_count:
+                mat = _FIXED[g.kind.tag]
+            else:
+                d = 2**g.kind.arity
+                mat = buffer[offset:offset + d * d].reshape(d, d)
+                corner = d - 2  # controlled gates rotate the control-|1> block
+                mat[:corner, :corner] = np.eye(corner)
+                for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
+                    dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
+                    src.append(value * n + k)
+                offset += d * d
+                k += 1
+            perm, dim, where = _kernel_step(where, g.targets)
+            steps.append((perm, dim, mat))
+        vars(self).update(  # derived once; no fields, so ==, hash and repr skip them
+            n_params=n, steps=steps, restore=where,  # restore: back to qubit order
+            _parts=buffer.view(np.float64),
+            _values=np.empty((4, n)),  # cos, sin, -sin, sin + 0.0 of theta/2
+            _dst=np.array(dst, dtype=np.intp), _src=np.array(src, dtype=np.intp))
 
-    @property
-    def n_params(self) -> int:
-        return sum(g.kind.param_count for g in self.gates)
+    def __reduce__(self):
+        # copies and unpickled circuits compile afresh, so their matrices stay
+        # views into their own buffer
+        return Circuit, (self.n_qubits, self.gates)
 
-    @functools.cached_property
-    def plan(self) -> CircuitPlan:
-        return CircuitPlan(self.n_qubits, self.gates)
+    def bind(self, theta: np.ndarray):
+        """Write the parametric gate matrices for `theta` into the buffer.
+
+        cos and sin come from `math`, as in `cmath.exp`, so the entries
+        match `exact_gate_matrix` bit for bit on any platform; -sin and
+        sin + 0.0 are exact, so they are formed as array operations.
+        """
+        if self.n_params:
+            half = (theta / 2).tolist()
+            values = self._values
+            values[:2] = list(map(math.cos, half)), list(map(math.sin, half))
+            np.negative(values[1], out=values[2])
+            np.add(values[1], 0.0, out=values[3])
+            self._parts[self._dst] = values.take(self._src)
 
 
 def gate(tag: str, *targets: int) -> GateInstance:
@@ -183,95 +244,16 @@ def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarr
     return x.reshape(shape).transpose(restore).reshape(2**n_qubits, batch)
 
 
-# Where theta enters a rotation's 2x2 block, as (row, col, part, value) with
-# part 0 = real, 1 = imaginary and value 0 = cos, 1 = sin, 2 = -sin,
-# 3 = sin + 0.0 of theta/2.  The last is what cmath.exp(1j * theta / 2)
-# gives, whose argument turns theta = -0.0 into +0.0.  Every other component
-# is +0.0.
-_ROT_ENTRIES = {
-    "X": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 2), (1, 0, 1, 2)),
-    "Y": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 2), (1, 0, 0, 1)),
-    "Z": ((0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 2), (1, 1, 1, 3)),
-}
-
-
-class CircuitPlan:
-    """A circuit compiled once for runs at many parameter vectors.
-
-    It holds the kernel steps of every gate, whose permutations come from
-    the bounded `_kernel_step` cache.  Each permutation brings the gate's
-    target axes to the front of the axis order the previous step left
-    behind, so one transpose per gate suffices; non-target axes keep their
-    relative order and the batch axis stays last.  Fixed gates use their
-    constant matrices.  The matrices of parametric gates are views into one
-    buffer, which `bind` refills in place from a single cos/sin evaluation
-    of theta/2 (the k-th parametric gate's from theta[k]), with the entries
-    of `exact_gate_matrix` in `tests/reference.py`; runs are therefore
-    bit-identical to building every matrix per gate.
-    """
-
-    def __init__(self, n_qubits: int, gates):
-        self.n_qubits = n_qubits
-        self.gates = tuple(gates)
-        param = [g for g in self.gates if g.kind.param_count]
-        n = self.n_params = len(param)
-        buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
-        self._parts = buffer.view(np.float64)
-        self._values = np.empty((4, n))  # cos, sin, -sin, sin + 0.0 of theta/2
-        dst, src, self.steps = [], [], []
-        where = tuple(range(n_qubits + 1))
-        offset = k = 0  # k: the next parametric gate's index in theta
-        for g in self.gates:
-            if not g.kind.param_count:
-                mat = _FIXED[g.kind.tag]
-            else:
-                d = 2**g.kind.arity
-                mat = buffer[offset:offset + d * d].reshape(d, d)
-                corner = d - 2  # controlled gates rotate the control-|1> block
-                mat[:corner, :corner] = np.eye(corner)
-                for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
-                    dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
-                    src.append(value * n + k)
-                offset += d * d
-                k += 1
-            perm, dim, where = _kernel_step(where, g.targets)
-            self.steps.append((perm, dim, mat))
-        self.restore = where  # back to qubit order after the last step
-        self._dst = np.array(dst, dtype=np.intp)
-        self._src = np.array(src, dtype=np.intp)
-
-    def __reduce__(self):
-        # copies and unpickled plans compile afresh, so their matrices stay
-        # views into their own buffer
-        return CircuitPlan, (self.n_qubits, self.gates)
-
-    def bind(self, theta: np.ndarray):
-        """Write the parametric gate matrices for `theta` into the buffer.
-
-        cos and sin come from `math`, as in `cmath.exp`, so the entries
-        match `exact_gate_matrix` bit for bit on any platform; -sin and
-        sin + 0.0 are exact, so they are formed as array operations.
-        """
-        if self.n_params:
-            half = (theta / 2).tolist()
-            values = self._values
-            values[:2] = list(map(math.cos, half)), list(map(math.sin, half))
-            np.negative(values[1], out=values[2])
-            np.add(values[1], 0.0, out=values[3])
-            self._parts[self._dst] = values.take(self._src)
-
-
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Run `circuit` on every column of a (2^n, batch) amplitude matrix."""
     if columns.shape[0] != 2**circuit.n_qubits:
         raise ValueError(f"columns have {columns.shape[0]} rows, but a "
                          f"{circuit.n_qubits}-qubit circuit needs {2**circuit.n_qubits}")
     theta = np.asarray(theta, dtype=float)
-    plan = circuit.plan
-    if theta.shape != (plan.n_params,):
+    if theta.shape != (circuit.n_params,):
         raise ValueError("theta length must equal circuit.n_params")
-    plan.bind(theta)
-    return _apply_steps(columns, circuit.n_qubits, plan.steps, plan.restore)
+    circuit.bind(theta)
+    return _apply_steps(columns, circuit.n_qubits, circuit.steps, circuit.restore)
 
 
 def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bit-identity check: run 54 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 57 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -23,7 +23,11 @@ search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
 which RES both admits and rejects candidates in each phase, and under
 `n_gates <= 5`, at which seed 2's RES seed reaches the bound before its last
 phase, and `denoise-relm` under `n_params <= 4`, at which seed 2's RES seed
-has no room left after phase 1.  The configs come from `perfbench/workloads.py`.
+has no room left after phase 1.  Last come seeds 7, 9 and 32 of `denoise-relm`
+with `relm.max_seq: 2`, the fewest slots its RES parents fit (two phases of
+one rotation per qubit): of seeds 1-40 these alone hand RELM a parent with
+two rotations on one qubit, which fills that qubit's slots.  The configs come
+from `perfbench/workloads.py`.
 """
 
 import copy
@@ -75,6 +79,8 @@ def cases():
                                                              "bound": 4}}))):
         for seed in (1, 2, 3):
             yield name, doc, seed
+    for seed in (7, 9, 32):
+        yield "denoise-maxseq2", variant("denoise-relm", relm={"max_seq": 2}), seed
 
 
 def digest(doc: dict, seed: int, counter: EvalCounter) -> tuple:

@@ -3,8 +3,8 @@
 * Kron-unitary oracle.  Full unitaries are assembled with `np.kron` from
   textbook gate matrices written out below, never from the simulator's
   matrices or kernel, so the oracle is independent of the code it checks.
-* Exact gate matrices: each rotation built entry by entry as the compiled
-  plan must build it, down to the sign of zero, for the bit-level checks of
+* Exact gate matrices: each rotation built entry by entry as a compiled
+  circuit must build it, down to the sign of zero, for the bit-level checks of
   the kernel, and `same_bits`, the comparison those checks use.
 * Density-matrix physics.  Explicit density matrices, Uhlmann fidelity,
   partial trace, the SWAP test and the autoencoder round trip, with every
@@ -98,7 +98,7 @@ def oracle_unitary(circuit, theta):
 
 
 def exact_gate_matrix(tag, angle=None):
-    """The matrix of gate `tag` as the compiled plan must hold it, bit for
+    """The matrix of gate `tag` as a compiled circuit must hold it, bit for
     bit: a fixed gate's constant matrix, or a rotation by `angle` built from
     math.cos/sin of angle/2 (RZ's diagonal from cmath.exp), every other
     entry +0.0.  A controlled rotation is the identity on the control-|0>

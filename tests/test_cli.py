@@ -566,6 +566,53 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not os.path.exists(out)
 
+    # The denoise-relm benchmark workload under n_two_qubit <= 1 with six RES
+    # phases: RES can put six rotations on one qubit, and a RELM parent's
+    # rotations must fit max_seq slots (without the check, seed 3 of these
+    # failed mid-run with "qubit 1 has 2 rotations, more than max_seq 1").
+    MAX_SEQ_CONFIG = {
+        "task": {"kind": "denoise", "noise": "bitflip"},
+        "algorithm": "relm",
+        "res": {"population_size": 6, "constraint": {"quantity": "n_two_qubit", "bound": 1},
+                "layer_budget_per_phase": 1, "max_phases": 6},
+        "relm": {"epochs": 2, "tournament_size": 5, "batch_size": 8, "population_size": 6,
+                 "layer_budget": 1, "max_seq": 1, "init_mode": "res"},
+        "opt": {"max_evals": 100, "restarts": 1},
+        "seeds": [1, 2, 3, 4],
+    }
+    N_PARAMS4 = {"res": {"constraint": {"quantity": "n_params", "bound": 4}, "max_phases": 10},
+                 "relm": {"max_seq": 4}}
+
+    @pytest.mark.parametrize("changes, need", [
+        ({}, 6),
+        ({"relm": {"init_mode": "random_search"}}, None),
+        ({"algorithm": "res"}, None),
+        # every generic rotation has a parameter, so n_params <= 4 caps them at 4
+        (dict(N_PARAMS4, space=["RX", "RY", "RZ", "CNOT"]), None),
+        (dict(N_PARAMS4, space=["RX", "RY", "RZ", "H", "CNOT"]), 10),
+    ], ids=["found", "rsinit", "res", "nparams-generic", "nparams-with-H"])
+    def test_relm_max_seq_must_hold_every_res_parent(self, tmp_path, capsys, monkeypatch,
+                                                     changes, need):
+        doc = json.loads(json.dumps(self.MAX_SEQ_CONFIG))
+        for key, value in changes.items():
+            doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+        if need is None:
+            assert parse_config(doc, environ={})["relm"]["max_seq"] == doc["relm"]["max_seq"]
+            return
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(qcas.cli, "_run_single_seed", unexpected)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(cfg_path), "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: relm.max_seq must be >= {need}, the most rotations RES can put "
+            f"on one qubit, got {doc['relm']['max_seq']}\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flag", ["x", "-3", "0", "2.7", "True", "100000"])
     def test_bad_jobs_flag_is_a_config_error(self, tmp_path, capsys, flag):
         # rejected while parsing: the search, and so any worker, never starts

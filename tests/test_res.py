@@ -172,6 +172,44 @@ class TestResSearch:
         assert [(c, list(t), s) for c, t, s in drained.population] == [
             (c, list(t), s) for c, t, s in result.population]
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(space=st.sampled_from([SPACE_CLIFFORD, SPACE_GENERIC, frozenset({"RY", "H", "CNOT"})]),
+           quantity=st.sampled_from(["n_params", "n_layers", "n_two_qubit", "n_gates"]),
+           bound=st.integers(1, 4), max_phases=st.integers(1, 4),
+           layer_budget=st.integers(1, 2), n_qubits=st.integers(2, 3),
+           seed=st.integers(0, 2**16))
+    def test_rotations_per_qubit_are_bounded(self, space, quantity, bound, max_phases,
+                                             layer_budget, n_qubits, seed):
+        # the counts the config check holds relm.max_seq to: at most
+        # layer_budget per phase on a qubit, and at most the bound of a
+        # quantity that counts every rotation
+        built = []
+
+        def recorded(sample):
+            def wrapper(*args):
+                cell = sample(*args)
+                built.append(cell)
+                return cell
+            return wrapper
+
+        task = UnitaryRegenTask(gen_hidden_targets(n_qubits, "dense", 1, 1, seed=seed)[0])
+        config = ResConfig(population_size=4, constraint=SoftConstraint(quantity, bound),
+                           layer_budget_per_phase=layer_budget,
+                           opt_budget=OptBudget(max_evals=10, restarts=1),
+                           max_phases=max_phases, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("random_cell", "expand_cell"):
+                mp.setattr(qcas.res, name, recorded(getattr(qcas.res, name)))
+            res_search(task, space, config)
+        most = max_phases * layer_budget
+        if quantity in ("n_layers", "n_gates") or (
+                quantity == "n_params"
+                and all(GATE_KINDS[t].param_count for t in space if GATE_KINDS[t].arity == 1)):
+            most = min(most, bound)
+        cells = [cell for cell in built if cell is not None]
+        assert cells
+        assert max(len(ops) for cell in cells for ops in cell.node_ops) <= most
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="^population_size "):
             ResConfig(population_size=0)

@@ -7,7 +7,7 @@ Two kinds of check:
   simulator's matrices;
 * bit-exactness against a plain per-gate reference kept here: `np.moveaxis`
   around each gate and the matrix rebuilt by reference.py's
-  `exact_gate_matrix` on every call.  The compiled plan must reproduce it bit
+  `exact_gate_matrix` on every call.  A compiled circuit must reproduce it bit
   for bit, so seeded searches compute the same numbers as the per-gate
   algorithm.
 """
@@ -184,7 +184,7 @@ def test_copied_circuits_keep_working():
 
 
 def test_compiled_circuit_cannot_be_edited():
-    """A circuit is an immutable value, so its compiled plan cannot go stale:
+    """A circuit is an immutable value, so its compiled steps cannot go stale:
     a gate list the constructor rejects (a target out of range) cannot reach
     the kernel by editing a compiled circuit."""
     circuit = build_circuit(2, [("RX", (0,)), ("RY", (1,))])
@@ -200,9 +200,9 @@ def test_compiled_circuit_cannot_be_edited():
         circuit.gates.append(gate("CNOT", 0, 5))
     with pytest.raises(ValueError, match="out of range"):
         Circuit(2, [gate("CNOT", 0, 5)])
-    assert circuit.plan.gates == circuit.gates
+    assert len(circuit.steps) == len(circuit.gates)  # one step per gate
     assert same_bits(apply_circuit_columns(circuit, theta, cols), expected)
-    # the compiled plan is no field: equality and hash are the gate list's
+    # the compiled steps are no field: equality and hash are the gate list's
     fresh = Circuit(2, list(circuit.gates))
     assert fresh == circuit and hash(fresh) == hash(circuit)
 
@@ -231,11 +231,10 @@ def every_kind_circuit(n, extra, rng):
 def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
     tags = sorted(t for t, k in GATE_KINDS.items() if k.param_count)
     circuit = build_circuit(2, [(t, (0,) if GATE_KINDS[t].arity == 1 else (1, 0)) for t in tags])
-    plan = circuit.plan
     for angle in (0.0, -0.0, 0.7, -2.9, math.pi, 1e-300):
         theta = np.full(circuit.n_params, angle)
-        plan.bind(theta)
-        for g, angle_k, (_perm, _dim, mat) in zip(circuit.gates, theta, plan.steps):
+        circuit.bind(theta)
+        for g, angle_k, (_perm, _dim, mat) in zip(circuit.gates, theta, circuit.steps):
             assert same_bits(mat, exact_gate_matrix(g.kind.tag, angle_k))
 
 
@@ -317,10 +316,10 @@ def test_memoised_kernel_steps_equal_uncached(data):
     tags = sorted(t for t, k in GATE_KINDS.items() if k.arity <= n)
     gates = build_circuit(n, data.draw(st.lists(gate_specs(n, tags), max_size=12),
                                        label="gates")).gates
-    plan = sim.CircuitPlan(n, gates)
+    circuit = Circuit(n, gates)
     want_steps, want_restore = reference_kernel_steps(n, gates)
-    assert plan.restore == want_restore
-    assert [(perm, dim) for perm, dim, _ in plan.steps] == want_steps
+    assert circuit.restore == want_restore
+    assert [(perm, dim) for perm, dim, _ in circuit.steps] == want_steps
 
 
 def test_kernel_step_cache_is_bounded():
@@ -329,5 +328,5 @@ def test_kernel_step_cache_is_bounded():
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        sim.CircuitPlan(n, [gate("CNOT", *rng.permutation(n)[:2].tolist()) for _ in range(5)])
+        Circuit(n, [gate("CNOT", *rng.permutation(n)[:2].tolist()) for _ in range(5)])
     assert sim._kernel_step.cache_info().currsize <= info.maxsize
