@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .optim import check_choice, check_int
-from .sim import GATE_KINDS, Circuit, GateInstance
+from .sim import GATE_KINDS, Circuit, gate
 
 NO_OP = "NO_OP"
 
@@ -242,29 +242,18 @@ def _grown_quantity(quantity: str, seed: Cell, sizes: list, tags: list,
     growth profile without building the child."""
     if quantity == "n_layers":
         return _depth(sizes, sorted([*seed.edge_ops, *new_edges]) if new_edges else seed.edge_ops)
-    # the other quantities add up over the gates
     *_, base = seed._growth
-    if quantity == "n_two_qubit":
-        return base.n_two_qubit + len(new_edges)
-    if quantity == "n_gates":
-        return base.n_gates + len(tags) + len(new_edges)
-    return base.n_params + sum(GATE_KINDS[tag].param_count
-                               for tag in chain(tags, *(ops for _, ops in new_edges)))
-
-
-@lru_cache(maxsize=4096)
-def _gate_instance(tag: str, targets: tuple) -> GateInstance:
-    """One shared, immutable `GateInstance` per (tag, targets)."""
-    return GateInstance(GATE_KINDS[tag], targets)
+    added = _sums(tags, [tag for _, ops in new_edges for tag in ops])
+    return getattr(base, quantity) + added[quantity]
 
 
 def cell_to_circuit(cell: Cell) -> Circuit:
     """Canonical emission: per qubit ascending, its rotations in list order;
     then edges in (control, target) lexicographic order.  The circuit's
-    theta binds to its parametric gates in this order.  Gate instances are
-    immutable, so circuits share them."""
-    nodes = [_gate_instance(tag, (q,)) for q, ops in enumerate(cell.node_ops) for tag in ops]
-    edges = [_gate_instance(tag, edge) for edge, ops in cell.edge_ops for tag in ops]
+    theta binds to its parametric gates in this order.  `gate` interns its
+    instances, so circuits share them."""
+    nodes = [gate(tag, q) for q, ops in enumerate(cell.node_ops) for tag in ops]
+    edges = [gate(tag, *edge) for edge, ops in cell.edge_ops for tag in ops]
     return Circuit(cell.n_qubits, nodes + edges)
 
 
@@ -331,16 +320,18 @@ def _depth(rotations, edges) -> int:
     return max(depth, default=0)
 
 
+def _sums(one, two) -> dict:
+    """The quantities that add up over the gates, for 1-qubit tags `one` and
+    2-qubit tags `two` (lists)."""
+    return {"n_params": sum(GATE_KINDS[tag].param_count for tag in one + two),
+            "n_two_qubit": len(two), "n_gates": len(one) + len(two)}
+
+
 def metrics(cell: Cell) -> CellMetrics:
     """Resource counts of `cell_to_circuit(cell)`, read from the cell."""
     one = [tag for ops in cell.node_ops for tag in ops]
     two = [tag for _, ops in cell.edge_ops for tag in ops]
-    return CellMetrics(
-        n_params=sum(GATE_KINDS[tag].param_count for tag in one + two),
-        n_layers=_depth(map(len, cell.node_ops), cell.edge_ops),
-        n_two_qubit=len(two),
-        n_gates=len(one) + len(two),
-    )
+    return CellMetrics(n_layers=_depth(map(len, cell.node_ops), cell.edge_ops), **_sums(one, two))
 
 
 def select_best(scored) -> int:

@@ -55,12 +55,12 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .cell import (SoftConstraint, build_vocab, cell_from_dict, cell_to_circuit, cell_to_dict,
-                   metrics)
+from .cell import (Cell, SoftConstraint, build_vocab, cell_from_dict, cell_to_circuit,
+                   cell_to_dict, metrics)
 from .optim import OptBudget, check_choice, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
-from .sim import GATE_KINDS, SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
+from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
 from .tasks import (
     IMAGE_DATASETS,
     RsConfig,
@@ -199,15 +199,16 @@ def _validate(config: dict):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"space: {exc}") from exc
     if config["algorithm"] == "relm" and relm_cfg.init_mode == "res":
-        # RES adds up to layer_budget_per_phase rotations to a qubit a phase, fewer
-        # under a bound that counts each; RELM reads a parent's into max_seq slots
-        rot = [GATE_KINDS[t] for t in space or default_space(config["task"])
-               if GATE_KINDS[t].arity == 1]
-        most = res_cfg.max_phases * res_cfg.layer_budget_per_phase if rot else 0
+        # RES adds up to layer_budget_per_phase rotations to a qubit a phase, no more
+        # than the bound holds of its cheapest rotation kind; RELM reads a parent's
+        # rotations into max_seq slots
         quantity, bound = res_cfg.constraint.quantity, res_cfg.constraint.bound
-        if quantity in ("n_layers", "n_gates") or (
-                quantity == "n_params" and all(k.param_count for k in rot)):
-            most = min(most, bound)
+        vocab = build_vocab(space or default_space(config["task"]))
+        costs = [getattr(metrics(Cell(1, [[t]])), quantity) for t in vocab.rotation_kinds[1:]]
+        most = res_cfg.max_phases * res_cfg.layer_budget_per_phase if costs else 0
+        cheapest = min(costs, default=0)
+        if cheapest:
+            most = min(most, bound // cheapest)
         if relm_cfg.max_seq < most:
             raise ConfigError(f"relm.max_seq must be >= {most}, the most rotations RES "
                               f"can put on one qubit, got {relm_cfg.max_seq}")

@@ -97,7 +97,7 @@ def qae_reward(f_parent: float, f_child: float, sign: str) -> float:
     if f_parent > f_child:
         delta = f_child - f_parent
         return delta if sign == "text" else -delta
-    return _clamped_tan(min(f_child, 1.0 - DEFAULT_EPS_TAN) * math.pi / 2.0)
+    return _clamped_tan(f_child * math.pi / 2.0)
 
 
 def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
@@ -195,8 +195,9 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
     and admit the best child; the global best entry is tracked throughout.
-    `pop` is a list of `Scored` cells with finite scores; each epoch removes
-    one and appends one.
+    `pop` is a list of `Scored` cells with finite scores, at least one of
+    them within the constraint (a ValueError names it otherwise); each epoch
+    removes one and appends one.
 
     The parent's policy forward runs once per epoch and is shared by all
     batch_size mutations of that epoch; the policy gradients of its
@@ -210,8 +211,11 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
         n_blocks=config.n_blocks, ff_dim=config.ff_dim)
     controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
     adam = AdamState(lr=config.learning_rate)
-    eligible = [e for e in pop if config.constraint is None
-                or eval_soft_constraint(config.constraint, e.cell)] or pop
+    constraint = config.constraint
+    eligible = [e for e in pop if constraint is None or eval_soft_constraint(constraint, e.cell)]
+    if constraint is not None and not eligible:
+        raise ValueError(f"no member of the starting population meets "
+                         f"{constraint.quantity} <= {constraint.bound}")
     global_best = max(eligible, key=lambda e: e.score)
     records = []
 
@@ -243,8 +247,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
                 g /= config.batch_size
             controller, adam = adam_step(controller, grads, adam)
 
-        admissible = [e for e in children if config.constraint is None
-                      or eval_soft_constraint(config.constraint, e.cell)]
+        admissible = [e for e in children
+                      if constraint is None or eval_soft_constraint(constraint, e.cell)]
         best_child = max(admissible or [parent], key=lambda e: e.score)
         pop.append(best_child)
         if best_child.score > global_best.score:

@@ -199,8 +199,11 @@ class Circuit:
             self._parts[self._dst] = values.take(self._src)
 
 
+@functools.lru_cache(maxsize=4096)
 def gate(tag: str, *targets: int) -> GateInstance:
-    return GateInstance(GATE_KINDS[tag], tuple(targets))
+    """The one shared, immutable `GateInstance` of `tag` on `targets`: every
+    gate the program builds comes from this bounded cache."""
+    return GateInstance(GATE_KINDS[tag], targets)
 
 
 # ---------------------------------------------------------------------------

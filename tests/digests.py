@@ -1,4 +1,4 @@
-"""Bit-identity check: run 57 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 66 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -23,11 +23,16 @@ search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
 which RES both admits and rejects candidates in each phase, and under
 `n_gates <= 5`, at which seed 2's RES seed reaches the bound before its last
 phase, and `denoise-relm` under `n_params <= 4`, at which seed 2's RES seed
-has no room left after phase 1.  Last come seeds 7, 9 and 32 of `denoise-relm`
+has no room left after phase 1.  Then come seeds 7, 9 and 32 of `denoise-relm`
 with `relm.max_seq: 2`, the fewest slots its RES parents fit (two phases of
 one rotation per qubit): of seeds 1-40 these alone hand RELM a parent with
-two rotations on one qubit, which fills that qubit's slots.  The configs come
-from `perfbench/workloads.py`.
+two rotations on one qubit, which fills that qubit's slots.  Then seeds 1-3
+of `denoise-relm` under `n_two_qubit <= 1`, at which RES both admits and
+rejects candidates, and over the space `[RY, CNOT]` with `relm.max_seq: 2`,
+at which some children of seeds 1 and 3 warm-start from their parent's theta
+and RELM beats its starting best; last, seeds 3, 5 and 6 of `regen-relm` as a
+RES search with population 4 and 4 phases, at which the draw cap empties a
+phase.  The configs come from `perfbench/workloads.py`.
 """
 
 import copy
@@ -81,6 +86,17 @@ def cases():
             yield name, doc, seed
     for seed in (7, 9, 32):
         yield "denoise-maxseq2", variant("denoise-relm", relm={"max_seq": 2}), seed
+    for name, doc, seeds in (
+            ("denoise-n2q1", variant("denoise-relm",
+                                     res={"constraint": {"quantity": "n_two_qubit",
+                                                         "bound": 1}}), (1, 2, 3)),
+            ("denoise-ry", dict(variant("denoise-relm", relm={"max_seq": 2}),
+                                space=["RY", "CNOT"]), (1, 2, 3)),
+            ("regen-rescap", dict(variant("regen-relm",
+                                          res={"population_size": 4, "max_phases": 4}),
+                                  algorithm="res"), (3, 5, 6))):
+        for seed in seeds:
+            yield name, doc, seed
 
 
 def digest(doc: dict, seed: int, counter: EvalCounter) -> tuple:

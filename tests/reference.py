@@ -21,6 +21,8 @@
   the same cells, the same `None`s and the same generator state.
 * The one-op children of a seed, each built as a `Cell`: `qcas.cell.can_grow`
   must say a seed can grow iff one of them is within the bound.
+* The most rotations RES can put on one qubit, by quantity name: the least
+  `relm.max_seq` that `qcas.cli` accepts for a RES-initialised RELM search.
 
 A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 """
@@ -406,3 +408,22 @@ def one_op_children(seed: Cell, space) -> list:
                 children += [Cell(n, seed.node_ops, [*seed.edge_ops, ((c, t), (tag,))])
                              for tag in ent]
     return children
+
+
+# ---------------------------------------------------------------------------
+# The max_seq rule
+# ---------------------------------------------------------------------------
+
+
+def res_rotations_per_qubit(space, quantity: str, bound: int, max_phases: int,
+                            layer_budget_per_phase: int) -> int:
+    """Up to `layer_budget_per_phase` rotations a phase, capped at `bound`
+    under `n_layers` and `n_gates` (each rotation counts one), and under
+    `n_params` when every 1-qubit kind of `space` has a parameter; 0 when
+    `space` has no 1-qubit kind."""
+    rot = [GATE_KINDS[t] for t in space if GATE_KINDS[t].arity == 1]
+    most = max_phases * layer_budget_per_phase if rot else 0
+    if quantity in ("n_layers", "n_gates") or (
+            quantity == "n_params" and all(k.param_count for k in rot)):
+        most = min(most, bound)
+    return most

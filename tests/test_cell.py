@@ -18,7 +18,6 @@ from qcas.cell import (
     CellMetrics,
     NO_OP,
     SoftConstraint,
-    _gate_instance,
     build_vocab,
     can_grow,
     cell_from_dict,
@@ -35,6 +34,7 @@ from qcas.cell import (
 from qcas.sim import (
     GATE_KINDS,
     Circuit,
+    GateInstance,
     SPACE_CLIFFORD,
     SPACE_GENERIC,
     SPACE_SINGLE_CLIFFORD,
@@ -83,7 +83,7 @@ def reference_cell_to_circuit(cell):
     edge_ops = dict(cell.edge_ops)
     locations = [((q,), ops) for q, ops in enumerate(cell.node_ops)]
     locations += [(edge, edge_ops[edge]) for edge in sorted(edge_ops)]
-    gates = [gate(tag, *targets) for targets, ops in locations for tag in ops]
+    gates = [GateInstance(GATE_KINDS[tag], targets) for targets, ops in locations for tag in ops]
     return Circuit(cell.n_qubits, gates)
 
 
@@ -363,7 +363,7 @@ class TestCellCircuit:
         cell = Cell(2, [["RY", "H"], []], {(0, 1): ["CNOT"]})
         a, b = cell_to_circuit(cell), cell_to_circuit(copy.deepcopy(cell))
         assert all(x is y for x, y in zip(a.gates, b.gates))
-        assert _gate_instance.cache_info().maxsize is not None
+        assert gate.cache_info().maxsize is not None
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.gates[0].targets = (1,)
         # circuits that share gate instances cannot edit each other's gates

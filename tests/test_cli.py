@@ -6,16 +6,20 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcas
 from qcas.cell import SoftConstraint
 from qcas.optim import OptBudget
 from qcas.relm import RelmConfig
 from qcas.res import ResConfig
-from qcas.sim import Circuit, circuit_unitary, gate
+from qcas.sim import GATE_KINDS, Circuit, circuit_unitary, gate
 from qcas.tasks import RsConfig, TaskConfig, gen_hidden_targets
 
 from qcas.cli import (
@@ -612,6 +616,40 @@ class TestMain:
             f"config error: relm.max_seq must be >= {need}, the most rotations RES can put "
             f"on one qubit, got {doc['relm']['max_seq']}\n")
         assert not os.path.exists(out)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(space=st.lists(st.sampled_from(sorted(GATE_KINDS)), min_size=1, max_size=3,
+                          unique=True),
+           quantity=st.sampled_from(["n_layers", "n_params", "n_two_qubit", "n_gates"]),
+           bound=st.integers(1, 6), max_phases=st.integers(1, 4),
+           layer_budget_per_phase=st.integers(1, 3))
+    def test_relm_max_seq_rule_matches_the_reference(self, space, quantity, bound, max_phases,
+                                                     layer_budget_per_phase):
+        need = reference.res_rotations_per_qubit(space, quantity, bound, max_phases,
+                                                 layer_budget_per_phase)
+        for max_seq in range(max(need - 1, 1), need + 2):
+            doc = {"task": {"kind": "denoise"}, "algorithm": "relm", "space": space,
+                   "res": {"constraint": {"quantity": quantity, "bound": bound},
+                           "max_phases": max_phases,
+                           "layer_budget_per_phase": layer_budget_per_phase},
+                   "relm": {"init_mode": "res", "layer_budget": 1, "max_seq": max_seq}}
+            if max_seq >= need:
+                assert parse_config(doc, environ={})["relm"]["max_seq"] == max_seq
+            else:
+                with pytest.raises(ConfigError, match=rf"^relm\.max_seq must be >= {need}, "):
+                    parse_config(doc, environ={})
+
+    def test_relm_max_seq_rule_does_not_scale_with_max_phases(self):
+        doc = {"task": {"kind": "denoise"}, "algorithm": "relm",
+               "res": {"constraint": {"quantity": "n_layers", "bound": 3},
+                       "max_phases": 10000},
+               "relm": {"init_mode": "res", "max_seq": 3}}
+        start = time.perf_counter()
+        assert parse_config(doc, environ={})["res"]["max_phases"] == 10000
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ConfigError, match=r"^relm\.max_seq must be >= 3, "):
+            parse_config(dict(doc, relm={"init_mode": "res", "max_seq": 2,
+                                         "layer_budget": 2}), environ={})
 
     @pytest.mark.parametrize("flag", ["x", "-3", "0", "2.7", "True", "100000"])
     def test_bad_jobs_flag_is_a_config_error(self, tmp_path, capsys, flag):

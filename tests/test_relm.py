@@ -67,6 +67,22 @@ class TestQaeReward:
     def test_sign_flag_flips_worse_branch(self):
         assert qae_reward(0.9, 0.5, "printed") == pytest.approx(0.4, abs=1e-12)
 
+    def test_at_or_above_the_clamp_the_reward_is_the_boundary_tangent(self):
+        edge = 1.0 - qcas.relm.DEFAULT_EPS_TAN
+        bound = edge * math.pi / 2.0
+        for f in (edge, math.nextafter(edge, 2.0), 1.0, 1.0 + 2.0**-52):
+            assert qae_reward(0.0, f, "text") == math.tan(bound)
+
+    def test_same_bits_as_clamping_the_fidelity(self):
+        # the tangent's own clamp replaces a clamp of f_child at 1 - eps
+        edge = 1.0 - qcas.relm.DEFAULT_EPS_TAN
+        grid = np.linspace(0.0, 1.0 + 1e-3, 20003).tolist()
+        near = [edge]
+        for _ in range(50):
+            near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 2.0)]
+        for f in grid + near:
+            assert qae_reward(0.0, f, "text") == math.tan(min(f, edge) * math.pi / 2.0)
+
     def test_sign_properties(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -212,6 +228,24 @@ class TestRelmSearch:
         result = relm_search(task, config, pop, VOCAB)
         assert isinstance(result.best_cell, Cell)
         assert 0.0 <= result.score <= 1.0
+
+    def test_starting_population_outside_the_constraint_is_rejected(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a child was scored")
+
+        monkeypatch.setattr(qcas.relm, "score_cell", unexpected)
+        task = small_task()
+        config = RelmConfig(epochs=1, tournament_size=1, batch_size=1,
+                            init_mode="random_search", reward_mode="unitary",
+                            population_size=2, max_seq=6, embed_dim=4, n_heads=1,
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0,
+                            constraint=SoftConstraint("n_gates", 1))
+        # two gates each: no member meets n_gates <= 1
+        pop = [Scored(Cell(2, [["H", "S"], []]), np.zeros(0), 0.5),
+               Scored(Cell(2, [["H"], []], {(0, 1): ["CNOT"]}), np.zeros(0), 0.7)]
+        with pytest.raises(ValueError,
+                           match=r"^no member of the starting population meets n_gates <= 1$"):
+            relm_search(task, config, pop, VOCAB)
 
     def test_population_size_constant_per_epoch(self):
         result, config = self.run_search()
