@@ -4,7 +4,8 @@ run records and CSV export.
 Configs are YAML documents (schema below); run records are JSON written
 atomically.  Any config key can be overridden through environment variables
 with the ``QCAS_`` prefix and ``__`` as the nesting separator, e.g.
-``QCAS_RES__POPULATION_SIZE=10``.
+``QCAS_RES__POPULATION_SIZE=10``; a variable's YAML value merges like the
+same key in a file.
 
 Config schema (all keys optional except task.kind)::
 
@@ -34,8 +35,9 @@ Each task key is read only by the kinds marked beside it; setting one that
 the configured kind does not read to anything but its default is a config
 error.  The task, rs, res, relm and opt sections are the fields of
 `TaskConfig`, `RsConfig`, `ResConfig`, `RelmConfig` and `OptBudget` with
-their defaults, less those the runner fills in itself (the seed, the
-optimizer budget, and RELM's constraint, which is res's).
+their defaults, less those the runner fills in itself (the seed and the
+optimizer budget).  RES and RELM search under ``res.constraint``; ``rs``
+does not read it.
 Each config object is built once at parse time, so a bad value is a config
 error naming its dotted key.
 """
@@ -90,11 +92,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(cls, *filled_by_runner) -> dict:
+def _section(cls) -> dict:
     """A config class's fields and defaults as a CLI config section."""
     return {f.name: asdict(f.default) if is_dataclass(f.default) else f.default
-            for f in fields(cls)
-            if f.name not in ("seed", "opt_budget") + filled_by_runner}
+            for f in fields(cls) if f.name not in ("seed", "opt_budget")}
 
 
 DEFAULT_CONFIG = {
@@ -103,7 +104,7 @@ DEFAULT_CONFIG = {
     "space": None,
     "rs": _section(RsConfig),
     "res": _section(ResConfig),
-    "relm": _section(RelmConfig, "constraint"),
+    "relm": _section(RelmConfig),
     "opt": _section(OptBudget),
     "seeds": [1],
     "out_dir": "runs",
@@ -140,19 +141,20 @@ def _load_yaml(text: str, where: str):
 
 
 def _apply_env_overrides(config: dict, environ=None) -> dict:
+    """Merge each ``QCAS_`` variable, in name order, as the one-key document
+    its name spells (``QCAS_RES__CONSTRAINT`` is ``{res: {constraint: ...}}``),
+    checked like the same key in a config file."""
     environ = os.environ if environ is None else environ
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
-        parts = [p.lower() for p in name[len(ENV_PREFIX):].split("__")]
-        node = config
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config key in {name}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key in {name}")
-        node[parts[-1]] = _load_yaml(raw, name)
+        doc = _load_yaml(raw, name)
+        for part in reversed(name[len(ENV_PREFIX):].lower().split("__")):
+            doc = {part: doc}
+        try:
+            config = _merge_checked(config, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     return config
 
 
@@ -311,8 +313,7 @@ def _configs(config: dict, seed: int):
     constraint = _build("res.constraint", SoftConstraint, res["constraint"])
     res_cfg = _build("res", ResConfig, dict(res, constraint=constraint),
                      opt_budget=opt, seed=seed)
-    relm_cfg = _build("relm", RelmConfig, config["relm"], constraint=constraint,
-                      opt_budget=opt, seed=seed)
+    relm_cfg = _build("relm", RelmConfig, config["relm"], opt_budget=opt, seed=seed)
     return rs_cfg, opt, res_cfg, relm_cfg
 
 
@@ -336,7 +337,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     else:
         pop, res_result = init_population(task, space, relm_cfg, res_cfg)
         init_best = max(e.score for e in pop)
-        result = relm_search(task, relm_cfg, pop, build_vocab(space))
+        result = relm_search(task, relm_cfg, pop, build_vocab(space), res_cfg.constraint)
         cell, theta, score = result.best_cell, result.theta, result.score
         trace = {"relm": [vars(r) for r in result.epochs],
                  "init_best_score": init_best}

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import Cell, GateVocab, decode_actions, encode_actions, eval_soft_constraint
+from .cell import (Cell, GateVocab, SoftConstraint, decode_actions, encode_actions,
+                   eval_soft_constraint)
 from .controller import (
     AdamState,
     ControllerConfig,
@@ -47,7 +48,6 @@ class RelmConfig:
     reward_mode: str = "qae"  # "qae" | "unitary"
     reward_sign: str = "text"  # "text" | "printed" (worse-child branch sign)
     alpha: float = 1.5
-    constraint: object = None  # optional SoftConstraint gating admission
     population_size: int = 30
     layer_budget: int = 2
     max_seq: int = 8
@@ -112,26 +112,21 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
 
 def init_population(task, space, config: RelmConfig, res_config: ResConfig):
     """Starting population, a list of `config.population_size` `Scored`
-    cells, by `config.init_mode`: random search over cells that satisfy
-    `config.constraint` (when set), or the final population of RES run with
-    `res_config` (topped up with admissible random cells if short).
+    cells that satisfy `res_config.constraint`, by `config.init_mode`:
+    random search, or the final population of RES run with `res_config`
+    (topped up with random cells, from seed `config.seed + 1`, if short).
 
     Returns (population, res_result_or_None).
     """
-    size = config.population_size
-    if config.init_mode == "random_search":
-        _, population = random_search(task, space, size, config.constraint, config.seed,
-                                      layer_budget=config.layer_budget,
-                                      opt_budget=config.opt_budget)
-        return population, None
-    result = res_search(task, space, res_config)
-    population = result.population[:size]
+    size, seed = config.population_size, config.seed
+    population, result = [], None
+    if config.init_mode == "res":
+        result = res_search(task, space, res_config)
+        population, seed = result.population[:size], seed + 1
     if len(population) < size:
-        _, extra = random_search(task, space, size - len(population),
-                                 res_config.constraint, config.seed + 1,
-                                 layer_budget=config.layer_budget,
-                                 opt_budget=config.opt_budget)
-        population += extra
+        population += random_search(task, space, size - len(population), res_config.constraint,
+                                    seed, layer_budget=config.layer_budget,
+                                    opt_budget=config.opt_budget)[1]
     return population, result
 
 
@@ -170,8 +165,8 @@ def mutate(forward, vocab: GateVocab, rng: np.random.Generator):
 @dataclass
 class EpochRecord:
     """One epoch of the run record's RELM trace.  `n_scored` children were
-    scored, `n_admissible` of them meet the constraint (all of them when
-    there is none); the CSV export reads neither count."""
+    scored, `n_admissible` of them meet the run's constraint; the CSV export
+    reads neither count."""
 
     epoch: int
     parent_score: float
@@ -191,13 +186,15 @@ class RelmResult:
     controller: ControllerParams
 
 
-def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmResult:
+def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
+                constraint: SoftConstraint) -> RelmResult:
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
-    and admit the best child; the global best entry is tracked throughout.
-    `pop` is a list of `Scored` cells with finite scores, at least one of
-    them within the constraint (a ValueError names it otherwise); each epoch
-    removes one and appends one.
+    and admit the best child that meets `constraint` (the parent if none
+    does); the global best entry is tracked throughout.  `pop` is a list of
+    `Scored` cells with finite scores, at least one of them within the
+    constraint (a ValueError names it otherwise); each epoch removes one and
+    appends one.
 
     The parent's policy forward runs once per epoch and is shared by all
     batch_size mutations of that epoch; the policy gradients of its
@@ -211,9 +208,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
         n_blocks=config.n_blocks, ff_dim=config.ff_dim)
     controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
     adam = AdamState(lr=config.learning_rate)
-    constraint = config.constraint
-    eligible = [e for e in pop if constraint is None or eval_soft_constraint(constraint, e.cell)]
-    if constraint is not None and not eligible:
+    eligible = [e for e in pop if eval_soft_constraint(constraint, e.cell)]
+    if not eligible:
         raise ValueError(f"no member of the starting population meets "
                          f"{constraint.quantity} <= {constraint.bound}")
     global_best = max(eligible, key=lambda e: e.score)
@@ -247,8 +243,7 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab) -> RelmRe
                 g /= config.batch_size
             controller, adam = adam_step(controller, grads, adam)
 
-        admissible = [e for e in children
-                      if constraint is None or eval_soft_constraint(constraint, e.cell)]
+        admissible = [e for e in children if eval_soft_constraint(constraint, e.cell)]
         best_child = max(admissible or [parent], key=lambda e: e.score)
         pop.append(best_child)
         if best_child.score > global_best.score:

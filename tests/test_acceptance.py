@@ -263,15 +263,14 @@ def test_criterion_08_relm_progress_property():
         wins = 0
         for seed in range(1, 6):
             config = RelmConfig(epochs=30, tournament_size=5, batch_size=8,
-                                init_mode="res", reward_mode="qae",
-                                constraint=constraint, population_size=30,
+                                init_mode="res", reward_mode="qae", population_size=30,
                                 layer_budget=2, opt_budget=opt, seed=seed)
             res_config = ResConfig(population_size=30, constraint=constraint,
                                    layer_budget_per_phase=1, opt_budget=opt,
                                    max_phases=2, seed=seed)
             pop, _ = init_population(task, SPACE_GENERIC, config, res_config)
             init_best = max(e.score for e in pop)
-            result = relm_search(task, config, pop, vocab)
+            result = relm_search(task, config, pop, vocab, constraint)
             assert eval_soft_constraint(constraint, result.best_cell)
             wins += result.score >= init_best - 1e-12
         assert wins >= 4, wins
@@ -297,15 +296,14 @@ def test_criterion_09_parameter_budgets():
 
         constraint = SoftConstraint("n_params", 16)
         relm_config = RelmConfig(epochs=10, tournament_size=5, batch_size=4,
-                                 init_mode="res", constraint=constraint,
-                                 population_size=10, layer_budget=2,
+                                 init_mode="res", population_size=10, layer_budget=2,
                                  opt_budget=opt, seed=0)
         relm_res_config = ResConfig(population_size=10, constraint=constraint,
                                     layer_budget_per_phase=1, opt_budget=opt,
                                     max_phases=2, seed=0)
         pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config)
         relm_result = relm_search(task, relm_config, pop,
-                                  build_vocab(SPACE_GENERIC))
+                                  build_vocab(SPACE_GENERIC), constraint)
         relm_params = metrics(relm_result.best_cell).n_params
         assert relm_params <= 16
         assert relm_params < baseline_params

@@ -48,6 +48,18 @@ FAST = {
 }
 
 
+# an environment variable that sets a section, or a key a section lacks:
+# (name, value, the config error's message)
+ENV_SHAPE_ERRORS = [
+    ("QCAS_RES", "5", "QCAS_RES: 'res' must be a mapping"),
+    ("QCAS_TASK", "x", "QCAS_TASK: 'task' must be a mapping"),
+    ("QCAS_OPT", "[1]", "QCAS_OPT: 'opt' must be a mapping"),
+    ("QCAS_RES__CONSTRAINT", "{quantity: n_gates, bound: 3, extra: 1}",
+     "QCAS_RES__CONSTRAINT: unknown config key 'res.constraint.extra'"),
+]
+ENV_SHAPE_IDS = ["res", "task", "opt", "constraint-extra"]
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         config = parse_config({"task": {"kind": "denoise"}}, environ={})
@@ -94,6 +106,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"task": {"kind": "denoise"}},
                          environ={"QCAS_RES__POPSIZE": "7"})
+
+    @pytest.mark.parametrize("name, value, message", ENV_SHAPE_ERRORS, ids=ENV_SHAPE_IDS)
+    def test_env_override_is_checked_like_a_file_key(self, name, value, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            parse_config({"task": {"kind": "denoise"}}, environ={name: value})
+
+    @pytest.mark.parametrize("file_bound", [None, 5])
+    def test_env_override_of_part_of_a_constraint_keeps_the_rest(self, file_bound):
+        doc = {"task": {"kind": "denoise"}}
+        if file_bound is not None:
+            doc["res"] = {"constraint": {"quantity": "n_params", "bound": file_bound}}
+        config = parse_config(doc, environ={"QCAS_RES__CONSTRAINT": "{quantity: n_gates}"})
+        bound = file_bound or DEFAULT_CONFIG["res"]["constraint"]["bound"]
+        assert config["res"]["constraint"] == {"quantity": "n_gates", "bound": bound}
 
     def test_yaml_text_source(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -501,6 +527,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message.format(path=path))
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name, value, message", ENV_SHAPE_ERRORS, ids=ENV_SHAPE_IDS)
+    def test_bad_env_override_is_a_one_line_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         name, value, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("task:\n  kind: denoise\n")
+        monkeypatch.setenv(name, value)
+        out = str(tmp_path / "out")
+        assert main(["search", "--config", str(path), "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not os.path.exists(out)
 
     def test_config_error_exit_code(self, tmp_path):

@@ -37,11 +37,15 @@ from qcas.relm import (
     tournament_step,
     unitary_reward,
 )
+from qcas.res import ResConfig
 from qcas.sim import SPACE_CLIFFORD, SPACE_GENERIC
-from qcas.tasks import UnitaryRegenTask, gen_hidden_targets
+from qcas.tasks import UnitaryRegenTask, gen_hidden_targets, random_search
 
 FAST_OPT = OptBudget(max_evals=40, restarts=1)
 VOCAB = build_vocab(SPACE_CLIFFORD)
+# a bound no cell of these tests reaches; a random draw under it makes the
+# same rng draws as an unconstrained one
+UNBOUNDED = SoftConstraint("n_gates", 10**6)
 
 
 def small_task(seed=3):
@@ -120,7 +124,7 @@ class TestPopulation:
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1, population_size=2)
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="^population scores must be finite"):
-                relm_search(small_task(), config, self.entries([0.5, bad]), VOCAB)
+                relm_search(small_task(), config, self.entries([0.5, bad]), VOCAB, UNBOUNDED)
 
     def test_tournament_best_and_worst(self):
         pop = self.entries([0.9, 0.5, 0.7])
@@ -186,11 +190,11 @@ class TestInitPopulation:
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
                             init_mode="random_search", population_size=5,
                             opt_budget=FAST_OPT, seed=1)
-        pop, trace = init_population(task, SPACE_CLIFFORD, config, None)
+        pop, trace = init_population(task, SPACE_CLIFFORD, config,
+                                     ResConfig(constraint=UNBOUNDED))
         assert len(pop) == 5 and trace is None
 
     def test_res_mode_members_satisfy_constraint(self):
-        from qcas.res import ResConfig
         task = small_task()
         constraint = SoftConstraint("n_layers", 2)
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
@@ -202,21 +206,43 @@ class TestInitPopulation:
         assert len(pop) == 5 and result is not None
         assert eval_soft_constraint(constraint, result.best_cell)
 
+    @pytest.mark.parametrize("init_mode", ["res", "random_search"])
+    def test_random_members_are_one_random_search(self, init_mode):
+        # RES keeps at most 3 members, so the population of 5 is topped up
+        task = small_task()
+        constraint = SoftConstraint("n_layers", 2)
+        config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
+                            init_mode=init_mode, population_size=5,
+                            opt_budget=FAST_OPT, seed=4)
+        res_config = ResConfig(population_size=3, constraint=constraint,
+                               opt_budget=FAST_OPT, max_phases=2, seed=4)
+        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config)
+        kept = result.population if init_mode == "res" else []
+        seed = config.seed + 1 if init_mode == "res" else config.seed
+        _, drawn = random_search(task, SPACE_CLIFFORD, 5 - len(kept), constraint, seed,
+                                 layer_budget=config.layer_budget,
+                                 opt_budget=config.opt_budget)
+        assert len(kept) <= 3 and len(pop) == 5
+        for member, expected in zip(pop, kept + drawn, strict=True):
+            assert member.cell == expected.cell and member.score == expected.score
+            assert np.array_equal(member.theta, expected.theta)
+        assert all(eval_soft_constraint(constraint, e.cell) for e in pop)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="^init_mode .*'annealing'"):
             RelmConfig(init_mode="annealing", population_size=3, tournament_size=2)
 
 
 class TestRelmSearch:
-    def run_search(self, seed=1, epochs=3, **kwargs):
+    def run_search(self, seed=1, epochs=3, constraint=UNBOUNDED):
         task = small_task()
         config = RelmConfig(epochs=epochs, tournament_size=2, batch_size=2,
                             init_mode="random_search", reward_mode="unitary",
                             population_size=4, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed,
-                            **kwargs)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config, None)
-        return relm_search(task, config, pop, VOCAB), config
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config,
+                                 ResConfig(constraint=constraint))
+        return relm_search(task, config, pop, VOCAB, constraint), config
 
     def test_minimal_run_returns_valid_cell(self):
         task = small_task()
@@ -224,8 +250,9 @@ class TestRelmSearch:
                             init_mode="random_search", reward_mode="unitary",
                             population_size=1, max_seq=6, embed_dim=4, n_heads=1,
                             n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config, None)
-        result = relm_search(task, config, pop, VOCAB)
+        pop, _ = init_population(task, SPACE_CLIFFORD, config,
+                                 ResConfig(constraint=UNBOUNDED))
+        result = relm_search(task, config, pop, VOCAB, UNBOUNDED)
         assert isinstance(result.best_cell, Cell)
         assert 0.0 <= result.score <= 1.0
 
@@ -238,14 +265,13 @@ class TestRelmSearch:
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1,
                             init_mode="random_search", reward_mode="unitary",
                             population_size=2, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0,
-                            constraint=SoftConstraint("n_gates", 1))
+                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
         # two gates each: no member meets n_gates <= 1
         pop = [Scored(Cell(2, [["H", "S"], []]), np.zeros(0), 0.5),
                Scored(Cell(2, [["H"], []], {(0, 1): ["CNOT"]}), np.zeros(0), 0.7)]
         with pytest.raises(ValueError,
                            match=r"^no member of the starting population meets n_gates <= 1$"):
-            relm_search(task, config, pop, VOCAB)
+            relm_search(task, config, pop, VOCAB, SoftConstraint("n_gates", 1))
 
     def test_population_size_constant_per_epoch(self):
         result, config = self.run_search()
@@ -265,7 +291,6 @@ class TestRelmSearch:
 
     def test_final_at_least_initial_with_res_init(self):
         # 1-qubit hidden-circuit task; majority over 10 seeds
-        from qcas.res import ResConfig
         wins = 0
         for seed in range(10):
             target = gen_hidden_targets(1, "single", 1, 1, seed=seed)[0]
@@ -280,7 +305,7 @@ class TestRelmSearch:
                                    opt_budget=FAST_OPT, max_phases=2, seed=seed)
             pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config)
             init_best = max(e.score for e in pop)
-            result = relm_search(task, config, pop, VOCAB)
+            result = relm_search(task, config, pop, VOCAB, res_config.constraint)
             wins += result.score >= init_best - 1e-12
         assert wins >= 6
 
@@ -288,7 +313,7 @@ class TestRelmSearch:
         result, _ = self.run_search(constraint=SoftConstraint("n_gates", 3))
         assert eval_soft_constraint(SoftConstraint("n_gates", 3), result.best_cell)
 
-    @pytest.mark.parametrize("constraint", [None, SoftConstraint("n_gates", 3)])
+    @pytest.mark.parametrize("constraint", [UNBOUNDED, SoftConstraint("n_gates", 3)])
     def test_epochs_count_scored_and_admissible_children(self, monkeypatch, constraint):
         scored = []
         original = qcas.relm.score_cell
@@ -302,8 +327,7 @@ class TestRelmSearch:
         assert len(scored) == config.epochs * config.batch_size
         for i, record in enumerate(result.epochs):
             children = scored[i * config.batch_size:(i + 1) * config.batch_size]
-            admissible = [c for c in children
-                          if constraint is None or eval_soft_constraint(constraint, c)]
+            admissible = [c for c in children if eval_soft_constraint(constraint, c)]
             assert record.n_admissible <= record.n_scored == config.batch_size
             assert record.n_admissible == len(admissible)
 
@@ -326,18 +350,15 @@ def initial_controller(task, config, vocab):
     return init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
 
 
-def reference_relm_search(task, config, pop, vocab):
+def reference_relm_search(task, config, pop, vocab, constraint):
     """The RELM epoch loop with one controller forward per child: every
     mutation and every policy gradient runs its own forward pass, and every
     policy gradient its own backward pass, summed here."""
     controller = initial_controller(task, config, vocab)
     rng = np.random.default_rng([config.seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
-    eligible = pop
-    if config.constraint is not None:
-        eligible = [e for e in pop
-                    if eval_soft_constraint(config.constraint, e.cell)] or pop
-    global_best = max(eligible, key=lambda e: e.score)
+    global_best = max((e for e in pop if eval_soft_constraint(constraint, e.cell)),
+                      key=lambda e: e.score)
     records = []
     for epoch in range(1, config.epochs + 1):
         parent, _ = tournament_step(pop, config.tournament_size, rng)
@@ -366,9 +387,8 @@ def reference_relm_search(task, config, pop, vocab):
             for g in total.values():
                 g /= config.batch_size
             controller, adam = adam_step(controller, total, adam)
-        scored = [entry for *_, entry in children]
-        if config.constraint is not None:
-            scored = [e for e in scored if eval_soft_constraint(config.constraint, e.cell)]
+        scored = [entry for *_, entry in children
+                  if eval_soft_constraint(constraint, entry.cell)]
         best_child = max(scored or [parent], key=lambda e: e.score)
         pop.append(best_child)
         if best_child.score > global_best.score:
@@ -382,27 +402,29 @@ def reference_relm_search(task, config, pop, vocab):
 
 class TestSharedForward:
     CASES = {
-        "clifford-unitary": dict(space=SPACE_CLIFFORD, reward_mode="unitary"),
+        "clifford-unitary": dict(space=SPACE_CLIFFORD, reward_mode="unitary",
+                                 constraint=UNBOUNDED),
         "generic-qae-constrained": dict(space=SPACE_GENERIC, reward_mode="qae",
                                         constraint=SoftConstraint("n_gates", 4)),
     }
 
-    def setup_search(self, space, seed=2, **kwargs):
+    def setup_search(self, space, seed=2, constraint=UNBOUNDED, **kwargs):
         task = small_task()
         config = RelmConfig(epochs=4, tournament_size=2, batch_size=3,
                             init_mode="random_search", population_size=4, max_seq=6,
                             embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8,
                             opt_budget=FAST_OPT, seed=seed, **kwargs)
         vocab = build_vocab(space)
-        pop, _ = init_population(task, space, config, None)
+        pop, _ = init_population(task, space, config, ResConfig(constraint=constraint))
         return task, config, pop, vocab, initial_controller(task, config, vocab)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_one_forward_per_child(self, case):
         task, config, pop, vocab, controller = self.setup_search(**self.CASES[case])
-        result = relm_search(task, config, copy.deepcopy(pop), vocab)
+        constraint = self.CASES[case]["constraint"]
+        result = relm_search(task, config, copy.deepcopy(pop), vocab, constraint)
         best, records, ref_controller = reference_relm_search(
-            task, config, copy.deepcopy(pop), vocab)
+            task, config, copy.deepcopy(pop), vocab, constraint)
 
         def table(recs):
             return np.array([[r.epoch, r.parent_score, r.mean_reward,
@@ -434,7 +456,7 @@ class TestSharedForward:
         for name in calls:
             monkeypatch.setattr(qcas.relm, name, counted(name))
         task, config, pop, vocab, _ = self.setup_search(SPACE_CLIFFORD, reward_mode="unitary")
-        relm_search(task, config, pop, vocab)
+        relm_search(task, config, pop, vocab, UNBOUNDED)
         # every epoch of this seed has a non-zero reward, so one backward each
         assert calls == {"controller_forward": config.epochs,
                          "mutate": config.epochs * config.batch_size,
@@ -453,7 +475,7 @@ class TestSharedForward:
         monkeypatch.setattr(qcas.relm, "unitary_reward", lambda *args: 0.0)
         task, config, pop, vocab, before = self.setup_search(SPACE_CLIFFORD,
                                                              reward_mode="unitary")
-        result = relm_search(task, config, pop, vocab)
+        result = relm_search(task, config, pop, vocab, UNBOUNDED)
         assert [r.mean_reward for r in result.epochs] == [0.0] * config.epochs
         assert [state.step for state in states] == [0]
         for name, tensor in before.tensors.items():
