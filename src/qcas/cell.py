@@ -144,12 +144,11 @@ def _space_kinds(space: frozenset) -> tuple[tuple, tuple]:
     return rot, ent
 
 
-def random_cell(space, n_qubits: int, rng: np.random.Generator,
-                layer_budget: int = 1, constraint: SoftConstraint | None = None):
-    """Sample a fresh cell: up to `layer_budget` rotations per qubit and at
-    most one 2-qubit op per edge (each unordered pair drawn with prob 1/2).
-
-    This is `expand_cell` of the empty cell, `constraint` included."""
+def random_cell(space, n_qubits: int, rng: np.random.Generator, layer_budget: int,
+                constraint: SoftConstraint):
+    """Sample a fresh cell within `constraint`, or None: up to `layer_budget`
+    rotations per qubit and at most one 2-qubit op per edge (each unordered
+    pair drawn with prob 1/2).  This is `expand_cell` of the empty cell."""
     if layer_budget < 1:
         raise ValueError("layer_budget must be >= 1")
     return expand_cell(_empty_cell(n_qubits), space, rng, layer_budget, constraint)
@@ -161,18 +160,18 @@ def _empty_cell(n: int) -> Cell:
     return Cell(n)
 
 
-def expand_cell(seed: Cell, space, rng: np.random.Generator,
-                layer_budget: int = 1, constraint: SoftConstraint | None = None):
+def expand_cell(seed: Cell, space, rng: np.random.Generator, layer_budget: int,
+                constraint: SoftConstraint):
     """Grow a seed cell: keep everything it has, append fresh rotations and
     fill in missing edges with newly sampled 2-qubit ops.
 
-    With a `constraint`, the child's constrained quantity is worked out from
-    the seed's growth profile and the drawn additions, and a child that breaks
-    it is never built: None is returned instead.  The rng draws are the same
-    either way.  A category with one kind draws no index for it: numpy's
-    `integers` draws nothing for a one-value range, so skipping the call keeps
-    the draws.  With one 2-qubit kind the edge loop draws only uniforms, so
-    it draws them in batches that stop where the scalar loop would.
+    The child's constrained quantity is worked out from the seed's growth
+    profile and the drawn additions, and a child that breaks `constraint` is
+    never built: None is returned instead.  A category with one kind draws no
+    index for it: numpy's `integers` draws nothing for a one-value range, so
+    skipping the call keeps the draws.  With one 2-qubit kind the edge loop
+    draws only uniforms, so it draws them in batches that stop where the
+    scalar loop would.
     """
     rot, ent = _space_kinds(frozenset(space))
     pairs, rotations, _ = seed._growth
@@ -198,8 +197,7 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
             new_edges.append(((a, b) if u < 0.5 else (b, a),
                               ent if len(ent) == 1 else (ent[integers(len(ent))],)))
             pending = False
-    if (constraint is not None and _grown_quantity(constraint.quantity, seed, sizes, tags,
-                                                   new_edges) > constraint.bound):
+    if _grown_quantity(constraint.quantity, seed, sizes, tags, new_edges) > constraint.bound:
         return None
     added = iter(tags)
     node_ops = [(*ops, *islice(added, size - len(ops))) for ops, size in zip(seed.node_ops, sizes)]

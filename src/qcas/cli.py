@@ -36,8 +36,7 @@ the configured kind does not read to anything but its default is a config
 error.  The task, rs, res, relm and opt sections are the fields of
 `TaskConfig`, `RsConfig`, `ResConfig`, `RelmConfig` and `OptBudget` with
 their defaults, less those the runner fills in itself (the seed and the
-optimizer budget).  RES and RELM search under ``res.constraint``; ``rs``
-does not read it.
+optimizer budget).  Every algorithm searches under ``res.constraint``.
 Each config object is built once at parse time, so a bad value is a config
 error naming its dotted key.
 """
@@ -327,7 +326,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     trace = None
     if algorithm == "rs":
         (cell, theta, score), _ = random_search(
-            task, space, rs_cfg.budget_evals, None, seed,
+            task, space, rs_cfg.budget_evals, res_cfg.constraint, seed,
             layer_budget=rs_cfg.layer_budget, opt_budget=opt,
         )
     elif algorithm == "res":

@@ -262,13 +262,13 @@ class Scored(NamedTuple):
 
 def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
                theta_init: np.ndarray | None = None) -> Scored:
-    """Lazily materialize a cell into a circuit, fit its parameters on the
-    task's training cost and return it scored on validation.
+    """Build a cell's circuit, fit its parameters on the task's training cost
+    and return it scored on validation.
 
     Validation score is the task's own figure of merit (higher is better).
     `theta_init` warm-starts the optimizer when its shape matches.
     """
-    from .cell import cell_to_circuit
+    from .cell import cell_to_circuit  # imported here, as qcas.cell imports this module
 
     circuit = cell_to_circuit(cell)
     if circuit.n_qubits != task.n_qubits:

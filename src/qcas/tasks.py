@@ -483,10 +483,11 @@ class RsConfig:
         check_int("layer_budget", self.layer_budget, 1)
 
 
-def random_search(task, space, budget_evals: int, constraint: SoftConstraint | None,
+def random_search(task, space, budget_evals: int, constraint: SoftConstraint,
                   seed: int, layer_budget: int, opt_budget: OptBudget):
-    """Independent random cells, best kept; serves as the RS baseline and the
-    RELM random initializer.  Returns (best, all) `Scored` entries."""
+    """Independent random cells within `constraint`, best kept; serves as the
+    RS baseline and the RELM random initializer.  Returns (best, all)
+    `Scored` entries."""
     rng = np.random.default_rng([seed, 0xA5])
     cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, layer_budget, constraint),

@@ -1,4 +1,4 @@
-"""Bit-identity check: run 66 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 69 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -30,9 +30,12 @@ two rotations on one qubit, which fills that qubit's slots.  Then seeds 1-3
 of `denoise-relm` under `n_two_qubit <= 1`, at which RES both admits and
 rejects candidates, and over the space `[RY, CNOT]` with `relm.max_seq: 2`,
 at which some children of seeds 1 and 3 warm-start from their parent's theta
-and RELM beats its starting best; last, seeds 3, 5 and 6 of `regen-relm` as a
+and RELM beats its starting best; then seeds 3, 5 and 6 of `regen-relm` as a
 RES search with population 4 and 4 phases, at which the draw cap empties a
-phase.  The configs come from `perfbench/workloads.py`.
+phase; last, seeds 1-3 of an `rs` search with `regen-relm`'s task and `res`
+and the default `rs` section, whose `n_layers <= 3` bound rejects most
+candidates of the parameter-free task.  The configs come from
+`perfbench/workloads.py`.
 """
 
 import copy
@@ -94,7 +97,9 @@ def cases():
                                 space=["RY", "CNOT"]), (1, 2, 3)),
             ("regen-rescap", dict(variant("regen-relm",
                                           res={"population_size": 4, "max_phases": 4}),
-                                  algorithm="res"), (3, 5, 6))):
+                                  algorithm="res"), (3, 5, 6)),
+            ("regen-rs", {"task": regen["task"], "algorithm": "rs", "res": regen["res"]},
+             (1, 2, 3))):
         for seed in seeds:
             yield name, doc, seed
 

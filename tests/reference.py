@@ -18,7 +18,8 @@
   `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
   `random()` call and `_grown_quantity` re-derives the seed's part of the
   constrained quantity for every candidate.  `qcas.cell`'s sampler must give
-  the same cells, the same `None`s and the same generator state.
+  the same cells, the same `None`s and the same generator state.  It keeps an
+  unconstrained mode, which `qcas.cell`'s sampler matches under `UNBOUNDED`.
 * The one-op children of a seed, each built as a `Cell`: `qcas.cell.can_grow`
   must say a seed can grow iff one of them is within the bound.
 * The most rotations RES can put on one qubit, by quantity name: the least
@@ -324,6 +325,10 @@ def reinforce_loss(params, slots, rot_actions, ent_actions, reward: float) -> fl
 # ---------------------------------------------------------------------------
 # RES sampler
 # ---------------------------------------------------------------------------
+
+# a bound no cell of the tests reaches; a random draw under it makes the same
+# rng draws, and gives the same cell, as an unconstrained one
+UNBOUNDED = SoftConstraint("n_gates", 10**6)
 
 
 def random_cell(space, n_qubits: int, rng: np.random.Generator,

@@ -11,6 +11,7 @@ import pytest
 import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import UNBOUNDED
 
 import qcas.cell
 from qcas.cell import (
@@ -176,25 +177,25 @@ class TestVocab:
 class TestRandomCell:
     def test_single_qubit_space_has_no_edges(self):
         for _ in range(20):
-            cell = random_cell(SPACE_SINGLE_CLIFFORD, 3, RNG)
+            cell = random_cell(SPACE_SINGLE_CLIFFORD, 3, RNG, 1, UNBOUNDED)
             assert cell.edge_ops == ()
 
     def test_fresh_edges_carry_one_op(self):
         for _ in range(100):
-            cell = random_cell(SPACE_GENERIC, 3, RNG)
+            cell = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
             for _, ops in cell.edge_ops:
                 assert len(ops) == 1
 
     def test_edge_frequency_half(self):
         hits = 0
         for _ in range(1000):
-            cell = random_cell({"RY", "CNOT"}, 2, RNG)
+            cell = random_cell({"RY", "CNOT"}, 2, RNG, 1, UNBOUNDED)
             hits += bool(cell.edge_ops)
         assert abs(hits / 1000 - 0.5) < 0.05
 
     def test_rotation_count_within_budget(self):
         for _ in range(50):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
+            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
             assert all(len(ops) <= 2 for ops in cell.node_ops)
 
 
@@ -202,14 +203,14 @@ class TestExpandCell:
     def test_expand_empty_behaves_like_random(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        fresh = random_cell(SPACE_GENERIC, 3, rng_a)
-        grown = expand_cell(Cell(3), SPACE_GENERIC, rng_b)
+        fresh = random_cell(SPACE_GENERIC, 3, rng_a, 1, UNBOUNDED)
+        grown = expand_cell(Cell(3), SPACE_GENERIC, rng_b, 1, UNBOUNDED)
         assert grown == fresh
 
     def test_seed_contained_in_child(self):
         for _ in range(100):
-            seed = random_cell(SPACE_GENERIC, 3, RNG)
-            child = expand_cell(seed, SPACE_GENERIC, RNG)
+            seed = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
             for q in range(3):
                 assert child.node_ops[q][: len(seed.node_ops[q])] == seed.node_ops[q]
             for edge, ops in seed.edge_ops:
@@ -217,14 +218,14 @@ class TestExpandCell:
 
     def test_gate_count_monotone(self):
         for _ in range(50):
-            seed = random_cell(SPACE_GENERIC, 3, RNG)
-            child = expand_cell(seed, SPACE_GENERIC, RNG)
+            seed = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
             assert metrics(child).n_gates >= metrics(seed).n_gates
 
     def test_existing_edges_never_duplicated(self):
         seed = Cell(2, [[], []], {(0, 1): ["CNOT"]})
         for _ in range(20):
-            child = expand_cell(seed, SPACE_GENERIC, RNG)
+            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
             assert dict(child.edge_ops)[(0, 1)] == ("CNOT",)
             assert (1, 0) not in dict(child.edge_ops)
 
@@ -238,7 +239,8 @@ SAMPLER_SPACES = {"clifford": SPACE_CLIFFORD, "generic": SPACE_GENERIC,
 
 class TestDrawStream:
     """`random_cell` / `expand_cell` against the reference sampler: the same
-    cell or None from every call, and the same generator state after it."""
+    cell or None from every call, and the same generator state after it.
+    Where the reference samples unconstrained, qcas samples under `UNBOUNDED`."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
@@ -252,17 +254,18 @@ class TestDrawStream:
                                                  layer_budget)
                     constraint = (None if quantity is None else SoftConstraint(
                         quantity, max(1, getattr(metrics(seed), quantity) + 1)))
+                    bound = constraint or UNBOUNDED
                     rng, ref_rng = (np.random.default_rng(rng_seed) for _ in range(2))
                     if rng_seed == 1:  # start from a half-used 32-bit buffer
                         for generator in (rng, ref_rng):
                             generator.integers(2)
                     for i in range(12):
                         if i % 3:
-                            got = expand_cell(seed, space, rng, layer_budget, constraint)
+                            got = expand_cell(seed, space, rng, layer_budget, bound)
                             want = reference.expand_cell(seed, space, ref_rng, layer_budget,
                                                          constraint)
                         else:
-                            got = random_cell(space, n, rng, layer_budget, constraint)
+                            got = random_cell(space, n, rng, layer_budget, bound)
                             want = reference.random_cell(space, n, ref_rng, layer_budget,
                                                          constraint)
                         assert got == want
@@ -293,7 +296,7 @@ class TestDrawStream:
             patch.setattr(qcas.cell, "_grown_quantity", spy)
             expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget,
                         SoftConstraint(quantity, 1))
-        child = expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget)
+        child = expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget, UNBOUNDED)
         assert grown == [getattr(metrics(child), quantity)]
 
     def test_growth_profile_is_not_part_of_the_value(self):
@@ -394,7 +397,7 @@ class TestViews:
     def test_rows_sum_to_one(self):
         # every slot holds one in-vocab id, so each one-hot row has a single 1
         for _ in range(20):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
+            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             assert rot.min() >= 0 and rot.max() < self.VOCAB.v_rot
             assert ent.min() >= 0 and ent.max() < self.VOCAB.v_ent
@@ -413,9 +416,9 @@ class TestViews:
     def test_decode_inverts_encode(self, space, n, layer_budget, grow, spare, seed):
         # sampled and grown cells have one op per edge, so the slots keep them whole
         rng = np.random.default_rng(seed)
-        cell = random_cell(space, n, rng, layer_budget)
+        cell = random_cell(space, n, rng, layer_budget, UNBOUNDED)
         if grow:
-            cell = expand_cell(cell, space, rng, layer_budget)
+            cell = expand_cell(cell, space, rng, layer_budget, UNBOUNDED)
         vocab = build_vocab(space)
         max_seq = max(1, *map(len, cell.node_ops)) + spare
         rot, ent = encode_actions(cell, vocab, max_seq)
@@ -434,7 +437,7 @@ class TestDecodeActions:
     def test_roundtrip_via_argmax(self):
         # the argmax of the one-hots the controller builds from the slots
         for _ in range(100):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
+            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             back = decode_actions(np.eye(self.VOCAB.v_rot)[rot].argmax(axis=-1),
                                   np.eye(self.VOCAB.v_ent)[ent].argmax(axis=-1), self.VOCAB)
@@ -541,7 +544,7 @@ class TestSerialization:
     def test_roundtrip_random_cells(self):
         # the path of run records: cell_to_dict, JSON text, cell_from_dict
         for _ in range(50):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, layer_budget=2)
+            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
             assert cell_from_dict(json.loads(json.dumps(cell_to_dict(cell)))) == cell
 
     def test_dict_form_is_sorted_and_versioned(self):

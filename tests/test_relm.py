@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import action_logprob
+from reference import UNBOUNDED, action_logprob
 
 import qcas.relm
 from qcas.cell import (
@@ -43,9 +43,6 @@ from qcas.tasks import UnitaryRegenTask, gen_hidden_targets, random_search
 
 FAST_OPT = OptBudget(max_evals=40, restarts=1)
 VOCAB = build_vocab(SPACE_CLIFFORD)
-# a bound no cell of these tests reaches; a random draw under it makes the
-# same rng draws as an unconstrained one
-UNBOUNDED = SoftConstraint("n_gates", 10**6)
 
 
 def small_task(seed=3):

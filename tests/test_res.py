@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import oracle_unitary
+from reference import UNBOUNDED, oracle_unitary
 
 import qcas.cell
 import qcas.res
@@ -262,7 +262,8 @@ SPACES = [SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC,
 @st.composite
 def expansions(draw):
     """A gate space, a seed cell over it (edges may carry several ops or
-    none), a layer budget and an optional constraint."""
+    none), a layer budget and an optional constraint: where it is None, the
+    reference samples unconstrained and qcas under `UNBOUNDED`."""
     space = draw(st.sampled_from(SPACES))
     n = draw(st.integers(1, 5))
     rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
@@ -288,18 +289,19 @@ class TestSampler:
            rng_seed=st.integers(0, 2**32 - 1), fresh=st.booleans())
     def test_matches_building_every_candidate(self, case, count, max_tries, rng_seed, fresh):
         space, seed, layer_budget, constraint = case
+        bound = constraint or UNBOUNDED
         rng = np.random.default_rng(rng_seed)
         ref_rng = np.random.default_rng(rng_seed)
         if fresh:  # phase 1: random cells, nothing excluded
             n = seed.n_qubits
             got = sample_admissible(
-                lambda: random_cell(space, n, rng, layer_budget, constraint), count, max_tries)
+                lambda: random_cell(space, n, rng, layer_budget, bound), count, max_tries)
             want = reference_sample(
                 lambda: reference_expand_cell(Cell(n), space, ref_rng, layer_budget),
                 constraint, count, max_tries, None)
         else:  # later phases: expansions of the seed, the seed excluded
             got = sample_admissible(
-                lambda: expand_cell(seed, space, rng, layer_budget, constraint),
+                lambda: expand_cell(seed, space, rng, layer_budget, bound),
                 count, max_tries, exclude=seed)
             want = reference_sample(
                 lambda: reference_expand_cell(seed, space, ref_rng, layer_budget),

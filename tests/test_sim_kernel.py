@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import exact_gate_matrix, oracle_unitary, same_bits
+from reference import UNBOUNDED, exact_gate_matrix, oracle_unitary, same_bits
 
 from qcas import tasks
 from qcas.cell import cell_to_circuit, random_cell
@@ -278,7 +278,7 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, kind, mo
     task = make_task()
     rng = np.random.default_rng(17)
     circuits = [tasks.baseline_circuit(kind, task.n_qubits)] + [
-        cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget=3))
+        cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, 3, UNBOUNDED))
         for _ in range(8)]
     cases = [(c, rng.uniform(-math.pi, math.pi, c.n_params)) for c in circuits]
 

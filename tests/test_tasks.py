@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import bitflip_noise_circuit, pauli_channel_apply, same_bits
+from reference import UNBOUNDED, bitflip_noise_circuit, pauli_channel_apply, same_bits
 
 from qcas.cell import Cell, SoftConstraint, cell_to_circuit, metrics, random_cell
 from qcas.optim import OptBudget
@@ -298,7 +298,8 @@ def test_distinct_columns_simulate_bit_identically_to_the_whole_set(key, cell_se
     gathered back, equals the column simulated in the whole set, bit for bit."""
     task = DENOISE_TASKS[key]
     rng = np.random.default_rng(cell_seed)
-    circuit = cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget))
+    circuit = cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget,
+                                          UNBOUNDED))
     theta = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
     for (cols, index), whole in ((task._train, task.train_cols), (task._val, task.val_cols)):
         assert same_bits(apply_circuit_columns(circuit, theta, cols)[:, index],
@@ -379,16 +380,16 @@ class TestBaselines:
 class TestRandomSearch:
     def test_budget_one_returns_single_cell(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 1, 1, seed=0)[0])
-        (cell, theta, score), scored = random_search(task, SPACE_CLIFFORD, 1, None, 0,
+        (cell, theta, score), scored = random_search(task, SPACE_CLIFFORD, 1, UNBOUNDED, 0,
                                                      layer_budget=2, opt_budget=FAST_OPT)
         assert len(scored) == 1
         assert scored[0][0] == cell
 
     def test_nested_budgets_prefix_property(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 2, 1, seed=1)[0])
-        (_, _, small), _ = random_search(task, SPACE_CLIFFORD, 3, None, 7,
+        (_, _, small), _ = random_search(task, SPACE_CLIFFORD, 3, UNBOUNDED, 7,
                                          layer_budget=2, opt_budget=FAST_OPT)
-        (_, _, large), _ = random_search(task, SPACE_CLIFFORD, 9, None, 7,
+        (_, _, large), _ = random_search(task, SPACE_CLIFFORD, 9, UNBOUNDED, 7,
                                          layer_budget=2, opt_budget=FAST_OPT)
         assert large >= small - 1e-12
 

@@ -2,8 +2,9 @@
 resolves, every cell a search scores goes through one of the three
 module-level `score_cell` names that the tracer and perfbench/setup_probe.py
 patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), the
-benchmark's self-test of its output checks passes on this qcas, and the
-program's scores of parametric cells agree with the benchmark's oracle."""
+benchmark's self-test of its output checks passes on this qcas, the
+program's scores of parametric cells agree with the benchmark's oracle, and
+every algorithm's runs pass the benchmark's checks."""
 
 import importlib
 import importlib.util
@@ -208,3 +209,39 @@ def test_parametric_cell_scores_match_the_benchmark_oracle(checks, oracle_cases,
               "theta": list(theta), "metrics": vars(metrics(cell)),
               "validation_score": score, "test": test, "trace": None}
     assert checks.check_run(qcas, config, record) == []
+
+
+workloads = load_perfbench("workloads")
+STATE_COMPRESS_GAP = pytest.mark.xfail(
+    strict=True, reason="perfbench/checks.py `expected` has no state_compress branch, so it "
+    "scores a state_compress cell as a unitary_regen one")
+
+
+def checked_searches():
+    """Each algorithm on each task kind with TINY's budgets under n_layers <= 2,
+    seeds 1-5; and the random search with denoise-relm's task and opt and
+    rs.budget_evals 8, seeds 1-20, under the default res.constraint."""
+    res = dict(TINY["res"], constraint={"quantity": "n_layers", "bound": 2})
+    for task in ({"kind": "denoise", "noise": "bitflip"},
+                 {"kind": "image", "dataset": "digits", "n_trash": 1},
+                 TINY["task"], {"kind": "state_compress"}):
+        for algorithm in ("rs", "res", "relm"):
+            doc = dict(TINY, task=task, algorithm=algorithm, res=res, seeds=[1, 2, 3, 4, 5])
+            yield pytest.param(doc, id=f"{task['kind']}-{algorithm}",
+                               marks=STATE_COMPRESS_GAP if task["kind"] == "state_compress"
+                               else ())
+    denoise = workloads.WORKLOADS["denoise-relm"]
+    yield pytest.param({"task": denoise["task"], "algorithm": "rs", "rs": {"budget_evals": 8},
+                        "opt": denoise["opt"], "seeds": list(range(1, 21))},
+                       id="denoise-relm-task-rs")
+
+
+@pytest.mark.parametrize("doc", checked_searches())
+def test_every_run_passes_the_benchmark_checks(checks, doc):
+    """Every algorithm's best cell meets the run's res.constraint and its
+    scores and metrics agree with the benchmark's oracle."""
+    config = parse_config(doc, environ={})
+    qcas = SimpleNamespace(**modules())
+    failures = {run["seed"]: checks.check_run(qcas, config, run)
+                for run in run(config)["runs"]}
+    assert failures == {seed: [] for seed in config["seeds"]}
