@@ -7,9 +7,10 @@ correctness is pinned by a finite-difference test at desk scale.
 `controller_forward` returns the logits together with the cache that
 `reinforce_grads` backpropagates from.  The backward pass only reads the
 cache, so one forward serves every action sampled and every gradient taken at
-the same parameters and parent, and `reinforce_grads` sums a batch of samples'
-gradients in one backward pass; RELM runs one of each per epoch.  Actions
-are always sampled, from the caller's rng.
+the same parameters and parent.  RELM runs one forward, one Gumbel draw for
+its whole batch of actions, one backward of the batch's summed gradients and
+one Adam step, over all tensors as one flat vector, per epoch.  Actions are
+always sampled, from the caller's rng.
 
 A parent goes in as the action slots a child comes out as: rotation ids
 `(n_qubits, max_seq)` and entanglement ids `(n_qubits, n_qubits)`.  Token
@@ -270,16 +271,21 @@ def controller_backward(params: ControllerParams, cache, d_rot_flat, d_ent_flat)
 # ---------------------------------------------------------------------------
 
 
-def sample_actions(rot_logits, ent_logits, rng: np.random.Generator):
+def sample_actions(rot_logits, ent_logits, rng: np.random.Generator, size=None):
     """Per-slot categorical sample; returns the rotation and entanglement
-    action index tensors.
+    action index tensors, led by an axis of `size` samples if size is given.
 
     The categorical sample is the Gumbel-max argmax, so the picks follow
     softmax(logits), the policy that `reinforce_grads` differentiates.  The
-    entanglement diagonal is forced to NO_OP by the forward pass.
+    entanglement diagonal is forced to NO_OP by the forward pass.  Sample j
+    reads row j of one Gumbel draw, rotation noise then entanglement noise:
+    the draws, and actions, of `size` calls one after another.
     """
-    gumbel_r = rng.gumbel(size=rot_logits.shape)
-    gumbel_e = rng.gumbel(size=ent_logits.shape)
+    lead = () if size is None else (size,)
+    n_rot = rot_logits.size
+    gumbel = rng.gumbel(size=lead + (n_rot + ent_logits.size,))
+    gumbel_r = gumbel[..., :n_rot].reshape(lead + rot_logits.shape)
+    gumbel_e = gumbel[..., n_rot:].reshape(lead + ent_logits.shape)
     return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
 
 
@@ -333,27 +339,32 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
 class AdamState:
     lr: float
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # flat over the tensors in order; None before step 1
+    v: np.ndarray | None = None
 
 
 def adam_step(params: ControllerParams, grads: dict, state: AdamState):
-    """One bias-corrected Adam update: returns new params, and `state`
-    updated in place."""
+    """One bias-corrected Adam update of all tensors as one flat vector, each
+    value that of a per-tensor update as every operation is elementwise:
+    returns new params, views of one new array, and `state` updated in place."""
+    tensors = params.tensors
+    if grads.keys() != tensors.keys() or any(grads[name].shape != t.shape
+                                             for name, t in tensors.items()):
+        raise ValueError("gradients do not match the parameter tensors")
+    g = np.concatenate([grads[name].ravel() for name in tensors])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
-    t = state.step
-    stepped = {}
-    for name, g in grads.items():
-        if g.shape != params.tensors[name].shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m.get(name, np.zeros_like(g))
-        v = state.v.get(name, np.zeros_like(g))
-        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * g**2
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - _ADAM_BETA1**t)
-        v_hat = v / (1 - _ADAM_BETA2**t)
-        stepped[name] = params.tensors[name] - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    tensors = {name: stepped[name] for name in params.tensors}  # every tensor has a gradient
-    return ControllerParams(params.config, tensors), state
+    state.m *= _ADAM_BETA1  # m = b1*m + (1-b1)*g and v likewise, in place
+    state.m += (1 - _ADAM_BETA1) * g
+    state.v *= _ADAM_BETA2
+    state.v += (1 - _ADAM_BETA2) * g**2
+    np.sqrt(np.divide(state.v, 1 - _ADAM_BETA2**state.step, out=g), out=g)
+    g += _ADAM_EPS  # g now holds sqrt(v_hat) + eps
+    stepped = np.concatenate([t.ravel() for t in tensors.values()])
+    stepped -= state.lr * (state.m / (1 - _ADAM_BETA1**state.step)) / g
+    new, end = {}, 0
+    for name, t in tensors.items():
+        start, end = end, end + t.size
+        new[name] = stepped[start:end].reshape(t.shape)
+    return ControllerParams(params.config, new), state

@@ -260,13 +260,15 @@ class Scored(NamedTuple):
     score: float
 
 
-def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
+def score_cell(cell, task, budget: OptBudget, make_rng,
                theta_init: np.ndarray | None = None) -> Scored:
     """Build a cell's circuit, fit its parameters on the task's training cost
     and return it scored on validation.
 
     Validation score is the task's own figure of merit (higher is better).
     `theta_init` warm-starts the optimizer when its shape matches.
+    `make_rng()` returns the Generator that the fit draws its random starts
+    from; only a cell with parameters calls it, so a parameter-free one builds none.
     """
     from .cell import cell_to_circuit  # imported here, as qcas.cell imports this module
 
@@ -277,6 +279,7 @@ def score_cell(cell, task, budget: OptBudget, rng: np.random.Generator,
     if n == 0:
         theta = np.zeros(0)
         return Scored(cell, theta, task.validation_score(circuit, theta))
+    rng = make_rng()
     if theta_init is not None and np.shape(theta_init) == (n,):
         theta0 = np.asarray(theta_init, dtype=float)
     else:

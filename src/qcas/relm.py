@@ -4,9 +4,10 @@ winner and policy-gradient training of the controller from parent/child score
 deltas.
 
 The policy is fixed within an epoch and every child mutates the same parent,
-so each epoch runs one controller forward and one backward: it samples its
-whole batch of children from the forward's logits, then scores them, and the
-children's policy gradients are summed in one backward pass from its cache.
+so each epoch runs one controller forward, one Gumbel draw, one backward and
+one Adam step: it samples its whole batch of children from the forward's
+logits with one draw, then scores them, the children's policy gradients are
+summed in one backward pass from its cache and Adam updates the policy once.
 
 Tournament selection removes the tournament's worst member, not the oldest
 member of the population as in aging (regularized) evolution (Real et al.,
@@ -14,6 +15,7 @@ AAAI 2019); this is a deliberate deviation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,12 +151,13 @@ def tournament_step(pop: list, k: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def mutate(forward, vocab: GateVocab, rng: np.random.Generator):
-    """Sample per-slot actions from the parent's policy forward
-    `controller_forward(controller, *parent_slots)`; returns the child they
-    decode to, with its rotation and entanglement actions."""
-    rot_actions, ent_actions = sample_actions(*forward[0], rng)
-    return decode_actions(rot_actions, ent_actions, vocab), rot_actions, ent_actions
+def mutate(forward, vocab: GateVocab, rng: np.random.Generator, batch_size: int):
+    """Sample `batch_size` children with one Gumbel draw from the parent's
+    policy forward `controller_forward(controller, *parent_slots)`; returns
+    their cells and their actions, which carry a leading sample axis."""
+    rot_actions, ent_actions = sample_actions(*forward[0], rng, size=batch_size)
+    cells = [decode_actions(rot, ent, vocab) for rot, ent in zip(rot_actions, ent_actions)]
+    return cells, rot_actions, ent_actions
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +200,9 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     appends one.
 
     The parent's policy forward runs once per epoch and is shared by all
-    batch_size mutations of that epoch; the policy gradients of its
-    non-zero-reward children are summed in one backward pass from it."""
+    batch_size mutations of that epoch, which one Gumbel draw samples; the
+    policy gradients of its non-zero-reward children are summed in one
+    backward pass from it, and one Adam step applies them."""
     if any(not math.isfinite(e.score) for e in pop):
         raise ValueError("population scores must be finite")
     rng = np.random.default_rng([config.seed, 0xE70])
@@ -219,11 +223,11 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
         parent, _ = tournament_step(pop, config.tournament_size, rng)
         forward = controller_forward(controller,
                                      *encode_actions(parent.cell, vocab, config.max_seq))
-        cells, rot_actions, ent_actions = zip(*(mutate(forward, vocab, rng)
-                                                for _ in range(config.batch_size)))
+        cells, rot_actions, ent_actions = mutate(forward, vocab, rng, config.batch_size)
         # each child is fitted with its own rng, so scoring draws nothing from `rng`
         children = [score_cell(cell, task, config.opt_budget,
-                               np.random.default_rng([config.seed, 0x5C0, epoch, j]),
+                               functools.partial(np.random.default_rng,
+                                                 [config.seed, 0x5C0, epoch, j]),
                                theta_init=parent.theta)
                     for j, cell in enumerate(cells)]
         rewards = np.array([
@@ -236,9 +240,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
         # moments), so an epoch whose rewards are all zero takes no step.
         nonzero = rewards != 0.0
         if nonzero.any():
-            grads = reinforce_grads(
-                controller, forward, np.stack(rot_actions)[nonzero],
-                np.stack(ent_actions)[nonzero], rewards[nonzero])
+            grads = reinforce_grads(controller, forward, rot_actions[nonzero],
+                                    ent_actions[nonzero], rewards[nonzero])
             for g in grads.values():
                 g /= config.batch_size
             controller, adam = adam_step(controller, grads, adam)

@@ -3,6 +3,7 @@ phases under a soft resource constraint."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -67,7 +68,8 @@ def _cell_seed(master_seed: int, cell: Cell) -> np.random.Generator:
 def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
     """`Scored` entries of the cells, each scored with its own derived rng;
     results do not depend on list order or evaluation schedule."""
-    return [score_cell(cell, task, opt_budget, _cell_seed(seed, cell)) for cell in cells]
+    return [score_cell(cell, task, opt_budget, functools.partial(_cell_seed, seed, cell))
+            for cell in cells]
 
 
 def res_search(task, space, config: ResConfig) -> ResResult:

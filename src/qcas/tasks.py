@@ -12,6 +12,7 @@ every column alike, so each value is the whole batch's bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -494,6 +495,7 @@ def random_search(task, space, budget_evals: int, constraint: SoftConstraint,
         budget_evals, max_tries=200)
     if not cells:
         raise RuntimeError("random search found no admissible cell")
-    scored = [score_cell(cell, task, opt_budget, np.random.default_rng([seed, 0xEC, i]))
+    scored = [score_cell(cell, task, opt_budget,
+                         functools.partial(np.random.default_rng, [seed, 0xEC, i]))
               for i, cell in enumerate(cells)]
     return scored[select_best(scored)], scored

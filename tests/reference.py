@@ -14,6 +14,12 @@
   must average to, and the per-sample bit-flip and Pauli circuits, whose
   draws the batched noisy datasets must reproduce.
 * The REINFORCE loss, whose finite differences check `reinforce_grads`.
+* The policy step as it ran one child and one tensor at a time: two Gumbel
+  draws per sampled child, which `qcas.controller.sample_actions` must match
+  in actions and generator state for a whole batch, and an Adam update per
+  tensor, which the flat `qcas.controller.adam_step` must match bit for bit.
+* `score_cell` as it took the fitting Generator itself rather than a factory
+  of it: the fit of a parametric cell must give the same `Scored` entry.
 * The RES sampler as it drew before cells cached a growth profile:
   `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
   `random()` call and `_grown_quantity` re-derives the seed's part of the
@@ -29,13 +35,15 @@ A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qcas.cell import Cell, SoftConstraint, _depth, _space_kinds, metrics
+from qcas.cell import Cell, SoftConstraint, _depth, _space_kinds, cell_to_circuit, metrics
 from qcas.controller import controller_forward
+from qcas.optim import minimize
 from qcas import sim
 from qcas.sim import GATE_KINDS, Circuit, apply_circuit_columns, basis_state, gate
 
@@ -320,6 +328,54 @@ def reinforce_loss(params, slots, rot_actions, ent_actions, reward: float) -> fl
     `slots` are the parent's action slots."""
     rot_logits, ent_logits = controller_forward(params, *slots)[0]
     return -action_logprob(rot_logits, ent_logits, rot_actions, ent_actions) * reward
+
+
+# ---------------------------------------------------------------------------
+# Policy step, one child and one tensor at a time
+# ---------------------------------------------------------------------------
+
+
+def sample_actions_per_child(rot_logits, ent_logits, rng: np.random.Generator):
+    """One child's Gumbel-max actions: its rotation noise, then its
+    entanglement noise, each drawn by itself."""
+    gumbel_r = rng.gumbel(size=rot_logits.shape)
+    gumbel_e = rng.gumbel(size=ent_logits.shape)
+    return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
+
+
+def adam_per_tensor(tensors: dict, grads: dict, m: dict, v: dict, step: int,
+                    lr: float) -> dict:
+    """Bias-corrected Adam step number `step` (from 1) on each tensor by
+    itself, betas 0.9 and 0.999, eps 1e-8; updates the moment dicts `m` and
+    `v` in place and returns new tensors."""
+    stepped = {}
+    for name, g in grads.items():
+        m[name] = 0.9 * m.get(name, np.zeros_like(g)) + (1 - 0.9) * g
+        v[name] = 0.999 * v.get(name, np.zeros_like(g)) + (1 - 0.999) * g**2
+        m_hat = m[name] / (1 - 0.9**step)
+        v_hat = v[name] / (1 - 0.999**step)
+        stepped[name] = tensors[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return stepped
+
+
+# ---------------------------------------------------------------------------
+# Scoring with a given Generator
+# ---------------------------------------------------------------------------
+
+
+def score_with_generator(cell, task, budget, rng: np.random.Generator, theta_init=None):
+    """A parametric cell fitted from the Generator `rng` itself: a random
+    start unless `theta_init` fits, then `minimize` drawing its restarts from
+    the same `rng`; returns (cell, theta, validation score)."""
+    circuit = cell_to_circuit(cell)
+    n = circuit.n_params
+    if theta_init is not None and np.shape(theta_init) == (n,):
+        theta0 = np.asarray(theta_init, dtype=float)
+    else:
+        theta0 = rng.uniform(-math.pi, math.pi, size=n)
+    theta = minimize(functools.partial(task.training_cost, circuit), theta0, budget,
+                     rng).theta_star
+    return cell, theta, task.validation_score(circuit, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import copy
 
 import numpy as np
 import pytest
-from reference import reinforce_loss
+from reference import adam_per_tensor, reinforce_loss, sample_actions_per_child
 
 from qcas.cell import Cell, build_vocab, encode_actions
 from qcas.controller import (
@@ -17,7 +17,8 @@ from qcas.controller import (
     reinforce_grads,
     sample_actions,
 )
-from qcas.sim import SPACE_GENERIC
+from qcas.relm import RelmConfig
+from qcas.sim import SPACE_CLIFFORD, SPACE_GENERIC
 
 VOCAB = build_vocab(SPACE_GENERIC)
 
@@ -122,6 +123,35 @@ class TestSampling:
     def test_sampling_requires_rng(self):
         with pytest.raises(TypeError):
             sample_actions(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+
+    # the controller shapes of the benchmark workloads at RelmConfig's
+    # default widths: 5-qubit Clifford regeneration, 3-qubit generic denoising
+    @pytest.mark.parametrize("n_qubits, space, size", [
+        (5, SPACE_CLIFFORD, 32), (3, SPACE_GENERIC, 8), (5, SPACE_CLIFFORD, 1)],
+        ids=["regen", "denoise", "one"])
+    def test_batch_equals_children_one_at_a_time(self, n_qubits, space, size):
+        defaults, vocab = RelmConfig(), build_vocab(space)
+        cfg = ControllerConfig(n_qubits=n_qubits, max_seq=defaults.max_seq,
+                               v_rot=vocab.v_rot, v_ent=vocab.v_ent,
+                               embed_dim=defaults.embed_dim, n_heads=defaults.n_heads,
+                               n_blocks=defaults.n_blocks, ff_dim=defaults.ff_dim)
+        params = init_controller(cfg, np.random.default_rng(n_qubits))
+        parent = Cell(n_qubits, [[vocab.rotation_kinds[1]]] + [[]] * (n_qubits - 1),
+                      {(0, 1): [vocab.entangle_kinds[1]]})
+        logits = controller_forward(params, *encode_actions(parent, vocab, cfg.max_seq))[0]
+        batched_rng, single_rng, reference_rng = (np.random.default_rng(size)
+                                                  for _ in range(3))
+        rot, ent = sample_actions(*logits, batched_rng, size=size)
+        assert rot.shape == (size, n_qubits, cfg.max_seq)
+        assert ent.shape == (size, n_qubits, n_qubits)
+        for j in range(size):
+            one = sample_actions(*logits, single_rng)
+            per_child = sample_actions_per_child(*logits, reference_rng)
+            for batch_part, single, reference in zip((rot[j], ent[j]), one, per_child):
+                assert np.array_equal(batch_part, single)
+                assert np.array_equal(batch_part, reference)
+        assert (batched_rng.bit_generator.state == single_rng.bit_generator.state
+                == reference_rng.bit_generator.state)
 
 
 class TestReinforce:
@@ -268,3 +298,37 @@ class TestAdam:
         grads = {"W_out": np.zeros(3)}
         with pytest.raises(ValueError):
             adam_step(params, grads, AdamState(lr=3e-4))
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads["W_out"] = np.zeros(3)
+        with pytest.raises(ValueError):
+            adam_step(params, grads, AdamState(lr=3e-4))
+
+    def test_flat_update_equals_per_tensor_update(self):
+        params = tiny_controller(3)
+        rng = np.random.default_rng(5)
+        state = AdamState(lr=0.01)
+        expected, m, v = dict(params.tensors), {}, {}
+        for step in range(1, 5):
+            # non-zero gradients of mixed scale, some entries exactly zero
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=t.shape)
+                     * (rng.random(t.shape) > 0.2) for k, t in params.tensors.items()}
+            before = copy.deepcopy(params.tensors)
+            new, state = adam_step(params, grads, state)
+            expected = adam_per_tensor(expected, grads, m, v, step, 0.01)
+            assert state.step == step
+            assert list(new.tensors) == list(params.tensors)
+            for name, tensor in expected.items():
+                assert new.tensors[name].shape == tensor.shape
+                assert np.array_equal(new.tensors[name], tensor)
+            # the step left the previous params as they were, and a write
+            # into the new tensors reaches neither them nor the moments
+            moments = state.m.copy(), state.v.copy()
+            for name, tensor in new.tensors.items():
+                assert np.array_equal(params.tensors[name], before[name])
+                saved = tensor.copy()
+                tensor += 1.0
+                assert np.array_equal(params.tensors[name], before[name])
+                tensor[...] = saved
+            assert np.array_equal(state.m, moments[0])
+            assert np.array_equal(state.v, moments[1])
+            params = new

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import UNBOUNDED, score_with_generator
 
-from qcas.cell import Cell
+from qcas import relm, res, tasks
+from qcas.cell import Cell, build_vocab, cell_to_circuit
 from qcas.optim import OptBudget, _guard, _nelder_mead, minimize, score_cell
-from qcas.sim import Circuit, apply_circuit_columns, basis_state, gate, ghz_state
+from qcas.sim import SPACE_GENERIC, Circuit, apply_circuit_columns, basis_state, gate, ghz_state
 from qcas.tasks import gen_noise_dataset, make_denoise_task
 
 
@@ -262,7 +264,7 @@ class TestScoreCell:
 
     def test_zero_param_cell_direct_evaluation(self, clean_task):
         cell, theta, score = score_cell(Cell(3), clean_task, OptBudget(),
-                                        np.random.default_rng(0))
+                                        lambda: np.random.default_rng(0))
         assert cell == Cell(3)
         assert theta.size == 0
         assert 0.0 <= score <= 1.0
@@ -271,7 +273,8 @@ class TestScoreCell:
         # every sample is the clean GHZ state.  The empty encoder leaves the
         # trash entangled, so substituting the |00> reference during the round
         # trip gives <GHZ| rho_A (x) |00><00| |GHZ> = (1/2)(1/2) = 0.25
-        score = score_cell(Cell(3), clean_task, OptBudget(), np.random.default_rng(0)).score
+        score = score_cell(Cell(3), clean_task, OptBudget(),
+                           lambda: np.random.default_rng(0)).score
         assert score == pytest.approx(0.25, abs=1e-9)
 
     def test_perfect_encoder_on_clean_data_scores_one(self, clean_task):
@@ -287,8 +290,8 @@ class TestScoreCell:
     def test_deterministic_scores(self, clean_task):
         cell = Cell(3, [["RY"], ["RY"], ["RY"]])
         budget = OptBudget(max_evals=60, restarts=1)
-        a = score_cell(cell, clean_task, budget, np.random.default_rng(4))
-        b = score_cell(cell, clean_task, budget, np.random.default_rng(4))
+        a = score_cell(cell, clean_task, budget, lambda: np.random.default_rng(4))
+        b = score_cell(cell, clean_task, budget, lambda: np.random.default_rng(4))
         assert a.cell is b.cell is cell
         assert np.array_equal(a.theta, b.theta) and a.score == b.score
 
@@ -296,13 +299,79 @@ class TestScoreCell:
         cell = Cell(3, [["RY"], [], []])
         warm = np.array([0.0])
         budget = OptBudget(max_evals=5, restarts=1)
-        theta = score_cell(cell, clean_task, budget, np.random.default_rng(0),
+        theta = score_cell(cell, clean_task, budget, lambda: np.random.default_rng(0),
                            theta_init=warm).theta
         assert abs(theta[0]) < 1.0  # stayed near the warm start, not a random angle
 
     def test_width_mismatch_rejected(self, clean_task):
         with pytest.raises(ValueError):
-            score_cell(Cell(2), clean_task, OptBudget(), np.random.default_rng(0))
+            score_cell(Cell(2), clean_task, OptBudget(), lambda: np.random.default_rng(0))
+
+
+class TestFittingRng:
+    """`score_cell` builds its fitting rng from a factory, and only for a cell
+    with parameters; each search hands it a factory of the stream it used to
+    pass as a Generator: a RELM child's `[seed, 0x5C0, epoch, j]`, RES's
+    content digest `_cell_seed(seed, cell)` and random search's
+    `[seed, 0xEC, i]`."""
+
+    BUDGET = OptBudget(max_evals=30, restarts=2)
+
+    def test_parameter_free_cell_builds_no_rng(self, clean_task):
+        def unexpected():
+            raise AssertionError("a parameter-free cell built an rng")
+
+        cell = Cell(3, [["H"], [], []], {(0, 1): ["CNOT"]})
+        entry = score_cell(cell, clean_task, self.BUDGET, unexpected)
+        assert entry.theta.size == 0
+        assert entry.score == score_cell(cell, clean_task, self.BUDGET,
+                                         lambda: np.random.default_rng(0)).score
+
+    @staticmethod
+    def scored_by(monkeypatch, module):
+        calls = []
+        original = module.score_cell
+
+        def recorded(cell, task, budget, make_rng, **kwargs):
+            entry = original(cell, task, budget, make_rng, **kwargs)
+            calls.append((cell, make_rng, kwargs, entry))
+            return entry
+
+        monkeypatch.setattr(module, "score_cell", recorded)
+        return calls
+
+    @pytest.mark.parametrize("search", ["relm", "res", "rs"])
+    def test_searches_fit_from_their_streams(self, clean_task, monkeypatch, search):
+        seed = 7
+        pop = tasks.random_search(clean_task, SPACE_GENERIC, 4, UNBOUNDED, seed,
+                                  layer_budget=1, opt_budget=self.BUDGET)[1]
+        module = {"relm": relm, "res": res, "rs": tasks}[search]
+        calls = self.scored_by(monkeypatch, module)
+        if search == "relm":
+            config = relm.RelmConfig(epochs=2, tournament_size=2, batch_size=3,
+                                     population_size=4, max_seq=6, embed_dim=4, n_heads=1,
+                                     n_blocks=1, ff_dim=8, opt_budget=self.BUDGET, seed=seed)
+            relm.relm_search(clean_task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED)
+            streams = [[seed, 0x5C0, epoch, j] for epoch in (1, 2) for j in range(3)]
+        elif search == "res":
+            res.evaluate_population([e.cell for e in pop], clean_task, self.BUDGET, seed)
+            streams = [res._cell_seed(seed, e.cell) for e in pop]
+        else:
+            tasks.random_search(clean_task, SPACE_GENERIC, 4, UNBOUNDED, seed,
+                                layer_budget=1, opt_budget=self.BUDGET)
+            streams = [[seed, 0xEC, i] for i in range(4)]
+        assert len(calls) == len(streams)
+        assert any(cell_to_circuit(cell).n_params for cell, *_ in calls)
+        for (cell, make_rng, kwargs, entry), stream in zip(calls, streams):
+            expected = (stream if isinstance(stream, np.random.Generator)
+                        else np.random.default_rng(stream))
+            assert make_rng().bit_generator.state == expected.bit_generator.state
+            if cell_to_circuit(cell).n_params:
+                reference = score_with_generator(cell, clean_task, self.BUDGET, expected,
+                                                 **kwargs)
+                assert entry.cell is reference[0]
+                assert np.array_equal(entry.theta, reference[1])
+                assert entry.score == reference[2]
 
 
 class TestEvaluationAccounting:
@@ -358,7 +427,7 @@ class TestEvaluationAccounting:
         monkeypatch.setattr(optim, "minimize", recording)
         monkeypatch.setattr(type(clean_task), "training_cost", counted)
         cell = Cell(3, [["RY"], ["RX"], []], {(0, 1): ["CRZ"]})
-        score_cell(cell, clean_task, budget, np.random.default_rng(8))
+        score_cell(cell, clean_task, budget, lambda: np.random.default_rng(8))
         assert len(results) == 1
         assert results[0].converged is (budget.max_evals == 2000)
         assert len(calls) == results[0].evals_used

@@ -2,6 +2,7 @@
 mutation, the full search loop and its invariants."""
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestMutate:
         forward = self.forward(parent)
         seen_different = False
         for _ in range(100):
-            child, _, _ = mutate(forward, VOCAB, rng)
+            [child], _, _ = mutate(forward, VOCAB, rng, 1)
             if child != parent:
                 seen_different = True
                 break
@@ -175,8 +176,8 @@ class TestMutate:
         parent = Cell(2)
         rng = np.random.default_rng(2)
         forward = self.forward(parent)
-        _, rot_actions, ent_actions = mutate(forward, VOCAB, rng)
-        logprob = action_logprob(*forward[0], rot_actions, ent_actions)
+        _, rot_actions, ent_actions = mutate(forward, VOCAB, rng, 1)
+        logprob = action_logprob(*forward[0], rot_actions[0], ent_actions[0])
         assert logprob <= 0.0
         assert math.isfinite(logprob)
 
@@ -365,7 +366,8 @@ def reference_relm_search(task, config, pop, vocab, constraint):
             rot_a, ent_a = sample_actions(*controller_forward(controller, *slots)[0], rng=rng)
             child = decode_actions(rot_a, ent_a, vocab)
             entry = score_cell(child, task, config.opt_budget,
-                               np.random.default_rng([config.seed, 0x5C0, epoch, j]),
+                               functools.partial(np.random.default_rng,
+                                                 [config.seed, 0x5C0, epoch, j]),
                                theta_init=parent.theta)
             if config.reward_mode == "unitary":
                 reward = unitary_reward(1.0 - parent.score, 1.0 - entry.score,
@@ -454,9 +456,10 @@ class TestSharedForward:
             monkeypatch.setattr(qcas.relm, name, counted(name))
         task, config, pop, vocab, _ = self.setup_search(SPACE_CLIFFORD, reward_mode="unitary")
         relm_search(task, config, pop, vocab, UNBOUNDED)
-        # every epoch of this seed has a non-zero reward, so one backward each
+        # every epoch of this seed has a non-zero reward, so one backward
+        # each; one mutate call samples an epoch's whole batch
         assert calls == {"controller_forward": config.epochs,
-                         "mutate": config.epochs * config.batch_size,
+                         "mutate": config.epochs,
                          "reinforce_grads": config.epochs}
 
     def test_all_zero_rewards_take_no_step(self, monkeypatch):
