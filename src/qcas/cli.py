@@ -445,7 +445,8 @@ def export_csv(records, out_dir: str) -> list:
                 rewards = [e["mean_reward"] for e in trace["relm"]]
                 smoothed = _smooth(rewards)
                 for e, s in zip(trace["relm"], smoothed):
-                    relm_rows.append([str(e["epoch"]), _fmt(s), _fmt(e["best_score"])])
+                    relm_rows.append([str(e["epoch"]), _fmt(s), _fmt(e["best_score"]),
+                                      algorithm, str(seed)])
             m = r["metrics"]
             summary_rows.append([
                 record["config"]["task"]["kind"], algorithm, str(seed),
@@ -464,7 +465,8 @@ def export_csv(records, out_dir: str) -> list:
 
     emit("denoising.csv", ["p", "mean_fidelity", "std_fidelity", "algorithm", "seed"],
          denoise_rows)
-    emit("relm.csv", ["epoch", "smoothed_reward", "best_score"], relm_rows)
+    emit("relm.csv", ["epoch", "smoothed_reward", "best_score", "algorithm", "seed"],
+         relm_rows)
     emit("summary.csv", ["task", "algorithm", "seed", "validation_score",
                          "n_params", "n_layers", "n_two_qubit"], summary_rows)
     return written

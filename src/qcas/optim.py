@@ -1,4 +1,4 @@
-"""Derivative-free optimization of circuit parameters.
+"""Derivative-free optimization of circuit parameters, and the seeded random streams.
 
 Nelder-Mead with adaptive simplex parameters plus seeded random restarts
 stands in for the usual COBYLA-style local optimizer; the search algorithms
@@ -21,6 +21,7 @@ the evaluation budget ran out.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -249,6 +250,29 @@ def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptRe
             best_theta = np.asarray(x, dtype=float)
         converged = converged or success
     return OptResult(best_theta, best_cost, evals, converged)
+
+
+# The tag of each seeded purpose's stream; "res.fit" is keyed by cell content.
+STREAMS = {
+    "data.noise": 0x5E7, "data.digits": 0xD16, "data.tetris": 0x7E7,
+    "data.state_compress": 0x5C5, "data.regen_targets": 0x717, "data.image_split": 0x1D5,
+    "res.sample": 0x2E5, "res.fit": None, "relm.select": 0xE70, "relm.controller": 0xC7,
+    "relm.fit": 0x5C0, "rs.sample": 0xA5, "rs.fit": 0xEC,
+}
+
+
+def stream(seed: int, purpose: str, *keys) -> np.random.Generator:
+    """The Generator of one purpose of `STREAMS`, a function of (seed,
+    purpose, keys) alone: entropy ``[seed, tag, *keys]``, or for "res.fit",
+    whose one key is a cell, the first 8 bytes of the sha256 of the seed and
+    the cell's dict, so a cell fits alike wherever RES meets it."""
+    tag = STREAMS[purpose]
+    if tag is not None:
+        return np.random.default_rng([seed, tag, *keys])
+    import hashlib
+    from .cell import cell_to_dict  # imported here, as qcas.cell imports this module
+    text = json.dumps([seed, cell_to_dict(*keys)], sort_keys=True)
+    return np.random.default_rng(int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big"))
 
 
 class Scored(NamedTuple):

@@ -33,7 +33,7 @@ from .controller import (
     reinforce_grads,
     sample_actions,
 )
-from .optim import OptBudget, check_choice, check_int, check_positive, score_cell
+from .optim import OptBudget, check_choice, check_int, check_positive, score_cell, stream
 from .res import ResConfig, res_search
 from .tasks import random_search
 
@@ -205,12 +205,12 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     backward pass from it, and one Adam step applies them."""
     if any(not math.isfinite(e.score) for e in pop):
         raise ValueError("population scores must be finite")
-    rng = np.random.default_rng([config.seed, 0xE70])
+    rng = stream(config.seed, "relm.select")
     ctrl_cfg = ControllerConfig(
         n_qubits=task.n_qubits, max_seq=config.max_seq, v_rot=vocab.v_rot,
         v_ent=vocab.v_ent, embed_dim=config.embed_dim, n_heads=config.n_heads,
         n_blocks=config.n_blocks, ff_dim=config.ff_dim)
-    controller = init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
+    controller = init_controller(ctrl_cfg, stream(config.seed, "relm.controller"))
     adam = AdamState(lr=config.learning_rate)
     eligible = [e for e in pop if eval_soft_constraint(constraint, e.cell)]
     if not eligible:
@@ -226,8 +226,7 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
         cells, rot_actions, ent_actions = mutate(forward, vocab, rng, config.batch_size)
         # each child is fitted with its own rng, so scoring draws nothing from `rng`
         children = [score_cell(cell, task, config.opt_budget,
-                               functools.partial(np.random.default_rng,
-                                                 [config.seed, 0x5C0, epoch, j]),
+                               functools.partial(stream, config.seed, "relm.fit", epoch, j),
                                theta_init=parent.theta)
                     for j, cell in enumerate(cells)]
         rewards = np.array([

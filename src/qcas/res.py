@@ -4,8 +4,6 @@ phases under a soft resource constraint."""
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +12,6 @@ from .cell import (
     Cell,
     SoftConstraint,
     can_grow,
-    cell_to_dict,
     eval_soft_constraint,
     expand_cell,
     metrics,
@@ -22,7 +19,7 @@ from .cell import (
     sample_admissible,
     select_best,
 )
-from .optim import OptBudget, check_int, score_cell
+from .optim import OptBudget, check_int, score_cell, stream
 
 
 @dataclass(frozen=True)
@@ -57,18 +54,10 @@ class ResResult:
     population: list  # final phase's `Scored` entries
 
 
-def _cell_seed(master_seed: int, cell: Cell) -> np.random.Generator:
-    """Content-derived per-cell rng so population scores are order-independent."""
-    digest = hashlib.sha256(
-        json.dumps([master_seed, cell_to_dict(cell)], sort_keys=True).encode()
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
 def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
     """`Scored` entries of the cells, each scored with its own derived rng;
     results do not depend on list order or evaluation schedule."""
-    return [score_cell(cell, task, opt_budget, functools.partial(_cell_seed, seed, cell))
+    return [score_cell(cell, task, opt_budget, functools.partial(stream, seed, "res.fit", cell))
             for cell in cells]
 
 
@@ -81,7 +70,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
     until no child of it fits the bound (`can_grow`) or a phase admits none.
     """
     constraint = config.constraint
-    rng = np.random.default_rng([config.seed, 0x2E5])
+    rng = stream(config.seed, "res.sample")
 
     cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,

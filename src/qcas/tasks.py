@@ -22,7 +22,7 @@ import numpy as np
 # wraps tasks.metrics and tasks.eval_soft_constraint.
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
-from .optim import OptBudget, check_choice, check_int, check_range, score_cell
+from .optim import OptBudget, check_choice, check_int, check_range, score_cell, stream
 from .sim import (Circuit, amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary,
                   gate, ghz_state)
 
@@ -136,7 +136,7 @@ def gen_noise_dataset(kind: str, n_qubits: int = 3, seed: int = 0,
                       n_test: int = 200, p_grid=DEFAULT_P_GRID) -> NoiseDataset:
     if kind not in NOISE_KINDS:
         raise ValueError(f"unsupported noise kind {kind!r}")
-    rng = np.random.default_rng([seed, 0x5E7])
+    rng = stream(seed, "data.noise")
     return NoiseDataset(
         kind=kind,
         n_qubits=n_qubits,
@@ -197,7 +197,7 @@ def _fill_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_digits(seed: int = 0, count: int = 100) -> ImageDataset:
-    rng = np.random.default_rng([seed, 0xD16])
+    rng = stream(seed, "data.digits")
     images, labels = [], []
     for i in range(count):
         digit = "0" if i % 2 == 0 else "1"
@@ -207,7 +207,7 @@ def gen_digits(seed: int = 0, count: int = 100) -> ImageDataset:
 
 
 def gen_tetris(seed: int = 0, count: int = 500) -> ImageDataset:
-    rng = np.random.default_rng([seed, 0x7E7])
+    rng = stream(seed, "data.tetris")
     names = sorted(_TETROMINOES)
     images, labels = [], []
     for _ in range(count):
@@ -257,7 +257,7 @@ def _random_orthonormal_pair(rng: np.random.Generator, dim: int):
 def gen_state_compress_dataset(seed: int = 0) -> StateCompressDataset:
     """16 four-qubit states cos(t)|phi0 chi0> + sin(t)|phi1 chi1>, a family
     compressible to 2 qubits by construction; split 6 train / 10 test."""
-    rng = np.random.default_rng([seed, 0x5C5])
+    rng = stream(seed, "data.state_compress")
     phi0, phi1 = _random_orthonormal_pair(rng, 4)
     chi0, chi1 = _random_orthonormal_pair(rng, 4)
     t_grid = np.linspace(0.05, math.pi / 2 - 0.05, 16)
@@ -293,7 +293,7 @@ def gen_hidden_targets(n_qubits: int, subtask: str, layers: int, count: int,
         raise ValueError(f"unsupported subtask {subtask!r}")
     check_range("layers", layers, *REGEN_LAYERS)
     check_range("n_qubits", n_qubits, *REGEN_QUBITS)
-    rng = np.random.default_rng([seed, 0x717])
+    rng = stream(seed, "data.regen_targets")
     cnot_p = SUBTASK_CNOT_PROB[subtask] if n_qubits > 1 else 0.0
     targets = []
     for _ in range(count):
@@ -400,7 +400,7 @@ def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
     cols = encode_images(dataset.images)
     n_qubits = int(math.log2(cols.shape[0]))
     count = cols.shape[1]
-    rng = np.random.default_rng([seed, 0x1D5])
+    rng = stream(seed, "data.image_split")
     order = rng.permutation(count)
     n_train = int(train_frac * count)
     n_val = int(val_frac * count)
@@ -489,13 +489,12 @@ def random_search(task, space, budget_evals: int, constraint: SoftConstraint,
     """Independent random cells within `constraint`, best kept; serves as the
     RS baseline and the RELM random initializer.  Returns (best, all)
     `Scored` entries."""
-    rng = np.random.default_rng([seed, 0xA5])
+    rng = stream(seed, "rs.sample")
     cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, layer_budget, constraint),
         budget_evals, max_tries=200)
     if not cells:
         raise RuntimeError("random search found no admissible cell")
-    scored = [score_cell(cell, task, opt_budget,
-                         functools.partial(np.random.default_rng, [seed, 0xEC, i]))
+    scored = [score_cell(cell, task, opt_budget, functools.partial(stream, seed, "rs.fit", i))
               for i, cell in enumerate(cells)]
     return scored[select_best(scored)], scored

@@ -1,4 +1,4 @@
-"""Bit-identity check: run 69 fixed, seeded searches and print a digest of each.
+"""Bit-identity check: run 72 fixed, seeded searches and print a digest of each.
 
     PYTHONPATH=src python3 tests/digests.py > digests.txt
 
@@ -14,9 +14,10 @@ over its cases' record digests (hex, concatenated in case order), the same
 over their CSV digests, and its summed `training_cost` calls.
 
 The cases are qcas seeds 1000-1011 of the `denoise-relm` and `regen-relm`
-benchmark workloads, and seeds 1-3 each of `image-res`, a denoise `rs` search
-with `budget_evals: 8` and `denoise-relm`'s `opt`, a `state_compress` RES
-search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
+benchmark workloads, and seeds 1-3 each of `image-res`, of `image-res` on the
+tetris dataset (the only cases that draw tetromino images), a denoise `rs`
+search with `budget_evals: 8` and `denoise-relm`'s `opt`, a `state_compress`
+RES search with `denoise-relm`'s `res` (population 6, 2 phases) and `opt`,
 `denoise-relm` and `regen-relm` with `relm.init_mode: random_search`,
 `denoise-relm` with `task.noise: qdc` and with `task.cost_mode: local`, and
 `regen-relm` under `n_gates <= 6` in place of its `n_layers` constraint, at
@@ -70,6 +71,7 @@ def cases():
             yield name, doc, qcas_seed(1, i)
     for name, doc in (
             ("image-res", WORKLOADS["image-res"]),
+            ("image-tetris", variant("image-res", task={"dataset": "tetris"})),
             ("denoise-rs", {"task": denoise["task"], "algorithm": "rs",
                             "rs": {"budget_evals": 8}, "opt": denoise["opt"]}),
             ("state-res", {"task": {"kind": "state_compress"}, "algorithm": "res",

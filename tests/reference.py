@@ -20,6 +20,8 @@
   tensor, which the flat `qcas.controller.adam_step` must match bit for bit.
 * `score_cell` as it took the fitting Generator itself rather than a factory
   of it: the fit of a parametric cell must give the same `Scored` entry.
+* RES's content-keyed fitting stream, as the sha256 of the seed and the
+  cell's dict that `qcas.optim.stream` must rebuild for "res.fit".
 * The RES sampler as it drew before cells cached a growth profile:
   `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
   `random()` call and `_grown_quantity` re-derives the seed's part of the
@@ -36,12 +38,15 @@ A pure state is its (2^n,) complex amplitude vector, as in `qcas.sim`.
 
 import cmath
 import functools
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qcas.cell import Cell, SoftConstraint, _depth, _space_kinds, cell_to_circuit, metrics
+from qcas.cell import (Cell, SoftConstraint, _depth, _space_kinds, cell_to_circuit, cell_to_dict,
+                       metrics)
 from qcas.controller import controller_forward
 from qcas.optim import minimize
 from qcas import sim
@@ -376,6 +381,13 @@ def score_with_generator(cell, task, budget, rng: np.random.Generator, theta_ini
     theta = minimize(functools.partial(task.training_cost, circuit), theta0, budget,
                      rng).theta_star
     return cell, theta, task.validation_score(circuit, theta)
+
+
+def content_stream(seed: int, cell: Cell) -> np.random.Generator:
+    """The Generator RES fits `cell` from: seeded by the first 8 bytes,
+    big-endian, of the sha256 of ``[seed, cell dict]`` as sorted-key JSON."""
+    digest = hashlib.sha256(json.dumps([seed, cell_to_dict(cell)], sort_keys=True).encode())
+    return np.random.default_rng(int.from_bytes(digest.digest()[:8], "big"))
 
 
 # ---------------------------------------------------------------------------

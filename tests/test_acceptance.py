@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 from reference import (
-    UNBOUNDED,
     DensityMatrix,
     density,
     depolarize,
@@ -216,7 +215,7 @@ def test_criterion_06_res_constraint_soundness_and_noninferiority():
                 evals = sum(p.evals for p in result.phases)
                 res_losses.append(1.0 - result.score)
                 (_, _, score), _ = random_search(task, SPACE_CLIFFORD, evals,
-                                                 UNBOUNDED, seed * 100 + ti,
+                                                 constraint, seed * 100 + ti,
                                                  layer_budget=2, opt_budget=opt)
                 rs_losses.append(1.0 - score)
         mean_res = float(np.mean(res_losses))

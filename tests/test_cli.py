@@ -389,7 +389,7 @@ class TestExport:
         with open(os.path.join(tmp_path, "denoising.csv")) as fh:
             assert fh.readline().strip() == "p,mean_fidelity,std_fidelity,algorithm,seed"
         with open(os.path.join(tmp_path, "relm.csv")) as fh:
-            assert fh.readline().strip() == "epoch,smoothed_reward,best_score"
+            assert fh.readline().strip() == "epoch,smoothed_reward,best_score,algorithm,seed"
 
     def test_no_matching_records_header_only(self, tmp_path):
         export_csv([], str(tmp_path))

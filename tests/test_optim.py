@@ -4,19 +4,21 @@ The Nelder-Mead port is checked against SciPy's adaptive Nelder-Mead as an
 oracle; scipy is a test-time dependency only.
 """
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import UNBOUNDED, score_with_generator
+from reference import UNBOUNDED, content_stream, score_with_generator
 
-from qcas import relm, res, tasks
+from qcas import optim, relm, res, tasks
 from qcas.cell import Cell, build_vocab, cell_to_circuit
-from qcas.optim import OptBudget, _guard, _nelder_mead, minimize, score_cell
-from qcas.sim import SPACE_GENERIC, Circuit, apply_circuit_columns, basis_state, gate, ghz_state
+from qcas.optim import STREAMS, OptBudget, _guard, _nelder_mead, minimize, score_cell, stream
+from qcas.sim import SPACE_CLIFFORD, SPACE_GENERIC, Circuit, apply_circuit_columns, basis_state, gate, ghz_state
 from qcas.tasks import gen_noise_dataset, make_denoise_task
 
 
@@ -312,7 +314,7 @@ class TestFittingRng:
     """`score_cell` builds its fitting rng from a factory, and only for a cell
     with parameters; each search hands it a factory of the stream it used to
     pass as a Generator: a RELM child's `[seed, 0x5C0, epoch, j]`, RES's
-    content digest `_cell_seed(seed, cell)` and random search's
+    content digest (`reference.content_stream`) and random search's
     `[seed, 0xEC, i]`."""
 
     BUDGET = OptBudget(max_evals=30, restarts=2)
@@ -340,26 +342,31 @@ class TestFittingRng:
         monkeypatch.setattr(module, "score_cell", recorded)
         return calls
 
+    def search(self, name, task, space, pop):
+        """Score cells as search `name` does at seed 7: two RELM epochs of 3
+        children from `pop`, RES's scoring of `pop`'s cells, or a random
+        search of 4 cells."""
+        if name == "relm":
+            config = relm.RelmConfig(epochs=2, tournament_size=2, batch_size=3,
+                                     population_size=4, max_seq=6, embed_dim=4, n_heads=1,
+                                     n_blocks=1, ff_dim=8, opt_budget=self.BUDGET, seed=7)
+            relm.relm_search(task, config, pop, build_vocab(space), UNBOUNDED)
+        elif name == "res":
+            res.evaluate_population([e.cell for e in pop], task, self.BUDGET, 7)
+        else:
+            tasks.random_search(task, space, 4, UNBOUNDED, 7, layer_budget=1,
+                                opt_budget=self.BUDGET)
+
     @pytest.mark.parametrize("search", ["relm", "res", "rs"])
     def test_searches_fit_from_their_streams(self, clean_task, monkeypatch, search):
         seed = 7
         pop = tasks.random_search(clean_task, SPACE_GENERIC, 4, UNBOUNDED, seed,
                                   layer_budget=1, opt_budget=self.BUDGET)[1]
-        module = {"relm": relm, "res": res, "rs": tasks}[search]
-        calls = self.scored_by(monkeypatch, module)
-        if search == "relm":
-            config = relm.RelmConfig(epochs=2, tournament_size=2, batch_size=3,
-                                     population_size=4, max_seq=6, embed_dim=4, n_heads=1,
-                                     n_blocks=1, ff_dim=8, opt_budget=self.BUDGET, seed=seed)
-            relm.relm_search(clean_task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED)
-            streams = [[seed, 0x5C0, epoch, j] for epoch in (1, 2) for j in range(3)]
-        elif search == "res":
-            res.evaluate_population([e.cell for e in pop], clean_task, self.BUDGET, seed)
-            streams = [res._cell_seed(seed, e.cell) for e in pop]
-        else:
-            tasks.random_search(clean_task, SPACE_GENERIC, 4, UNBOUNDED, seed,
-                                layer_budget=1, opt_budget=self.BUDGET)
-            streams = [[seed, 0xEC, i] for i in range(4)]
+        calls = self.scored_by(monkeypatch, {"relm": relm, "res": res, "rs": tasks}[search])
+        self.search(search, clean_task, SPACE_GENERIC, pop)
+        streams = {"relm": [[seed, 0x5C0, epoch, j] for epoch in (1, 2) for j in range(3)],
+                   "res": [content_stream(seed, e.cell) for e in pop],
+                   "rs": [[seed, 0xEC, i] for i in range(4)]}[search]
         assert len(calls) == len(streams)
         assert any(cell_to_circuit(cell).n_params for cell, *_ in calls)
         for (cell, make_rng, kwargs, entry), stream in zip(calls, streams):
@@ -372,6 +379,99 @@ class TestFittingRng:
                 assert entry.cell is reference[0]
                 assert np.array_equal(entry.theta, reference[1])
                 assert entry.score == reference[2]
+
+    @pytest.mark.parametrize("search", ["relm", "res", "rs"])
+    def test_parameter_free_cells_draw_no_fit_stream(self, clean_task, monkeypatch, search):
+        # no "*.fit" stream means no Generator built for a fit and, on RES's
+        # content-keyed path, no cell hashed
+        pop = tasks.random_search(clean_task, SPACE_CLIFFORD, 4, UNBOUNDED, 7,
+                                  layer_budget=1, opt_budget=self.BUDGET)[1]
+        purposes = []
+
+        def recording(seed, purpose, *keys):
+            purposes.append(purpose)
+            return stream(seed, purpose, *keys)
+
+        for module in (relm, res, tasks):
+            monkeypatch.setattr(module, "stream", recording)
+        calls = self.scored_by(monkeypatch, {"relm": relm, "res": res, "rs": tasks}[search])
+        self.search(search, clean_task, SPACE_CLIFFORD, pop)
+        assert len(calls) >= 4
+        assert not any(cell_to_circuit(cell).n_params for cell, *_ in calls)
+        assert set(purposes) == {"relm": {"relm.select", "relm.controller"},
+                                 "res": set(), "rs": {"rs.sample"}}[search]
+
+
+def stream_mentions(node, names, function=None):
+    """(enclosing function or None, name) of each mention of one of `names`
+    under `node`: a name, an attribute or an import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    found = []
+    if isinstance(node, ast.Name) and node.id in names:
+        found.append((function, node.id))
+    elif isinstance(node, ast.Attribute) and node.attr in names:
+        found.append((function, node.attr))
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        imported = [alias.name.split(".")[0] for alias in node.names]
+        imported += [node.module.split(".")[0]] if getattr(node, "module", None) else []
+        found += [(function, name) for name in imported if name in names]
+    for child in ast.iter_child_nodes(node):
+        found += stream_mentions(child, names, function)
+    return found
+
+
+def purposes_named(tree):
+    """The purpose of each `stream(seed, purpose, ...)` call and each
+    `partial(stream, seed, purpose, ...)` under `tree`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "stream":
+            yield node.args[1].value
+        elif node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "stream":
+            yield node.args[2].value
+
+
+class TestStreamTable:
+    """Every seeded Generator in qcas comes from `optim.stream`: each purpose
+    of its table has its own tag, is named where qcas draws from it, and
+    builds the entropy it built as a literal at its call site."""
+
+    TREES = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(optim.__file__).parent.glob("*.py"))}
+
+    def test_generators_and_digests_are_built_only_in_stream(self):
+        names = {"default_rng", "SeedSequence", "hashlib"}
+        found = {(file, function, name) for file, tree in self.TREES.items()
+                 for function, name in stream_mentions(tree, names)}
+        assert {(file, function) for file, function, _ in found} == {("optim.py", "stream")}
+        assert {name for *_, name in found} == {"default_rng", "hashlib"}
+
+    def test_tags_are_distinct_and_every_purpose_is_drawn(self):
+        tags = [tag for tag in STREAMS.values() if tag is not None]
+        assert len(set(tags)) == len(tags) == len(STREAMS) - 1
+        named = [p for tree in self.TREES.values() for p in purposes_named(tree)]
+        assert set(named) == set(STREAMS)
+
+    @pytest.mark.parametrize("purpose, keys, entropy", [
+        ("data.noise", (), [5, 0x5E7]), ("data.digits", (), [5, 0xD16]),
+        ("data.tetris", (), [5, 0x7E7]), ("data.state_compress", (), [5, 0x5C5]),
+        ("data.regen_targets", (), [5, 0x717]), ("data.image_split", (), [5, 0x1D5]),
+        ("res.sample", (), [5, 0x2E5]), ("relm.select", (), [5, 0xE70]),
+        ("relm.controller", (), [5, 0xC7]), ("relm.fit", (2, 3), [5, 0x5C0, 2, 3]),
+        ("rs.sample", (), [5, 0xA5]), ("rs.fit", (4,), [5, 0xEC, 4]),
+    ])
+    def test_each_purpose_builds_its_entropy(self, purpose, keys, entropy):
+        state = stream(5, purpose, *keys).bit_generator.state
+        assert state == np.random.default_rng(entropy).bit_generator.state
+
+    def test_res_fit_is_keyed_by_cell_content(self):
+        cell = Cell(3, [["RY"], [], ["RX"]], {(0, 1): ["CRZ"]})
+        twin = Cell(3, [["RY"], [], ["RX"]], {(0, 1): ["CRZ"]})
+        state = stream(5, "res.fit", cell).bit_generator.state
+        assert state == content_stream(5, twin).bit_generator.state
+        assert state != content_stream(6, cell).bit_generator.state
 
 
 class TestEvaluationAccounting:
@@ -411,8 +511,6 @@ class TestEvaluationAccounting:
     def test_score_cell_calls_training_cost_once_per_evaluation(self, clean_task, budget,
                                                                 monkeypatch):
         # patched on the class, as perfbench's evaluation counter does
-        from qcas import optim
-
         results, calls = [], []
         real_minimize, real_cost = optim.minimize, type(clean_task).training_cost
 

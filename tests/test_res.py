@@ -2,6 +2,7 @@
 expansion phases, elitism and determinism."""
 
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from reference import UNBOUNDED, oracle_unitary
 
 import qcas.cell
 import qcas.res
+from qcas import optim, relm, tasks
 from qcas.cell import (
     Cell,
     SoftConstraint,
+    build_vocab,
+    cell_to_circuit,
     can_grow,
     eval_soft_constraint,
     expand_cell,
@@ -62,12 +66,41 @@ class TestEvaluatePopulation:
         # clean GHZ through the trash-substituting round trip: see optimizer tests
         assert results[0].score == pytest.approx(0.25, abs=1e-9)
 
-    def test_scores_independent_of_list_order(self, task):
-        cells = [Cell(3), Cell(3, [["RY"], [], []]), Cell(3, [[], ["RX"], []])]
-        forward = evaluate_population(cells, task, FAST_OPT, seed=7)
-        backward = evaluate_population(cells[::-1], task, FAST_OPT, seed=7)
-        for f, b in zip(forward, backward[::-1]):
-            assert f.cell is b.cell and f.score == b.score
+    @pytest.mark.parametrize("search", ["res", "rs", "relm"])
+    def test_scores_independent_of_list_order(self, task, monkeypatch, search):
+        # Each search scores every cell through `score_cell` with the cell's
+        # own stream factory, so scoring its cells in any order gives the
+        # search's entries: a RES population, an `rs` batch, one RELM epoch's
+        # children.
+        calls = []
+
+        def recorded(cell, task, budget, make_rng, **kwargs):
+            entry = optim.score_cell(cell, task, budget, make_rng, **kwargs)
+            calls.append((cell, make_rng, kwargs, entry))
+            return entry
+
+        pop = tasks.random_search(task, SPACE_GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
+                                  opt_budget=FAST_OPT)[1]
+        monkeypatch.setattr({"res": qcas.res, "rs": tasks, "relm": relm}[search],
+                            "score_cell", recorded)
+        if search == "res":
+            evaluate_population([e.cell for e in pop], task, FAST_OPT, seed=7)
+        elif search == "rs":
+            tasks.random_search(task, SPACE_GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
+                                opt_budget=FAST_OPT)
+        else:
+            config = relm.RelmConfig(epochs=1, tournament_size=2, batch_size=6,
+                                     population_size=6, max_seq=4, embed_dim=4, n_heads=1,
+                                     n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=7)
+            relm.relm_search(task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED)
+        assert sum(cell_to_circuit(cell).n_params > 0 for cell, *_ in calls) >= 2
+        shuffled = calls[:]
+        random.Random(search).shuffle(shuffled)
+        for cell, make_rng, kwargs, entry in shuffled:
+            other = optim.score_cell(cell, task, FAST_OPT, make_rng, **kwargs)
+            assert other.cell is entry.cell and other.score == entry.score
+            assert other.theta.dtype == entry.theta.dtype
+            assert other.theta.tobytes() == entry.theta.tobytes()
 
 
 class TestResSearch:
