@@ -33,12 +33,10 @@ Config schema (all keys optional except task.kind)::
 
 Each task key is read only by the kinds marked beside it; setting one that
 the configured kind does not read to anything but its default is a config
-error.  The task, rs, res, relm and opt sections are the fields of
-`TaskConfig`, `RsConfig`, `ResConfig`, `RelmConfig` and `OptBudget` with
-their defaults, less those the runner fills in itself (the seed and the
-optimizer budget).  Every algorithm searches under ``res.constraint``.
-Each config object is built once at parse time, so a bad value is a config
-error naming its dotted key.
+error.  The task, rs, res, relm and opt sections are exactly the fields and
+defaults of `TaskConfig`, `RsConfig`, `ResConfig`, `RelmConfig` and
+`OptBudget`; every algorithm searches under ``res.constraint``.  A bad value
+is a config error naming its dotted key: every section is built at parse time.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class ConfigError(ValueError):
 def _section(cls) -> dict:
     """A config class's fields and defaults as a CLI config section."""
     return {f.name: asdict(f.default) if is_dataclass(f.default) else f.default
-            for f in fields(cls) if f.name not in ("seed", "opt_budget")}
+            for f in fields(cls)}
 
 
 DEFAULT_CONFIG = {
@@ -189,7 +187,7 @@ def _validate(config: dict):
             raise ValueError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
         _build("task", TaskConfig, config["task"])
         check_range("jobs", config["jobs"], 1, os.cpu_count() or 1)
-        _, _, res_cfg, relm_cfg = _configs(config, seed=0)
+        _, _, res_cfg, relm_cfg = _configs(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(space, (list, type(None))):
@@ -296,23 +294,22 @@ def _cols_to_list(cols: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _build(section: str, cls, values: dict, **filled):
+def _build(section: str, cls, values: dict):
     try:
-        return cls(**values, **filled)
+        return cls(**values)
     except ValueError as exc:
         raise ValueError(f"{section}.{exc}") from exc
 
 
-def _configs(config: dict, seed: int):
-    """The RsConfig, OptBudget, ResConfig and RelmConfig of one seed's run.
-    A bad value raises a ValueError that starts with its dotted config key."""
+def _configs(config: dict):
+    """The RsConfig, OptBudget, ResConfig and RelmConfig of a run.  A bad
+    value raises a ValueError that starts with its dotted config key."""
     rs_cfg = _build("rs", RsConfig, config["rs"])
     opt = _build("opt", OptBudget, config["opt"])
     res = config["res"]
     constraint = _build("res.constraint", SoftConstraint, res["constraint"])
-    res_cfg = _build("res", ResConfig, dict(res, constraint=constraint),
-                     opt_budget=opt, seed=seed)
-    relm_cfg = _build("relm", RelmConfig, config["relm"], opt_budget=opt, seed=seed)
+    res_cfg = _build("res", ResConfig, dict(res, constraint=constraint))
+    relm_cfg = _build("relm", RelmConfig, config["relm"])
     return rs_cfg, opt, res_cfg, relm_cfg
 
 
@@ -322,7 +319,7 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     task = built.task
     space = config["space"] or default_space(config["task"])
     algorithm = config["algorithm"]
-    rs_cfg, opt, res_cfg, relm_cfg = _configs(config, seed)
+    rs_cfg, opt, res_cfg, relm_cfg = _configs(config)
     trace = None
     if algorithm == "rs":
         (cell, theta, score), _ = random_search(
@@ -330,13 +327,14 @@ def _run_single_seed(config: dict, seed: int) -> dict:
             layer_budget=rs_cfg.layer_budget, opt_budget=opt,
         )
     elif algorithm == "res":
-        result = res_search(task, space, res_cfg)
+        result = res_search(task, space, res_cfg, opt, seed)
         cell, theta, score = result.best_cell, result.theta, result.score
         trace = {"res": [vars(p) for p in result.phases]}
     else:
-        pop, res_result = init_population(task, space, relm_cfg, res_cfg)
+        pop, res_result = init_population(task, space, relm_cfg, res_cfg, opt, seed)
         init_best = max(e.score for e in pop)
-        result = relm_search(task, relm_cfg, pop, build_vocab(space), res_cfg.constraint)
+        result = relm_search(task, relm_cfg, pop, build_vocab(space), res_cfg.constraint,
+                             opt, seed)
         cell, theta, score = result.best_cell, result.theta, result.score
         trace = {"relm": [vars(r) for r in result.epochs],
                  "init_best_score": init_best}

@@ -62,6 +62,8 @@ def check_positive(name: str, value):
 
 @dataclass(frozen=True)
 class OptBudget:
+    """The opt section of a run config."""
+
     max_evals: int = 0  # 0 = size the budget from the parameter count
     x_tol: float = 1e-6
     f_tol: float = 1e-9

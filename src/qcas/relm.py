@@ -42,6 +42,8 @@ DEFAULT_EPS_TAN = 1e-3  # keeps the rewards' tan arguments below pi/2
 
 @dataclass(frozen=True)
 class RelmConfig:
+    """The relm section of a run config."""
+
     epochs: int = 30
     tournament_size: int = 5
     batch_size: int = 32
@@ -57,8 +59,6 @@ class RelmConfig:
     n_heads: int = 4
     n_blocks: int = 2
     ff_dim: int = 64
-    opt_budget: OptBudget = OptBudget()
-    seed: int = 6090
 
     def __post_init__(self):
         for name in ("epochs", "population_size", "tournament_size", "batch_size",
@@ -112,23 +112,23 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def init_population(task, space, config: RelmConfig, res_config: ResConfig):
+def init_population(task, space, config: RelmConfig, res_config: ResConfig,
+                    opt_budget: OptBudget, seed: int):
     """Starting population, a list of `config.population_size` `Scored`
     cells that satisfy `res_config.constraint`, by `config.init_mode`:
     random search, or the final population of RES run with `res_config`
-    (topped up with random cells, from seed `config.seed + 1`, if short).
+    (topped up with random cells, from seed `seed + 1`, if short).
 
-    Returns (population, res_result_or_None).
-    """
-    size, seed = config.population_size, config.seed
+    Returns (population, res_result_or_None)."""
+    size = config.population_size
     population, result = [], None
     if config.init_mode == "res":
-        result = res_search(task, space, res_config)
+        result = res_search(task, space, res_config, opt_budget, seed)
         population, seed = result.population[:size], seed + 1
     if len(population) < size:
         population += random_search(task, space, size - len(population), res_config.constraint,
                                     seed, layer_budget=config.layer_budget,
-                                    opt_budget=config.opt_budget)[1]
+                                    opt_budget=opt_budget)[1]
     return population, result
 
 
@@ -190,7 +190,7 @@ class RelmResult:
 
 
 def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
-                constraint: SoftConstraint) -> RelmResult:
+                constraint: SoftConstraint, opt_budget: OptBudget, seed: int) -> RelmResult:
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
     and admit the best child that meets `constraint` (the parent if none
@@ -205,12 +205,12 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     backward pass from it, and one Adam step applies them."""
     if any(not math.isfinite(e.score) for e in pop):
         raise ValueError("population scores must be finite")
-    rng = stream(config.seed, "relm.select")
+    rng = stream(seed, "relm.select")
     ctrl_cfg = ControllerConfig(
         n_qubits=task.n_qubits, max_seq=config.max_seq, v_rot=vocab.v_rot,
         v_ent=vocab.v_ent, embed_dim=config.embed_dim, n_heads=config.n_heads,
         n_blocks=config.n_blocks, ff_dim=config.ff_dim)
-    controller = init_controller(ctrl_cfg, stream(config.seed, "relm.controller"))
+    controller = init_controller(ctrl_cfg, stream(seed, "relm.controller"))
     adam = AdamState(lr=config.learning_rate)
     eligible = [e for e in pop if eval_soft_constraint(constraint, e.cell)]
     if not eligible:
@@ -225,8 +225,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
                                      *encode_actions(parent.cell, vocab, config.max_seq))
         cells, rot_actions, ent_actions = mutate(forward, vocab, rng, config.batch_size)
         # each child is fitted with its own rng, so scoring draws nothing from `rng`
-        children = [score_cell(cell, task, config.opt_budget,
-                               functools.partial(stream, config.seed, "relm.fit", epoch, j),
+        children = [score_cell(cell, task, opt_budget,
+                               functools.partial(stream, seed, "relm.fit", epoch, j),
                                theta_init=parent.theta)
                     for j, cell in enumerate(cells)]
         rewards = np.array([

@@ -24,12 +24,12 @@ from .optim import OptBudget, check_int, score_cell, stream
 
 @dataclass(frozen=True)
 class ResConfig:
+    """The res section of a run config."""
+
     population_size: int = 30
     constraint: SoftConstraint = SoftConstraint("n_layers", 3)
     layer_budget_per_phase: int = 1
-    opt_budget: OptBudget = OptBudget()
     max_phases: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         check_int("population_size", self.population_size, 1)
@@ -61,7 +61,7 @@ def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
             for cell in cells]
 
 
-def res_search(task, space, config: ResConfig) -> ResResult:
+def res_search(task, space, config: ResConfig, opt_budget: OptBudget, seed: int) -> ResResult:
     """Alternate sampling/expansion and evaluation phases; return the best
     constraint-satisfying cell seen.
 
@@ -70,7 +70,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
     until no child of it fits the bound (`can_grow`) or a phase admits none.
     """
     constraint = config.constraint
-    rng = stream(config.seed, "res.sample")
+    rng = stream(seed, "res.sample")
 
     cells = sample_admissible(
         lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,
@@ -83,7 +83,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             f"found in phase 1 (layer budget {config.layer_budget_per_phase})"
         )
 
-    population = evaluate_population(cells, task, config.opt_budget, config.seed)
+    population = evaluate_population(cells, task, opt_budget, seed)
     global_best = population[select_best(population)]
     phases = [PhaseRecord(1, global_best.score, vars(metrics(global_best.cell)),
                           len(population))]
@@ -101,8 +101,7 @@ def res_search(task, space, config: ResConfig) -> ResResult:
             break  # headroom is left, but the draw cap found none of it
         # elitism: the seed entry is carried forward with its known score,
         # only the fresh children cost evaluations
-        population = [global_best] + evaluate_population(children, task, config.opt_budget,
-                                                         config.seed)
+        population = [global_best] + evaluate_population(children, task, opt_budget, seed)
         best = population[select_best(population)]
         if best.score > global_best.score:
             global_best = best

@@ -208,9 +208,8 @@ def test_criterion_06_res_constraint_soundness_and_noninferiority():
             for ti, target in enumerate(targets):
                 task = UnitaryRegenTask(target)
                 config = ResConfig(population_size=20, constraint=constraint,
-                                   layer_budget_per_phase=2, opt_budget=opt,
-                                   max_phases=3, seed=seed * 100 + ti)
-                result = res_search(task, SPACE_CLIFFORD, config)
+                                   layer_budget_per_phase=2, max_phases=3)
+                result = res_search(task, SPACE_CLIFFORD, config, opt, seed * 100 + ti)
                 assert eval_soft_constraint(constraint, result.best_cell)
                 evals = sum(p.evals for p in result.phases)
                 res_losses.append(1.0 - result.score)
@@ -264,13 +263,12 @@ def test_criterion_08_relm_progress_property():
         for seed in range(1, 6):
             config = RelmConfig(epochs=30, tournament_size=5, batch_size=8,
                                 init_mode="res", reward_mode="qae", population_size=30,
-                                layer_budget=2, opt_budget=opt, seed=seed)
+                                layer_budget=2)
             res_config = ResConfig(population_size=30, constraint=constraint,
-                                   layer_budget_per_phase=1, opt_budget=opt,
-                                   max_phases=2, seed=seed)
-            pop, _ = init_population(task, SPACE_GENERIC, config, res_config)
+                                   layer_budget_per_phase=1, max_phases=2)
+            pop, _ = init_population(task, SPACE_GENERIC, config, res_config, opt, seed)
             init_best = max(e.score for e in pop)
-            result = relm_search(task, config, pop, vocab, constraint)
+            result = relm_search(task, config, pop, vocab, constraint, opt, seed)
             assert eval_soft_constraint(constraint, result.best_cell)
             wins += result.score >= init_best - 1e-12
         assert wins >= 4, wins
@@ -287,23 +285,20 @@ def test_criterion_09_parameter_budgets():
 
         res_config = ResConfig(population_size=20,
                                constraint=SoftConstraint("n_params", 21),
-                               layer_budget_per_phase=1, opt_budget=opt,
-                               max_phases=3, seed=0)
-        res_result = res_search(task, SPACE_GENERIC, res_config)
+                               layer_budget_per_phase=1, max_phases=3)
+        res_result = res_search(task, SPACE_GENERIC, res_config, opt, 0)
         res_params = metrics(res_result.best_cell).n_params
         assert res_params <= 21
         assert res_params < baseline_params
 
         constraint = SoftConstraint("n_params", 16)
         relm_config = RelmConfig(epochs=10, tournament_size=5, batch_size=4,
-                                 init_mode="res", population_size=10, layer_budget=2,
-                                 opt_budget=opt, seed=0)
+                                 init_mode="res", population_size=10, layer_budget=2)
         relm_res_config = ResConfig(population_size=10, constraint=constraint,
-                                    layer_budget_per_phase=1, opt_budget=opt,
-                                    max_phases=2, seed=0)
-        pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config)
+                                    layer_budget_per_phase=1, max_phases=2)
+        pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config, opt, 0)
         relm_result = relm_search(task, relm_config, pop,
-                                  build_vocab(SPACE_GENERIC), constraint)
+                                  build_vocab(SPACE_GENERIC), constraint, opt, 0)
         relm_params = metrics(relm_result.best_cell).n_params
         assert relm_params <= 16
         assert relm_params < baseline_params

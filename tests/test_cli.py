@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ class TestParseConfig:
         res = dict(config["res"], constraint=SoftConstraint(**config["res"]["constraint"]))
         assert ResConfig(**res) == ResConfig()
         assert RelmConfig(**config["relm"]) == RelmConfig()
+        # a section holds every field of its class and nothing else, so no
+        # field is left for the runner to fill in
+        for section, cls in (("task", TaskConfig), ("rs", RsConfig), ("res", ResConfig),
+                             ("relm", RelmConfig), ("opt", OptBudget)):
+            assert list(config[section]) == [f.name for f in fields(cls)], section
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="algoritm"):

@@ -349,8 +349,8 @@ class TestFittingRng:
         if name == "relm":
             config = relm.RelmConfig(epochs=2, tournament_size=2, batch_size=3,
                                      population_size=4, max_seq=6, embed_dim=4, n_heads=1,
-                                     n_blocks=1, ff_dim=8, opt_budget=self.BUDGET, seed=7)
-            relm.relm_search(task, config, pop, build_vocab(space), UNBOUNDED)
+                                     n_blocks=1, ff_dim=8)
+            relm.relm_search(task, config, pop, build_vocab(space), UNBOUNDED, self.BUDGET, 7)
         elif name == "res":
             res.evaluate_population([e.cell for e in pop], task, self.BUDGET, 7)
         else:

@@ -122,7 +122,8 @@ class TestPopulation:
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1, population_size=2)
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="^population scores must be finite"):
-                relm_search(small_task(), config, self.entries([0.5, bad]), VOCAB, UNBOUNDED)
+                relm_search(small_task(), config, self.entries([0.5, bad]), VOCAB, UNBOUNDED,
+                            OptBudget(), 6090)
 
     def test_tournament_best_and_worst(self):
         pop = self.entries([0.9, 0.5, 0.7])
@@ -186,21 +187,18 @@ class TestInitPopulation:
     def test_random_search_mode(self):
         task = small_task()
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
-                            init_mode="random_search", population_size=5,
-                            opt_budget=FAST_OPT, seed=1)
+                            init_mode="random_search", population_size=5)
         pop, trace = init_population(task, SPACE_CLIFFORD, config,
-                                     ResConfig(constraint=UNBOUNDED))
+                                     ResConfig(constraint=UNBOUNDED), FAST_OPT, 1)
         assert len(pop) == 5 and trace is None
 
     def test_res_mode_members_satisfy_constraint(self):
         task = small_task()
         constraint = SoftConstraint("n_layers", 2)
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
-                            init_mode="res", population_size=5,
-                            opt_budget=FAST_OPT, seed=1)
-        res_config = ResConfig(population_size=5, constraint=constraint,
-                               opt_budget=FAST_OPT, max_phases=2, seed=1)
-        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config)
+                            init_mode="res", population_size=5)
+        res_config = ResConfig(population_size=5, constraint=constraint, max_phases=2)
+        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, 1)
         assert len(pop) == 5 and result is not None
         assert eval_soft_constraint(constraint, result.best_cell)
 
@@ -210,16 +208,14 @@ class TestInitPopulation:
         task = small_task()
         constraint = SoftConstraint("n_layers", 2)
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
-                            init_mode=init_mode, population_size=5,
-                            opt_budget=FAST_OPT, seed=4)
-        res_config = ResConfig(population_size=3, constraint=constraint,
-                               opt_budget=FAST_OPT, max_phases=2, seed=4)
-        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config)
+                            init_mode=init_mode, population_size=5)
+        res_config = ResConfig(population_size=3, constraint=constraint, max_phases=2)
+        seed = 4
+        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, seed)
         kept = result.population if init_mode == "res" else []
-        seed = config.seed + 1 if init_mode == "res" else config.seed
-        _, drawn = random_search(task, SPACE_CLIFFORD, 5 - len(kept), constraint, seed,
-                                 layer_budget=config.layer_budget,
-                                 opt_budget=config.opt_budget)
+        top_up = seed + 1 if init_mode == "res" else seed
+        _, drawn = random_search(task, SPACE_CLIFFORD, 5 - len(kept), constraint, top_up,
+                                 layer_budget=config.layer_budget, opt_budget=FAST_OPT)
         assert len(kept) <= 3 and len(pop) == 5
         for member, expected in zip(pop, kept + drawn, strict=True):
             assert member.cell == expected.cell and member.score == expected.score
@@ -237,20 +233,20 @@ class TestRelmSearch:
         config = RelmConfig(epochs=epochs, tournament_size=2, batch_size=2,
                             init_mode="random_search", reward_mode="unitary",
                             population_size=4, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=seed)
+                            n_blocks=1, ff_dim=8)
         pop, _ = init_population(task, SPACE_CLIFFORD, config,
-                                 ResConfig(constraint=constraint))
-        return relm_search(task, config, pop, VOCAB, constraint), config
+                                 ResConfig(constraint=constraint), FAST_OPT, seed)
+        return relm_search(task, config, pop, VOCAB, constraint, FAST_OPT, seed), config
 
     def test_minimal_run_returns_valid_cell(self):
         task = small_task()
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1,
                             init_mode="random_search", reward_mode="unitary",
                             population_size=1, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
+                            n_blocks=1, ff_dim=8)
         pop, _ = init_population(task, SPACE_CLIFFORD, config,
-                                 ResConfig(constraint=UNBOUNDED))
-        result = relm_search(task, config, pop, VOCAB, UNBOUNDED)
+                                 ResConfig(constraint=UNBOUNDED), FAST_OPT, 0)
+        result = relm_search(task, config, pop, VOCAB, UNBOUNDED, FAST_OPT, 0)
         assert isinstance(result.best_cell, Cell)
         assert 0.0 <= result.score <= 1.0
 
@@ -263,13 +259,13 @@ class TestRelmSearch:
         config = RelmConfig(epochs=1, tournament_size=1, batch_size=1,
                             init_mode="random_search", reward_mode="unitary",
                             population_size=2, max_seq=6, embed_dim=4, n_heads=1,
-                            n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=0)
+                            n_blocks=1, ff_dim=8)
         # two gates each: no member meets n_gates <= 1
         pop = [Scored(Cell(2, [["H", "S"], []]), np.zeros(0), 0.5),
                Scored(Cell(2, [["H"], []], {(0, 1): ["CNOT"]}), np.zeros(0), 0.7)]
         with pytest.raises(ValueError,
                            match=r"^no member of the starting population meets n_gates <= 1$"):
-            relm_search(task, config, pop, VOCAB, SoftConstraint("n_gates", 1))
+            relm_search(task, config, pop, VOCAB, SoftConstraint("n_gates", 1), FAST_OPT, 0)
 
     def test_population_size_constant_per_epoch(self):
         result, config = self.run_search()
@@ -296,14 +292,13 @@ class TestRelmSearch:
             config = RelmConfig(epochs=2, tournament_size=2, batch_size=2,
                                 init_mode="res", reward_mode="unitary",
                                 population_size=4, max_seq=6, embed_dim=4,
-                                n_heads=1, n_blocks=1, ff_dim=8,
-                                opt_budget=FAST_OPT, seed=seed)
+                                n_heads=1, n_blocks=1, ff_dim=8)
             res_config = ResConfig(population_size=4,
-                                   constraint=SoftConstraint("n_layers", 2),
-                                   opt_budget=FAST_OPT, max_phases=2, seed=seed)
-            pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config)
+                                   constraint=SoftConstraint("n_layers", 2), max_phases=2)
+            pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, seed)
             init_best = max(e.score for e in pop)
-            result = relm_search(task, config, pop, VOCAB, res_config.constraint)
+            result = relm_search(task, config, pop, VOCAB, res_config.constraint, FAST_OPT,
+                                 seed)
             wins += result.score >= init_best - 1e-12
         assert wins >= 6
 
@@ -339,21 +334,21 @@ class TestRelmSearch:
             RelmConfig(init_mode="random_search", layer_budget=4, max_seq=2)
 
 
-def initial_controller(task, config, vocab):
-    """The policy that `relm_search` starts from."""
+def initial_controller(task, config, vocab, seed):
+    """The policy that `relm_search` starts from at `seed`."""
     ctrl_cfg = ControllerConfig(n_qubits=task.n_qubits, max_seq=config.max_seq,
                                 v_rot=vocab.v_rot, v_ent=vocab.v_ent,
                                 embed_dim=config.embed_dim, n_heads=config.n_heads,
                                 n_blocks=config.n_blocks, ff_dim=config.ff_dim)
-    return init_controller(ctrl_cfg, np.random.default_rng([config.seed, 0xC7]))
+    return init_controller(ctrl_cfg, np.random.default_rng([seed, 0xC7]))
 
 
-def reference_relm_search(task, config, pop, vocab, constraint):
+def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed):
     """The RELM epoch loop with one controller forward per child: every
     mutation and every policy gradient runs its own forward pass, and every
     policy gradient its own backward pass, summed here."""
-    controller = initial_controller(task, config, vocab)
-    rng = np.random.default_rng([config.seed, 0xE70])
+    controller = initial_controller(task, config, vocab, seed)
+    rng = np.random.default_rng([seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
     global_best = max((e for e in pop if eval_soft_constraint(constraint, e.cell)),
                       key=lambda e: e.score)
@@ -365,9 +360,9 @@ def reference_relm_search(task, config, pop, vocab, constraint):
         for j in range(config.batch_size):
             rot_a, ent_a = sample_actions(*controller_forward(controller, *slots)[0], rng=rng)
             child = decode_actions(rot_a, ent_a, vocab)
-            entry = score_cell(child, task, config.opt_budget,
+            entry = score_cell(child, task, opt_budget,
                                functools.partial(np.random.default_rng,
-                                                 [config.seed, 0x5C0, epoch, j]),
+                                                 [seed, 0x5C0, epoch, j]),
                                theta_init=parent.theta)
             if config.reward_mode == "unitary":
                 reward = unitary_reward(1.0 - parent.score, 1.0 - entry.score,
@@ -407,23 +402,26 @@ class TestSharedForward:
                                         constraint=SoftConstraint("n_gates", 4)),
     }
 
-    def setup_search(self, space, seed=2, constraint=UNBOUNDED, **kwargs):
+    SEED = 2
+
+    def setup_search(self, space, constraint=UNBOUNDED, **kwargs):
         task = small_task()
         config = RelmConfig(epochs=4, tournament_size=2, batch_size=3,
                             init_mode="random_search", population_size=4, max_seq=6,
-                            embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8,
-                            opt_budget=FAST_OPT, seed=seed, **kwargs)
+                            embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8, **kwargs)
         vocab = build_vocab(space)
-        pop, _ = init_population(task, space, config, ResConfig(constraint=constraint))
-        return task, config, pop, vocab, initial_controller(task, config, vocab)
+        pop, _ = init_population(task, space, config, ResConfig(constraint=constraint),
+                                 FAST_OPT, self.SEED)
+        return task, config, pop, vocab, initial_controller(task, config, vocab, self.SEED)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_one_forward_per_child(self, case):
         task, config, pop, vocab, controller = self.setup_search(**self.CASES[case])
         constraint = self.CASES[case]["constraint"]
-        result = relm_search(task, config, copy.deepcopy(pop), vocab, constraint)
+        result = relm_search(task, config, copy.deepcopy(pop), vocab, constraint, FAST_OPT,
+                             self.SEED)
         best, records, ref_controller = reference_relm_search(
-            task, config, copy.deepcopy(pop), vocab, constraint)
+            task, config, copy.deepcopy(pop), vocab, constraint, FAST_OPT, self.SEED)
 
         def table(recs):
             return np.array([[r.epoch, r.parent_score, r.mean_reward,
@@ -455,7 +453,7 @@ class TestSharedForward:
         for name in calls:
             monkeypatch.setattr(qcas.relm, name, counted(name))
         task, config, pop, vocab, _ = self.setup_search(SPACE_CLIFFORD, reward_mode="unitary")
-        relm_search(task, config, pop, vocab, UNBOUNDED)
+        relm_search(task, config, pop, vocab, UNBOUNDED, FAST_OPT, self.SEED)
         # every epoch of this seed has a non-zero reward, so one backward
         # each; one mutate call samples an epoch's whole batch
         assert calls == {"controller_forward": config.epochs,
@@ -475,7 +473,7 @@ class TestSharedForward:
         monkeypatch.setattr(qcas.relm, "unitary_reward", lambda *args: 0.0)
         task, config, pop, vocab, before = self.setup_search(SPACE_CLIFFORD,
                                                              reward_mode="unitary")
-        result = relm_search(task, config, pop, vocab, UNBOUNDED)
+        result = relm_search(task, config, pop, vocab, UNBOUNDED, FAST_OPT, self.SEED)
         assert [r.mean_reward for r in result.epochs] == [0.0] * config.epochs
         assert [state.step for state in states] == [0]
         for name, tensor in before.tensors.items():

@@ -91,8 +91,9 @@ class TestEvaluatePopulation:
         else:
             config = relm.RelmConfig(epochs=1, tournament_size=2, batch_size=6,
                                      population_size=6, max_seq=4, embed_dim=4, n_heads=1,
-                                     n_blocks=1, ff_dim=8, opt_budget=FAST_OPT, seed=7)
-            relm.relm_search(task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED)
+                                     n_blocks=1, ff_dim=8)
+            relm.relm_search(task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED,
+                             FAST_OPT, 7)
         assert sum(cell_to_circuit(cell).n_params > 0 for cell, *_ in calls) >= 2
         shuffled = calls[:]
         random.Random(search).shuffle(shuffled)
@@ -108,9 +109,8 @@ class TestResSearch:
         task = h_target_task()
         config = ResConfig(population_size=10,
                            constraint=SoftConstraint("n_layers", 1),
-                           layer_budget_per_phase=1, opt_budget=FAST_OPT,
-                           max_phases=5, seed=0)
-        result = res_search(task, SPACE_CLIFFORD, config)
+                           layer_budget_per_phase=1, max_phases=5)
+        result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 0)
         assert metrics(result.best_cell).n_layers <= 1
 
     def test_solves_match_h_within_two_phases(self):
@@ -130,44 +130,40 @@ class TestResSearch:
 
         config = ResConfig(population_size=10,
                            constraint=SoftConstraint("n_layers", 2),
-                           opt_budget=FAST_OPT, max_phases=2, seed=1)
-        result = res_search(task, SPACE_CLIFFORD, config)
+                           max_phases=2)
+        result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 1)
         assert 1.0 - result.score <= 1e-3
 
     def test_returned_cell_satisfies_constraint(self):
         targets = gen_hidden_targets(3, "dense", 3, 3, seed=5)
         constraint = SoftConstraint("n_layers", 3)
         for target in targets:
-            config = ResConfig(population_size=8, constraint=constraint,
-                               opt_budget=FAST_OPT, max_phases=3, seed=2)
-            result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
+            config = ResConfig(population_size=8, constraint=constraint, max_phases=3)
+            result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 2)
             assert eval_soft_constraint(constraint, result.best_cell)
 
     def test_deterministic_given_seed(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=9)[0]
         task = UnitaryRegenTask(target)
-        config = ResConfig(population_size=6, opt_budget=FAST_OPT,
-                           max_phases=3, seed=4)
-        a = res_search(task, SPACE_CLIFFORD, config)
-        b = res_search(task, SPACE_CLIFFORD, config)
+        config = ResConfig(population_size=6, max_phases=3)
+        a = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
+        b = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
         assert a.best_cell == b.best_cell
         assert a.score == b.score
         assert [vars(p) for p in a.phases] == [vars(p) for p in b.phases]
 
     def test_trace_phases_are_sequential(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=10)[0]
-        config = ResConfig(population_size=6, opt_budget=FAST_OPT,
-                           max_phases=4, seed=5)
-        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
+        config = ResConfig(population_size=6, max_phases=4)
+        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 5)
         phases = [p.phase for p in result.phases]
         assert phases == list(range(1, len(phases) + 1))
         assert all(p.evals <= config.population_size for p in result.phases)
 
     def test_global_best_never_below_phase_one(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=12)[0]
-        config = ResConfig(population_size=6, opt_budget=FAST_OPT,
-                           max_phases=4, seed=6)
-        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config)
+        config = ResConfig(population_size=6, max_phases=4)
+        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 6)
         assert result.score >= result.phases[0].best_score - 1e-12
 
     @pytest.mark.parametrize("space, quantity, bound", [
@@ -182,21 +178,20 @@ class TestResSearch:
         # filling every pair), without drawing from it; the loop that drew
         # from it until the cap ran out, admitting nothing, returns the same
         constraint = SoftConstraint(quantity, bound)
-        config = ResConfig(population_size=6, constraint=constraint, opt_budget=FAST_OPT,
-                           max_phases=4, seed=3)
+        config = ResConfig(population_size=6, constraint=constraint, max_phases=4)
         seeds = []
 
         def counted(seed, *args):
             seeds.append(seed)
             return expand_cell(seed, *args)
         monkeypatch.setattr(qcas.res, "expand_cell", counted)
-        result = res_search(task, space, config)
+        result = res_search(task, space, config, FAST_OPT, 3)
         assert len(result.phases) < config.max_phases
         assert not can_grow(result.best_cell, space, constraint)
         assert all(can_grow(seed, space, constraint) for seed in seeds)
         grown = len(seeds)
         monkeypatch.setattr(qcas.res, "can_grow", lambda *args: True)
-        drained = res_search(task, space, config)
+        drained = res_search(task, space, config, FAST_OPT, 3)
         cap = (config.population_size - 1) * 100
         assert seeds[grown:] == seeds[:grown] + [result.best_cell] * cap
         assert (drained.best_cell, drained.score) == (result.best_cell, result.score)
@@ -227,13 +222,11 @@ class TestResSearch:
 
         task = UnitaryRegenTask(gen_hidden_targets(n_qubits, "dense", 1, 1, seed=seed)[0])
         config = ResConfig(population_size=4, constraint=SoftConstraint(quantity, bound),
-                           layer_budget_per_phase=layer_budget,
-                           opt_budget=OptBudget(max_evals=10, restarts=1),
-                           max_phases=max_phases, seed=seed)
+                           layer_budget_per_phase=layer_budget, max_phases=max_phases)
         with pytest.MonkeyPatch.context() as mp:
             for name in ("random_cell", "expand_cell"):
                 mp.setattr(qcas.res, name, recorded(getattr(qcas.res, name)))
-            res_search(task, space, config)
+            res_search(task, space, config, OptBudget(max_evals=10, restarts=1), seed)
         most = max_phases * layer_budget
         if quantity in ("n_layers", "n_gates") or (
                 quantity == "n_params"

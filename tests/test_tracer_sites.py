@@ -3,8 +3,9 @@ resolves, every cell a search scores goes through one of the three
 module-level `score_cell` names that the tracer and perfbench/setup_probe.py
 patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), the
 benchmark's self-test of its output checks passes on this qcas, the
-program's scores of parametric cells agree with the benchmark's oracle, and
-every algorithm's runs pass the benchmark's checks."""
+program's scores of parametric cells agree with the benchmark's oracle,
+every algorithm's runs pass the benchmark's checks, and every config that
+the benchmark and tests/digests.py search with parses."""
 
 import importlib
 import importlib.util
@@ -26,11 +27,15 @@ from qcas.sim import GATE_KINDS, SPACE_GENERIC
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_perfbench(name):
+    return load_module(PERFBENCH / f"{name}.py")
 
 
 tracing = load_perfbench("tracing")
@@ -245,3 +250,28 @@ def test_every_run_passes_the_benchmark_checks(checks, doc):
     failures = {run["seed"]: checks.check_run(qcas, config, run)
                 for run in run(config)["runs"]}
     assert failures == {seed: [] for seed in config["seeds"]}
+
+
+def searched_configs():
+    """Group name -> the config documents searched by each benchmark workload
+    (at --seed 1) and by each case group of tests/digests.py."""
+    docs = {name: [workloads.search_config(name, 1)] for name in workloads.WORKLOADS}
+    with pytest.MonkeyPatch.context() as patch:
+        # digests.py puts perfbench on sys.path to import run.py; the
+        # context takes it off again
+        patch.syspath_prepend(str(PERFBENCH))
+        digests = load_module(Path(__file__).with_name("digests.py"))
+    for name, doc, seed in digests.cases():
+        docs.setdefault(f"digests-{name}", []).append(dict(doc, seeds=[seed], jobs=1))
+    return docs
+
+
+SEARCHED_CONFIGS = searched_configs()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED_CONFIGS))
+def test_searched_configs_parse(name):
+    """A config key renamed or removed fails here, not at the next benchmark
+    or digest run."""
+    for doc in SEARCHED_CONFIGS[name]:
+        parse_config(doc, environ={})
