@@ -24,8 +24,8 @@ Config schema (all keys optional except task.kind)::
     res:  {population_size, constraint: {quantity, bound},
            layer_budget_per_phase, max_phases}
     relm: {epochs, tournament_size, batch_size, learning_rate, init_mode,
-           reward_mode, reward_sign, alpha, population_size, layer_budget,
-           max_seq, embed_dim, n_heads, n_blocks, ff_dim}
+           reward_mode, alpha, population_size, layer_budget, max_seq,
+           embed_dim, n_heads, n_blocks, ff_dim}
     opt:  {max_evals, x_tol, f_tol, restarts}
     seeds: [1]                    # non-empty, integers >= 0
     out_dir: runs
@@ -322,24 +322,25 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     rs_cfg, opt, res_cfg, relm_cfg = _configs(config)
     trace = None
     if algorithm == "rs":
-        (cell, theta, score), _ = random_search(
+        best, _ = random_search(
             task, space, rs_cfg.budget_evals, res_cfg.constraint, seed,
             layer_budget=rs_cfg.layer_budget, opt_budget=opt,
         )
     elif algorithm == "res":
         result = res_search(task, space, res_cfg, opt, seed)
-        cell, theta, score = result.best_cell, result.theta, result.score
+        best = result.best
         trace = {"res": [vars(p) for p in result.phases]}
     else:
         pop, res_result = init_population(task, space, relm_cfg, res_cfg, opt, seed)
         init_best = max(e.score for e in pop)
         result = relm_search(task, relm_cfg, pop, build_vocab(space), res_cfg.constraint,
                              opt, seed)
-        cell, theta, score = result.best_cell, result.theta, result.score
+        best = result.best
         trace = {"relm": [vars(r) for r in result.epochs],
                  "init_best_score": init_best}
         if res_result is not None:
             trace["res"] = [vars(p) for p in res_result.phases]
+    cell, theta, score = best
     circuit = cell_to_circuit(cell)
     test_metrics = built.evaluate(circuit, np.asarray(theta, dtype=float))
     return {

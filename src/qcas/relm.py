@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (Cell, GateVocab, SoftConstraint, decode_actions, encode_actions,
-                   eval_soft_constraint)
+from .cell import (GateVocab, SoftConstraint, decode_actions, encode_actions,
+                   eval_soft_constraint, select_best)
 from .controller import (
     AdamState,
     ControllerConfig,
@@ -33,7 +33,7 @@ from .controller import (
     reinforce_grads,
     sample_actions,
 )
-from .optim import OptBudget, check_choice, check_int, check_positive, score_cell, stream
+from .optim import OptBudget, Scored, check_choice, check_int, check_positive, score_cell, stream
 from .res import ResConfig, res_search
 from .tasks import random_search
 
@@ -50,7 +50,6 @@ class RelmConfig:
     learning_rate: float = 3e-4
     init_mode: str = "res"  # "res" | "random_search"
     reward_mode: str = "qae"  # "qae" | "unitary"
-    reward_sign: str = "text"  # "text" | "printed" (worse-child branch sign)
     alpha: float = 1.5
     population_size: int = 30
     layer_budget: int = 2
@@ -77,7 +76,6 @@ class RelmConfig:
                              f"got {self.layer_budget}")
         check_choice("init_mode", self.init_mode, ("res", "random_search"))
         check_choice("reward_mode", self.reward_mode, ("qae", "unitary"))
-        check_choice("reward_sign", self.reward_sign, ("text", "printed"))
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +88,11 @@ def _clamped_tan(arg: float) -> float:
     return math.tan(min(max(arg, -bound), bound))
 
 
-def qae_reward(f_parent: float, f_child: float, sign: str) -> float:
-    """Fidelity-delta reward: negative when the child is strictly worse,
-    otherwise tan(f_child * pi/2) with the argument clamped below pi/2.
-
-    `sign="printed"` flips the worse-child branch to f_parent - f_child.
-    """
+def qae_reward(f_parent: float, f_child: float) -> float:
+    """Fidelity-delta reward: f_child - f_parent when the child is strictly
+    worse, otherwise tan(f_child * pi/2) with the argument clamped below pi/2."""
     if f_parent > f_child:
-        delta = f_child - f_parent
-        return delta if sign == "text" else -delta
+        return f_child - f_parent
     return _clamped_tan(f_child * math.pi / 2.0)
 
 
@@ -182,10 +176,8 @@ class EpochRecord:
 
 @dataclass
 class RelmResult:
-    best_cell: Cell
-    theta: np.ndarray
-    score: float
-    epochs: list
+    best: Scored
+    epochs: list  # an `EpochRecord` per epoch
     controller: ControllerParams
 
 
@@ -194,10 +186,13 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     """Tournament-select a parent each epoch, mutate it batch_size times with
     the learned policy, score the children, apply one policy-gradient update
     and admit the best child that meets `constraint` (the parent if none
-    does); the global best entry is tracked throughout.  `pop` is a list of
-    `Scored` cells with finite scores, at least one of them within the
-    constraint (a ValueError names it otherwise); each epoch removes one and
-    appends one.
+    does).  The global best starts as the best member of `pop` within the
+    constraint and is replaced by an admitted child only on a strictly higher
+    score; "best" is `select_best`'s rule, as in RES and random search.
+    `pop` is a list of `Scored` cells with finite scores, at least one of
+    them within the constraint (a ValueError names it otherwise); each epoch
+    removes one and appends one.  Returns the global best entry as
+    `RelmResult.best`.
 
     The parent's policy forward runs once per epoch and is shared by all
     batch_size mutations of that epoch, which one Gumbel draw samples; the
@@ -216,7 +211,7 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
     if not eligible:
         raise ValueError(f"no member of the starting population meets "
                          f"{constraint.quantity} <= {constraint.bound}")
-    global_best = max(eligible, key=lambda e: e.score)
+    global_best = eligible[select_best(eligible)]
     records = []
 
     for epoch in range(1, config.epochs + 1):
@@ -232,7 +227,7 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
         rewards = np.array([
             unitary_reward(1.0 - parent.score, 1.0 - c.score, config.alpha)
             if config.reward_mode == "unitary"
-            else qae_reward(parent.score, c.score, config.reward_sign)
+            else qae_reward(parent.score, c.score)
             for c in children])
 
         # Adam moves the parameters even on a zero gradient (through its
@@ -246,7 +241,8 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
             controller, adam = adam_step(controller, grads, adam)
 
         admissible = [e for e in children if eval_soft_constraint(constraint, e.cell)]
-        best_child = max(admissible or [parent], key=lambda e: e.score)
+        candidates = admissible or [parent]
+        best_child = candidates[select_best(candidates)]
         pop.append(best_child)
         if best_child.score > global_best.score:
             global_best = best_child
@@ -255,4 +251,4 @@ def relm_search(task, config: RelmConfig, pop: list, vocab: GateVocab,
             best_child_score=best_child.score, best_score=global_best.score,
             n_scored=len(children), n_admissible=len(admissible)))
 
-    return RelmResult(*global_best, records, controller)
+    return RelmResult(global_best, records, controller)

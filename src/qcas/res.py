@@ -6,10 +6,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cell import (
-    Cell,
     SoftConstraint,
     can_grow,
     eval_soft_constraint,
@@ -19,7 +16,7 @@ from .cell import (
     sample_admissible,
     select_best,
 )
-from .optim import OptBudget, check_int, score_cell, stream
+from .optim import OptBudget, Scored, check_int, score_cell, stream
 
 
 @dataclass(frozen=True)
@@ -42,14 +39,12 @@ class PhaseRecord:
     phase: int
     best_score: float
     best_metrics: dict
-    evals: int
+    n_scored: int
 
 
 @dataclass
 class ResResult:
-    best_cell: Cell
-    theta: np.ndarray
-    score: float
+    best: Scored
     phases: list  # a `PhaseRecord` per phase
     population: list  # final phase's `Scored` entries
 
@@ -109,4 +104,4 @@ def res_search(task, space, config: ResConfig, opt_budget: OptBudget, seed: int)
 
     if not eval_soft_constraint(constraint, global_best.cell):
         raise RuntimeError("search terminated without a constraint-satisfying cell")
-    return ResResult(*global_best, phases, population)
+    return ResResult(global_best, phases, population)

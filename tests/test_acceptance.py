@@ -148,14 +148,14 @@ def test_criterion_03_channel_equivalence():
 def test_criterion_04_reward_unit_suite():
     with verdict("criterion 4: reward unit suite"):
         start = time.monotonic()
-        assert abs(qae_reward(0.9, 0.5, "text") - (-0.4)) <= 1e-12
-        assert abs(qae_reward(0.3, 0.5, "text") - math.tan(0.25 * math.pi)) <= 1e-12
+        assert abs(qae_reward(0.9, 0.5) - (-0.4)) <= 1e-12
+        assert abs(qae_reward(0.3, 0.5) - math.tan(0.25 * math.pi)) <= 1e-12
         f = 0.6
-        assert abs(qae_reward(f, f, "text") - math.tan(f * math.pi / 2)) <= 1e-12
+        assert abs(qae_reward(f, f) - math.tan(f * math.pi / 2)) <= 1e-12
         assert abs(unitary_reward(0.4, 0.4, 1.5)) <= 1e-12
         assert abs(unitary_reward(0.3, 0.5, 1.5) - math.tan(1.5 * 0.2 * math.pi / 2)) <= 1e-12
         # clamping: perfect child and saturated loss deltas stay finite
-        assert math.isfinite(qae_reward(0.2, 1.0, "text"))
+        assert math.isfinite(qae_reward(0.2, 1.0))
         for delta in (1.0, -1.0, 2.0, 50.0):
             assert math.isfinite(unitary_reward(0.0, delta, 1.5))
         assert time.monotonic() - start < 1.0
@@ -210,9 +210,9 @@ def test_criterion_06_res_constraint_soundness_and_noninferiority():
                 config = ResConfig(population_size=20, constraint=constraint,
                                    layer_budget_per_phase=2, max_phases=3)
                 result = res_search(task, SPACE_CLIFFORD, config, opt, seed * 100 + ti)
-                assert eval_soft_constraint(constraint, result.best_cell)
-                evals = sum(p.evals for p in result.phases)
-                res_losses.append(1.0 - result.score)
+                assert eval_soft_constraint(constraint, result.best.cell)
+                evals = sum(p.n_scored for p in result.phases)
+                res_losses.append(1.0 - result.best.score)
                 (_, _, score), _ = random_search(task, SPACE_CLIFFORD, evals,
                                                  constraint, seed * 100 + ti,
                                                  layer_budget=2, opt_budget=opt)
@@ -269,8 +269,8 @@ def test_criterion_08_relm_progress_property():
             pop, _ = init_population(task, SPACE_GENERIC, config, res_config, opt, seed)
             init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, vocab, constraint, opt, seed)
-            assert eval_soft_constraint(constraint, result.best_cell)
-            wins += result.score >= init_best - 1e-12
+            assert eval_soft_constraint(constraint, result.best.cell)
+            wins += result.best.score >= init_best - 1e-12
         assert wins >= 4, wins
         assert time.monotonic() - start < 45 * 60
 
@@ -287,7 +287,7 @@ def test_criterion_09_parameter_budgets():
                                constraint=SoftConstraint("n_params", 21),
                                layer_budget_per_phase=1, max_phases=3)
         res_result = res_search(task, SPACE_GENERIC, res_config, opt, 0)
-        res_params = metrics(res_result.best_cell).n_params
+        res_params = metrics(res_result.best.cell).n_params
         assert res_params <= 21
         assert res_params < baseline_params
 
@@ -299,7 +299,7 @@ def test_criterion_09_parameter_budgets():
         pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config, opt, 0)
         relm_result = relm_search(task, relm_config, pop,
                                   build_vocab(SPACE_GENERIC), constraint, opt, 0)
-        relm_params = metrics(relm_result.best_cell).n_params
+        relm_params = metrics(relm_result.best.cell).n_params
         assert relm_params <= 16
         assert relm_params < baseline_params
 

@@ -94,6 +94,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="res.populaton"):
             parse_config({"task": {"kind": "denoise"},
                           "res": {"populaton": 5}}, environ={})
+        with pytest.raises(ConfigError, match="unknown config key 'relm.reward_sign'"):
+            parse_config({"task": {"kind": "denoise"},
+                          "relm": {"reward_sign": "text"}}, environ={})
 
     def test_seed_only_difference(self):
         a = parse_config({"task": {"kind": "denoise"}, "seeds": [1]}, environ={})
@@ -147,7 +150,6 @@ class TestParseConfig:
         ("task", "dataset", "digts"),
         ("task", "cost_mode", "locl"),
         ("relm", "reward_mode", "unitry"),
-        ("relm", "reward_sign", "txt"),
         ("relm", "init_mode", "rs"),
     ])
     def test_bad_enumerated_value_rejected(self, section, key, value):
@@ -558,7 +560,6 @@ class TestMain:
         ("task", "dataset: digts", "task.dataset"),
         ("task", "cost_mode: locl", "task.cost_mode"),
         ("relm", "reward_mode: unitry", "relm.reward_mode"),
-        ("relm", "reward_sign: txt", "relm.reward_sign"),
         ("relm", "init_mode: rs", "relm.init_mode"),
         ("relm", "batch_size: 0", "relm.batch_size"),
         ("relm", "n_heads: 3", "relm.n_heads"),

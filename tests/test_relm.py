@@ -17,6 +17,8 @@ from qcas.cell import (
     decode_actions,
     encode_actions,
     eval_soft_constraint,
+    metrics,
+    select_best,
 )
 from qcas.controller import (
     AdamState,
@@ -53,27 +55,24 @@ def small_task(seed=3):
 
 class TestQaeReward:
     def test_worse_child_negative_delta(self):
-        assert qae_reward(0.9, 0.5, "text") == pytest.approx(-0.4, abs=1e-12)
+        assert qae_reward(0.9, 0.5) == pytest.approx(-0.4, abs=1e-12)
 
     def test_better_child_tangent(self):
-        assert qae_reward(0.3, 0.5, "text") == pytest.approx(math.tan(0.25 * math.pi), abs=1e-12)
-        assert qae_reward(0.3, 0.5, "text") == pytest.approx(1.0, abs=1e-12)
+        assert qae_reward(0.3, 0.5) == pytest.approx(math.tan(0.25 * math.pi), abs=1e-12)
+        assert qae_reward(0.3, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_scores_take_second_branch(self):
         f = 0.6
-        assert qae_reward(f, f, "text") == pytest.approx(math.tan(f * math.pi / 2), abs=1e-12)
+        assert qae_reward(f, f) == pytest.approx(math.tan(f * math.pi / 2), abs=1e-12)
 
     def test_perfect_child_is_finite(self):
-        assert math.isfinite(qae_reward(0.2, 1.0, "text"))
-
-    def test_sign_flag_flips_worse_branch(self):
-        assert qae_reward(0.9, 0.5, "printed") == pytest.approx(0.4, abs=1e-12)
+        assert math.isfinite(qae_reward(0.2, 1.0))
 
     def test_at_or_above_the_clamp_the_reward_is_the_boundary_tangent(self):
         edge = 1.0 - qcas.relm.DEFAULT_EPS_TAN
         bound = edge * math.pi / 2.0
         for f in (edge, math.nextafter(edge, 2.0), 1.0, 1.0 + 2.0**-52):
-            assert qae_reward(0.0, f, "text") == math.tan(bound)
+            assert qae_reward(0.0, f) == math.tan(bound)
 
     def test_same_bits_as_clamping_the_fidelity(self):
         # the tangent's own clamp replaces a clamp of f_child at 1 - eps
@@ -83,13 +82,13 @@ class TestQaeReward:
         for _ in range(50):
             near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 2.0)]
         for f in grid + near:
-            assert qae_reward(0.0, f, "text") == math.tan(min(f, edge) * math.pi / 2.0)
+            assert qae_reward(0.0, f) == math.tan(min(f, edge) * math.pi / 2.0)
 
     def test_sign_properties(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             fp, fc = rng.uniform(0, 1, size=2)
-            r = qae_reward(fp, fc, "text")
+            r = qae_reward(fp, fc)
             if fp > fc:
                 assert r < 0
             elif fc > 0:
@@ -200,7 +199,7 @@ class TestInitPopulation:
         res_config = ResConfig(population_size=5, constraint=constraint, max_phases=2)
         pop, result = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, 1)
         assert len(pop) == 5 and result is not None
-        assert eval_soft_constraint(constraint, result.best_cell)
+        assert eval_soft_constraint(constraint, result.best.cell)
 
     @pytest.mark.parametrize("init_mode", ["res", "random_search"])
     def test_random_members_are_one_random_search(self, init_mode):
@@ -247,8 +246,8 @@ class TestRelmSearch:
         pop, _ = init_population(task, SPACE_CLIFFORD, config,
                                  ResConfig(constraint=UNBOUNDED), FAST_OPT, 0)
         result = relm_search(task, config, pop, VOCAB, UNBOUNDED, FAST_OPT, 0)
-        assert isinstance(result.best_cell, Cell)
-        assert 0.0 <= result.score <= 1.0
+        assert isinstance(result.best.cell, Cell)
+        assert 0.0 <= result.best.score <= 1.0
 
     def test_starting_population_outside_the_constraint_is_rejected(self, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -280,7 +279,7 @@ class TestRelmSearch:
     def test_deterministic_given_seed(self):
         a, _ = self.run_search(seed=6)
         b, _ = self.run_search(seed=6)
-        assert a.best_cell == b.best_cell
+        assert a.best.cell == b.best.cell
         assert [vars(r) for r in a.epochs] == [vars(r) for r in b.epochs]
 
     def test_final_at_least_initial_with_res_init(self):
@@ -299,12 +298,12 @@ class TestRelmSearch:
             init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, VOCAB, res_config.constraint, FAST_OPT,
                                  seed)
-            wins += result.score >= init_best - 1e-12
+            wins += result.best.score >= init_best - 1e-12
         assert wins >= 6
 
     def test_constraint_gates_admission(self):
         result, _ = self.run_search(constraint=SoftConstraint("n_gates", 3))
-        assert eval_soft_constraint(SoftConstraint("n_gates", 3), result.best_cell)
+        assert eval_soft_constraint(SoftConstraint("n_gates", 3), result.best.cell)
 
     @pytest.mark.parametrize("constraint", [UNBOUNDED, SoftConstraint("n_gates", 3)])
     def test_epochs_count_scored_and_admissible_children(self, monkeypatch, constraint):
@@ -323,6 +322,40 @@ class TestRelmSearch:
             admissible = [c for c in children if eval_soft_constraint(constraint, c)]
             assert record.n_admissible <= record.n_scored == config.batch_size
             assert record.n_admissible == len(admissible)
+
+    def tie_search(self, monkeypatch, pop, child_score, batch_size, seed=0):
+        """`relm_search` for one epoch over `SPACE_GENERIC`, with every child
+        scored `child_score` without a fit; returns the result and the
+        children's cells in scoring order."""
+        children = []
+
+        def unfitted(cell, *args, **kwargs):
+            children.append(cell)
+            return Scored(cell, np.zeros(metrics(cell).n_params), child_score)
+
+        monkeypatch.setattr(qcas.relm, "score_cell", unfitted)
+        config = RelmConfig(epochs=1, tournament_size=1, batch_size=batch_size,
+                            init_mode="random_search", population_size=len(pop), max_seq=6,
+                            embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8)
+        result = relm_search(small_task(), config, pop, build_vocab(SPACE_GENERIC),
+                             UNBOUNDED, FAST_OPT, seed)
+        return result, children
+
+    def test_tied_starting_members_go_to_fewer_parameters(self, monkeypatch):
+        more = Scored(Cell(2, [["RX", "RY"], []]), np.zeros(2), 0.8)
+        fewer = Scored(Cell(2, [["RX"], []]), np.zeros(1), 0.8)
+        # every child scores lower, so the starting best is the answer
+        result, _ = self.tie_search(monkeypatch, [more, fewer], 0.1, batch_size=2)
+        assert result.best is fewer
+
+    def test_tied_children_admit_fewer_parameters(self, monkeypatch):
+        pop = [Scored(Cell(2, [["RX"], []]), np.zeros(1), 0.5)]
+        result, children = self.tie_search(monkeypatch, pop, 0.9, batch_size=8)
+        n_params = [metrics(cell).n_params for cell in children]
+        fewest = children[n_params.index(min(n_params))]
+        # list order alone would admit the first child, which has more
+        assert n_params[0] > min(n_params)
+        assert pop[-1].cell == fewest and result.best.cell == fewest
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="^epochs "):
@@ -350,8 +383,8 @@ def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed
     controller = initial_controller(task, config, vocab, seed)
     rng = np.random.default_rng([seed, 0xE70])
     adam = AdamState(lr=config.learning_rate)
-    global_best = max((e for e in pop if eval_soft_constraint(constraint, e.cell)),
-                      key=lambda e: e.score)
+    eligible = [e for e in pop if eval_soft_constraint(constraint, e.cell)]
+    global_best = eligible[select_best(eligible)]
     records = []
     for epoch in range(1, config.epochs + 1):
         parent, _ = tournament_step(pop, config.tournament_size, rng)
@@ -368,7 +401,7 @@ def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed
                 reward = unitary_reward(1.0 - parent.score, 1.0 - entry.score,
                                         config.alpha)
             else:
-                reward = qae_reward(parent.score, entry.score, config.reward_sign)
+                reward = qae_reward(parent.score, entry.score)
             children.append((rot_a, ent_a, reward, entry))
         total = None
         for rot_a, ent_a, reward, _ in children:
@@ -383,7 +416,8 @@ def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed
             controller, adam = adam_step(controller, total, adam)
         scored = [entry for *_, entry in children
                   if eval_soft_constraint(constraint, entry.cell)]
-        best_child = max(scored or [parent], key=lambda e: e.score)
+        candidates = scored or [parent]
+        best_child = candidates[select_best(candidates)]
         pop.append(best_child)
         if best_child.score > global_best.score:
             global_best = best_child
@@ -429,9 +463,9 @@ class TestSharedForward:
                               r.n_scored, r.n_admissible] for r in recs])
 
         assert np.array_equal(table(result.epochs), table(records))
-        assert result.best_cell == best.cell
-        assert np.array_equal(result.theta, best.theta)
-        assert result.score == best.score
+        assert result.best.cell == best.cell
+        assert np.array_equal(result.best.theta, best.theta)
+        assert result.best.score == best.score
         # the policy was trained, so the comparison covers the gradients too;
         # one summed backward adds the children's floats in another order
         assert any(not np.array_equal(controller.tensors[k], ref_controller.tensors[k])

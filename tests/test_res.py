@@ -111,7 +111,7 @@ class TestResSearch:
                            constraint=SoftConstraint("n_layers", 1),
                            layer_budget_per_phase=1, max_phases=5)
         result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 0)
-        assert metrics(result.best_cell).n_layers <= 1
+        assert metrics(result.best.cell).n_layers <= 1
 
     def test_solves_match_h_within_two_phases(self):
         task = h_target_task()
@@ -132,7 +132,7 @@ class TestResSearch:
                            constraint=SoftConstraint("n_layers", 2),
                            max_phases=2)
         result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 1)
-        assert 1.0 - result.score <= 1e-3
+        assert 1.0 - result.best.score <= 1e-3
 
     def test_returned_cell_satisfies_constraint(self):
         targets = gen_hidden_targets(3, "dense", 3, 3, seed=5)
@@ -140,7 +140,7 @@ class TestResSearch:
         for target in targets:
             config = ResConfig(population_size=8, constraint=constraint, max_phases=3)
             result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 2)
-            assert eval_soft_constraint(constraint, result.best_cell)
+            assert eval_soft_constraint(constraint, result.best.cell)
 
     def test_deterministic_given_seed(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=9)[0]
@@ -148,8 +148,8 @@ class TestResSearch:
         config = ResConfig(population_size=6, max_phases=3)
         a = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
         b = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
-        assert a.best_cell == b.best_cell
-        assert a.score == b.score
+        assert a.best.cell == b.best.cell
+        assert a.best.score == b.best.score
         assert [vars(p) for p in a.phases] == [vars(p) for p in b.phases]
 
     def test_trace_phases_are_sequential(self):
@@ -158,13 +158,13 @@ class TestResSearch:
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 5)
         phases = [p.phase for p in result.phases]
         assert phases == list(range(1, len(phases) + 1))
-        assert all(p.evals <= config.population_size for p in result.phases)
+        assert all(p.n_scored <= config.population_size for p in result.phases)
 
     def test_global_best_never_below_phase_one(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=12)[0]
         config = ResConfig(population_size=6, max_phases=4)
         result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 6)
-        assert result.score >= result.phases[0].best_score - 1e-12
+        assert result.best.score >= result.phases[0].best_score - 1e-12
 
     @pytest.mark.parametrize("space, quantity, bound", [
         (SPACE_CLIFFORD, "n_gates", 3), ({"CNOT"}, "n_gates", 2), ({"CNOT"}, "n_layers", 2),
@@ -187,15 +187,15 @@ class TestResSearch:
         monkeypatch.setattr(qcas.res, "expand_cell", counted)
         result = res_search(task, space, config, FAST_OPT, 3)
         assert len(result.phases) < config.max_phases
-        assert not can_grow(result.best_cell, space, constraint)
+        assert not can_grow(result.best.cell, space, constraint)
         assert all(can_grow(seed, space, constraint) for seed in seeds)
         grown = len(seeds)
         monkeypatch.setattr(qcas.res, "can_grow", lambda *args: True)
         drained = res_search(task, space, config, FAST_OPT, 3)
         cap = (config.population_size - 1) * 100
-        assert seeds[grown:] == seeds[:grown] + [result.best_cell] * cap
-        assert (drained.best_cell, drained.score) == (result.best_cell, result.score)
-        assert np.array_equal(drained.theta, result.theta)
+        assert seeds[grown:] == seeds[:grown] + [result.best.cell] * cap
+        assert (drained.best.cell, drained.best.score) == (result.best.cell, result.best.score)
+        assert np.array_equal(drained.best.theta, result.best.theta)
         assert [vars(p) for p in drained.phases] == [vars(p) for p in result.phases]
         assert [(c, list(t), s) for c, t, s in drained.population] == [
             (c, list(t), s) for c, t, s in result.population]

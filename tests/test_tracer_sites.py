@@ -106,9 +106,9 @@ def test_tracer_installs_on_every_site_and_uninstalls():
         tracer.uninstall()
     assert all(a is b for a, b in zip(site_values(mods), before))
     names = [tracer.names[span[0]] for span in tracer.spans]
-    res_evals = sum(phase["evals"] for phase in record["trace"]["res"])
+    res_scored = sum(phase["n_scored"] for phase in record["trace"]["res"])
     relm_scored = sum(epoch["n_scored"] for epoch in record["trace"]["relm"])
-    assert names.count("optim.score_cell") == res_evals + relm_scored
+    assert names.count("optim.score_cell") == res_scored + relm_scored
 
 
 def test_res_initialised_relm_scores_through_the_sites(score_calls):
@@ -116,8 +116,8 @@ def test_res_initialised_relm_scores_through_the_sites(score_calls):
     res_phases, epochs = record["trace"]["res"], record["trace"]["relm"]
     assert len(epochs) == config["relm"]["epochs"]
     # the RES population covers RELM's, so no random top-up is scored
-    assert res_phases[0]["evals"] >= config["relm"]["population_size"]
-    assert len(score_calls) == (sum(phase["evals"] for phase in res_phases)
+    assert res_phases[0]["n_scored"] >= config["relm"]["population_size"]
+    assert len(score_calls) == (sum(phase["n_scored"] for phase in res_phases)
                                 + sum(epoch["n_scored"] for epoch in epochs))
 
 
