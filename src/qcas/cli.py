@@ -1,5 +1,7 @@
 """Seeded experiment driver: config parsing, run orchestration, persistent
-run records and CSV export.
+run records and CSV export.  What each task kind is (its keys, dataset, task,
+test protocol and default gate space) lives in `qcas.tasks`; this module
+reaches it only through `build_task` and `default_space`.
 
 Configs are YAML documents (schema below); run records are JSON written
 atomically.  Any config key can be overridden through environment variables
@@ -49,7 +51,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -59,22 +61,7 @@ from .cell import (Cell, SoftConstraint, build_vocab, cell_from_dict, cell_to_ci
 from .optim import OptBudget, check_choice, check_range
 from .relm import RelmConfig, init_population, relm_search
 from .res import ResConfig, res_search
-from .sim import SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD
-from .tasks import (
-    IMAGE_DATASETS,
-    RsConfig,
-    TaskConfig,
-    evaluate_qae_test,
-    gen_hidden_targets,
-    gen_noise_dataset,
-    gen_state_compress_dataset,
-    logfidelity,
-    make_denoise_task,
-    make_image_task,
-    make_state_compress_task,
-    random_search,
-    UnitaryRegenTask,
-)
+from .tasks import RsConfig, TaskConfig, build_task, default_space, random_search
 
 ENV_PREFIX = "QCAS_"
 RECORD_FORMAT_VERSION = 1
@@ -211,82 +198,6 @@ def _validate(config: dict):
         if relm_cfg.max_seq < most:
             raise ConfigError(f"relm.max_seq must be >= {most}, the most rotations RES "
                               f"can put on one qubit, got {relm_cfg.max_seq}")
-
-
-# ---------------------------------------------------------------------------
-# Task construction
-# ---------------------------------------------------------------------------
-
-
-def default_space(task_cfg: dict):
-    if task_cfg["kind"] == "unitary_regen":
-        if task_cfg["subtask"] == "single":
-            return sorted(SPACE_SINGLE_CLIFFORD)
-        return sorted(SPACE_CLIFFORD)
-    return sorted(SPACE_GENERIC)
-
-
-@dataclass
-class BuiltTask:
-    task: object
-    evaluate: object  # record-ready test metrics for (circuit, theta)
-    dataset: object  # () -> JSON document of the dataset the task is built from
-
-
-def build_task(task_cfg: dict, seed: int) -> BuiltTask:
-    """The task of a config at a seed; searches and `gen-data` both take
-    their dataset from here, so they always see the same one."""
-    kind = task_cfg["kind"]
-    if kind == "denoise":
-        dataset = gen_noise_dataset(task_cfg["noise"], seed=seed)
-        task = make_denoise_task(dataset, cost_mode=task_cfg["cost_mode"])
-
-        def evaluate(circuit, theta):
-            return {"per_p": {str(p): list(evaluate_qae_test(circuit, theta, task, cols))
-                              for p, cols in sorted(dataset.test.items())}}
-
-        return BuiltTask(task, evaluate, lambda: {
-            "noise": dataset.kind, "p_train": dataset.p_train,
-            "train": _cols_to_list(dataset.train), "val": _cols_to_list(dataset.val),
-            "test": {str(p): _cols_to_list(c) for p, c in sorted(dataset.test.items())}})
-    if kind == "image":
-        images = IMAGE_DATASETS[task_cfg["dataset"]](seed)
-        task, test_cols = make_image_task(images, n_trash=task_cfg["n_trash"], seed=seed,
-                                          cost_mode=task_cfg["cost_mode"])
-
-        def evaluate(circuit, theta):
-            mean, std = evaluate_qae_test(circuit, theta, task, test_cols)
-            return {"test_mean_fidelity": mean, "test_std_fidelity": std}
-
-        return BuiltTask(task, evaluate, lambda: {
-            "name": images.name, "images": images.images.tolist(),
-            "labels": images.labels.tolist()})
-    if kind == "state_compress":
-        dataset = gen_state_compress_dataset(seed)
-        task = make_state_compress_task(dataset, cost_mode=task_cfg["cost_mode"])
-
-        def evaluate(circuit, theta):
-            mean, std = evaluate_qae_test(circuit, theta, task, dataset.test)
-            return {"test_mean_fidelity": mean, "test_std_fidelity": std,
-                    "test_logfidelity": logfidelity(mean)}
-
-        return BuiltTask(task, evaluate, lambda: {
-            "train": _cols_to_list(dataset.train), "test": _cols_to_list(dataset.test)})
-    # unitary_regen
-    target = gen_hidden_targets(task_cfg["n_qubits"], task_cfg["subtask"],
-                                task_cfg["layers"], 1, seed)[0]
-    task = UnitaryRegenTask(target)
-
-    def evaluate(circuit, theta):
-        loss = task.training_cost(circuit, theta)
-        return {"loss": loss, "fidelity": 1.0 - loss}
-
-    return BuiltTask(task, evaluate, lambda: {
-        "targets": [_cols_to_list(target.evolved[:, None])]})
-
-
-def _cols_to_list(cols: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in col] for col in np.asarray(cols).T]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,10 @@ def qae_reward(f_parent: float, f_child: float) -> float:
 
 
 def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
-    """tan(alpha * (L_child - L_parent) * pi/2) with a clamped argument."""
+    """tan(alpha * (L_child - L_parent) * pi/2) with a clamped argument.  Its
+    sign follows the loss: a child with a higher loss than its parent (a worse
+    child) gets a positive reward, unlike `qae_reward`, which rewards a worse
+    child negatively."""
     return _clamped_tan(alpha * (l_child - l_parent) * math.pi / 2.0)
 
 

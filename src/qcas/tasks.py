@@ -1,6 +1,10 @@
 """Benchmark tasks: dataset generators, cost functions, baseline circuits and
 evaluation protocols for denoising, image compression, pure-state compression
-and unitary regeneration.
+and unitary regeneration.  This module owns what a task kind of a run config
+is: `TASK_KINDS` and `TaskConfig` say which keys each kind reads, and
+`build_task` builds a kind's task with its test protocol and dataset
+document; `default_space` is the gate space a kind searches when the config
+names none.
 
 Tasks expose `training_cost(circuit, theta)` (minimizable, in [0, 1]) and
 `validation_score(circuit, theta)` (higher is better); the search algorithms
@@ -23,8 +27,9 @@ import numpy as np
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
 from .optim import OptBudget, check_choice, check_int, check_range, score_cell, stream
-from .sim import (Circuit, amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary,
-                  gate, ghz_state)
+from .sim import (SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD, Circuit,
+                  amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary, gate,
+                  ghz_state)
 
 DEFAULT_P_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 NOISE_KINDS = ("bitflip", "qdc")
@@ -411,11 +416,6 @@ def make_image_task(dataset: ImageDataset, n_trash: int = 1, seed: int = 0,
     return task, test
 
 
-def make_state_compress_task(dataset: StateCompressDataset,
-                             cost_mode: str = "trash") -> QaeTask:
-    return QaeTask(4, 2, dataset.train, dataset.test, cost_mode=cost_mode)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation protocols and baselines
 # ---------------------------------------------------------------------------
@@ -439,6 +439,11 @@ def baseline_circuit(kind: str, n_qubits: int) -> Circuit:
         block = [gate("RY", q) for q in range(n)] + [gate("CNOT", q, q + 1) for q in range(n - 1)]
         return Circuit(n, block * 5)
     raise ValueError(f"no baseline defined for task kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Task kinds of a run config
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -469,6 +474,84 @@ class TaskConfig:
         elif self.kind == "unitary_regen":
             check_range("n_qubits", self.n_qubits, *REGEN_QUBITS)
             check_range("layers", self.layers, *REGEN_LAYERS)
+
+
+def default_space(task_cfg: dict):
+    if task_cfg["kind"] == "unitary_regen":
+        if task_cfg["subtask"] == "single":
+            return sorted(SPACE_SINGLE_CLIFFORD)
+        return sorted(SPACE_CLIFFORD)
+    return sorted(SPACE_GENERIC)
+
+
+@dataclass
+class BuiltTask:
+    task: object
+    evaluate: object  # record-ready test metrics for (circuit, theta)
+    dataset: object  # () -> JSON document of the dataset the task is built from
+
+
+def build_task(task_cfg: dict, seed: int) -> BuiltTask:
+    """The task of a config's task section at a seed, with its test protocol
+    and its dataset document; searches, `eval` and `gen-data` all take their
+    task from here, so they always see the same dataset."""
+    kind = task_cfg["kind"]
+    if kind == "denoise":
+        dataset = gen_noise_dataset(task_cfg["noise"], seed=seed)
+        task = make_denoise_task(dataset, cost_mode=task_cfg["cost_mode"])
+
+        def evaluate(circuit, theta):
+            return {"per_p": {str(p): list(evaluate_qae_test(circuit, theta, task, cols))
+                              for p, cols in sorted(dataset.test.items())}}
+
+        return BuiltTask(task, evaluate, lambda: {
+            "noise": dataset.kind, "p_train": dataset.p_train,
+            "train": _cols_to_list(dataset.train), "val": _cols_to_list(dataset.val),
+            "test": {str(p): _cols_to_list(c) for p, c in sorted(dataset.test.items())}})
+    if kind == "image":
+        images = IMAGE_DATASETS[task_cfg["dataset"]](seed)
+        task, test_cols = make_image_task(images, n_trash=task_cfg["n_trash"], seed=seed,
+                                          cost_mode=task_cfg["cost_mode"])
+
+        def evaluate(circuit, theta):
+            mean, std = evaluate_qae_test(circuit, theta, task, test_cols)
+            return {"test_mean_fidelity": mean, "test_std_fidelity": std}
+
+        return BuiltTask(task, evaluate, lambda: {
+            "name": images.name, "images": images.images.tolist(),
+            "labels": images.labels.tolist()})
+    if kind == "state_compress":
+        dataset = gen_state_compress_dataset(seed)
+        # the dataset has no validation split: the test states select the cell
+        task = QaeTask(4, 2, dataset.train, dataset.test, cost_mode=task_cfg["cost_mode"])
+
+        def evaluate(circuit, theta):
+            mean, std = evaluate_qae_test(circuit, theta, task, dataset.test)
+            return {"test_mean_fidelity": mean, "test_std_fidelity": std,
+                    "test_logfidelity": logfidelity(mean)}
+
+        return BuiltTask(task, evaluate, lambda: {
+            "train": _cols_to_list(dataset.train), "test": _cols_to_list(dataset.test)})
+    # unitary_regen
+    target = gen_hidden_targets(task_cfg["n_qubits"], task_cfg["subtask"],
+                                task_cfg["layers"], 1, seed)[0]
+    task = UnitaryRegenTask(target)
+
+    def evaluate(circuit, theta):
+        loss = task.training_cost(circuit, theta)
+        return {"loss": loss, "fidelity": 1.0 - loss}
+
+    return BuiltTask(task, evaluate, lambda: {
+        "targets": [_cols_to_list(target.evolved[:, None])]})
+
+
+def _cols_to_list(cols: np.ndarray):
+    return [[[float(v.real), float(v.imag)] for v in col] for col in np.asarray(cols).T]
+
+
+# ---------------------------------------------------------------------------
+# Random-search baseline
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

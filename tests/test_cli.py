@@ -21,7 +21,7 @@ from qcas.optim import OptBudget
 from qcas.relm import RelmConfig
 from qcas.res import ResConfig
 from qcas.sim import GATE_KINDS, Circuit, circuit_unitary, gate
-from qcas.tasks import RsConfig, TaskConfig, gen_hidden_targets
+from qcas.tasks import TASK_KINDS, RsConfig, TaskConfig, gen_hidden_targets
 
 from qcas.cli import (
     DEFAULT_CONFIG,
@@ -262,8 +262,9 @@ class TestParseConfig:
         def unexpected(*args, **kwargs):
             raise AssertionError("a task was built at parse time")
 
-        for name in ("build_task", "make_image_task", "gen_hidden_targets"):
-            monkeypatch.setattr(qcas.cli, name, unexpected)
+        monkeypatch.setattr(qcas.cli, "build_task", unexpected)
+        for name in ("make_image_task", "gen_hidden_targets"):
+            monkeypatch.setattr(qcas.tasks, name, unexpected)
         monkeypatch.setattr(qcas.tasks, "encode_images", unexpected)
         for task in ({"kind": "image", "n_trash": 4},
                      {"kind": "image", "dataset": "tetris", "n_trash": 3},
@@ -271,12 +272,25 @@ class TestParseConfig:
             assert parse_config({"task": task}, environ={})["task"]["kind"] == task["kind"]
 
 
+# the record `test` keys of each task kind's test protocol
+TEST_KEYS = {
+    "denoise": {"per_p"},
+    "image": {"test_mean_fidelity", "test_std_fidelity"},
+    "state_compress": {"test_mean_fidelity", "test_std_fidelity", "test_logfidelity"},
+    "unitary_regen": {"loss", "fidelity"},
+}
+
+
 class TestBuildTask:
-    def test_unitary_regen(self):
-        built = build_task(parse_config(FAST, environ={})["task"], seed=1)
-        assert built.task.n_qubits == 2
-        out = built.evaluate(Circuit(2), np.zeros(0))
-        assert set(out) == {"loss", "fidelity"}
+    @pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+    def test_evaluate_and_dataset(self, kind):
+        built = build_task(parse_config({"task": {"kind": kind}}, environ={})["task"], seed=1)
+        n = built.task.n_qubits
+        out = built.evaluate(Circuit(n), np.zeros(0))
+        assert set(out) == TEST_KEYS[kind]
+        if kind == "denoise":
+            assert len(out["per_p"]) == 11
+        json.dumps(built.dataset())
 
     def test_state_compress(self):
         cfg = parse_config({"task": {"kind": "state_compress"}}, environ={})

@@ -36,7 +36,6 @@ from qcas.tasks import (
     logfidelity,
     make_denoise_task,
     make_image_task,
-    make_state_compress_task,
     random_search,
 )
 

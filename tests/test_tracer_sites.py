@@ -1,15 +1,21 @@
 """The benchmark's hooks into qcas: every site that perfbench/tracing.py wraps
 resolves, every cell a search scores goes through one of the three
 module-level `score_cell` names that the tracer and perfbench/setup_probe.py
-patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), the
-benchmark's self-test of its output checks passes on this qcas, the
-program's scores of parametric cells agree with the benchmark's oracle,
-every algorithm's runs pass the benchmark's checks, and every config that
-the benchmark and tests/digests.py search with parses."""
+patch (`res.score_cell`, `relm.score_cell`, `tasks.score_cell`), every
+run builds its task through `cli.build_task`, which setup_probe.py times,
+the probe itself runs, the benchmark's self-test of its output checks
+passes on this qcas, the program's scores of parametric cells agree with
+the benchmark's oracle, every algorithm's runs pass the benchmark's checks,
+and every config that the benchmark and tests/digests.py search with
+parses."""
 
 import importlib
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcas.cli
 import qcas.relm
 import qcas.res
 import qcas.tasks
@@ -109,6 +116,7 @@ def test_tracer_installs_on_every_site_and_uninstalls():
     res_scored = sum(phase["n_scored"] for phase in record["trace"]["res"])
     relm_scored = sum(epoch["n_scored"] for epoch in record["trace"]["relm"])
     assert names.count("optim.score_cell") == res_scored + relm_scored
+    assert names.count("cli.build_task") == 1  # TINY has one seed
 
 
 def test_res_initialised_relm_scores_through_the_sites(score_calls):
@@ -131,6 +139,19 @@ def test_random_search_initialised_relm_scores_through_the_sites(score_calls):
 def test_random_search_scores_through_the_sites(score_calls):
     config, _ = search("rs")
     assert len(score_calls) == config["rs"]["budget_evals"]
+
+
+def test_setup_probe_reports_its_phases():
+    """setup_probe.py, which `setup_s` launches, times `cli.build_task`: the
+    name through which the runner reaches `tasks.build_task`."""
+    assert qcas.cli.build_task is qcas.tasks.build_task
+    config = workloads.search_config("denoise-relm", 1000)
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    probe = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), json.dumps(config)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    phases = json.loads(probe.stdout.splitlines()[-1])
+    assert {"import_s", "build_task_s", "first_score_s"} <= set(phases)
 
 
 def test_benchmark_selftest_passes(monkeypatch):
