@@ -148,9 +148,8 @@ def random_cell(space, n_qubits: int, rng: np.random.Generator, layer_budget: in
                 constraint: SoftConstraint):
     """Sample a fresh cell within `constraint`, or None: up to `layer_budget`
     rotations per qubit and at most one 2-qubit op per edge (each unordered
-    pair drawn with prob 1/2).  This is `expand_cell` of the empty cell."""
-    if layer_budget < 1:
-        raise ValueError("layer_budget must be >= 1")
+    pair drawn with prob 1/2), `layer_budget` >= 1 as every config checks.
+    This is `expand_cell` of the empty cell."""
     return expand_cell(_empty_cell(n_qubits), space, rng, layer_budget, constraint)
 
 
@@ -277,21 +276,13 @@ def encode_actions(cell: Cell, vocab: GateVocab, max_seq: int):
 
 def decode_actions(rot_actions: np.ndarray, ent_actions: np.ndarray,
                    vocab: GateVocab) -> Cell:
-    """Turn per-slot vocab indices back into a cell; NO_OP indices and the
-    (ignored) entanglement diagonal produce no gates."""
-    rot_actions = np.asarray(rot_actions, dtype=int)
-    ent_actions = np.asarray(ent_actions, dtype=int)
-    n = rot_actions.shape[0]
-    if ent_actions.shape != (n, n):
-        raise ValueError("entangle actions must be (n_qubits, n_qubits)")
-    if (rot_actions.max(initial=0) >= vocab.v_rot or ent_actions.max(initial=0) >= vocab.v_ent
-            or rot_actions.min(initial=0) < 0 or ent_actions.min(initial=0) < 0):
-        raise ValueError("action index out of vocab range")
+    """Turn one sample of `sample_actions`, whose ids lie in `vocab`, back into
+    a cell; NO_OP ids and the (ignored) entanglement diagonal produce no gates."""
     rot_kinds, ent_kinds = vocab.rotation_kinds, vocab.entangle_kinds
     node_ops = [[rot_kinds[idx] for idx in row if idx] for row in rot_actions.tolist()]
     edge_ops = [((c, t), (ent_kinds[idx],)) for c, row in enumerate(ent_actions.tolist())
                 for t, idx in enumerate(row) if idx and c != t]
-    return Cell(n, node_ops, edge_ops)
+    return Cell(len(node_ops), node_ops, edge_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -212,13 +212,10 @@ def _block_backward(dx2, cache, p, grads):
 
 
 def controller_forward(params: ControllerParams, rot_slots, ent_slots):
-    """Map a parent's action slots to per-slot logits over the two gate
-    vocabularies; returns ((rot_logits, ent_logits), cache)."""
+    """Map a parent's action slots, as `encode_actions` returns them, to per-slot
+    logits over the two gate vocabularies; returns ((rot_logits, ent_logits), cache)."""
     cfg = params.config
     p = params.tensors
-    if (np.shape(rot_slots) != (cfg.n_qubits, cfg.max_seq)
-            or np.shape(ent_slots) != (cfg.n_qubits, cfg.n_qubits)):
-        raise ValueError("action slot shapes do not match controller config")
     off_diagonal = ~np.eye(cfg.n_qubits, dtype=bool)  # the ordered pairs
     rot_onehots = np.eye(cfg.v_rot)[np.reshape(rot_slots, -1)]
     ent_onehots = np.eye(cfg.v_ent)[np.asarray(ent_slots)[off_diagonal]]
@@ -271,21 +268,21 @@ def controller_backward(params: ControllerParams, cache, d_rot_flat, d_ent_flat)
 # ---------------------------------------------------------------------------
 
 
-def sample_actions(rot_logits, ent_logits, rng: np.random.Generator, size=None):
-    """Per-slot categorical sample; returns the rotation and entanglement
-    action index tensors, led by an axis of `size` samples if size is given.
+def sample_actions(rot_logits, ent_logits, rng: np.random.Generator, size: int):
+    """`size` per-slot categorical samples; returns the rotation and
+    entanglement action index tensors, `(size, n, max_seq)` and `(size, n, n)`.
 
     The categorical sample is the Gumbel-max argmax, so the picks follow
-    softmax(logits), the policy that `reinforce_grads` differentiates.  The
-    entanglement diagonal is forced to NO_OP by the forward pass.  Sample j
-    reads row j of one Gumbel draw, rotation noise then entanglement noise:
-    the draws, and actions, of `size` calls one after another.
+    softmax(logits), the policy that `reinforce_grads` differentiates, and
+    every id lies in its vocabulary.  The entanglement diagonal is forced to
+    NO_OP by the forward pass.  Sample j reads row j of one Gumbel draw,
+    rotation noise then entanglement noise: the draws, and actions, of
+    `size` calls of size 1 one after another.
     """
-    lead = () if size is None else (size,)
     n_rot = rot_logits.size
-    gumbel = rng.gumbel(size=lead + (n_rot + ent_logits.size,))
-    gumbel_r = gumbel[..., :n_rot].reshape(lead + rot_logits.shape)
-    gumbel_e = gumbel[..., n_rot:].reshape(lead + ent_logits.shape)
+    gumbel = rng.gumbel(size=(size, n_rot + ent_logits.size))
+    gumbel_r = gumbel[:, :n_rot].reshape((size,) + rot_logits.shape)
+    gumbel_e = gumbel[:, n_rot:].reshape((size,) + ent_logits.shape)
     return (rot_logits + gumbel_r).argmax(axis=-1), (ent_logits + gumbel_e).argmax(axis=-1)
 
 
@@ -293,8 +290,6 @@ def _weighted_onehot_sum(actions, weights, size):
     """sum_j weights[j] * onehot(actions[j]) over the leading sample axis:
     one row of length `size` per action slot, each summed in sample order."""
     flat = actions.reshape(actions.shape[0], -1)
-    if flat.size and not 0 <= flat.min() <= flat.max() < size:
-        raise ValueError("action index out of range")
     slots = flat.shape[1]
     index = np.arange(slots) * size + flat
     w = np.broadcast_to(weights[:, None], flat.shape)
@@ -307,25 +302,19 @@ def reinforce_grads(params: ControllerParams, forward, rot_actions,
     """Gradients of -sum_j reward_j * log pi(actions_j | parent) for every tensor.
 
     `forward` is `controller_forward(params, *parent_slots)`; it is read, never
-    written, so many calls may share it.  Actions carry a leading sample
-    axis, `(B, n, max_seq)` and `(B, n, n)` with one reward per sample.  The
-    backward pass is linear in the logit gradients, so the summed gradient
-    takes one backward of `sum_j reward_j * (softmax - onehot(action_j))`.
+    written, so many calls may share it.  The actions are rows of one
+    `sample_actions` batch from its logits, with `reward` a float array of
+    one reward per row.  The backward pass is linear in the logit gradients,
+    so the summed gradient takes one backward of
+    `sum_j reward_j * (softmax - onehot(action_j))`.
     """
     cfg = params.config
     (rot_logits, ent_logits), cache = forward
-    rot_actions = np.asarray(rot_actions, dtype=int)
-    ent_actions = np.asarray(ent_actions, dtype=int)
-    reward = np.asarray(reward, dtype=float)
-    n, b = cfg.n_qubits, len(rot_actions)
-    if (reward.shape != (b,) or rot_actions.shape != (b, n, cfg.max_seq)
-            or ent_actions.shape != (b, n, n)):
-        raise ValueError("action and reward shapes do not match the controller config")
     # d(-logprob)/dlogits = softmax - onehot(action), scaled by reward
     total = reward.sum()
     d_rot = total * _softmax(rot_logits) - _weighted_onehot_sum(rot_actions, reward, cfg.v_rot)
     d_ent = total * _softmax(ent_logits) - _weighted_onehot_sum(ent_actions, reward, cfg.v_ent)
-    off_diagonal = ~np.eye(n, dtype=bool)  # the controller's ordered pairs
+    off_diagonal = ~np.eye(cfg.n_qubits, dtype=bool)  # the controller's ordered pairs
     return controller_backward(params, cache, d_rot.reshape(cfg.n_rot_tokens, cfg.v_rot),
                                d_ent[off_diagonal])
 
@@ -346,11 +335,9 @@ class AdamState:
 def adam_step(params: ControllerParams, grads: dict, state: AdamState):
     """One bias-corrected Adam update of all tensors as one flat vector, each
     value that of a per-tensor update as every operation is elementwise:
-    returns new params, views of one new array, and `state` updated in place."""
+    returns new params, views of one new array, and `state` updated in place.
+    `grads` is as `reinforce_grads` returns it, one per tensor."""
     tensors = params.tensors
-    if grads.keys() != tensors.keys() or any(grads[name].shape != t.shape
-                                             for name, t in tensors.items()):
-        raise ValueError("gradients do not match the parameter tensors")
     g = np.concatenate([grads[name].ravel() for name in tensors])
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)

@@ -6,13 +6,13 @@ only rely on the derivative-free minimization contract.
 
 `_nelder_mead` is a port of SciPy 1.17's `_minimize_neldermead` with
 ``adaptive=True`` (Nelder & Mead 1965; adaptive parameters of Gao & Han,
-Comput. Optim. Appl. 51, 2012), cut down to the one path qcas uses: no
-bounds, no callback, no iteration cap, an evaluation budget and absolute
-x/f tolerances.  It performs SciPy's arithmetic in SciPy's order, with its
-reductions, sorts and gathers through equivalent ndarray methods, so it
-returns the same points, costs, evaluation counts and success flags bit for
-bit, and importing qcas does not import SciPy's optimize package, which
-alone took longer to import than the rest of qcas.
+Comput. Optim. Appl. 51, 2012), cut down to the one path qcas uses: a 1-D
+float start, no bounds, no callback, no iteration cap, an evaluation budget
+and absolute x/f tolerances.  It performs SciPy's arithmetic in SciPy's
+order, with its reductions, sorts and gathers through equivalent ndarray
+methods, so it returns the same points, costs, evaluation counts and success
+flags bit for bit, and importing qcas does not import SciPy's optimize
+package, which alone took longer to import than the rest of qcas.
 
 `OptResult.converged` means that some restart met both tolerances before
 the evaluation budget ran out.
@@ -105,8 +105,8 @@ class _BudgetSpent(RuntimeError):
 
 
 def _nelder_mead(func, x0, maxfev, xatol, fatol):
-    """Adaptive Nelder-Mead from `x0`; returns (x, fun, nfev, success, f0),
-    with f0 the cost of `x0`, the first vertex it evaluates.
+    """Adaptive Nelder-Mead from `x0`, a 1-D float array; returns (x, fun,
+    nfev, success, f0), with f0 the cost of `x0`, the first vertex it evaluates.
 
     `func` maps a float vector to a float.  `success` is ``nfev < maxfev``:
     the simplex met both tolerances with budget to spare.  An evaluation
@@ -114,9 +114,6 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
     included, as in SciPy.  The same arithmetic in the same order, with
     reductions, sorts and gathers through equivalent ndarray methods.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.ndim != 1:
-        raise ValueError("'x0' must only have one dimension.")
     N = len(x0)
 
     dim = float(N)
@@ -227,10 +224,9 @@ def _nelder_mead(func, x0, maxfev, xatol, fatol):
 
 def minimize(cost, theta0, budget: OptBudget, rng: np.random.Generator) -> OptResult:
     """Derivative-free local minimization; never returns worse than theta0,
-    which has at least one parameter (`score_cell` fits no other).  The
-    first restart starts at theta0, and its first evaluation is theta0's
-    cost, so a tie with theta0 keeps theta0."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    a 1-D float array of at least one parameter (`score_cell` fits no
+    other).  The first restart starts at theta0, and its first evaluation is
+    theta0's cost, so a tie with theta0 keeps theta0."""
     f = _guard(cost)
     max_evals = budget.evals_for(theta0.size)
     best_theta = theta0.copy()
@@ -292,15 +288,15 @@ def score_cell(cell, task, budget: OptBudget, make_rng,
     and return it scored on validation.
 
     Validation score is the task's own figure of merit (higher is better).
-    `theta_init` warm-starts the optimizer when its shape matches.
+    A cell whose width is not the task's fails in the simulator kernel, whose
+    ValueError names both widths.  `theta_init` warm-starts the optimizer
+    when its shape matches.
     `make_rng()` returns the Generator that the fit draws its random starts
     from; only a cell with parameters calls it, so a parameter-free one builds none.
     """
     from .cell import cell_to_circuit  # imported here, as qcas.cell imports this module
 
     circuit = cell_to_circuit(cell)
-    if circuit.n_qubits != task.n_qubits:
-        raise ValueError("cell width does not match task width")
     n = circuit.n_params
     if n == 0:
         theta = np.zeros(0)

@@ -131,12 +131,11 @@ def init_population(task, space, config: RelmConfig, res_config: ResConfig,
 
 def tournament_step(pop: list, k: int, rng: np.random.Generator):
     """Sample k members without replacement; drop the worst from the
-    population, return (best entry, removed worst entry).
+    population, return (best entry, removed worst entry).  With fewer than k
+    members, numpy's `choice` rejects the draw and the population is left as it was.
 
     Aging evolution removes the oldest member instead; removing the worst is
     a documented deviation of this implementation."""
-    if len(pop) < k:
-        raise ValueError("population smaller than tournament size")
     idx = rng.choice(len(pop), size=k, replace=False)
     best = pop[max(idx, key=lambda i: pop[i].score)]
     worst = pop.pop(min(idx, key=lambda i: pop[i].score))

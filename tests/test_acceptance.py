@@ -173,10 +173,10 @@ def test_criterion_05_controller_gradient_check():
         slots = encode_actions(cell, vocab, config.max_seq)
         rng = np.random.default_rng(505)
         rot_logits, ent_logits = controller_forward(params, *slots)[0]
-        rot_a, ent_a = sample_actions(rot_logits, ent_logits, rng=rng)
+        rot_a, ent_a = (a[0] for a in sample_actions(rot_logits, ent_logits, rng=rng, size=1))
         reward = 0.8
         grads = reinforce_grads(params, controller_forward(params, *slots),
-                                rot_a[None], ent_a[None], [reward])
+                                rot_a[None], ent_a[None], np.array([reward]))
         step = 1e-5
         worst = 0.0
         for _ in range(100):

@@ -448,17 +448,6 @@ class TestDecodeActions:
         cell = decode_actions(np.zeros((2, 2), dtype=int), ent, self.VOCAB)
         assert all(c != t for (c, t), _ in cell.edge_ops)
 
-    def test_out_of_range_action_rejected(self):
-        with pytest.raises(ValueError):
-            decode_actions(np.full((2, 2), 99), np.zeros((2, 2), dtype=int),
-                           self.VOCAB)
-        with pytest.raises(ValueError):
-            decode_actions(np.full((2, 2), -1), np.zeros((2, 2), dtype=int),
-                           self.VOCAB)
-        with pytest.raises(ValueError):
-            decode_actions(np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int),
-                           self.VOCAB)
-
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(space=st.sampled_from([SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC]),
            n=st.integers(1, 5), max_seq=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))

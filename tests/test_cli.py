@@ -581,6 +581,7 @@ class TestMain:
         ("relm", "alpha: .nan", "relm.alpha"),
         ("relm", "max_seq: 0", "relm.max_seq"),
         ("relm", "max_seq: 1", "relm.layer_budget"),
+        ("relm", "layer_budget: 0", "relm.layer_budget"),
         ("relm", "ff_dim: 2.5", "relm.ff_dim"),
         ("res", "layer_budget_per_phase: 0", "res.layer_budget_per_phase"),
         ("res", "layer_budget_per_phase: x", "res.layer_budget_per_phase"),

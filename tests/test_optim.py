@@ -60,7 +60,7 @@ class TestBudget:
 
 class TestMinimize:
     def test_quadratic(self):
-        result = minimize(lambda th: (th[0] - 2.0) ** 2, [0.0], OptBudget(),
+        result = minimize(lambda th: (th[0] - 2.0) ** 2, np.array([0.0]), OptBudget(),
                           np.random.default_rng(0))
         assert abs(result.theta_star[0] - 2.0) < 1e-4
 
@@ -71,7 +71,7 @@ class TestMinimize:
             out = apply_circuit_columns(circ, th, basis_state(1)[:, None])[:, 0]
             return 1.0 - abs(out[1]) ** 2
 
-        result = minimize(cost, [0.1], OptBudget(), np.random.default_rng(0))
+        result = minimize(cost, np.array([0.1]), OptBudget(), np.random.default_rng(0))
         assert abs(abs(result.theta_star[0]) - math.pi) < 1e-3
 
     def test_rosenbrock(self):
@@ -83,7 +83,7 @@ class TestMinimize:
         best = min(rosen((a, b)) for a in grid for b in grid)
         assert best >= 0.0 and rosen((1.0, 1.0)) == 0.0
 
-        result = minimize(rosen, [-1.0, 1.0], OptBudget(max_evals=2000, restarts=1),
+        result = minimize(rosen, np.array([-1.0, 1.0]), OptBudget(max_evals=2000, restarts=1),
                           np.random.default_rng(0))
         assert result.cost <= 1e-3
         assert result.evals_used <= 2001
@@ -104,7 +104,7 @@ class TestMinimize:
                 return float("nan")
             return th[0] ** 2
 
-        result = minimize(spiky, [0.5], OptBudget(max_evals=200),
+        result = minimize(spiky, np.array([0.5]), OptBudget(max_evals=200),
                           np.random.default_rng(0))
         assert math.isfinite(result.cost)
 
@@ -112,8 +112,8 @@ class TestMinimize:
         def f(th):
             return float(np.sum((th - 1.3) ** 2))
 
-        a = minimize(f, [0.0, 0.0], OptBudget(), np.random.default_rng(9))
-        b = minimize(f, [0.0, 0.0], OptBudget(), np.random.default_rng(9))
+        a = minimize(f, np.array([0.0, 0.0]), OptBudget(), np.random.default_rng(9))
+        b = minimize(f, np.array([0.0, 0.0]), OptBudget(), np.random.default_rng(9))
         assert np.array_equal(a.theta_star, b.theta_star)
         assert a.cost == b.cost
 
@@ -250,7 +250,7 @@ class TestNelderMeadAgainstScipy:
     def test_all_infinite_costs_warn_nothing(self):
         # the collapsed 1-D simplex reaches the f test with inf - inf
         result = without_runtime_warnings(
-            minimize, lambda th: math.nan, [0.3],
+            minimize, lambda th: math.nan, np.array([0.3]),
             OptBudget(max_evals=50, x_tol=1e-2, restarts=1), np.random.default_rng(0))
         assert result.cost == math.inf
 
@@ -306,7 +306,7 @@ class TestScoreCell:
         assert abs(theta[0]) < 1.0  # stayed near the warm start, not a random angle
 
     def test_width_mismatch_rejected(self, clean_task):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="columns have 8 rows, but a 2-qubit circuit needs 4"):
             score_cell(Cell(2), clean_task, OptBudget(), lambda: np.random.default_rng(0))
 
 
@@ -496,7 +496,8 @@ class TestEvaluationAccounting:
 
         budget = OptBudget(max_evals=max_evals, restarts=restarts)
         calls, oracle_calls = [], []
-        result = minimize(counting(calls), [1.0, -0.5], budget, np.random.default_rng(3))
+        result = minimize(counting(calls), np.array([1.0, -0.5]), budget,
+                          np.random.default_rng(3))
         _, _, oracle_evals, _ = scipy_reference_minimize(
             counting(oracle_calls), [1.0, -0.5], budget, np.random.default_rng(3))
         assert result.converged is converged

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import UNBOUNDED, action_logprob
 
 import qcas.relm
@@ -18,6 +20,7 @@ from qcas.cell import (
     encode_actions,
     eval_soft_constraint,
     metrics,
+    random_cell,
     select_best,
 )
 from qcas.controller import (
@@ -180,6 +183,40 @@ class TestMutate:
         logprob = action_logprob(*forward[0], rot_actions[0], ent_actions[0])
         assert logprob <= 0.0
         assert math.isfinite(logprob)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), max_seq=st.integers(1, 8),
+           space=st.sampled_from([SPACE_GENERIC, SPACE_CLIFFORD]),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1e6),
+           batch=st.integers(1, 6))
+    def test_batch_stays_in_the_policy_shapes(self, n, max_seq, space, seed, scale, batch):
+        # what decoding and the policy update rely on without checking it:
+        # sampled ids lie in their vocabulary and the controller's shapes,
+        # even where logits scaled up to 1e6 saturate the softmax
+        vocab = build_vocab(space)
+        rng = np.random.default_rng(seed)
+        params = init_controller(
+            ControllerConfig(n_qubits=n, max_seq=max_seq, v_rot=vocab.v_rot,
+                             v_ent=vocab.v_ent, embed_dim=4, n_heads=2, n_blocks=1,
+                             ff_dim=8), rng)
+        params.tensors["W_out"] *= scale  # the logits are linear in W_out
+        parent = random_cell(space, n, rng, max_seq, UNBOUNDED)
+        forward = controller_forward(params, *encode_actions(parent, vocab, max_seq))
+        cells, rot, ent = mutate(forward, vocab, rng, batch)
+        assert rot.shape == (batch, n, max_seq) and ent.shape == (batch, n, n)
+        assert 0 <= rot.min() and rot.max() < vocab.v_rot
+        assert 0 <= ent.min() and ent.max() < vocab.v_ent
+        assert np.all(ent[:, np.arange(n), np.arange(n)] == 0)  # NO_OP
+        for child in cells:
+            assert isinstance(child, Cell) and child.n_qubits == n
+            assert all(len(ops) <= max_seq and set(ops) <= set(vocab.rotation_kinds[1:])
+                       for ops in child.node_ops)
+            assert all(set(ops) <= set(vocab.entangle_kinds[1:]) for _, ops in child.edge_ops)
+        grads = reinforce_grads(params, forward, rot, ent, rng.normal(size=batch))
+        assert grads.keys() == params.tensors.keys()
+        assert all(grads[k].shape == t.shape for k, t in params.tensors.items())
+        new, _ = adam_step(params, grads, AdamState(lr=1e-3))
+        assert all(new.tensors[k].shape == t.shape for k, t in params.tensors.items())
 
 
 class TestInitPopulation:
@@ -391,7 +428,8 @@ def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed
         slots = encode_actions(parent.cell, vocab, config.max_seq)
         children = []
         for j in range(config.batch_size):
-            rot_a, ent_a = sample_actions(*controller_forward(controller, *slots)[0], rng=rng)
+            rot_a, ent_a = (a[0] for a in sample_actions(
+                *controller_forward(controller, *slots)[0], rng=rng, size=1))
             child = decode_actions(rot_a, ent_a, vocab)
             entry = score_cell(child, task, opt_budget,
                                functools.partial(np.random.default_rng,
@@ -408,7 +446,7 @@ def reference_relm_search(task, config, pop, vocab, constraint, opt_budget, seed
             if reward != 0.0:
                 forward = controller_forward(controller, *slots)
                 grads = reinforce_grads(controller, forward, rot_a[None], ent_a[None],
-                                        [reward])
+                                        np.array([reward]))
                 total = grads if total is None else {k: total[k] + grads[k] for k in grads}
         if total is not None:
             for g in total.values():
