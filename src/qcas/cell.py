@@ -60,15 +60,17 @@ class GateVocab:
 
 
 def build_vocab(space) -> GateVocab:
-    """Deterministic id assignment: NO_OP at 0, then kinds sorted by name."""
-    space = frozenset(space)
-    if not space:
+    """The vocabulary of a gate space, the one form in which a run's space
+    reaches the samplers and searches: NO_OP at 0, then each category's kinds
+    sorted by name, so the order and repeats of `space` do not matter.  An
+    empty space or an unknown kind is a ValueError that names it."""
+    kinds = set(space)
+    if not kinds:
         raise ValueError("gate space must be nonempty")
-    unknown = space - set(GATE_KINDS)
-    if unknown:
+    if unknown := kinds - set(GATE_KINDS):
         raise ValueError(f"unknown gate kinds: {sorted(unknown)}")
-    rot, ent = _space_kinds(space)
-    return GateVocab((NO_OP, *rot), (NO_OP, *ent))
+    return GateVocab(*((NO_OP, *sorted(t for t in kinds if GATE_KINDS[t].arity == arity))
+                       for arity in (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +138,13 @@ def _edges(n: int) -> frozenset:
     return frozenset((c, t) for c in range(n) for t in range(n) if c != t)
 
 
-@lru_cache(maxsize=64)
-def _space_kinds(space: frozenset) -> tuple[tuple, tuple]:
-    """The rotation kinds and the 2-qubit kinds of a gate space, each sorted."""
-    rot = tuple(sorted(t for t in space if GATE_KINDS[t].arity == 1))
-    ent = tuple(sorted(t for t in space if GATE_KINDS[t].arity == 2))
-    return rot, ent
-
-
-def random_cell(space, n_qubits: int, rng: np.random.Generator, layer_budget: int,
+def random_cell(vocab: GateVocab, n_qubits: int, rng: np.random.Generator, layer_budget: int,
                 constraint: SoftConstraint):
-    """Sample a fresh cell within `constraint`, or None: up to `layer_budget`
-    rotations per qubit and at most one 2-qubit op per edge (each unordered
-    pair drawn with prob 1/2), `layer_budget` >= 1 as every config checks.
-    This is `expand_cell` of the empty cell."""
-    return expand_cell(_empty_cell(n_qubits), space, rng, layer_budget, constraint)
+    """Sample a fresh cell of `vocab`'s kinds within `constraint`, or None: up
+    to `layer_budget` rotations per qubit and at most one 2-qubit op per edge
+    (each unordered pair drawn with prob 1/2), `layer_budget` >= 1 as every
+    config checks.  This is `expand_cell` of the empty cell."""
+    return expand_cell(_empty_cell(n_qubits), vocab, rng, layer_budget, constraint)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -159,10 +153,10 @@ def _empty_cell(n: int) -> Cell:
     return Cell(n)
 
 
-def expand_cell(seed: Cell, space, rng: np.random.Generator, layer_budget: int,
+def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator, layer_budget: int,
                 constraint: SoftConstraint):
-    """Grow a seed cell: keep everything it has, append fresh rotations and
-    fill in missing edges with newly sampled 2-qubit ops.
+    """Grow a seed cell: keep everything it has, append fresh rotations of
+    `vocab` and fill in missing edges with newly sampled 2-qubit ops of it.
 
     The child's constrained quantity is worked out from the seed's growth
     profile and the drawn additions, and a child that breaks `constraint` is
@@ -172,7 +166,7 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator, layer_budget: int,
     draws only uniforms, so it draws them in batches that stop where the
     scalar loop would.
     """
-    rot, ent = _space_kinds(frozenset(space))
+    rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
     pairs, rotations, _ = seed._growth
     integers, random = rng.integers, rng.random
     sizes, tags = list(rotations), []  # the child's rotations per qubit; the added tags
@@ -203,10 +197,10 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator, layer_budget: int,
     return Cell(seed.n_qubits, node_ops, [*seed.edge_ops, *new_edges])
 
 
-def can_grow(seed: Cell, space, constraint: SoftConstraint) -> bool:
-    """Whether `expand_cell` can draw a child other than `seed` within `constraint`.  As
-    every quantity grows with ops, iff one rotation or 2-qubit op (on an open pair) fits."""
-    rot, ent = _space_kinds(frozenset(space))
+def can_grow(seed: Cell, vocab: GateVocab, constraint: SoftConstraint) -> bool:
+    """Whether `expand_cell` can draw a child other than `seed` from `vocab` within
+    `constraint`.  As every quantity grows with ops, iff one op (on an open pair) fits."""
+    rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
     pairs, rotations, _ = seed._growth
     additions = chain((([*rotations[:q], size + 1, *rotations[q + 1:]], [tag], [])
                        for q, size in enumerate(rotations) for tag in rot),

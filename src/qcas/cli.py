@@ -179,17 +179,15 @@ def _validate(config: dict):
         raise ConfigError(str(exc)) from exc
     if not isinstance(space, (list, type(None))):
         raise ConfigError(f"space must be null or a list of gate kinds, got {space!r}")
-    if space is not None:
-        try:
-            build_vocab(space)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"space: {exc}") from exc
+    try:
+        vocab = build_vocab(default_space(config["task"]) if space is None else space)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"space: {exc}") from exc
     if config["algorithm"] == "relm" and relm_cfg.init_mode == "res":
         # RES adds up to layer_budget_per_phase rotations to a qubit a phase, no more
         # than the bound holds of its cheapest rotation kind; RELM reads a parent's
         # rotations into max_seq slots
         quantity, bound = res_cfg.constraint.quantity, res_cfg.constraint.bound
-        vocab = build_vocab(space or default_space(config["task"]))
         costs = [getattr(metrics(Cell(1, [[t]])), quantity) for t in vocab.rotation_kinds[1:]]
         most = res_cfg.max_phases * res_cfg.layer_budget_per_phase if costs else 0
         cheapest = min(costs, default=0)
@@ -228,24 +226,23 @@ def _run_single_seed(config: dict, seed: int) -> dict:
     start = time.monotonic()
     built = build_task(config["task"], seed)
     task = built.task
-    space = config["space"] or default_space(config["task"])
+    vocab = build_vocab(config["space"] or default_space(config["task"]))
     algorithm = config["algorithm"]
     rs_cfg, opt, res_cfg, relm_cfg = _configs(config)
     trace = None
     if algorithm == "rs":
         best, _ = random_search(
-            task, space, rs_cfg.budget_evals, res_cfg.constraint, seed,
+            task, vocab, rs_cfg.budget_evals, res_cfg.constraint, seed,
             layer_budget=rs_cfg.layer_budget, opt_budget=opt,
         )
     elif algorithm == "res":
-        result = res_search(task, space, res_cfg, opt, seed)
+        result = res_search(task, vocab, res_cfg, opt, seed)
         best = result.best
         trace = {"res": [vars(p) for p in result.phases]}
     else:
-        pop, res_result = init_population(task, space, relm_cfg, res_cfg, opt, seed)
+        pop, res_result = init_population(task, vocab, relm_cfg, res_cfg, opt, seed)
         init_best = max(e.score for e in pop)
-        result = relm_search(task, relm_cfg, pop, build_vocab(space), res_cfg.constraint,
-                             opt, seed)
+        result = relm_search(task, relm_cfg, pop, vocab, res_cfg.constraint, opt, seed)
         best = result.best
         trace = {"relm": [vars(r) for r in result.epochs],
                  "init_best_score": init_best}
@@ -311,8 +308,14 @@ def write_record(record: dict, path: str):
 
 
 def load_record(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read record {path!r}: {reason}") from None
+    if not (isinstance(record, dict) and isinstance(record.get("runs"), list)):
+        raise ConfigError(f"record {path!r} is not a run record: it has no 'runs' list")
     if record.get("format") != RECORD_FORMAT_VERSION:
         raise ConfigError(f"unsupported record format in {path}")
     return record

@@ -109,10 +109,10 @@ def unitary_reward(l_parent: float, l_child: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def init_population(task, space, config: RelmConfig, res_config: ResConfig,
+def init_population(task, vocab: GateVocab, config: RelmConfig, res_config: ResConfig,
                     opt_budget: OptBudget, seed: int):
-    """Starting population, a list of `config.population_size` `Scored`
-    cells that satisfy `res_config.constraint`, by `config.init_mode`:
+    """Starting population of `vocab`'s kinds, a list of `config.population_size`
+    `Scored` cells that satisfy `res_config.constraint`, by `config.init_mode`:
     random search, or the final population of RES run with `res_config`
     (topped up with random cells, from seed `seed + 1`, if short).
 
@@ -120,10 +120,10 @@ def init_population(task, space, config: RelmConfig, res_config: ResConfig,
     size = config.population_size
     population, result = [], None
     if config.init_mode == "res":
-        result = res_search(task, space, res_config, opt_budget, seed)
+        result = res_search(task, vocab, res_config, opt_budget, seed)
         population, seed = result.population[:size], seed + 1
     if len(population) < size:
-        population += random_search(task, space, size - len(population), res_config.constraint,
+        population += random_search(task, vocab, size - len(population), res_config.constraint,
                                     seed, layer_budget=config.layer_budget,
                                     opt_budget=opt_budget)[1]
     return population, result

@@ -56,9 +56,9 @@ def evaluate_population(cells, task, opt_budget: OptBudget, seed: int):
             for cell in cells]
 
 
-def res_search(task, space, config: ResConfig, opt_budget: OptBudget, seed: int) -> ResResult:
-    """Alternate sampling/expansion and evaluation phases; return the best
-    constraint-satisfying cell seen.
+def res_search(task, vocab, config: ResConfig, opt_budget: OptBudget, seed: int) -> ResResult:
+    """Alternate sampling/expansion and evaluation phases over `vocab`'s
+    kinds; return the best constraint-satisfying cell seen.
 
     The constraint is a resource budget: candidates that would exceed it are
     rejected at sampling time, and each phase expands the best cell so far
@@ -68,7 +68,7 @@ def res_search(task, space, config: ResConfig, opt_budget: OptBudget, seed: int)
     rng = stream(seed, "res.sample")
 
     cells = sample_admissible(
-        lambda: random_cell(space, task.n_qubits, rng, config.layer_budget_per_phase,
+        lambda: random_cell(vocab, task.n_qubits, rng, config.layer_budget_per_phase,
                             constraint),
         config.population_size,
     )
@@ -85,10 +85,10 @@ def res_search(task, space, config: ResConfig, opt_budget: OptBudget, seed: int)
 
     for phase in range(2, config.max_phases + 1):
         seed_cell = global_best.cell
-        if not can_grow(seed_cell, space, constraint):
+        if not can_grow(seed_cell, vocab, constraint):
             break  # every expansion breaks the bound, or is the excluded seed
         children = sample_admissible(
-            lambda: expand_cell(seed_cell, space, rng, config.layer_budget_per_phase,
+            lambda: expand_cell(seed_cell, vocab, rng, config.layer_budget_per_phase,
                                 constraint),
             config.population_size - 1, exclude=seed_cell,
         )

@@ -254,7 +254,8 @@ def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarr
                          f"{circuit.n_qubits}-qubit circuit needs {2**circuit.n_qubits}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
-        raise ValueError("theta length must equal circuit.n_params")
+        raise ValueError(f"theta has shape {theta.shape}, but the circuit has "
+                         f"{circuit.n_params} parameters")
     circuit.bind(theta)
     return _apply_steps(columns, circuit.n_qubits, circuit.steps, circuit.restore)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 # `metrics` and `eval_soft_constraint` stay importable here: perfbench/tracing.py
-# wraps tasks.metrics and tasks.eval_soft_constraint.
+# wraps tasks.metrics and tasks.eval_soft_constraint (tests/test_surface.py allows them).
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
 from .optim import OptBudget, check_choice, check_int, check_range, score_cell, stream
@@ -476,12 +476,12 @@ class TaskConfig:
             check_range("layers", self.layers, *REGEN_LAYERS)
 
 
-def default_space(task_cfg: dict):
+def default_space(task_cfg: dict) -> frozenset:
+    """The gate space a task kind searches when the config names none, as the
+    `SPACE_*` set it is; `build_vocab` orders it."""
     if task_cfg["kind"] == "unitary_regen":
-        if task_cfg["subtask"] == "single":
-            return sorted(SPACE_SINGLE_CLIFFORD)
-        return sorted(SPACE_CLIFFORD)
-    return sorted(SPACE_GENERIC)
+        return SPACE_SINGLE_CLIFFORD if task_cfg["subtask"] == "single" else SPACE_CLIFFORD
+    return SPACE_GENERIC
 
 
 @dataclass
@@ -567,14 +567,14 @@ class RsConfig:
         check_int("layer_budget", self.layer_budget, 1)
 
 
-def random_search(task, space, budget_evals: int, constraint: SoftConstraint,
+def random_search(task, vocab, budget_evals: int, constraint: SoftConstraint,
                   seed: int, layer_budget: int, opt_budget: OptBudget):
-    """Independent random cells within `constraint`, best kept; serves as the
-    RS baseline and the RELM random initializer.  Returns (best, all)
-    `Scored` entries."""
+    """Independent random cells of `vocab`'s kinds within `constraint`, best
+    kept; serves as the RS baseline and the RELM random initializer.  Returns
+    (best, all) `Scored` entries."""
     rng = stream(seed, "rs.sample")
     cells = sample_admissible(
-        lambda: random_cell(space, task.n_qubits, rng, layer_budget, constraint),
+        lambda: random_cell(vocab, task.n_qubits, rng, layer_budget, constraint),
         budget_evals, max_tries=200)
     if not cells:
         raise RuntimeError("random search found no admissible cell")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcas.cell import (Cell, SoftConstraint, _depth, _space_kinds, cell_to_circuit, cell_to_dict,
+from qcas.cell import (Cell, SoftConstraint, _depth, cell_to_circuit, cell_to_dict,
                        metrics)
 from qcas.controller import controller_forward
 from qcas.optim import minimize
@@ -421,7 +421,8 @@ def expand_cell(seed: Cell, space, rng: np.random.Generator,
     A category with one kind draws no index for it: numpy's `integers` draws
     nothing for a one-value range, so skipping the call keeps the draws.
     """
-    rot, ent = _space_kinds(frozenset(space))
+    rot = sorted(set(t for t in space if GATE_KINDS[t].arity == 1))
+    ent = sorted(set(t for t in space if GATE_KINDS[t].arity == 2))
     n = seed.n_qubits
     integers, random = rng.integers, rng.random
     added = [[] for _ in range(n)]

@@ -203,17 +203,18 @@ def test_criterion_06_res_constraint_soundness_and_noninferiority():
         targets = gen_hidden_targets(3, "dense", 3, 10, seed=42)
         opt = OptBudget(max_evals=60, restarts=1)
         constraint = SoftConstraint("n_layers", 3)
+        vocab = build_vocab(SPACE_CLIFFORD)
         res_losses, rs_losses = [], []
         for seed in range(5):
             for ti, target in enumerate(targets):
                 task = UnitaryRegenTask(target)
                 config = ResConfig(population_size=20, constraint=constraint,
                                    layer_budget_per_phase=2, max_phases=3)
-                result = res_search(task, SPACE_CLIFFORD, config, opt, seed * 100 + ti)
+                result = res_search(task, vocab, config, opt, seed * 100 + ti)
                 assert eval_soft_constraint(constraint, result.best.cell)
                 evals = sum(p.n_scored for p in result.phases)
                 res_losses.append(1.0 - result.best.score)
-                (_, _, score), _ = random_search(task, SPACE_CLIFFORD, evals,
+                (_, _, score), _ = random_search(task, vocab, evals,
                                                  constraint, seed * 100 + ti,
                                                  layer_budget=2, opt_budget=opt)
                 rs_losses.append(1.0 - score)
@@ -266,7 +267,7 @@ def test_criterion_08_relm_progress_property():
                                 layer_budget=2)
             res_config = ResConfig(population_size=30, constraint=constraint,
                                    layer_budget_per_phase=1, max_phases=2)
-            pop, _ = init_population(task, SPACE_GENERIC, config, res_config, opt, seed)
+            pop, _ = init_population(task, vocab, config, res_config, opt, seed)
             init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, vocab, constraint, opt, seed)
             assert eval_soft_constraint(constraint, result.best.cell)
@@ -282,11 +283,12 @@ def test_criterion_09_parameter_budgets():
         baseline_params = baseline_circuit("denoise", task.n_qubits).n_params
         assert baseline_params == 48
         opt = OptBudget(max_evals=150, restarts=1)
+        vocab = build_vocab(SPACE_GENERIC)
 
         res_config = ResConfig(population_size=20,
                                constraint=SoftConstraint("n_params", 21),
                                layer_budget_per_phase=1, max_phases=3)
-        res_result = res_search(task, SPACE_GENERIC, res_config, opt, 0)
+        res_result = res_search(task, vocab, res_config, opt, 0)
         res_params = metrics(res_result.best.cell).n_params
         assert res_params <= 21
         assert res_params < baseline_params
@@ -296,9 +298,8 @@ def test_criterion_09_parameter_budgets():
                                  init_mode="res", population_size=10, layer_budget=2)
         relm_res_config = ResConfig(population_size=10, constraint=constraint,
                                     layer_budget_per_phase=1, max_phases=2)
-        pop, _ = init_population(task, SPACE_GENERIC, relm_config, relm_res_config, opt, 0)
-        relm_result = relm_search(task, relm_config, pop,
-                                  build_vocab(SPACE_GENERIC), constraint, opt, 0)
+        pop, _ = init_population(task, vocab, relm_config, relm_res_config, opt, 0)
+        relm_result = relm_search(task, relm_config, pop, vocab, constraint, opt, 0)
         relm_params = metrics(relm_result.best.cell).n_params
         assert relm_params <= 16
         assert relm_params < baseline_params

@@ -44,6 +44,7 @@ from qcas.sim import (
 )
 
 RNG = np.random.default_rng(20240818)
+GENERIC = build_vocab(SPACE_GENERIC)
 
 _ROTATION_TAGS = sorted(t for t, k in GATE_KINDS.items() if k.arity == 1)
 _ENTANGLE_TAGS = sorted(t for t, k in GATE_KINDS.items() if k.arity == 2)
@@ -177,25 +178,25 @@ class TestVocab:
 class TestRandomCell:
     def test_single_qubit_space_has_no_edges(self):
         for _ in range(20):
-            cell = random_cell(SPACE_SINGLE_CLIFFORD, 3, RNG, 1, UNBOUNDED)
+            cell = random_cell(build_vocab(SPACE_SINGLE_CLIFFORD), 3, RNG, 1, UNBOUNDED)
             assert cell.edge_ops == ()
 
     def test_fresh_edges_carry_one_op(self):
         for _ in range(100):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
             for _, ops in cell.edge_ops:
                 assert len(ops) == 1
 
     def test_edge_frequency_half(self):
         hits = 0
         for _ in range(1000):
-            cell = random_cell({"RY", "CNOT"}, 2, RNG, 1, UNBOUNDED)
+            cell = random_cell(build_vocab({"RY", "CNOT"}), 2, RNG, 1, UNBOUNDED)
             hits += bool(cell.edge_ops)
         assert abs(hits / 1000 - 0.5) < 0.05
 
     def test_rotation_count_within_budget(self):
         for _ in range(50):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
             assert all(len(ops) <= 2 for ops in cell.node_ops)
 
 
@@ -203,14 +204,14 @@ class TestExpandCell:
     def test_expand_empty_behaves_like_random(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        fresh = random_cell(SPACE_GENERIC, 3, rng_a, 1, UNBOUNDED)
-        grown = expand_cell(Cell(3), SPACE_GENERIC, rng_b, 1, UNBOUNDED)
+        fresh = random_cell(GENERIC, 3, rng_a, 1, UNBOUNDED)
+        grown = expand_cell(Cell(3), GENERIC, rng_b, 1, UNBOUNDED)
         assert grown == fresh
 
     def test_seed_contained_in_child(self):
         for _ in range(100):
-            seed = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
-            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
+            seed = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
             for q in range(3):
                 assert child.node_ops[q][: len(seed.node_ops[q])] == seed.node_ops[q]
             for edge, ops in seed.edge_ops:
@@ -218,14 +219,14 @@ class TestExpandCell:
 
     def test_gate_count_monotone(self):
         for _ in range(50):
-            seed = random_cell(SPACE_GENERIC, 3, RNG, 1, UNBOUNDED)
-            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
+            seed = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
             assert metrics(child).n_gates >= metrics(seed).n_gates
 
     def test_existing_edges_never_duplicated(self):
         seed = Cell(2, [[], []], {(0, 1): ["CNOT"]})
         for _ in range(20):
-            child = expand_cell(seed, SPACE_GENERIC, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
             assert dict(child.edge_ops)[(0, 1)] == ("CNOT",)
             assert (1, 0) not in dict(child.edge_ops)
 
@@ -245,6 +246,7 @@ class TestDrawStream:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
     def test_matches_the_reference_sampler(self, space, n):
+        vocab = build_vocab(space)
         outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
         has_uint32 = set()
         for layer_budget in (1, 2, 3):
@@ -261,11 +263,11 @@ class TestDrawStream:
                             generator.integers(2)
                     for i in range(12):
                         if i % 3:
-                            got = expand_cell(seed, space, rng, layer_budget, bound)
+                            got = expand_cell(seed, vocab, rng, layer_budget, bound)
                             want = reference.expand_cell(seed, space, ref_rng, layer_budget,
                                                          constraint)
                         else:
-                            got = random_cell(space, n, rng, layer_budget, bound)
+                            got = random_cell(vocab, n, rng, layer_budget, bound)
                             want = reference.random_cell(space, n, ref_rng, layer_budget,
                                                          constraint)
                         assert got == want
@@ -286,7 +288,7 @@ class TestDrawStream:
     def test_grown_quantity_is_the_childs(self, seed, space, layer_budget, quantity, rng_seed):
         # the quantity read from the seed's cached profile plus the draws is
         # the metric of the child the same draws build with no constraint
-        real, grown = qcas.cell._grown_quantity, []
+        real, grown, vocab = qcas.cell._grown_quantity, [], build_vocab(space)
 
         def spy(*args):
             grown.append(real(*args))
@@ -294,14 +296,14 @@ class TestDrawStream:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qcas.cell, "_grown_quantity", spy)
-            expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget,
+            expand_cell(seed, vocab, np.random.default_rng(rng_seed), layer_budget,
                         SoftConstraint(quantity, 1))
-        child = expand_cell(seed, space, np.random.default_rng(rng_seed), layer_budget, UNBOUNDED)
+        child = expand_cell(seed, vocab, np.random.default_rng(rng_seed), layer_budget, UNBOUNDED)
         assert grown == [getattr(metrics(child), quantity)]
 
     def test_growth_profile_is_not_part_of_the_value(self):
         seed, fresh = (Cell(3, [["RX"], [], ["H", "S"]], {(0, 1): ["CNOT"]}) for _ in range(2))
-        expand_cell(seed, SPACE_GENERIC, np.random.default_rng(0), 1, SoftConstraint("n_gates", 9))
+        expand_cell(seed, GENERIC, np.random.default_rng(0), 1, SoftConstraint("n_gates", 9))
         assert "_growth" in vars(seed) and "_growth" not in vars(fresh)
         assert seed == fresh and hash(seed) == hash(fresh) and repr(seed) == repr(fresh)
         assert pickle.dumps(seed) == pickle.dumps(fresh)
@@ -331,10 +333,11 @@ class TestCanGrow:
         constraint = SoftConstraint(quantity, bound)
         fits = any(getattr(metrics(child), quantity) <= bound
                    for child in reference.one_op_children(seed, space))
-        assert can_grow(seed, space, constraint) == fits
+        vocab = build_vocab(space)
+        assert can_grow(seed, vocab, constraint) == fits
         if not fits:
             rng = np.random.default_rng(bound)
-            assert all(expand_cell(seed, space, rng, layer_budget, constraint) in (None, seed)
+            assert all(expand_cell(seed, vocab, rng, layer_budget, constraint) in (None, seed)
                        for _ in range(300))
 
 
@@ -397,7 +400,7 @@ class TestViews:
     def test_rows_sum_to_one(self):
         # every slot holds one in-vocab id, so each one-hot row has a single 1
         for _ in range(20):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             assert rot.min() >= 0 and rot.max() < self.VOCAB.v_rot
             assert ent.min() >= 0 and ent.max() < self.VOCAB.v_ent
@@ -415,11 +418,10 @@ class TestViews:
            spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
     def test_decode_inverts_encode(self, space, n, layer_budget, grow, spare, seed):
         # sampled and grown cells have one op per edge, so the slots keep them whole
-        rng = np.random.default_rng(seed)
-        cell = random_cell(space, n, rng, layer_budget, UNBOUNDED)
+        rng, vocab = np.random.default_rng(seed), build_vocab(space)
+        cell = random_cell(vocab, n, rng, layer_budget, UNBOUNDED)
         if grow:
-            cell = expand_cell(cell, space, rng, layer_budget, UNBOUNDED)
-        vocab = build_vocab(space)
+            cell = expand_cell(cell, vocab, rng, layer_budget, UNBOUNDED)
         max_seq = max(1, *map(len, cell.node_ops)) + spare
         rot, ent = encode_actions(cell, vocab, max_seq)
         assert rot.shape == (n, max_seq) and ent.shape == (n, n)
@@ -437,7 +439,7 @@ class TestDecodeActions:
     def test_roundtrip_via_argmax(self):
         # the argmax of the one-hots the controller builds from the slots
         for _ in range(100):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             back = decode_actions(np.eye(self.VOCAB.v_rot)[rot].argmax(axis=-1),
                                   np.eye(self.VOCAB.v_ent)[ent].argmax(axis=-1), self.VOCAB)
@@ -533,7 +535,7 @@ class TestSerialization:
     def test_roundtrip_random_cells(self):
         # the path of run records: cell_to_dict, JSON text, cell_from_dict
         for _ in range(50):
-            cell = random_cell(SPACE_GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
             assert cell_from_dict(json.loads(json.dumps(cell_to_dict(cell)))) == cell
 
     def test_dict_form_is_sorted_and_versioned(self):

@@ -356,6 +356,28 @@ class TestRunAndRecords:
 
         assert strip(record) == strip(again)
 
+    @pytest.mark.parametrize("spaces", [(["CNOT", "RY"], ["RY", "CNOT", "RY"]),
+                                        (["CNOT", "RX", "RY"], ["RY", "CNOT", "RX", "RY"])],
+                             ids=["repeats", "reordered"])
+    @pytest.mark.parametrize("algorithm", ["rs", "res", "relm"])
+    def test_a_run_sees_its_space_only_through_the_vocab(self, algorithm, spaces):
+        # the order and repeats of the configured kinds change no draw; the
+        # record keeps the space as it was given
+        runs = []
+        for space in spaces:
+            config = parse_config(dict(FAST, algorithm=algorithm, space=space, seeds=[3],
+                                       rs={"budget_evals": 4}), environ={})
+            config["relm"] = dict(config["relm"], epochs=2, tournament_size=2, batch_size=2,
+                                  population_size=4, embed_dim=4, n_heads=1, n_blocks=1,
+                                  ff_dim=8)
+            record = run(config)
+            assert record["config"]["space"] == space
+            for r in record["runs"]:
+                assert "error" not in r
+                r.pop("wall_time_s")
+            runs.append(record["runs"])
+        assert runs[0] == runs[1]
+
     def test_per_seed_errors_do_not_abort(self):
         config = parse_config(FAST, environ={})
         config["seeds"] = [1, 2]
@@ -522,6 +544,21 @@ class TestMain:
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--record", rec_path]) == EXIT_RUNTIME
         assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("content", [None, '{"format": 1, "runs"', "[]", '{"format": 1}'],
+                             ids=["missing", "truncated", "list", "no-runs"])
+    def test_unreadable_record_is_a_one_line_config_error(self, tmp_path, capsys, content,
+                                                          command):
+        cfg_path, rec_path = tmp_path / "cfg.json", tmp_path / "rec.json"
+        cfg_path.write_text(json.dumps(FAST))
+        if content is not None:
+            rec_path.write_text(content)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--record", str(rec_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(rec_path) in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("case, message", [
         ("missing", "cannot read config '{path}': No such file or directory"),

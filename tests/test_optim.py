@@ -342,7 +342,7 @@ class TestFittingRng:
         monkeypatch.setattr(module, "score_cell", recorded)
         return calls
 
-    def search(self, name, task, space, pop):
+    def search(self, name, task, vocab, pop):
         """Score cells as search `name` does at seed 7: two RELM epochs of 3
         children from `pop`, RES's scoring of `pop`'s cells, or a random
         search of 4 cells."""
@@ -350,20 +350,20 @@ class TestFittingRng:
             config = relm.RelmConfig(epochs=2, tournament_size=2, batch_size=3,
                                      population_size=4, max_seq=6, embed_dim=4, n_heads=1,
                                      n_blocks=1, ff_dim=8)
-            relm.relm_search(task, config, pop, build_vocab(space), UNBOUNDED, self.BUDGET, 7)
+            relm.relm_search(task, config, pop, vocab, UNBOUNDED, self.BUDGET, 7)
         elif name == "res":
             res.evaluate_population([e.cell for e in pop], task, self.BUDGET, 7)
         else:
-            tasks.random_search(task, space, 4, UNBOUNDED, 7, layer_budget=1,
+            tasks.random_search(task, vocab, 4, UNBOUNDED, 7, layer_budget=1,
                                 opt_budget=self.BUDGET)
 
     @pytest.mark.parametrize("search", ["relm", "res", "rs"])
     def test_searches_fit_from_their_streams(self, clean_task, monkeypatch, search):
         seed = 7
-        pop = tasks.random_search(clean_task, SPACE_GENERIC, 4, UNBOUNDED, seed,
+        pop = tasks.random_search(clean_task, build_vocab(SPACE_GENERIC), 4, UNBOUNDED, seed,
                                   layer_budget=1, opt_budget=self.BUDGET)[1]
         calls = self.scored_by(monkeypatch, {"relm": relm, "res": res, "rs": tasks}[search])
-        self.search(search, clean_task, SPACE_GENERIC, pop)
+        self.search(search, clean_task, build_vocab(SPACE_GENERIC), pop)
         streams = {"relm": [[seed, 0x5C0, epoch, j] for epoch in (1, 2) for j in range(3)],
                    "res": [content_stream(seed, e.cell) for e in pop],
                    "rs": [[seed, 0xEC, i] for i in range(4)]}[search]
@@ -384,7 +384,7 @@ class TestFittingRng:
     def test_parameter_free_cells_draw_no_fit_stream(self, clean_task, monkeypatch, search):
         # no "*.fit" stream means no Generator built for a fit and, on RES's
         # content-keyed path, no cell hashed
-        pop = tasks.random_search(clean_task, SPACE_CLIFFORD, 4, UNBOUNDED, 7,
+        pop = tasks.random_search(clean_task, build_vocab(SPACE_CLIFFORD), 4, UNBOUNDED, 7,
                                   layer_budget=1, opt_budget=self.BUDGET)[1]
         purposes = []
 
@@ -395,7 +395,7 @@ class TestFittingRng:
         for module in (relm, res, tasks):
             monkeypatch.setattr(module, "stream", recording)
         calls = self.scored_by(monkeypatch, {"relm": relm, "res": res, "rs": tasks}[search])
-        self.search(search, clean_task, SPACE_CLIFFORD, pop)
+        self.search(search, clean_task, build_vocab(SPACE_CLIFFORD), pop)
         assert len(calls) >= 4
         assert not any(cell_to_circuit(cell).n_params for cell, *_ in calls)
         assert set(purposes) == {"relm": {"relm.select", "relm.controller"},

@@ -200,7 +200,7 @@ class TestMutate:
                              v_ent=vocab.v_ent, embed_dim=4, n_heads=2, n_blocks=1,
                              ff_dim=8), rng)
         params.tensors["W_out"] *= scale  # the logits are linear in W_out
-        parent = random_cell(space, n, rng, max_seq, UNBOUNDED)
+        parent = random_cell(vocab, n, rng, max_seq, UNBOUNDED)
         forward = controller_forward(params, *encode_actions(parent, vocab, max_seq))
         cells, rot, ent = mutate(forward, vocab, rng, batch)
         assert rot.shape == (batch, n, max_seq) and ent.shape == (batch, n, n)
@@ -224,7 +224,7 @@ class TestInitPopulation:
         task = small_task()
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
                             init_mode="random_search", population_size=5)
-        pop, trace = init_population(task, SPACE_CLIFFORD, config,
+        pop, trace = init_population(task, VOCAB, config,
                                      ResConfig(constraint=UNBOUNDED), FAST_OPT, 1)
         assert len(pop) == 5 and trace is None
 
@@ -234,7 +234,7 @@ class TestInitPopulation:
         config = RelmConfig(epochs=1, tournament_size=2, batch_size=2,
                             init_mode="res", population_size=5)
         res_config = ResConfig(population_size=5, constraint=constraint, max_phases=2)
-        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, 1)
+        pop, result = init_population(task, VOCAB, config, res_config, FAST_OPT, 1)
         assert len(pop) == 5 and result is not None
         assert eval_soft_constraint(constraint, result.best.cell)
 
@@ -247,10 +247,10 @@ class TestInitPopulation:
                             init_mode=init_mode, population_size=5)
         res_config = ResConfig(population_size=3, constraint=constraint, max_phases=2)
         seed = 4
-        pop, result = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, seed)
+        pop, result = init_population(task, VOCAB, config, res_config, FAST_OPT, seed)
         kept = result.population if init_mode == "res" else []
         top_up = seed + 1 if init_mode == "res" else seed
-        _, drawn = random_search(task, SPACE_CLIFFORD, 5 - len(kept), constraint, top_up,
+        _, drawn = random_search(task, VOCAB, 5 - len(kept), constraint, top_up,
                                  layer_budget=config.layer_budget, opt_budget=FAST_OPT)
         assert len(kept) <= 3 and len(pop) == 5
         for member, expected in zip(pop, kept + drawn, strict=True):
@@ -270,7 +270,7 @@ class TestRelmSearch:
                             init_mode="random_search", reward_mode="unitary",
                             population_size=4, max_seq=6, embed_dim=4, n_heads=1,
                             n_blocks=1, ff_dim=8)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config,
+        pop, _ = init_population(task, VOCAB, config,
                                  ResConfig(constraint=constraint), FAST_OPT, seed)
         return relm_search(task, config, pop, VOCAB, constraint, FAST_OPT, seed), config
 
@@ -280,7 +280,7 @@ class TestRelmSearch:
                             init_mode="random_search", reward_mode="unitary",
                             population_size=1, max_seq=6, embed_dim=4, n_heads=1,
                             n_blocks=1, ff_dim=8)
-        pop, _ = init_population(task, SPACE_CLIFFORD, config,
+        pop, _ = init_population(task, VOCAB, config,
                                  ResConfig(constraint=UNBOUNDED), FAST_OPT, 0)
         result = relm_search(task, config, pop, VOCAB, UNBOUNDED, FAST_OPT, 0)
         assert isinstance(result.best.cell, Cell)
@@ -331,7 +331,7 @@ class TestRelmSearch:
                                 n_heads=1, n_blocks=1, ff_dim=8)
             res_config = ResConfig(population_size=4,
                                    constraint=SoftConstraint("n_layers", 2), max_phases=2)
-            pop, _ = init_population(task, SPACE_CLIFFORD, config, res_config, FAST_OPT, seed)
+            pop, _ = init_population(task, VOCAB, config, res_config, FAST_OPT, seed)
             init_best = max(e.score for e in pop)
             result = relm_search(task, config, pop, VOCAB, res_config.constraint, FAST_OPT,
                                  seed)
@@ -482,7 +482,7 @@ class TestSharedForward:
                             init_mode="random_search", population_size=4, max_seq=6,
                             embed_dim=4, n_heads=1, n_blocks=1, ff_dim=8, **kwargs)
         vocab = build_vocab(space)
-        pop, _ = init_population(task, space, config, ResConfig(constraint=constraint),
+        pop, _ = init_population(task, vocab, config, ResConfig(constraint=constraint),
                                  FAST_OPT, self.SEED)
         return task, config, pop, vocab, initial_controller(task, config, vocab, self.SEED)
 

@@ -42,6 +42,7 @@ from qcas.tasks import (
 )
 
 FAST_OPT = OptBudget(max_evals=80, restarts=1)
+GENERIC, CLIFFORD = build_vocab(SPACE_GENERIC), build_vocab(SPACE_CLIFFORD)
 
 
 def h_target_task():
@@ -79,20 +80,20 @@ class TestEvaluatePopulation:
             calls.append((cell, make_rng, kwargs, entry))
             return entry
 
-        pop = tasks.random_search(task, SPACE_GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
+        pop = tasks.random_search(task, GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
                                   opt_budget=FAST_OPT)[1]
         monkeypatch.setattr({"res": qcas.res, "rs": tasks, "relm": relm}[search],
                             "score_cell", recorded)
         if search == "res":
             evaluate_population([e.cell for e in pop], task, FAST_OPT, seed=7)
         elif search == "rs":
-            tasks.random_search(task, SPACE_GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
+            tasks.random_search(task, GENERIC, 6, UNBOUNDED, 7, layer_budget=1,
                                 opt_budget=FAST_OPT)
         else:
             config = relm.RelmConfig(epochs=1, tournament_size=2, batch_size=6,
                                      population_size=6, max_seq=4, embed_dim=4, n_heads=1,
                                      n_blocks=1, ff_dim=8)
-            relm.relm_search(task, config, pop, build_vocab(SPACE_GENERIC), UNBOUNDED,
+            relm.relm_search(task, config, pop, GENERIC, UNBOUNDED,
                              FAST_OPT, 7)
         assert sum(cell_to_circuit(cell).n_params > 0 for cell, *_ in calls) >= 2
         shuffled = calls[:]
@@ -110,7 +111,7 @@ class TestResSearch:
         config = ResConfig(population_size=10,
                            constraint=SoftConstraint("n_layers", 1),
                            layer_budget_per_phase=1, max_phases=5)
-        result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 0)
+        result = res_search(task, CLIFFORD, config, FAST_OPT, 0)
         assert metrics(result.best.cell).n_layers <= 1
 
     def test_solves_match_h_within_two_phases(self):
@@ -131,7 +132,7 @@ class TestResSearch:
         config = ResConfig(population_size=10,
                            constraint=SoftConstraint("n_layers", 2),
                            max_phases=2)
-        result = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 1)
+        result = res_search(task, CLIFFORD, config, FAST_OPT, 1)
         assert 1.0 - result.best.score <= 1e-3
 
     def test_returned_cell_satisfies_constraint(self):
@@ -139,15 +140,15 @@ class TestResSearch:
         constraint = SoftConstraint("n_layers", 3)
         for target in targets:
             config = ResConfig(population_size=8, constraint=constraint, max_phases=3)
-            result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 2)
+            result = res_search(UnitaryRegenTask(target), CLIFFORD, config, FAST_OPT, 2)
             assert eval_soft_constraint(constraint, result.best.cell)
 
     def test_deterministic_given_seed(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=9)[0]
         task = UnitaryRegenTask(target)
         config = ResConfig(population_size=6, max_phases=3)
-        a = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
-        b = res_search(task, SPACE_CLIFFORD, config, FAST_OPT, 4)
+        a = res_search(task, CLIFFORD, config, FAST_OPT, 4)
+        b = res_search(task, CLIFFORD, config, FAST_OPT, 4)
         assert a.best.cell == b.best.cell
         assert a.best.score == b.best.score
         assert [vars(p) for p in a.phases] == [vars(p) for p in b.phases]
@@ -155,7 +156,7 @@ class TestResSearch:
     def test_trace_phases_are_sequential(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=10)[0]
         config = ResConfig(population_size=6, max_phases=4)
-        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 5)
+        result = res_search(UnitaryRegenTask(target), CLIFFORD, config, FAST_OPT, 5)
         phases = [p.phase for p in result.phases]
         assert phases == list(range(1, len(phases) + 1))
         assert all(p.n_scored <= config.population_size for p in result.phases)
@@ -163,7 +164,7 @@ class TestResSearch:
     def test_global_best_never_below_phase_one(self):
         target = gen_hidden_targets(3, "dense", 2, 1, seed=12)[0]
         config = ResConfig(population_size=6, max_phases=4)
-        result = res_search(UnitaryRegenTask(target), SPACE_CLIFFORD, config, FAST_OPT, 6)
+        result = res_search(UnitaryRegenTask(target), CLIFFORD, config, FAST_OPT, 6)
         assert result.best.score >= result.phases[0].best_score - 1e-12
 
     @pytest.mark.parametrize("space, quantity, bound", [
@@ -177,7 +178,7 @@ class TestResSearch:
         # left (in the {CNOT} space, already after phase 1; under n_params, by
         # filling every pair), without drawing from it; the loop that drew
         # from it until the cap ran out, admitting nothing, returns the same
-        constraint = SoftConstraint(quantity, bound)
+        constraint, vocab = SoftConstraint(quantity, bound), build_vocab(space)
         config = ResConfig(population_size=6, constraint=constraint, max_phases=4)
         seeds = []
 
@@ -185,13 +186,13 @@ class TestResSearch:
             seeds.append(seed)
             return expand_cell(seed, *args)
         monkeypatch.setattr(qcas.res, "expand_cell", counted)
-        result = res_search(task, space, config, FAST_OPT, 3)
+        result = res_search(task, vocab, config, FAST_OPT, 3)
         assert len(result.phases) < config.max_phases
-        assert not can_grow(result.best.cell, space, constraint)
-        assert all(can_grow(seed, space, constraint) for seed in seeds)
+        assert not can_grow(result.best.cell, vocab, constraint)
+        assert all(can_grow(seed, vocab, constraint) for seed in seeds)
         grown = len(seeds)
         monkeypatch.setattr(qcas.res, "can_grow", lambda *args: True)
-        drained = res_search(task, space, config, FAST_OPT, 3)
+        drained = res_search(task, vocab, config, FAST_OPT, 3)
         cap = (config.population_size - 1) * 100
         assert seeds[grown:] == seeds[:grown] + [result.best.cell] * cap
         assert (drained.best.cell, drained.best.score) == (result.best.cell, result.best.score)
@@ -226,7 +227,7 @@ class TestResSearch:
         with pytest.MonkeyPatch.context() as mp:
             for name in ("random_cell", "expand_cell"):
                 mp.setattr(qcas.res, name, recorded(getattr(qcas.res, name)))
-            res_search(task, space, config, OptBudget(max_evals=10, restarts=1), seed)
+            res_search(task, build_vocab(space), config, OptBudget(max_evals=10, restarts=1), seed)
         most = max_phases * layer_budget
         if quantity in ("n_layers", "n_gates") or (
                 quantity == "n_params"
@@ -315,19 +316,19 @@ class TestSampler:
            rng_seed=st.integers(0, 2**32 - 1), fresh=st.booleans())
     def test_matches_building_every_candidate(self, case, count, max_tries, rng_seed, fresh):
         space, seed, layer_budget, constraint = case
-        bound = constraint or UNBOUNDED
+        bound, vocab = constraint or UNBOUNDED, build_vocab(space)
         rng = np.random.default_rng(rng_seed)
         ref_rng = np.random.default_rng(rng_seed)
         if fresh:  # phase 1: random cells, nothing excluded
             n = seed.n_qubits
             got = sample_admissible(
-                lambda: random_cell(space, n, rng, layer_budget, bound), count, max_tries)
+                lambda: random_cell(vocab, n, rng, layer_budget, bound), count, max_tries)
             want = reference_sample(
                 lambda: reference_expand_cell(Cell(n), space, ref_rng, layer_budget),
                 constraint, count, max_tries, None)
         else:  # later phases: expansions of the seed, the seed excluded
             got = sample_admissible(
-                lambda: expand_cell(seed, space, rng, layer_budget, bound),
+                lambda: expand_cell(seed, vocab, rng, layer_budget, bound),
                 count, max_tries, exclude=seed)
             want = reference_sample(
                 lambda: reference_expand_cell(seed, space, ref_rng, layer_budget),
@@ -342,6 +343,7 @@ class TestSampler:
     def test_constraint_decided_at_the_bound(self, case, quantity, rng_seed):
         # a child exactly at the bound is built, one just over it is not
         space, seed, layer_budget, _ = case
+        vocab = build_vocab(space)
         want = reference_expand_cell(seed, space, np.random.default_rng(rng_seed),
                                      layer_budget)
         amount = getattr(metrics(want), quantity)
@@ -349,7 +351,7 @@ class TestSampler:
             if bound < 1:
                 continue
             rng = np.random.default_rng(rng_seed)
-            got = expand_cell(seed, space, rng, layer_budget, SoftConstraint(quantity, bound))
+            got = expand_cell(seed, vocab, rng, layer_budget, SoftConstraint(quantity, bound))
             if bound == amount:
                 assert got == want
             else:
@@ -385,9 +387,9 @@ class TestSampler:
         rng = np.random.default_rng(0)
         # the seed already breaks n_layers <= 2, so every child does too
         for _ in range(50):
-            assert expand_cell(seed, SPACE_GENERIC, rng, 2, SoftConstraint("n_layers", 2)) is None
+            assert expand_cell(seed, GENERIC, rng, 2, SoftConstraint("n_layers", 2)) is None
         assert built == []
-        child = expand_cell(seed, SPACE_GENERIC, rng, 2, SoftConstraint("n_layers", 20))
+        child = expand_cell(seed, GENERIC, rng, 2, SoftConstraint("n_layers", 20))
         assert built == [child]
 
     def test_random_cell_grows_a_shared_empty_cell(self, built, monkeypatch):
@@ -396,7 +398,7 @@ class TestSampler:
         monkeypatch.setattr(qcas.cell, "_empty_cell",
                             functools.lru_cache(typed=True)(qcas.cell._empty_cell.__wrapped__))
         rng = np.random.default_rng(1)
-        cells = [random_cell(SPACE_CLIFFORD, 4, rng, 1, SoftConstraint("n_gates", 4))
+        cells = [random_cell(CLIFFORD, 4, rng, 1, SoftConstraint("n_gates", 4))
                  for _ in range(60)]
         assert None in cells
         assert built[0] is qcas.cell._empty_cell(4)

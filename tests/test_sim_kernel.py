@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from reference import UNBOUNDED, exact_gate_matrix, oracle_unitary, same_bits
 
 from qcas import tasks
-from qcas.cell import cell_to_circuit, random_cell
+from qcas.cell import build_vocab, cell_to_circuit, random_cell
 from qcas import sim
 from qcas.sim import (
     GATE_KINDS,
@@ -209,7 +209,8 @@ def test_compiled_circuit_cannot_be_edited():
 
 def test_theta_length_checked():
     circuit = build_circuit(2, [("RX", (0,)), ("CRZ", (0, 1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^theta has shape \(1,\), but the circuit has 2 parameters$"):
         apply_circuit_columns(circuit, np.zeros(1), np.eye(4))
 
 
@@ -278,7 +279,7 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, kind, mo
     task = make_task()
     rng = np.random.default_rng(17)
     circuits = [tasks.baseline_circuit(kind, task.n_qubits)] + [
-        cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, 3, UNBOUNDED))
+        cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits, rng, 3, UNBOUNDED))
         for _ in range(8)]
     cases = [(c, rng.uniform(-math.pi, math.pi, c.n_params)) for c in circuits]
 

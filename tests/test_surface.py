@@ -1,12 +1,14 @@
-"""Every top-level name in `src/qcas` is reached by the program itself.
+"""Every top-level name in `src/qcas` is reached by the program itself, and
+every name a `src/qcas` module imports is used in that module.
 
 A function, class or constant defined at the top of a `src/qcas` module, and
 each non-dunder method of such a class, must be used somewhere in `src/qcas`
 or `perfbench` outside its own definition:
 as a `Name`, as an `Attribute` or as an imported alias.  Tests do not count,
 so code that only its own tests reach fails here; oracles belong in
-`tests/reference.py`.  The few names that stay for another reason are
-allow-listed below with that reason.
+`tests/reference.py`.  A name an import binds in a module, at any depth, must
+be read as a `Name` somewhere in that module.  The few names that stay for
+another reason are allow-listed below with that reason.
 """
 
 import ast
@@ -17,6 +19,12 @@ PROGRAM = sorted((ROOT / "src" / "qcas").glob("*.py")) + sorted((ROOT / "perfben
 
 ALLOWED = {
     "tasks.baseline_circuit": "the paper's hand-designed baseline encoder, checked by criterion 9",
+}
+
+IMPORTS_ALLOWED = {
+    "tasks.metrics": "perfbench/tracing.py wraps tasks.metrics, a tracer site",
+    "tasks.eval_soft_constraint": "perfbench/tracing.py wraps tasks.eval_soft_constraint, "
+                                  "a tracer site",
 }
 
 
@@ -84,3 +92,32 @@ def test_every_top_level_name_is_reached_by_the_program():
 
 def test_allow_list_is_current():
     assert set(ALLOWED) <= set(unreached()), "an allow-listed name is now reached"
+
+
+def unused_imports():
+    """`module.name` for each name an import binds in a `src/qcas` module that
+    the module never reads; `from __future__` imports bind no name."""
+    unused = []
+    for path in PROGRAM:
+        if path.parent.name != "qcas":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unused
+
+
+def test_every_imported_name_is_used():
+    unused = [name for name in unused_imports() if name not in IMPORTS_ALLOWED]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_import_allow_list_is_current():
+    assert set(IMPORTS_ALLOWED) <= set(unused_imports()), "an allow-listed import is now used"

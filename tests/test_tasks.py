@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import UNBOUNDED, bitflip_noise_circuit, pauli_channel_apply, same_bits
 
-from qcas.cell import Cell, SoftConstraint, cell_to_circuit, metrics, random_cell
+from qcas.cell import Cell, SoftConstraint, build_vocab, cell_to_circuit, metrics, random_cell
 from qcas.optim import OptBudget
 from qcas.sim import (
     Circuit,
@@ -40,6 +40,7 @@ from qcas.tasks import (
 )
 
 FAST_OPT = OptBudget(max_evals=40, restarts=1)
+CLIFFORD = build_vocab(SPACE_CLIFFORD)
 
 
 def ensemble_density(cols):
@@ -297,8 +298,8 @@ def test_distinct_columns_simulate_bit_identically_to_the_whole_set(key, cell_se
     gathered back, equals the column simulated in the whole set, bit for bit."""
     task = DENOISE_TASKS[key]
     rng = np.random.default_rng(cell_seed)
-    circuit = cell_to_circuit(random_cell(SPACE_GENERIC, task.n_qubits, rng, layer_budget,
-                                          UNBOUNDED))
+    circuit = cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits, rng,
+                                          layer_budget, UNBOUNDED))
     theta = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
     for (cols, index), whole in ((task._train, task.train_cols), (task._val, task.val_cols)):
         assert same_bits(apply_circuit_columns(circuit, theta, cols)[:, index],
@@ -379,23 +380,23 @@ class TestBaselines:
 class TestRandomSearch:
     def test_budget_one_returns_single_cell(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 1, 1, seed=0)[0])
-        (cell, theta, score), scored = random_search(task, SPACE_CLIFFORD, 1, UNBOUNDED, 0,
+        (cell, theta, score), scored = random_search(task, CLIFFORD, 1, UNBOUNDED, 0,
                                                      layer_budget=2, opt_budget=FAST_OPT)
         assert len(scored) == 1
         assert scored[0][0] == cell
 
     def test_nested_budgets_prefix_property(self):
         task = UnitaryRegenTask(gen_hidden_targets(2, "dense", 2, 1, seed=1)[0])
-        (_, _, small), _ = random_search(task, SPACE_CLIFFORD, 3, UNBOUNDED, 7,
+        (_, _, small), _ = random_search(task, CLIFFORD, 3, UNBOUNDED, 7,
                                          layer_budget=2, opt_budget=FAST_OPT)
-        (_, _, large), _ = random_search(task, SPACE_CLIFFORD, 9, UNBOUNDED, 7,
+        (_, _, large), _ = random_search(task, CLIFFORD, 9, UNBOUNDED, 7,
                                          layer_budget=2, opt_budget=FAST_OPT)
         assert large >= small - 1e-12
 
     def test_constraint_respected(self):
         task = UnitaryRegenTask(gen_hidden_targets(3, "dense", 2, 1, seed=2)[0])
         constraint = SoftConstraint("n_gates", 2)
-        _, scored = random_search(task, SPACE_CLIFFORD, 5, constraint, 3,
+        _, scored = random_search(task, CLIFFORD, 5, constraint, 3,
                                   layer_budget=2, opt_budget=FAST_OPT)
         for cell, _, _ in scored:
             assert metrics(cell).n_gates <= 2
