@@ -160,11 +160,8 @@ def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator, layer_bu
 
     The child's constrained quantity is worked out from the seed's growth
     profile and the drawn additions, and a child that breaks `constraint` is
-    never built: None is returned instead.  A category with one kind draws no
-    index for it: numpy's `integers` draws nothing for a one-value range, so
-    skipping the call keeps the draws.  With one 2-qubit kind the edge loop
-    draws only uniforms, so it draws them in batches that stop where the
-    scalar loop would.
+    never built: None is returned instead.  `rng` is a Generator or a `Draws`
+    of one; either draws the same child, one scalar draw per choice in order.
     """
     rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
     pairs, rotations, _ = seed._growth
@@ -175,21 +172,13 @@ def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator, layer_bu
             k = int(integers(0, layer_budget + 1))
             sizes[q] += k
             for _ in range(k):
-                tags.append(rot[integers(len(rot))] if len(rot) > 1 else rot[0])
-    # pairs[:i] have had their coin; `pending` while pairs[i - 1] waits for its
-    # direction.  With one kind nothing else draws between the uniforms, so they
-    # come in batches of the draws still due: one per pair left, one if pending.
-    new_edges, i, pending = [], 0, False
-    while ent and (i < len(pairs) or pending):
-        for u in random(len(pairs) - i + pending).tolist() if len(ent) == 1 else (random(),):
-            if not pending:
-                i += 1
-                pending = u < 0.5
-                continue
-            a, b = pairs[i - 1]
-            new_edges.append(((a, b) if u < 0.5 else (b, a),
-                              ent if len(ent) == 1 else (ent[integers(len(ent))],)))
-            pending = False
+                tags.append(rot[integers(len(rot))])
+    new_edges = []
+    if ent:
+        for a, b in pairs:
+            if random() < 0.5:
+                new_edges.append(((a, b) if random() < 0.5 else (b, a),
+                                  (ent[integers(len(ent))],)))
     if _grown_quantity(constraint.quantity, seed, sizes, tags, new_edges) > constraint.bound:
         return None
     added = iter(tags)

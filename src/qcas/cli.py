@@ -307,7 +307,15 @@ def write_record(record: dict, path: str):
         raise
 
 
+# the keys of a run without an error that `export_csv` and `eval_record` read
+_RUN_KEYS = ("seed", "algorithm", "metrics", "validation_score", "test", "trace", "best_cell",
+             "theta")
+
+
 def load_record(path: str) -> dict:
+    """The run record at `path`; a file that cannot be read, or a document
+    without the keys that `export_csv` and `eval_record` read, is a
+    ConfigError that names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
@@ -318,6 +326,16 @@ def load_record(path: str) -> dict:
         raise ConfigError(f"record {path!r} is not a run record: it has no 'runs' list")
     if record.get("format") != RECORD_FORMAT_VERSION:
         raise ConfigError(f"unsupported record format in {path}")
+    config = record.get("config")
+    if not (isinstance(config, dict) and isinstance(config.get("task"), dict)
+            and "kind" in config["task"]):
+        raise ConfigError(f"record {path!r} has no 'config.task.kind'")
+    for i, run in enumerate(record["runs"]):
+        if not isinstance(run, dict):
+            raise ConfigError(f"record {path!r}: run {i} is not a mapping")
+        missing = [key for key in _RUN_KEYS if key not in run]
+        if missing and "error" not in run:
+            raise ConfigError(f"record {path!r}: run {i} has no {missing[0]!r}")
     return record
 
 
@@ -349,7 +367,7 @@ def export_csv(records, out_dir: str) -> list:
             if "error" in r:
                 continue
             algorithm, seed = r["algorithm"], r["seed"]
-            test = r.get("test", {})
+            test = r["test"]
             if "per_p" in test:
                 for p, (mean, std) in sorted(test["per_p"].items(), key=lambda kv: float(kv[0])):
                     denoise_rows.append([_fmt(p), _fmt(mean), _fmt(std), algorithm, str(seed)])

@@ -273,6 +273,65 @@ def stream(seed: int, purpose: str, *keys) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big"))
 
 
+class Draws:
+    """The scalar draws of a PCG64 Generator, read from its raw 64-bit words.
+
+    `integers(low, high)`, `random()` and `random(size)` return what the
+    Generator's methods return, in the same order: a range of one value
+    draws nothing, a range of up to 2**32 values is Lemire's bounded 32-bit
+    method with its retry (arXiv:1805.10941) on the low half of a word and
+    then its buffered upper half, and a uniform is ``(word >> 11) * 2**-53``
+    of a whole word.  The
+    words come in blocks of `block` from `random_raw`, so a draw costs a
+    Python call instead of a numpy dispatch.  The Draws owns the Generator
+    from then on; a half-word the Generator had buffered is taken over.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = 256):
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise ValueError(f"Draws reads PCG64 words, not {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._raw, self._block = bit_generator.random_raw, block
+        self._next = iter(()).__next__  # the unread words of the last block
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _refill(self) -> int:
+        self._next = iter(self._raw(self._block).tolist()).__next__
+        return self._next()
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers draws from 1..2**32 values, got low={low}, high={high}")
+        if n == 1:
+            return low
+        while True:
+            u = self._half
+            if u is None:
+                try:
+                    word = self._next()
+                except StopIteration:
+                    word = self._refill()
+                u, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._half = None
+            m = u * n
+            if m & 0xFFFFFFFF >= 0x100000000 % n:  # else a biased draw: retry
+                return low + (m >> 32)
+
+    def random(self, size: int | None = None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
+        try:
+            word = self._next()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 2.0**-53
+
+
 class Scored(NamedTuple):
     """A cell with its fitted parameters and validation score: the entry
     every search keeps, unpacking as (cell, theta, score)."""

@@ -16,7 +16,7 @@ from .cell import (
     sample_admissible,
     select_best,
 )
-from .optim import OptBudget, Scored, check_int, score_cell, stream
+from .optim import Draws, OptBudget, Scored, check_int, score_cell, stream
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def res_search(task, vocab, config: ResConfig, opt_budget: OptBudget, seed: int)
     until no child of it fits the bound (`can_grow`) or a phase admits none.
     """
     constraint = config.constraint
-    rng = stream(seed, "res.sample")
+    rng = Draws(stream(seed, "res.sample"))
 
     cells = sample_admissible(
         lambda: random_cell(vocab, task.n_qubits, rng, config.layer_budget_per_phase,

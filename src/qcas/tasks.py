@@ -26,7 +26,7 @@ import numpy as np
 # wraps tasks.metrics and tasks.eval_soft_constraint (tests/test_surface.py allows them).
 from .cell import (SoftConstraint, eval_soft_constraint, metrics,  # noqa: F401
                    random_cell, sample_admissible, select_best)
-from .optim import OptBudget, check_choice, check_int, check_range, score_cell, stream
+from .optim import Draws, OptBudget, check_choice, check_int, check_range, score_cell, stream
 from .sim import (SPACE_CLIFFORD, SPACE_GENERIC, SPACE_SINGLE_CLIFFORD, Circuit,
                   amplitude_encode, apply_circuit_columns, basis_state, circuit_unitary, gate,
                   ghz_state)
@@ -572,7 +572,7 @@ def random_search(task, vocab, budget_evals: int, constraint: SoftConstraint,
     """Independent random cells of `vocab`'s kinds within `constraint`, best
     kept; serves as the RS baseline and the RELM random initializer.  Returns
     (best, all) `Scored` entries."""
-    rng = stream(seed, "rs.sample")
+    rng = Draws(stream(seed, "rs.sample"))
     cells = sample_admissible(
         lambda: random_cell(vocab, task.n_qubits, rng, layer_budget, constraint),
         budget_evals, max_tries=200)

@@ -32,6 +32,7 @@ from qcas.cell import (
     random_cell,
     select_best,
 )
+from qcas.optim import Draws
 from qcas.sim import (
     GATE_KINDS,
     Circuit,
@@ -232,8 +233,7 @@ class TestExpandCell:
 
 
 QUANTITIES = ("n_params", "n_layers", "n_two_qubit", "n_gates")
-# one 2-qubit kind (the batched coin flips), four, none, and one with one
-# rotation kind as well
+# one 2-qubit kind, four, none, and one with one rotation kind as well
 SAMPLER_SPACES = {"clifford": SPACE_CLIFFORD, "generic": SPACE_GENERIC,
                   "single-clifford": SPACE_SINGLE_CLIFFORD, "ry-cnot": frozenset({"RY", "CNOT"})}
 
@@ -309,6 +309,41 @@ class TestDrawStream:
         assert pickle.dumps(seed) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(seed))
         assert restored == seed and "_growth" not in vars(restored)
+
+
+class TestSamplersOnDraws:
+    """RES and random search draw their cells through `Draws`: from the same
+    seed it gives `random_cell` and `expand_cell` the same cell or None, call
+    for call, as the Generator it wraps, also from a half-used 32-bit buffer."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
+    def test_same_cells_as_the_generator(self, space, n):
+        vocab = build_vocab(space)
+        outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
+        for layer_budget in (1, 2, 3):
+            for quantity in (None, *QUANTITIES):
+                for rng_seed in range(3):
+                    seed = random_cell(vocab, n, np.random.default_rng(rng_seed + 100),
+                                       layer_budget, UNBOUNDED)
+                    constraint = UNBOUNDED if quantity is None else SoftConstraint(
+                        quantity, max(1, getattr(metrics(seed), quantity) + 1))
+                    generator, wrapped = (np.random.default_rng(rng_seed) for _ in range(2))
+                    if rng_seed == 1:  # start from a half-used 32-bit buffer
+                        generator.integers(2)
+                        wrapped.integers(2)
+                    draws = Draws(wrapped, block=5)
+                    for i in range(12):
+                        if i % 3:
+                            got = expand_cell(seed, vocab, draws, layer_budget, constraint)
+                            want = expand_cell(seed, vocab, generator, layer_budget, constraint)
+                        else:
+                            got = random_cell(vocab, n, draws, layer_budget, constraint)
+                            want = random_cell(vocab, n, generator, layer_budget, constraint)
+                        assert got == want
+                        if quantity is not None:
+                            outcomes[got is not None] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 HEADROOM_SPACES = (SPACE_GENERIC, SPACE_CLIFFORD, SPACE_SINGLE_CLIFFORD, frozenset({"CNOT"}),

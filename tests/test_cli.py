@@ -560,6 +560,34 @@ class TestMain:
         assert err.startswith("config error: ") and str(rec_path) in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    GOOD_RUN = {"seed": 1, "algorithm": "rs", "metrics": {}, "validation_score": 0.5,
+                "test": {}, "trace": None, "best_cell": {}, "theta": []}
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("case", ["config", "task", "kind", "run", *GOOD_RUN])
+    def test_record_missing_a_key_is_a_one_line_config_error(self, tmp_path, capsys, command,
+                                                              case):
+        # the second run lacks the key; an error run needs none of them
+        cfg_path, rec_path = tmp_path / "cfg.json", tmp_path / "rec.json"
+        cfg_path.write_text(json.dumps(FAST))
+        runs = [{"seed": 0, "error": "RuntimeError: none found"}, dict(self.GOOD_RUN)]
+        record = {"format": 1, "config": {"task": {"kind": "denoise"}}, "runs": runs}
+        if case == "config":
+            del record["config"]
+        elif case in ("task", "kind"):
+            record["config"] = {"task": {}} if case == "kind" else {}
+        elif case == "run":
+            runs[1] = ["seed", 1]
+        else:
+            del runs[1][case]
+        rec_path.write_text(json.dumps(record))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--record", str(rec_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        reason = (" has no 'config.task.kind'" if case in ("config", "task", "kind")
+                  else ": run 1 is not a mapping" if case == "run" else f": run 1 has no {case!r}")
+        assert err == f"config error: record {str(rec_path)!r}{reason}\n"
+
     @pytest.mark.parametrize("case, message", [
         ("missing", "cannot read config '{path}': No such file or directory"),
         ("directory", "cannot read config '{path}': Is a directory"),

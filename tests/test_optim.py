@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from reference import UNBOUNDED, content_stream, score_with_generator
 
 from qcas import optim, relm, res, tasks
-from qcas.cell import Cell, build_vocab, cell_to_circuit
-from qcas.optim import STREAMS, OptBudget, _guard, _nelder_mead, minimize, score_cell, stream
+from qcas.cell import Cell, SoftConstraint, build_vocab, cell_to_circuit
+from qcas.optim import (STREAMS, Draws, OptBudget, _guard, _nelder_mead, minimize, score_cell,
+                         stream)
 from qcas.sim import SPACE_CLIFFORD, SPACE_GENERIC, Circuit, apply_circuit_columns, basis_state, gate, ghz_state
 from qcas.tasks import gen_noise_dataset, make_denoise_task
 
@@ -472,6 +473,80 @@ class TestStreamTable:
         state = stream(5, "res.fit", cell).bit_generator.state
         assert state == content_stream(5, twin).bit_generator.state
         assert state != content_stream(6, cell).bit_generator.state
+
+
+# one value (no draw), small ranges, ranges past 2**31, one that rejects about
+# a quarter of its 32-bit draws (3 * 2**30) and the whole 32-bit range
+RANGES = (1, 2, 3, 4, 5, 7, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32)
+
+
+class TestDraws:
+    """`Draws` against the installed numpy: the same numbers as the
+    Generator's own `integers` and `random` on the same seed, so a numpy whose
+    `integers` draws differently fails here instead of changing qcas's runs."""
+
+    @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_numbers_as_the_generator(self, seed, half_used):
+        generator, wrapped = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_used:  # the Generator holds the upper half of a word
+            assert generator.integers(2) == wrapped.integers(2)
+            assert wrapped.bit_generator.state["has_uint32"] == 1
+        draws = Draws(wrapped, block=7)  # reads cross block boundaries
+        script = np.random.default_rng(1000 + seed)  # the interleaving
+        for _ in range(6000):
+            op = int(script.integers(len(RANGES) + 7))
+            if op < len(RANGES):
+                low = int(script.integers(-2, 3))
+                args = (RANGES[op],) if low == 0 else (low, low + RANGES[op])
+                got = draws.integers(*args)
+                assert type(got) is int and got == generator.integers(*args)
+            elif op == len(RANGES):
+                got = draws.random()
+                assert type(got) is float and got == generator.random()
+            else:
+                size = op - len(RANGES) - 1  # 0..5
+                got, want = draws.random(size), generator.random(size)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.shape == want.shape == (size,)
+
+    def test_only_a_pcg64_stream(self):
+        with pytest.raises(ValueError, match="MT19937"):
+            Draws(np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("args", [(0,), (3, 3), (5, 2), (2**32 + 1,)])
+    def test_range_outside_one_to_2_32_values_rejected(self, args):
+        with pytest.raises(ValueError, match="integers draws from 1..2\\*\\*32 values"):
+            Draws(np.random.default_rng(0)).integers(*args)
+
+
+class TestSearchesOnDraws:
+    """RES and random search read their sampling streams through `Draws`,
+    and return the same entries as when they draw from the Generator itself."""
+
+    BUDGET = OptBudget(max_evals=30, restarts=2)
+
+    @staticmethod
+    def entries(result):
+        return [(entry.cell, entry.theta.tolist(), entry.score) for entry in result]
+
+    def run(self, search, task, space):
+        vocab, constraint = build_vocab(space), SoftConstraint("n_layers", 3)
+        if search == "res":
+            config = res.ResConfig(population_size=6, constraint=constraint, max_phases=3)
+            result = res.res_search(task, vocab, config, self.BUDGET, 11)
+            return (self.entries([result.best, *result.population]),
+                    [vars(phase) for phase in result.phases])
+        best, scored = tasks.random_search(task, vocab, 6, constraint, 11, layer_budget=2,
+                                           opt_budget=self.BUDGET)
+        return self.entries([best, *scored])
+
+    @pytest.mark.parametrize("space", [SPACE_CLIFFORD, SPACE_GENERIC], ids=["clifford", "generic"])
+    @pytest.mark.parametrize("search", ["res", "rs"])
+    def test_same_entries_as_the_generator(self, clean_task, monkeypatch, search, space):
+        through_draws = self.run(search, clean_task, space)
+        monkeypatch.setattr({"res": res, "rs": tasks}[search], "Draws", lambda g: g)
+        assert self.run(search, clean_task, space) == through_draws
 
 
 class TestEvaluationAccounting:
