@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .optim import check_choice, check_int
+from .optim import Draws, check_choice, check_int
 from .sim import GATE_KINDS, Circuit, gate
 
 NO_OP = "NO_OP"
@@ -138,8 +138,8 @@ def _edges(n: int) -> frozenset:
     return frozenset((c, t) for c in range(n) for t in range(n) if c != t)
 
 
-def random_cell(vocab: GateVocab, n_qubits: int, rng: np.random.Generator, layer_budget: int,
-                constraint: SoftConstraint):
+def random_cell(vocab: GateVocab, n_qubits: int, rng: np.random.Generator | Draws,
+                layer_budget: int, constraint: SoftConstraint):
     """Sample a fresh cell of `vocab`'s kinds within `constraint`, or None: up
     to `layer_budget` rotations per qubit and at most one 2-qubit op per edge
     (each unordered pair drawn with prob 1/2), `layer_budget` >= 1 as every
@@ -153,8 +153,8 @@ def _empty_cell(n: int) -> Cell:
     return Cell(n)
 
 
-def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator, layer_budget: int,
-                constraint: SoftConstraint):
+def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator | Draws,
+                layer_budget: int, constraint: SoftConstraint):
     """Grow a seed cell: keep everything it has, append fresh rotations of
     `vocab` and fill in missing edges with newly sampled 2-qubit ops of it.
 

@@ -310,6 +310,8 @@ def write_record(record: dict, path: str):
 # the keys of a run without an error that `export_csv` and `eval_record` read
 _RUN_KEYS = ("seed", "algorithm", "metrics", "validation_score", "test", "trace", "best_cell",
              "theta")
+# the keys of a run's metrics that `export_csv` reads
+_METRIC_KEYS = ("n_params", "n_layers", "n_two_qubit")
 
 
 def load_record(path: str) -> dict:
@@ -333,8 +335,14 @@ def load_record(path: str) -> dict:
     for i, run in enumerate(record["runs"]):
         if not isinstance(run, dict):
             raise ConfigError(f"record {path!r}: run {i} is not a mapping")
+        if "error" in run:
+            continue
         missing = [key for key in _RUN_KEYS if key not in run]
-        if missing and "error" not in run:
+        if not missing:
+            metrics = run["metrics"]
+            missing = [f"metrics.{key}" for key in _METRIC_KEYS
+                       if not (isinstance(metrics, dict) and key in metrics)]
+        if missing:
             raise ConfigError(f"record {path!r}: run {i} has no {missing[0]!r}")
     return record
 
@@ -371,7 +379,7 @@ def export_csv(records, out_dir: str) -> list:
             if "per_p" in test:
                 for p, (mean, std) in sorted(test["per_p"].items(), key=lambda kv: float(kv[0])):
                     denoise_rows.append([_fmt(p), _fmt(mean), _fmt(std), algorithm, str(seed)])
-            trace = r.get("trace") or {}
+            trace = r["trace"] or {}
             if "relm" in trace:
                 rewards = [e["mean_reward"] for e in trace["relm"]]
                 smoothed = _smooth(rewards)

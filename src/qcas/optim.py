@@ -276,28 +276,29 @@ def stream(seed: int, purpose: str, *keys) -> np.random.Generator:
 class Draws:
     """The scalar draws of a PCG64 Generator, read from its raw 64-bit words.
 
-    `integers(low, high)`, `random()` and `random(size)` return what the
-    Generator's methods return, in the same order: a range of one value
-    draws nothing, a range of up to 2**32 values is Lemire's bounded 32-bit
-    method with its retry (arXiv:1805.10941) on the low half of a word and
-    then its buffered upper half, and a uniform is ``(word >> 11) * 2**-53``
-    of a whole word.  The
-    words come in blocks of `block` from `random_raw`, so a draw costs a
+    `integers(low, high)` and `random()` return what the Generator's methods
+    return, in the same order: a range of one value draws nothing, a range
+    of up to 2**32 values is Lemire's bounded 32-bit method with its retry
+    (arXiv:1805.10941) on the low half of a word and then its buffered upper
+    half, and a uniform is ``(word >> 11) * 2**-53`` of a whole word.  The
+    words come in blocks of `_BLOCK` from `random_raw`, so a draw costs a
     Python call instead of a numpy dispatch.  The Draws owns the Generator
     from then on; a half-word the Generator had buffered is taken over.
     """
 
-    def __init__(self, rng: np.random.Generator, block: int = 256):
+    _BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
         bit_generator = rng.bit_generator
         if type(bit_generator) is not np.random.PCG64:
             raise ValueError(f"Draws reads PCG64 words, not {type(bit_generator).__name__}")
         state = bit_generator.state
-        self._raw, self._block = bit_generator.random_raw, block
+        self._raw = bit_generator.random_raw
         self._next = iter(()).__next__  # the unread words of the last block
         self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _refill(self) -> int:
-        self._next = iter(self._raw(self._block).tolist()).__next__
+        self._next = iter(self._raw(self._BLOCK).tolist()).__next__
         return self._next()
 
     def integers(self, low: int, high: int | None = None) -> int:
@@ -322,9 +323,7 @@ class Draws:
             if m & 0xFFFFFFFF >= 0x100000000 % n:  # else a biased draw: retry
                 return low + (m >> 32)
 
-    def random(self, size: int | None = None):
-        if size is not None:
-            return np.array([self.random() for _ in range(size)])
+    def random(self) -> float:
         try:
             word = self._next()
         except StopIteration:

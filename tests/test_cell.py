@@ -332,7 +332,7 @@ class TestSamplersOnDraws:
                     if rng_seed == 1:  # start from a half-used 32-bit buffer
                         generator.integers(2)
                         wrapped.integers(2)
-                    draws = Draws(wrapped, block=5)
+                    draws = Draws(wrapped)
                     for i in range(12):
                         if i % 3:
                             got = expand_cell(seed, vocab, draws, layer_budget, constraint)

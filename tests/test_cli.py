@@ -1,6 +1,7 @@
 """Experiment driver: config parsing with defaults and env overrides, run
 records, CSV export, dataset generation and exit codes."""
 
+import copy
 import json
 import os
 import re
@@ -560,17 +561,19 @@ class TestMain:
         assert err.startswith("config error: ") and str(rec_path) in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
-    GOOD_RUN = {"seed": 1, "algorithm": "rs", "metrics": {}, "validation_score": 0.5,
-                "test": {}, "trace": None, "best_cell": {}, "theta": []}
+    GOOD_RUN = {"seed": 1, "algorithm": "rs",
+                "metrics": {"n_params": 0, "n_layers": 1, "n_two_qubit": 0},
+                "validation_score": 0.5, "test": {}, "trace": None, "best_cell": {}, "theta": []}
 
     @pytest.mark.parametrize("command", ["eval", "export"])
-    @pytest.mark.parametrize("case", ["config", "task", "kind", "run", *GOOD_RUN])
+    @pytest.mark.parametrize("case", ["config", "task", "kind", "run", *GOOD_RUN,
+                                      *(f"metrics.{key}" for key in GOOD_RUN["metrics"])])
     def test_record_missing_a_key_is_a_one_line_config_error(self, tmp_path, capsys, command,
                                                               case):
         # the second run lacks the key; an error run needs none of them
         cfg_path, rec_path = tmp_path / "cfg.json", tmp_path / "rec.json"
         cfg_path.write_text(json.dumps(FAST))
-        runs = [{"seed": 0, "error": "RuntimeError: none found"}, dict(self.GOOD_RUN)]
+        runs = [{"seed": 0, "error": "RuntimeError: none found"}, copy.deepcopy(self.GOOD_RUN)]
         record = {"format": 1, "config": {"task": {"kind": "denoise"}}, "runs": runs}
         if case == "config":
             del record["config"]
@@ -578,6 +581,8 @@ class TestMain:
             record["config"] = {"task": {}} if case == "kind" else {}
         elif case == "run":
             runs[1] = ["seed", 1]
+        elif case.startswith("metrics."):
+            del runs[1]["metrics"][case.removeprefix("metrics.")]
         else:
             del runs[1][case]
         rec_path.write_text(json.dumps(record))

@@ -487,28 +487,24 @@ class TestDraws:
 
     @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_same_numbers_as_the_generator(self, seed, half_used):
+    def test_same_numbers_as_the_generator(self, monkeypatch, seed, half_used):
+        monkeypatch.setattr(Draws, "_BLOCK", 7)  # reads cross block boundaries
         generator, wrapped = np.random.default_rng(seed), np.random.default_rng(seed)
         if half_used:  # the Generator holds the upper half of a word
             assert generator.integers(2) == wrapped.integers(2)
             assert wrapped.bit_generator.state["has_uint32"] == 1
-        draws = Draws(wrapped, block=7)  # reads cross block boundaries
+        draws = Draws(wrapped)
         script = np.random.default_rng(1000 + seed)  # the interleaving
         for _ in range(6000):
-            op = int(script.integers(len(RANGES) + 7))
+            op = int(script.integers(len(RANGES) + 1))
             if op < len(RANGES):
                 low = int(script.integers(-2, 3))
                 args = (RANGES[op],) if low == 0 else (low, low + RANGES[op])
                 got = draws.integers(*args)
                 assert type(got) is int and got == generator.integers(*args)
-            elif op == len(RANGES):
+            else:
                 got = draws.random()
                 assert type(got) is float and got == generator.random()
-            else:
-                size = op - len(RANGES) - 1  # 0..5
-                got, want = draws.random(size), generator.random(size)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert got.shape == want.shape == (size,)
 
     def test_only_a_pcg64_stream(self):
         with pytest.raises(ValueError, match="MT19937"):
