@@ -426,10 +426,28 @@ def gen_data(task_cfg: dict, seed: int, out_dir: str) -> str:
     return path
 
 
-def eval_record(record_path: str, out_dir: str) -> str:
-    """Re-evaluate every run in a record on its task's test protocol."""
+def _leaves(value, path: str = "") -> list:
+    """Each leaf of a JSON value as (path, JSON text), keys in sorted order;
+    a path reads like `['per_p']['0.1'][0]`, and an empty container is a
+    leaf."""
+    if isinstance(value, dict) and value:
+        return [leaf for k in sorted(value) for leaf in _leaves(value[k], f"{path}[{k!r}]")]
+    if isinstance(value, list) and value:
+        return [leaf for i, v in enumerate(value) for leaf in _leaves(v, f"{path}[{i}]")]
+    return [(path, json.dumps(value))]
+
+
+def eval_record(record_path: str, out_dir: str) -> tuple[str, str | None]:
+    """Re-evaluate every run in a record on its task's test protocol and
+    check that it reproduces the record's `test` block.
+
+    Writes the eval file and returns its path and, if a recomputed block
+    differs from the stored one, a line that names the first such run's seed
+    and the first differing key (else None).  Runs with an `error` pass
+    through unchecked.
+    """
     record = load_record(record_path)
-    results = []
+    results, difference = [], None
     for r in record["runs"]:
         if "error" in r:
             results.append(r)
@@ -437,13 +455,20 @@ def eval_record(record_path: str, out_dir: str) -> str:
         built = build_task(record["config"]["task"], r["seed"])
         circuit = cell_to_circuit(cell_from_dict(r["best_cell"]))
         theta = np.asarray(r["theta"], dtype=float)
-        results.append({"seed": r["seed"], "algorithm": r["algorithm"],
-                        "test": built.evaluate(circuit, theta)})
+        test = json.loads(json.dumps(built.evaluate(circuit, theta)))  # as the record holds it
+        results.append({"seed": r["seed"], "algorithm": r["algorithm"], "test": test})
+        stored, recomputed = dict(_leaves(r["test"])), dict(_leaves(test))
+        where = next((p for p in {**recomputed, **stored}
+                      if stored.get(p) != recomputed.get(p)), None)
+        if where is not None and difference is None:
+            difference = (f"seed {r['seed']} does not reproduce its record: test{where} is "
+                          f"{recomputed.get(where, 'missing')}, the record holds "
+                          f"{stored.get(where, 'missing')}")
     out = {"format": RECORD_FORMAT_VERSION, "source": os.path.basename(record_path),
            "results": results}
     path = os.path.join(out_dir, "eval_" + os.path.basename(record_path))
     write_record(out, path)
-    return path
+    return path, difference
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +531,11 @@ def main(argv=None) -> int:
             if any("error" in r for r in record["runs"]):
                 return EXIT_RUNTIME
         elif args.command == "eval":
-            print(eval_record(args.record, out_dir))
+            path, difference = eval_record(args.record, out_dir)
+            print(path)
+            if difference is not None:
+                print(difference, file=sys.stderr)
+                return EXIT_RUNTIME
         else:
             records = [load_record(p) for p in args.record]
             for path in export_csv(records, out_dir):

@@ -7,21 +7,35 @@ batch) matrix of such columns.  All expectation values are exact (no shot
 sampling).
 
 Every gate application goes through one kernel, `_apply_steps`, which runs a
-list of (transpose permutation, dimension, matrix) steps on a
-(2,)*n + (batch,) tensor.  A circuit's parameters are its parametric gates
-in gate order: theta[k] is the angle of its k-th parametric gate.  A
-`Circuit` is an immutable value, compiled when it is built: it holds the
-permutations of all its gates, the constant matrices of its fixed gates, and
-one buffer holding the matrices of its parametric gates, refilled for each
-theta with the cos/sin of every angle (from `math`).  A gate's permutation
-depends only on its targets and on the axis order the previous gate left, so
-`_kernel_step` memoises it in a bounded cache shared by all compiles; a
-circuit that runs once, such as a parameter-free cell scored once, pays
-little more than its matmuls.  `apply_circuit_columns` is the one entry to
-the kernel (`circuit_unitary` goes through it; one state runs as
-`state[:, None]`), and it checks the columns' width there.  It gives bit for
-bit the results of applying each gate with the matrix that
-`exact_gate_matrix` in `tests/reference.py` builds.
+circuit's list of (rows, dim, matrix) steps on the (2^n, batch) columns: a
+step gathers the rows into the order its gate needs with one `take` (none
+when they are already in place) and multiplies them, viewed as (dim, rest),
+by its matrix.  A circuit's parameters are its parametric gates in gate
+order: theta[k] is the angle of its k-th parametric gate.  A `Circuit` is an
+immutable value, compiled when it is built: it holds the row orders of its
+steps, the constant matrices of its fixed gates, and one buffer holding the
+matrices of its parametric gates, refilled for each theta with the cos/sin
+of every angle (from `math`).  I, X and CNOT, whose matrices hold only 0s
+and 1s, make no step: they relabel basis states, so their permutation is
+composed into the rows of the next step or of the final restore.  Row
+orders come from bounded tables shared by all compiles, so a circuit that
+runs once, such as a parameter-free cell scored once, pays little more than
+its matmuls.  `apply_circuit_columns` is the one entry to the kernel
+(`circuit_unitary` goes through it; one state runs as `state[:, None]`), and
+it checks the columns' shape there.
+
+Its results equal, bit for bit, those of multiplying each gate's matrix, as
+`exact_gate_matrix` in `tests/reference.py` builds it, with every -0.0 made
++0.0:
+- a gather moves values without changing them, and a product of the same
+  shape computes a column alike wherever it lies among the columns;
+- a 0/1 matrix's product gives each amplitude one input amplitude times 1
+  plus exact zeros, so every value is that input's; only the sign of an
+  exactly zero real or imaginary part depends on the other terms' zeros;
+- a zero's sign never changes a nonzero value later on (x + -0.0 is x, and
+  a zero times a finite value is a zero), so the result can differ from the
+  per-gate products only in the signs of its zeros, and the kernel adds 0.0
+  to it, which turns -0.0 into +0.0 and changes no other value.
 """
 
 from __future__ import annotations
@@ -80,6 +94,10 @@ GATE_KINDS["CNOT"] = GateKind("CNOT", 2, 0)
 for _tag in ("CRX", "CRY", "CRZ"):
     GATE_KINDS[_tag] = GateKind(_tag, 2, 1)
 
+# The parameter-free gates whose matrix holds only 0s and 1s (I, X and CNOT):
+# they only relabel basis states, so circuits fold them into row orders.
+_PERMUTATIONS = frozenset(t for t, m in _FIXED.items() if ((m == 0) | (m == 1)).all())
+
 # Named search spaces: single-qubit Cliffords, the full Clifford set and the
 # generic parameterized set.
 SPACE_SINGLE_CLIFFORD = frozenset({"H", "S", "T", "I"})
@@ -129,18 +147,23 @@ class Circuit:
     """An immutable gate sequence, compiled when it is built for runs at many
     parameter vectors.
 
-    It holds the kernel steps of every gate, whose permutations come from
-    the bounded `_kernel_step` cache.  Each permutation brings the gate's
-    target axes to the front of the axis order the previous step left
-    behind, so one transpose per gate suffices; non-target axes keep their
-    relative order and the batch axis stays last.  Fixed gates use their
-    constant matrices.  The matrices of parametric gates are views into one
-    buffer, which `bind` refills in place from a single cos/sin evaluation
-    of theta/2 (the k-th parametric gate's from theta[k]), with the entries
-    of `exact_gate_matrix` in `tests/reference.py`; runs are therefore
-    bit-identical to building every matrix per gate.  Every run refills the
-    buffer, so one circuit must not be run from two threads at once.
-    Equality, hash and repr see only `n_qubits` and `gates`.
+    It compiles into kernel steps `(rows, dim, matrix)`, one per gate that is
+    not I, X or CNOT.  A step's gate multiplies the (2^n, batch) columns
+    viewed as (dim, rest), so its target bits must be the high bits of the
+    row index: `rows` is the row order, from the bounded `_layout` table,
+    that brings them there, or None when the rows are already in place and
+    the last step had the same dim (as for consecutive gates on one qubit).
+    I, X and CNOT only relabel basis states, so they make no step: their
+    permutation, from the bounded `_relabel` table, is composed into the
+    next step's `rows`, or into `restore`, the row order that puts the
+    result back in qubit order (None if it is in qubit order).
+    Fixed gates use their constant matrices.  The matrices of parametric
+    gates are views into one buffer, which `bind` refills in place from a
+    single cos/sin evaluation of theta/2 (the k-th parametric gate's from
+    theta[k]), with the entries of `exact_gate_matrix` in
+    `tests/reference.py`.  Every run refills the buffer, so one circuit must
+    not be run from two threads at once.  Equality, hash and repr see only
+    `n_qubits` and `gates`.
     """
 
     n_qubits: int
@@ -148,34 +171,45 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.n_qubits
         targets = [t for g in self.gates for t in g.targets]
-        if targets and (min(targets) < 0 or max(targets) >= self.n_qubits):
+        if targets and (min(targets) < 0 or max(targets) >= n):
             raise ValueError("gate target out of range")
         param = [g for g in self.gates if g.kind.param_count]
-        n = len(param)
         buffer = np.zeros(sum(4**g.kind.arity for g in param), dtype=complex)
         dst, src, steps = [], [], []
-        where = tuple(range(self.n_qubits + 1))
+        layout = _layout(n, ())
+        where, dim = layout[2], 2**n  # where[j]: the row that holds basis state j
         offset = k = 0  # k: the next parametric gate's index in theta
         for g in self.gates:
+            tag = g.kind.tag
+            if tag in _PERMUTATIONS:
+                if tag != "I":
+                    where = where[_relabel(n, tag, g.targets)]
+                continue
+            d = 2**g.kind.arity
             if not g.kind.param_count:
-                mat = _FIXED[g.kind.tag]
+                mat = _FIXED[tag]
             else:
-                d = 2**g.kind.arity
                 mat = buffer[offset:offset + d * d].reshape(d, d)
                 corner = d - 2  # controlled gates rotate the control-|1> block
                 mat[:corner, :corner] = np.eye(corner)
-                for row, col, part, value in _ROT_ENTRIES[g.kind.tag[-1]]:
+                for row, col, part, value in _ROT_ENTRIES[tag[-1]]:
                     dst.append(2 * (offset + (corner + row) * d + corner + col) + part)
-                    src.append(value * n + k)
+                    src.append(value * len(param) + k)
                 offset += d * d
                 k += 1
-            perm, dim, where = _kernel_step(where, g.targets)
-            steps.append((perm, dim, mat))
+            after = _layout(n, g.targets)
+            # in place: no gate folded since the last step, same row order and dim
+            in_place = where is layout[2] and after[0] == layout[0] and d == dim
+            steps.append((None if in_place else where[after[1]], d, mat))  # a fresh index
+            layout, where, dim = after, after[2], d
+        in_order = where is layout[2] and layout[0] == tuple(range(n))
         vars(self).update(  # derived once; no fields, so ==, hash and repr skip them
-            n_params=n, steps=steps, restore=where,  # restore: back to qubit order
+            # `take` runs slower with a read-only index, such as a table's
+            n_params=len(param), steps=steps, restore=None if in_order else where.copy(),
             _parts=buffer.view(np.float64),
-            _values=np.empty((4, n)),  # cos, sin, -sin, sin + 0.0 of theta/2
+            _values=np.empty((4, len(param))),  # cos, sin, -sin, sin + 0.0 of theta/2
             _dst=np.array(dst, dtype=np.intp), _src=np.array(src, dtype=np.intp))
 
     def __reduce__(self):
@@ -211,44 +245,74 @@ def gate(tag: str, *targets: int) -> GateInstance:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _kernel_step(where: tuple, targets: tuple) -> tuple[tuple, int, tuple]:
-    """One gate's (perm, dim, where after it), from the axis positions
-    `where` the previous step left behind (where[a]: the position of axis a).
+@functools.lru_cache(maxsize=128)
+def _layout(n: int, targets: tuple) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(order, rows, inverse): the row order in which a gate on `targets`
+    multiplies n-qubit columns.
 
-    A pure function of its arguments, memoised in a bounded cache.  The
-    order it leaves depends only on `targets`, so at n qubits there are at
-    most 1 + (number of distinct target tuples) positions to start from.
+    Row r holds basis state rows[r]: its qubits in `order` (the targets,
+    then the other qubits ascending) are the bits of r from the highest
+    down, and inverse[j] is the row of basis state j.  `targets` () is qubit
+    order.  At 10 qubits an entry holds 16 KB.
     """
-    order = targets + tuple(a for a in range(len(where)) if a not in targets)
-    after = [0] * len(where)
-    for i, a in enumerate(order):
-        after[a] = i
-    return tuple([where[a] for a in order]), 2 ** len(targets), tuple(after)
+    order = targets + tuple(q for q in range(n) if q not in targets)
+    r = np.arange(2**n)
+    rows = np.zeros(2**n, dtype=np.intp)
+    for i, q in enumerate(order):
+        rows |= (r >> (n - 1 - i) & 1) << (n - 1 - q)
+    inverse = np.empty_like(rows)
+    inverse[rows] = r
+    rows.flags.writeable = inverse.flags.writeable = False
+    return order, rows, inverse
 
 
-def _apply_steps(columns: np.ndarray, n_qubits: int, steps, restore) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _relabel(n: int, tag: str, targets: tuple) -> np.ndarray:
+    """q with (G w)[j] = w[q[j]] for the n-qubit state w and the gate G, a
+    `tag` in `_PERMUTATIONS` on `targets`.  At 10 qubits an entry holds 8 KB.
+
+    In the gate's `_layout` its product's block of rows a is the input's
+    block of rows c, where c is the column of the one 1 in its matrix's
+    row a.
+    """
+    _, rows, _ = _layout(n, targets)
+    rest = 2**n >> len(targets)
+    copied = _FIXED[tag].real.argmax(1)[:, None] * rest + np.arange(rest)
+    q = np.empty_like(rows)
+    q[rows] = rows[copied.ravel()]
+    q.flags.writeable = False
+    return q
+
+
+_ZERO = np.zeros((), dtype=complex)  # a 0-d operand adds with less dispatch than 0.0
+_ZERO.flags.writeable = False
+
+
+def _apply_steps(columns: np.ndarray, steps, restore) -> np.ndarray:
     """The gate-application kernel: run kernel steps on (2^n, batch) columns.
 
-    Each step views the (2,)*n + (batch,) tensor with the gate's target axes
-    first, flattens it to (2^k, rest) and multiplies by the 2^k x 2^k matrix.
-    A step whose targets are already in front (as for consecutive gates on
-    one qubit) multiplies the last product as it lies.  `ndarray.dot` makes
+    A step takes its rows into place with one `take` and multiplies the
+    (dim, rest) view by the dim x dim matrix; a step whose rows are already
+    in place multiplies the last product as it lies.  `ndarray.dot` makes
     the same BLAS call as `@` on these 2-D operands, with less dispatch.
+    The result adds 0.0, which turns every -0.0 into +0.0 and changes no
+    other value.
     """
-    batch = columns.shape[1]
-    shape = (2,) * n_qubits + (batch,)
-    unmoved = tuple(range(n_qubits + 1))
     x = np.ascontiguousarray(columns, dtype=complex)
-    for perm, dim, mat in steps:
-        if perm != unmoved:
-            x = x.reshape(shape).transpose(perm)
-        x = mat.dot(x.reshape(dim, -1))
-    return x.reshape(shape).transpose(restore).reshape(2**n_qubits, batch)
+    shape = x.shape
+    for rows, dim, mat in steps:
+        if rows is not None:
+            x = x.reshape(shape).take(rows, 0).reshape(dim, -1)
+        x = mat.dot(x)
+    x = x.reshape(shape)
+    return (x if restore is None else x.take(restore, 0)) + _ZERO
 
 
 def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Run `circuit` on every column of a (2^n, batch) amplitude matrix."""
+    if columns.ndim != 2:
+        raise ValueError(f"columns have shape {columns.shape}, but a {circuit.n_qubits}-qubit "
+                         f"circuit needs a ({2**circuit.n_qubits}, batch) matrix")
     if columns.shape[0] != 2**circuit.n_qubits:
         raise ValueError(f"columns have {columns.shape[0]} rows, but a "
                          f"{circuit.n_qubits}-qubit circuit needs {2**circuit.n_qubits}")
@@ -257,7 +321,7 @@ def apply_circuit_columns(circuit: Circuit, theta: np.ndarray, columns: np.ndarr
         raise ValueError(f"theta has shape {theta.shape}, but the circuit has "
                          f"{circuit.n_params} parameters")
     circuit.bind(theta)
-    return _apply_steps(columns, circuit.n_qubits, circuit.steps, circuit.restore)
+    return _apply_steps(columns, circuit.steps, circuit.restore)
 
 
 def circuit_unitary(circuit: Circuit, theta=()) -> np.ndarray:

@@ -474,11 +474,12 @@ class TestGenDataAndEval:
         record = run(parse_config(FAST, environ={}))
         rec_path = str(tmp_path / "rec.json")
         write_record(record, rec_path)
-        out = eval_record(rec_path, str(tmp_path))
+        out, difference = eval_record(rec_path, str(tmp_path))
         with open(out, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert doc["results"][0]["seed"] == 1
-        assert "test" in doc["results"][0]
+        assert doc["results"][0]["test"] == record["runs"][0]["test"]
+        assert difference is None
 
 
 class TestStartup:
@@ -545,6 +546,41 @@ class TestMain:
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--record", rec_path]) == EXIT_RUNTIME
         assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+
+    def _eval(self, tmp_path, record):
+        cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")
+        cfg_path.write_text(json.dumps(FAST))
+        write_record(record, rec_path)
+        code = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--record", rec_path])
+        with open(tmp_path / "eval_rec.json", encoding="utf-8") as fh:
+            return code, json.load(fh)["results"]
+
+    def test_eval_of_a_fresh_record_reproduces_it(self, tmp_path, capsys):
+        record = run(parse_config(dict(FAST, seeds=[1, 2]), environ={}))
+        code, results = self._eval(tmp_path, record)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert [r["test"] for r in results] == [r["test"] for r in record["runs"]]
+
+    def test_eval_names_the_seed_and_key_that_do_not_reproduce(self, tmp_path, capsys):
+        record = run(parse_config(dict(FAST, seeds=[1, 2]), environ={}))
+        stored = record["runs"][1]["test"]
+        recomputed = stored["loss"]
+        stored["loss"] = recomputed + 1e-9
+        code, results = self._eval(tmp_path, record)
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"seed 2 does not reproduce its record: test['loss'] is {recomputed!r}, "
+            f"the record holds {recomputed + 1e-9!r}\n")
+        assert results[1]["test"]["loss"] == recomputed  # the eval file is still written
+
+    def test_eval_passes_an_error_run_through(self, tmp_path, capsys):
+        record = run(parse_config(FAST, environ={}))
+        error = {"seed": 7, "error": "RuntimeError: none found", "traceback": "..."}
+        record["runs"].insert(0, error)
+        code, results = self._eval(tmp_path, record)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert results[0] == error and results[1]["seed"] == 1
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     @pytest.mark.parametrize("content", [None, '{"format": 1, "runs"', "[]", '{"format": 1}'],

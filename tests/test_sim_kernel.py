@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ from qcas.sim import (
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# the gates a compiled circuit folds into row orders instead of multiplying
+PERMUTATION_TAGS = ("I", "X", "CNOT")
 
 # ---------------------------------------------------------------------------
 # Per-gate reference: the moveaxis algorithm with matrices built per call
@@ -187,7 +191,7 @@ def test_compiled_circuit_cannot_be_edited():
     """A circuit is an immutable value, so its compiled steps cannot go stale:
     a gate list the constructor rejects (a target out of range) cannot reach
     the kernel by editing a compiled circuit."""
-    circuit = build_circuit(2, [("RX", (0,)), ("RY", (1,))])
+    circuit = build_circuit(2, [("RX", (0,)), ("RY", (1,)), ("CNOT", (0, 1))])
     cols = random_columns(2, 3, 11)
     theta = np.array([0.4, -1.3])
     expected = apply_circuit_columns(circuit, theta, cols)  # compile
@@ -200,7 +204,8 @@ def test_compiled_circuit_cannot_be_edited():
         circuit.gates.append(gate("CNOT", 0, 5))
     with pytest.raises(ValueError, match="out of range"):
         Circuit(2, [gate("CNOT", 0, 5)])
-    assert len(circuit.steps) == len(circuit.gates)  # one step per gate
+    # one step per gate that is not I, X or CNOT
+    assert len(circuit.steps) == sum(g.kind.tag not in PERMUTATION_TAGS for g in circuit.gates)
     assert same_bits(apply_circuit_columns(circuit, theta, cols), expected)
     # the compiled steps are no field: equality and hash are the gate list's
     fresh = Circuit(2, list(circuit.gates))
@@ -230,12 +235,20 @@ def every_kind_circuit(n, extra, rng):
 
 
 def test_plan_matrices_are_bit_identical_to_gate_kind_matrix():
+    # each parametric gate follows a folded gate and a fixed one, so its step
+    # is picked out by position among the steps of gates that are not folded
     tags = sorted(t for t, k in GATE_KINDS.items() if k.param_count)
-    circuit = build_circuit(2, [(t, (0,) if GATE_KINDS[t].arity == 1 else (1, 0)) for t in tags])
+    specs = [spec for t in tags for spec in (("CNOT", (0, 1)), ("H", (1,)),
+                                             (t, (0,) if GATE_KINDS[t].arity == 1 else (1, 0)))]
+    circuit = build_circuit(2, specs)
+    stepped = [g for g in circuit.gates if g.kind.tag not in PERMUTATION_TAGS]
+    param_steps = [(g, step[2]) for g, step in zip(stepped, circuit.steps, strict=True)
+                   if g.kind.param_count]
+    assert [g.kind.tag for g, _ in param_steps] == tags
     for angle in (0.0, -0.0, 0.7, -2.9, math.pi, 1e-300):
         theta = np.full(circuit.n_params, angle)
         circuit.bind(theta)
-        for g, angle_k, (_perm, _dim, mat) in zip(circuit.gates, theta, circuit.steps):
+        for (g, mat), angle_k in zip(param_steps, theta, strict=True):
             assert same_bits(mat, exact_gate_matrix(g.kind.tag, angle_k))
 
 
@@ -292,42 +305,188 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, kind, mo
 
 
 # ---------------------------------------------------------------------------
-# Memoised kernel steps
+# Row orders and folded gates
 # ---------------------------------------------------------------------------
+
+def textbook_image(tag, targets, j, n):
+    """The basis state that the permutation gate `tag` on `targets` maps
+    basis state j to: X flips its target, CNOT flips its target when its
+    control is 1, I keeps j."""
+    bit = [1 << (n - 1 - q) for q in targets]
+    if tag == "X" or (tag == "CNOT" and j & bit[0]):
+        return j ^ bit[-1]
+    return j
 
 
 def reference_kernel_steps(n_qubits, gates):
-    """The (perm, dim) of each gate's kernel step and the restoring
-    permutation, worked out gate by gate without a cache."""
-    axes = range(n_qubits + 1)
-    where = list(axes)
-    steps = []
+    """Each step's (rows, dim) and the restoring rows, worked out gate by
+    gate without a table.
+
+    where[j] is the row that holds basis state j.  A step puts its target
+    bits, in target order, as the high bits of the row and the other qubits,
+    ascending, as the low bits; I, X and CNOT make no step and move basis
+    state j's amplitude to their image of j."""
+    n, size = n_qubits, 2**n_qubits
+    where, steps = list(range(size)), []
     for g in gates:
-        order = g.targets + tuple(a for a in axes if a not in g.targets)
-        steps.append((tuple([where[a] for a in order]), 2 ** len(g.targets)))
-        for i, a in enumerate(order):
-            where[a] = i
-    return steps, tuple(where)
+        if g.kind.tag in PERMUTATION_TAGS:
+            moved = [0] * size
+            for j in range(size):
+                moved[textbook_image(g.kind.tag, g.targets, j, n)] = where[j]
+            where = moved
+            continue
+        order = g.targets + tuple(q for q in range(n) if q not in g.targets)
+        held = [sum((r >> (n - 1 - i) & 1) << (n - 1 - q) for i, q in enumerate(order))
+                for r in range(size)]  # held[r]: the basis state the step's row r holds
+        steps.append(([where[j] for j in held], 2 ** len(g.targets)))
+        where = [0] * size
+        for r, j in enumerate(held):
+            where[j] = r
+    return steps, where
+
+
+@st.composite
+def folding_circuits(draw):
+    """Circuits of 1-6 qubits weighted toward I, X and CNOT, with a run of
+    them drawn at the start, in the middle and at the end."""
+    n = draw(st.integers(1, 6))
+    tags = sorted(t for t, k in GATE_KINDS.items() if k.arity <= n)
+    folded = [t for t in PERMUTATION_TAGS if GATE_KINDS[t].arity <= n]
+    runs = [draw(st.lists(gate_specs(n, folded), max_size=3)) for _ in range(3)]
+    rest = [draw(st.lists(gate_specs(n, tags + folded * 3), max_size=6))
+            for _ in range(2)]
+    circuit = build_circuit(n, runs[0] + rest[0] + runs[1] + rest[1] + runs[2])
+    theta = np.array(draw(st.lists(ANGLES, min_size=circuit.n_params,
+                                   max_size=circuit.n_params)), dtype=float)
+    return circuit, theta
 
 
 @PROPERTY
 @given(data=st.data())
 def test_memoised_kernel_steps_equal_uncached(data):
-    n = data.draw(st.integers(1, 6), label="width")
-    tags = sorted(t for t, k in GATE_KINDS.items() if k.arity <= n)
-    gates = build_circuit(n, data.draw(st.lists(gate_specs(n, tags), max_size=12),
-                                       label="gates")).gates
-    circuit = Circuit(n, gates)
-    want_steps, want_restore = reference_kernel_steps(n, gates)
-    assert circuit.restore == want_restore
-    assert [(perm, dim) for perm, dim, _ in circuit.steps] == want_steps
+    """Every compiled step's rows, and the restore, equal the gate-by-gate
+    composition; rows are None only when they are in place and the step
+    keeps the last step's dim, as for a gate on the last step's targets."""
+    circuit, _ = data.draw(folding_circuits(), label="circuit")
+    n, size = circuit.n_qubits, 2**circuit.n_qubits
+    want_steps, want_restore = reference_kernel_steps(n, circuit.gates)
+    assert len(circuit.steps) == len(want_steps)
+    pairs = iter(zip(circuit.steps, want_steps))
+    last_dim, last_targets, folded = size, None, False
+    for g in circuit.gates:
+        if g.kind.tag in PERMUTATION_TAGS:
+            folded = True
+            continue
+        (rows, dim, _), (want_rows, want_dim) = next(pairs)
+        assert dim == want_dim
+        if rows is None:
+            assert want_rows == list(range(size)) and dim == last_dim
+        else:
+            assert rows.tolist() == want_rows
+        if g.targets == last_targets and not folded:
+            assert rows is None
+        last_dim, last_targets, folded = dim, g.targets, False
+    restore = list(range(size)) if circuit.restore is None else circuit.restore.tolist()
+    assert restore == want_restore
 
 
 def test_kernel_step_cache_is_bounded():
-    info = sim._kernel_step.cache_info()
-    assert info.maxsize is not None
+    """The row-order and gate-permutation tables hold at most `maxsize`
+    entries each.  An entry holds 2 (rows, inverse) or 1 array of 2^n row
+    indices, so at 10 qubits, the widest hidden target, it is 16 KB or 8 KB,
+    and a full table at most maxsize times that."""
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        Circuit(n, [gate("CNOT", *rng.permutation(n)[:2].tolist()) for _ in range(5)])
-    assert sim._kernel_step.cache_info().currsize <= info.maxsize
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        tags = rng.choice(["CNOT", "CRX", "X", "H"], 5)
+        Circuit(n, [gate(t, *rng.permutation(n)[:GATE_KINDS[t].arity].tolist()) for t in tags])
+    entry_bytes = {sim._layout: sum(a.nbytes for a in sim._layout(10, (3, 7))[1:]),
+                   sim._relabel: sim._relabel(10, "CNOT", (3, 7)).nbytes}
+    assert entry_bytes == {sim._layout: 16384, sim._relabel: 8192}
+    for table, nbytes in entry_bytes.items():
+        info = table.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.maxsize * nbytes <= 2 * 2**20
+
+
+def test_tables_are_read_only():
+    # the tables' arrays are shared by every circuit compiled from them
+    for array in (*sim._layout(3, (1,))[1:], sim._relabel(3, "CNOT", (2, 0))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def signed_zero_columns(n, batch, seed):
+    """Random columns whose real and imaginary parts are each +0.0, -0.0 or
+    a normal draw, a third each, so that exact zeros of both signs meet
+    every gate."""
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, 2**n, batch))
+    pick = rng.integers(3, size=parts.shape)
+    parts = np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, parts))
+    return _complex(parts[0], parts[1])
+
+
+def _complex(re, im):
+    # re + 1j * im would turn a -0.0 real part next to im into +0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def fold_inputs(n, batch, seed):
+    """Signed-zero random columns, the basis states with +0.0 and with -0.0
+    off their one, and the identity that `circuit_unitary` runs on."""
+    eye = np.eye(2**n)
+    return [signed_zero_columns(n, batch, seed), _complex(eye, np.zeros_like(eye)),
+            _complex(np.where(eye == 1, 1.0, -0.0), np.full_like(eye, -0.0))]
+
+
+def canonical(columns):
+    """`columns` with every -0.0 part turned into +0.0, as the kernel returns
+    its results."""
+    return columns + 0.0
+
+
+@PROPERTY
+@given(case=folding_circuits(), batch=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_folded_gates_are_bit_identical_to_per_gate_reference(case, batch, seed):
+    """I, X and CNOT fold into row orders, yet every result equals the
+    per-gate matmuls bit for bit once zeros are +0.0: the sign of an exact
+    zero is all that the order of operations decides.  The caller's columns
+    are left as they were."""
+    circuit, theta = case
+    for cols in fold_inputs(circuit.n_qubits, batch, seed):
+        before = cols.copy()
+        assert same_bits(apply_circuit_columns(circuit, theta, cols),
+                         canonical(reference_columns(circuit, theta, cols)))
+        assert same_bits(cols, before)
+    eye = np.eye(2**circuit.n_qubits, dtype=complex)
+    assert same_bits(circuit_unitary(circuit, theta),
+                     canonical(reference_columns(circuit, theta, eye)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_only_and_empty_circuits_are_bit_identical(n):
+    """Circuits of I, X and CNOT alone make no step, so their result is the
+    restored input plus 0.0; the empty circuit's is its input plus 0.0."""
+    rng = np.random.default_rng([n, 35])
+    tags = [t for t in PERMUTATION_TAGS if GATE_KINDS[t].arity <= n]
+    for length in [0, 1, 1, 2, 3, 5, 8]:
+        specs = [(tag, tuple(int(q) for q in rng.choice(n, GATE_KINDS[tag].arity, replace=False)))
+                 for tag in rng.choice(tags, length)]
+        circuit = build_circuit(n, specs)
+        assert not circuit.steps
+        for batch in (1, 4):
+            for cols in fold_inputs(n, batch, int(rng.integers(2**32))):
+                assert same_bits(apply_circuit_columns(circuit, (), cols),
+                                 canonical(reference_columns(circuit, (), cols)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2, 1)])
+def test_columns_must_be_a_matrix(shape):
+    """A state vector or a 3-D array is no (2^n, batch) matrix, even with
+    2^n leading entries."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"columns have shape {shape}, but a 2-qubit circuit needs a (4, batch) matrix")):
+        apply_circuit_columns(build_circuit(2, [("H", (0,))]), (), np.ones(shape, dtype=complex))
