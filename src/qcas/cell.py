@@ -138,65 +138,119 @@ def _edges(n: int) -> frozenset:
     return frozenset((c, t) for c in range(n) for t in range(n) if c != t)
 
 
-def random_cell(vocab: GateVocab, n_qubits: int, rng: np.random.Generator | Draws,
-                layer_budget: int, constraint: SoftConstraint):
+def random_cell(vocab: GateVocab, n_qubits: int, draws: Draws, layer_budget: int,
+                constraint: SoftConstraint):
     """Sample a fresh cell of `vocab`'s kinds within `constraint`, or None: up
     to `layer_budget` rotations per qubit and at most one 2-qubit op per edge
     (each unordered pair drawn with prob 1/2), `layer_budget` >= 1 as every
     config checks.  This is `expand_cell` of the empty cell."""
-    return expand_cell(_empty_cell(n_qubits), vocab, rng, layer_budget, constraint)
+    return expand_cell(_empty_cell(n_qubits), vocab, draws, layer_budget, constraint)
 
 
 @lru_cache(maxsize=64, typed=True)
 def _empty_cell(n: int) -> Cell:
-    """The cell of n qubits with no ops, shared so its growth profile is worked out once."""
+    """The cell of n qubits with no ops, shared so its tables are worked out once."""
     return Cell(n)
 
 
-def expand_cell(seed: Cell, vocab: GateVocab, rng: np.random.Generator | Draws,
-                layer_budget: int, constraint: SoftConstraint):
+class _Plan:
+    """What a seed, vocab, layer budget and constraint fix for `expand_cell`:
+    the shape of a candidate's draws, the seed's open pairs in both
+    directions, and the single additions that fit.
+
+    Under `n_layers`, `most[q]` is the most rotations (up to the layer budget)
+    qubit q can take on its own within the bound, -1 if the seed breaks it,
+    and `open[d]` whether directed pair d can take an edge on its own.  Under
+    a quantity that adds up over the gates, `base` is the seed's and
+    `rot_weight` / `ent_weight` what each kind id adds, so a candidate's
+    quantity is exact from its draws.
+    """
+
+    __slots__ = ("key", "shape", "rot", "ent", "edges", "bound", "most", "open", "base",
+                 "rot_weight", "ent_weight", "grows")
+
+    def __init__(self, seed: Cell, vocab: GateVocab, layer_budget: int,
+                 constraint: SoftConstraint):
+        pairs, rotations, seed_metrics = seed._growth
+        rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
+        self.key = (vocab, layer_budget, constraint)
+        self.shape = (seed.n_qubits, layer_budget + 1, len(rot), len(pairs), len(ent))
+        self.rot, self.ent, self.bound = rot, ent, constraint.bound
+        self.edges = [edge for a, b in pairs for edge in ((a, b), (b, a))]
+        if constraint.quantity == "n_layers":
+            def fits(sizes, edges=seed.edge_ops):
+                return _depth(sizes, edges) <= self.bound
+
+            self.most = []
+            for q, size in enumerate(rotations):
+                k = -1
+                while k < layer_budget and fits([*rotations[:q], size + k + 1,
+                                                  *rotations[q + 1:]]):
+                    k += 1
+                self.most.append(k)
+            # an edge's layers do not depend on its kind
+            self.open = [fits(rotations, sorted([*seed.edge_ops, (edge, ("",))]))
+                         for edge in self.edges]
+            self.grows = bool(rot) and max(self.most) >= 1 or bool(ent) and any(self.open)
+        else:
+            self.most = None
+            self.base = getattr(seed_metrics, constraint.quantity)
+            self.rot_weight, self.ent_weight = (
+                [_sums([tag], [])[constraint.quantity] for tag in rot],
+                [_sums([], [tag])[constraint.quantity] for tag in ent])
+            self.grows = any(self.base + weight <= self.bound for weight in
+                             [*self.rot_weight, *(self.ent_weight if pairs else ())])
+
+
+def _plan(seed: Cell, vocab: GateVocab, layer_budget: int, constraint: SoftConstraint) -> _Plan:
+    """The seed's `_Plan` for these arguments, cached on the seed (one at a
+    time, outside its fields, so not in `==`, hash, repr or pickles)."""
+    plan = seed.__dict__.get("_plan")
+    if plan is None or plan.key != (vocab, layer_budget, constraint):
+        plan = seed.__dict__["_plan"] = _Plan(seed, vocab, layer_budget, constraint)
+    return plan
+
+
+def expand_cell(seed: Cell, vocab: GateVocab, draws: Draws, layer_budget: int,
+                constraint: SoftConstraint):
     """Grow a seed cell: keep everything it has, append fresh rotations of
     `vocab` and fill in missing edges with newly sampled 2-qubit ops of it.
 
-    The child's constrained quantity is worked out from the seed's growth
-    profile and the drawn additions, and a child that breaks `constraint` is
-    never built: None is returned instead.  `rng` is a Generator or a `Draws`
-    of one; either draws the same child, one scalar draw per choice in order.
+    A candidate's choices come from one `draws.expansion` call, and a child
+    that breaks `constraint` is never built: None is returned instead.  Every
+    constrained quantity only grows as ops are added, so the seed's `_Plan`
+    rejects a candidate with one addition that does not fit on its own by a
+    table read; under a quantity that adds up over the gates its check is
+    exact, and under `n_layers` a candidate that passes it is checked by its
+    layer count.  A rejected candidate draws what a built one does.
     """
-    rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
-    pairs, rotations, _ = seed._growth
-    integers, random = rng.integers, rng.random
-    sizes, tags = list(rotations), []  # the child's rotations per qubit; the added tags
-    if rot:
-        for q in range(seed.n_qubits):
-            k = int(integers(0, layer_budget + 1))
-            sizes[q] += k
-            for _ in range(k):
-                tags.append(rot[integers(len(rot))])
-    new_edges = []
-    if ent:
-        for a, b in pairs:
-            if random() < 0.5:
-                new_edges.append(((a, b) if random() < 0.5 else (b, a),
-                                  (ent[integers(len(ent))],)))
-    if _grown_quantity(constraint.quantity, seed, sizes, tags, new_edges) > constraint.bound:
+    plan = _plan(seed, vocab, layer_budget, constraint)
+    counts, ids, directed, kinds = draws.expansion(*plan.shape)
+    if plan.most is None:
+        if (plan.base + sum(map(plan.rot_weight.__getitem__, ids))
+                + sum(map(plan.ent_weight.__getitem__, kinds)) > plan.bound):
+            return None
+    elif not (all(map(int.__le__, counts, plan.most))
+              and all(map(plan.open.__getitem__, directed))):
         return None
-    added = iter(tags)
+    ent, edges = plan.ent, plan.edges
+    new_edges = [(edges[d], (ent[k],)) for d, k in zip(directed, kinds)]
+    rotations = seed._growth[1]
+    sizes = list(map(int.__add__, rotations, counts)) if counts else rotations
+    if plan.most is not None and _depth(sizes, sorted([*seed.edge_ops, *new_edges])
+                                        if new_edges else seed.edge_ops) > plan.bound:
+        return None
+    rot = plan.rot
+    added = (rot[i] for i in ids)
     node_ops = [(*ops, *islice(added, size - len(ops))) for ops, size in zip(seed.node_ops, sizes)]
     return Cell(seed.n_qubits, node_ops, [*seed.edge_ops, *new_edges])
 
 
 def can_grow(seed: Cell, vocab: GateVocab, constraint: SoftConstraint) -> bool:
     """Whether `expand_cell` can draw a child other than `seed` from `vocab` within
-    `constraint`.  As every quantity grows with ops, iff one op (on an open pair) fits."""
-    rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
-    pairs, rotations, _ = seed._growth
-    additions = chain((([*rotations[:q], size + 1, *rotations[q + 1:]], [tag], [])
-                       for q, size in enumerate(rotations) for tag in rot),
-                      ((rotations, [], [(edge, (tag,))])
-                       for a, b in pairs for edge in ((a, b), (b, a)) for tag in ent))
-    return any(_grown_quantity(constraint.quantity, seed, *addition) <= constraint.bound
-               for addition in additions)
+    `constraint`: as every quantity grows with ops, iff one op (a rotation on
+    one qubit, or an edge on one open pair) fits, read from the seed's `_Plan`."""
+    return _plan(seed, vocab, 1, constraint).grows
 
 
 def sample_admissible(make, count: int, max_tries: int = 100,
@@ -212,19 +266,6 @@ def sample_admissible(make, count: int, max_tries: int = 100,
         if cell is not None and (exclude is None or cell != exclude):
             cells.append(cell)
     return cells
-
-
-def _grown_quantity(quantity: str, seed: Cell, sizes: list, tags: list,
-                    new_edges: list) -> int:
-    """`quantity` of `metrics` of the child that `expand_cell` builds from
-    `seed`, with `sizes[q]` rotations on qubit q (the added ones' `tags` in
-    order) and the `(edge, ops)` pairs `new_edges` added, read from the seed's
-    growth profile without building the child."""
-    if quantity == "n_layers":
-        return _depth(sizes, sorted([*seed.edge_ops, *new_edges]) if new_edges else seed.edge_ops)
-    *_, base = seed._growth
-    added = _sums(tags, [tag for _, ops in new_edges for tag in ops])
-    return getattr(base, quantity) + added[quantity]
 
 
 def cell_to_circuit(cell: Cell) -> Circuit:

@@ -315,9 +315,10 @@ _METRIC_KEYS = ("n_params", "n_layers", "n_two_qubit")
 
 
 def load_record(path: str) -> dict:
-    """The run record at `path`; a file that cannot be read, or a document
-    without the keys that `export_csv` and `eval_record` read, is a
-    ConfigError that names the path."""
+    """The run record at `path`; a file that cannot be read, a document
+    without the keys that `export_csv` and `eval_record` read, or a run whose
+    `best_cell` is not a cell or whose `theta` is not one number per
+    parameter of it, is a ConfigError that names the path (and the run)."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
@@ -344,7 +345,30 @@ def load_record(path: str) -> dict:
                        if not (isinstance(metrics, dict) and key in metrics)]
         if missing:
             raise ConfigError(f"record {path!r}: run {i} has no {missing[0]!r}")
+        problem = _cell_problem(run["best_cell"], run["theta"])
+        if problem is not None:
+            raise ConfigError(f"record {path!r}: run {i} has {problem}")
     return record
+
+
+def _cell_problem(doc, theta) -> str | None:
+    """What keeps a run's `best_cell` and `theta` from being a cell and its
+    parameters, or None."""
+    if not isinstance(doc, dict):
+        return "a 'best_cell' that is not a mapping"
+    try:
+        cell = cell_from_dict(doc)
+    except KeyError as exc:
+        return f"a 'best_cell' with no {exc.args[0]!r}"
+    except (TypeError, ValueError) as exc:
+        return f"a bad 'best_cell': {exc}"
+    if not (isinstance(theta, list) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in theta)):
+        return "a 'theta' that is not a list of numbers"
+    n_params = metrics(cell).n_params
+    if len(theta) != n_params:
+        return f"a 'theta' of {len(theta)} values, but its cell has {n_params} parameters"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,14 @@ class Draws:
     return, in the same order: a range of one value draws nothing, a range
     of up to 2**32 values is Lemire's bounded 32-bit method with its retry
     (arXiv:1805.10941) on the low half of a word and then its buffered upper
-    half, and a uniform is ``(word >> 11) * 2**-53`` of a whole word.  The
-    words come in blocks of `_BLOCK` from `random_raw`, so a draw costs a
-    Python call instead of a numpy dispatch.  The Draws owns the Generator
-    from then on; a half-word the Generator had buffered is taken over.
+    half, and a uniform is ``(word >> 11) * 2**-53`` of a whole word.
+    `expansion` decodes all the choices of one `cell.expand_cell` candidate
+    in one call, with these draws written inline, so that a candidate costs
+    one method call; `random_cell` and `expand_cell` draw through it and take
+    nothing but a Draws.  The words come in blocks
+    of `_BLOCK` from `random_raw`, so a draw costs no numpy dispatch.  The
+    Draws owns the Generator from then on; a half-word the Generator had
+    buffered is taken over.
     """
 
     _BLOCK = 256
@@ -294,12 +298,14 @@ class Draws:
             raise ValueError(f"Draws reads PCG64 words, not {type(bit_generator).__name__}")
         state = bit_generator.state
         self._raw = bit_generator.random_raw
-        self._next = iter(()).__next__  # the unread words of the last block
+        self._words, self._pos = [], 0  # the last block read, and its next unread word
         self._half = state["uinteger"] if state["has_uint32"] else None
 
-    def _refill(self) -> int:
-        self._next = iter(self._raw(self._BLOCK).tolist()).__next__
-        return self._next()
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._words, self._pos = self._raw(self._BLOCK).tolist(), 0
+        self._pos += 1
+        return self._words[self._pos - 1]
 
     def integers(self, low: int, high: int | None = None) -> int:
         if high is None:
@@ -312,10 +318,7 @@ class Draws:
         while True:
             u = self._half
             if u is None:
-                try:
-                    word = self._next()
-                except StopIteration:
-                    word = self._refill()
+                word = self._word()
                 u, self._half = word & 0xFFFFFFFF, word >> 32
             else:
                 self._half = None
@@ -324,11 +327,80 @@ class Draws:
                 return low + (m >> 32)
 
     def random(self) -> float:
-        try:
-            word = self._next()
-        except StopIteration:
-            word = self._refill()
-        return (word >> 11) * 2.0**-53
+        return (self._word() >> 11) * 2.0**-53
+
+    def expansion(self, n_qubits: int, n_counts: int, n_rot: int, n_pairs: int,
+                  n_ent: int) -> tuple[list, list, list, list]:
+        """The choices of one candidate of `cell.expand_cell`, drawn as its
+        scalar calls would draw them, in the same order, with the same numbers.
+
+        If `n_rot` >= 1, each qubit in turn draws its count, ``integers(n_counts)``,
+        then that many rotation ids, ``integers(n_rot)`` each.  If `n_ent` >= 1,
+        each of `n_pairs` open pairs i draws ``random() < 0.5`` for whether it
+        gets an edge; one that does draws ``random() < 0.5`` for its direction
+        and ``integers(n_ent)`` for its kind.  Returns the counts per qubit,
+        the rotation ids in order, and per new edge its directed pair
+        ``2 i`` ((a, b) of pair i) or ``2 i + 1`` ((b, a)) and its kind id.
+        `n_counts`, and `n_rot` and `n_ent` where nonzero, lie in 1..2**32 (unchecked).
+        """
+        # `random() < 0.5` is `(word >> 11) * 2**-53 < 0.5`, i.e. `word >> 63 == 0`
+        words, pos, half, block = self._words, self._pos, self._half, self._BLOCK
+        end = len(words)
+        counts, ids, directed, kinds = [], [], [], []
+        if n_rot:
+            count_cut, id_cut = 0x100000000 % n_counts, 0x100000000 % n_rot
+            q, left = 0, 0  # qubits whose count is drawn; ids still to draw for the last
+            while left or q < n_qubits:
+                n, cut = (n_rot, id_cut) if left else (n_counts, count_cut)
+                while True:  # Lemire's bounded draw, retried while biased
+                    if half is None:
+                        if pos == end:
+                            words, pos, end = self._raw(block).tolist(), 0, block
+                        word = words[pos]
+                        pos += 1
+                        u, half = word & 0xFFFFFFFF, word >> 32
+                    else:
+                        u, half = half, None
+                    m = u * n
+                    if m & 0xFFFFFFFF >= cut:
+                        break
+                if left:
+                    ids.append(m >> 32)
+                    left -= 1
+                else:
+                    counts.append(m >> 32)
+                    q += 1
+                    if n_rot > 1:  # else each id is 0 and draws nothing
+                        left = m >> 32
+            if n_rot == 1:
+                ids = [0] * sum(counts)
+        for i in range(0, 2 * n_pairs if n_ent else 0, 2):
+            if pos == end:
+                words, pos, end = self._raw(block).tolist(), 0, block
+            pos += 1
+            if words[pos - 1] >> 63:
+                continue  # no edge on this pair
+            if pos == end:
+                words, pos, end = self._raw(block).tolist(), 0, block
+            directed.append(i + (words[pos] >> 63))
+            pos += 1
+            kind = 0  # a one-kind category draws nothing
+            while n_ent > 1:  # Lemire's bounded draw, retried while biased
+                if half is None:
+                    if pos == end:
+                        words, pos, end = self._raw(block).tolist(), 0, block
+                    word = words[pos]
+                    pos += 1
+                    u, half = word & 0xFFFFFFFF, word >> 32
+                else:
+                    u, half = half, None
+                m = u * n_ent
+                if m & 0xFFFFFFFF >= 0x100000000 % n_ent:
+                    kind = m >> 32
+                    break
+            kinds.append(kind)
+        self._words, self._pos, self._half = words, pos, half
+        return counts, ids, directed, kinds
 
 
 class Scored(NamedTuple):

@@ -26,8 +26,10 @@
   `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
   `random()` call and `_grown_quantity` re-derives the seed's part of the
   constrained quantity for every candidate.  `qcas.cell`'s sampler must give
-  the same cells, the same `None`s and the same generator state.  It keeps an
-  unconstrained mode, which `qcas.cell`'s sampler matches under `UNBOUNDED`.
+  the same cells, the same `None`s and the same generator state, which
+  `stream_state` reads from a Generator and from a `qcas.optim.Draws` alike.
+  It keeps an unconstrained mode, which `qcas.cell`'s sampler matches under
+  `UNBOUNDED`.
 * The one-op children of a seed, each built as a `Cell`: `qcas.cell.can_grow`
   must say a seed can grow iff one of them is within the bound.
 * The most rotations RES can put on one qubit, by quantity name: the least
@@ -397,6 +399,19 @@ def content_stream(seed: int, cell: Cell) -> np.random.Generator:
 # a bound no cell of the tests reaches; a random draw under it makes the same
 # rng draws, and gives the same cell, as an unconstrained one
 UNBOUNDED = SoftConstraint("n_gates", 10**6)
+
+
+def stream_state(rng) -> tuple:
+    """Where the PCG64 stream of a Generator, or of a `qcas.optim.Draws` of
+    one, stands: its state had it drawn only the words read so far, and the
+    upper half-word that `integers` has buffered (None if there is none)."""
+    if isinstance(rng, np.random.Generator):
+        state = rng.bit_generator.state
+        return state["state"], state["uinteger"] if state["has_uint32"] else None
+    bits = np.random.PCG64()
+    bits.state = rng._raw.__self__.state  # the bit generator, at the end of the last block
+    bits.advance(-(len(rng._words) - rng._pos))
+    return bits.state["state"], rng._half
 
 
 def random_cell(space, n_qubits: int, rng: np.random.Generator,

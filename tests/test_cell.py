@@ -3,6 +3,7 @@ slots and their decoding, metrics, soft constraints and serialization."""
 
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 
@@ -11,9 +12,8 @@ import pytest
 import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import UNBOUNDED
+from reference import UNBOUNDED, stream_state
 
-import qcas.cell
 from qcas.cell import (
     Cell,
     CellMetrics,
@@ -44,7 +44,7 @@ from qcas.sim import (
     gate,
 )
 
-RNG = np.random.default_rng(20240818)
+DRAWS = Draws(np.random.default_rng(20240818))
 GENERIC = build_vocab(SPACE_GENERIC)
 
 _ROTATION_TAGS = sorted(t for t, k in GATE_KINDS.items() if k.arity == 1)
@@ -179,40 +179,40 @@ class TestVocab:
 class TestRandomCell:
     def test_single_qubit_space_has_no_edges(self):
         for _ in range(20):
-            cell = random_cell(build_vocab(SPACE_SINGLE_CLIFFORD), 3, RNG, 1, UNBOUNDED)
+            cell = random_cell(build_vocab(SPACE_SINGLE_CLIFFORD), 3, DRAWS, 1, UNBOUNDED)
             assert cell.edge_ops == ()
 
     def test_fresh_edges_carry_one_op(self):
         for _ in range(100):
-            cell = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, DRAWS, 1, UNBOUNDED)
             for _, ops in cell.edge_ops:
                 assert len(ops) == 1
 
     def test_edge_frequency_half(self):
         hits = 0
         for _ in range(1000):
-            cell = random_cell(build_vocab({"RY", "CNOT"}), 2, RNG, 1, UNBOUNDED)
+            cell = random_cell(build_vocab({"RY", "CNOT"}), 2, DRAWS, 1, UNBOUNDED)
             hits += bool(cell.edge_ops)
         assert abs(hits / 1000 - 0.5) < 0.05
 
     def test_rotation_count_within_budget(self):
         for _ in range(50):
-            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, DRAWS, 2, UNBOUNDED)
             assert all(len(ops) <= 2 for ops in cell.node_ops)
 
 
 class TestExpandCell:
     def test_expand_empty_behaves_like_random(self):
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
+        rng_a = Draws(np.random.default_rng(5))
+        rng_b = Draws(np.random.default_rng(5))
         fresh = random_cell(GENERIC, 3, rng_a, 1, UNBOUNDED)
         grown = expand_cell(Cell(3), GENERIC, rng_b, 1, UNBOUNDED)
         assert grown == fresh
 
     def test_seed_contained_in_child(self):
         for _ in range(100):
-            seed = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
-            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
+            seed = random_cell(GENERIC, 3, DRAWS, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, DRAWS, 1, UNBOUNDED)
             for q in range(3):
                 assert child.node_ops[q][: len(seed.node_ops[q])] == seed.node_ops[q]
             for edge, ops in seed.edge_ops:
@@ -220,14 +220,14 @@ class TestExpandCell:
 
     def test_gate_count_monotone(self):
         for _ in range(50):
-            seed = random_cell(GENERIC, 3, RNG, 1, UNBOUNDED)
-            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
+            seed = random_cell(GENERIC, 3, DRAWS, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, DRAWS, 1, UNBOUNDED)
             assert metrics(child).n_gates >= metrics(seed).n_gates
 
     def test_existing_edges_never_duplicated(self):
         seed = Cell(2, [[], []], {(0, 1): ["CNOT"]})
         for _ in range(20):
-            child = expand_cell(seed, GENERIC, RNG, 1, UNBOUNDED)
+            child = expand_cell(seed, GENERIC, DRAWS, 1, UNBOUNDED)
             assert dict(child.edge_ops)[(0, 1)] == ("CNOT",)
             assert (1, 0) not in dict(child.edge_ops)
 
@@ -239,82 +239,91 @@ SAMPLER_SPACES = {"clifford": SPACE_CLIFFORD, "generic": SPACE_GENERIC,
 
 
 class TestDrawStream:
-    """`random_cell` / `expand_cell` against the reference sampler: the same
-    cell or None from every call, and the same generator state after it.
-    Where the reference samples unconstrained, qcas samples under `UNBOUNDED`."""
+    """`random_cell` / `expand_cell` on a `Draws` against the reference
+    sampler on the Generator: the same cell or None from every call, and the
+    same stream position after it.  Where the reference samples
+    unconstrained, qcas samples under `UNBOUNDED`."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
     def test_matches_the_reference_sampler(self, space, n):
         vocab = build_vocab(space)
         outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
-        has_uint32 = set()
-        for layer_budget in (1, 2, 3):
-            for quantity in (None, *QUANTITIES):
-                for rng_seed in range(3):
-                    seed = reference.random_cell(space, n, np.random.default_rng(rng_seed + 100),
-                                                 layer_budget)
-                    constraint = (None if quantity is None else SoftConstraint(
-                        quantity, max(1, getattr(metrics(seed), quantity) + 1)))
-                    bound = constraint or UNBOUNDED
-                    rng, ref_rng = (np.random.default_rng(rng_seed) for _ in range(2))
-                    if rng_seed == 1:  # start from a half-used 32-bit buffer
-                        for generator in (rng, ref_rng):
-                            generator.integers(2)
-                    for i in range(12):
-                        if i % 3:
-                            got = expand_cell(seed, vocab, rng, layer_budget, bound)
-                            want = reference.expand_cell(seed, space, ref_rng, layer_budget,
-                                                         constraint)
-                        else:
-                            got = random_cell(vocab, n, rng, layer_budget, bound)
-                            want = reference.random_cell(space, n, ref_rng, layer_budget,
-                                                         constraint)
-                        assert got == want
-                        state = rng.bit_generator.state
-                        assert state == ref_rng.bit_generator.state
-                        has_uint32.add(state["has_uint32"])
-                        if constraint is not None:
-                            outcomes[got is not None] += 1
+        halves = set()
+        # a bound one above the seed's quantity, and one equal to it, where
+        # nearly every candidate is rejected by the seed's table
+        for layer_budget, quantity, slack in itertools.product(
+                (1, 2, 3), (None, *QUANTITIES), (1, 0)):
+            if quantity is None and slack == 0:
+                continue
+            for rng_seed in range(3):
+                seed = reference.random_cell(space, n, np.random.default_rng(rng_seed + 100),
+                                             layer_budget)
+                constraint = (None if quantity is None else SoftConstraint(
+                    quantity, max(1, getattr(metrics(seed), quantity) + slack)))
+                bound = constraint or UNBOUNDED
+                generator, ref_rng = (np.random.default_rng(rng_seed) for _ in range(2))
+                if rng_seed == 1:  # start from a half-used 32-bit buffer
+                    for g in (generator, ref_rng):
+                        g.integers(2)
+                rng = Draws(generator)
+                for i in range(12):
+                    if i % 3:
+                        got = expand_cell(seed, vocab, rng, layer_budget, bound)
+                        want = reference.expand_cell(seed, space, ref_rng, layer_budget,
+                                                     constraint)
+                    else:
+                        got = random_cell(vocab, n, rng, layer_budget, bound)
+                        want = reference.random_cell(space, n, ref_rng, layer_budget,
+                                                     constraint)
+                    assert got == want
+                    state = stream_state(rng)
+                    assert state == stream_state(ref_rng)
+                    halves.add(state[1] is None)
+                    if constraint is not None:
+                        outcomes[got is not None] += 1
         # the tight bounds both build and reject, and the 32-bit buffer of
         # `integers` is seen both full and empty
         assert outcomes[True] and outcomes[False]
-        assert has_uint32 == {0, 1}
+        assert halves == {True, False}
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=cells(), space=st.sampled_from(list(SAMPLER_SPACES.values())),
            layer_budget=st.integers(1, 3), quantity=st.sampled_from(QUANTITIES),
            rng_seed=st.integers(0, 2**32 - 1))
     def test_grown_quantity_is_the_childs(self, seed, space, layer_budget, quantity, rng_seed):
-        # the quantity read from the seed's cached profile plus the draws is
-        # the metric of the child the same draws build with no constraint
-        real, grown, vocab = qcas.cell._grown_quantity, [], build_vocab(space)
-
-        def spy(*args):
-            grown.append(real(*args))
-            return grown[-1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qcas.cell, "_grown_quantity", spy)
-            expand_cell(seed, vocab, np.random.default_rng(rng_seed), layer_budget,
-                        SoftConstraint(quantity, 1))
-        child = expand_cell(seed, vocab, np.random.default_rng(rng_seed), layer_budget, UNBOUNDED)
-        assert grown == [getattr(metrics(child), quantity)]
+        # the quantity read from the seed's table plus the draws is the metric
+        # of the child the same draws build with no constraint: a bound at it
+        # builds that child, one below it builds none, and both draw alike
+        vocab = build_vocab(space)
+        rng = Draws(np.random.default_rng(rng_seed))
+        child = expand_cell(seed, vocab, rng, layer_budget, UNBOUNDED)
+        amount, position = getattr(metrics(child), quantity), stream_state(rng)
+        for bound in (amount, amount - 1):
+            if bound >= 1:
+                rng = Draws(np.random.default_rng(rng_seed))
+                got = expand_cell(seed, vocab, rng, layer_budget, SoftConstraint(quantity, bound))
+                assert got == (child if bound == amount else None)
+                assert stream_state(rng) == position
 
     def test_growth_profile_is_not_part_of_the_value(self):
+        # nor is the table of single additions that fit
         seed, fresh = (Cell(3, [["RX"], [], ["H", "S"]], {(0, 1): ["CNOT"]}) for _ in range(2))
-        expand_cell(seed, GENERIC, np.random.default_rng(0), 1, SoftConstraint("n_gates", 9))
-        assert "_growth" in vars(seed) and "_growth" not in vars(fresh)
+        rng, cached = Draws(np.random.default_rng(0)), {"_growth", "_plan"}
+        expand_cell(seed, GENERIC, rng, 1, SoftConstraint("n_gates", 9))
+        assert cached <= set(vars(seed)) and not cached & set(vars(fresh))
         assert seed == fresh and hash(seed) == hash(fresh) and repr(seed) == repr(fresh)
         assert pickle.dumps(seed) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(seed))
-        assert restored == seed and "_growth" not in vars(restored)
+        assert restored == seed and not cached & set(vars(restored))
 
 
 class TestSamplersOnDraws:
-    """RES and random search draw their cells through `Draws`: from the same
-    seed it gives `random_cell` and `expand_cell` the same cell or None, call
-    for call, as the Generator it wraps, also from a half-used 32-bit buffer."""
+    """`random_cell` and `expand_cell` read each candidate with one
+    `Draws.expansion` call: from the same seed they give the same cell or
+    None, call for call, and leave the stream where it stands, as the
+    reference sampler making the scalar `Draws.integers` and `Draws.random`
+    calls it replaces, also from a half-used 32-bit buffer."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
@@ -324,23 +333,28 @@ class TestSamplersOnDraws:
         for layer_budget in (1, 2, 3):
             for quantity in (None, *QUANTITIES):
                 for rng_seed in range(3):
-                    seed = random_cell(vocab, n, np.random.default_rng(rng_seed + 100),
+                    seed = random_cell(vocab, n, Draws(np.random.default_rng(rng_seed + 100)),
                                        layer_budget, UNBOUNDED)
-                    constraint = UNBOUNDED if quantity is None else SoftConstraint(
+                    constraint = None if quantity is None else SoftConstraint(
                         quantity, max(1, getattr(metrics(seed), quantity) + 1))
-                    generator, wrapped = (np.random.default_rng(rng_seed) for _ in range(2))
+                    generators = [np.random.default_rng(rng_seed) for _ in range(2)]
                     if rng_seed == 1:  # start from a half-used 32-bit buffer
-                        generator.integers(2)
-                        wrapped.integers(2)
-                    draws = Draws(wrapped)
+                        for generator in generators:
+                            generator.integers(2)
+                    draws, scalar = map(Draws, generators)
                     for i in range(12):
                         if i % 3:
-                            got = expand_cell(seed, vocab, draws, layer_budget, constraint)
-                            want = expand_cell(seed, vocab, generator, layer_budget, constraint)
+                            got = expand_cell(seed, vocab, draws, layer_budget,
+                                              constraint or UNBOUNDED)
+                            want = reference.expand_cell(seed, space, scalar, layer_budget,
+                                                         constraint)
                         else:
-                            got = random_cell(vocab, n, draws, layer_budget, constraint)
-                            want = random_cell(vocab, n, generator, layer_budget, constraint)
+                            got = random_cell(vocab, n, draws, layer_budget,
+                                              constraint or UNBOUNDED)
+                            want = reference.random_cell(space, n, scalar, layer_budget,
+                                                         constraint)
                         assert got == want
+                        assert stream_state(draws) == stream_state(scalar)
                         if quantity is not None:
                             outcomes[got is not None] += 1
         assert outcomes[True] and outcomes[False]
@@ -371,7 +385,7 @@ class TestCanGrow:
         vocab = build_vocab(space)
         assert can_grow(seed, vocab, constraint) == fits
         if not fits:
-            rng = np.random.default_rng(bound)
+            rng = Draws(np.random.default_rng(bound))
             assert all(expand_cell(seed, vocab, rng, layer_budget, constraint) in (None, seed)
                        for _ in range(300))
 
@@ -436,7 +450,7 @@ class TestViews:
     def test_rows_sum_to_one(self):
         # every slot holds one in-vocab id, so each one-hot row has a single 1
         for _ in range(20):
-            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, DRAWS, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             assert rot.min() >= 0 and rot.max() < self.VOCAB.v_rot
             assert ent.min() >= 0 and ent.max() < self.VOCAB.v_ent
@@ -454,7 +468,7 @@ class TestViews:
            spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
     def test_decode_inverts_encode(self, space, n, layer_budget, grow, spare, seed):
         # sampled and grown cells have one op per edge, so the slots keep them whole
-        rng, vocab = np.random.default_rng(seed), build_vocab(space)
+        rng, vocab = Draws(np.random.default_rng(seed)), build_vocab(space)
         cell = random_cell(vocab, n, rng, layer_budget, UNBOUNDED)
         if grow:
             cell = expand_cell(cell, vocab, rng, layer_budget, UNBOUNDED)
@@ -475,7 +489,7 @@ class TestDecodeActions:
     def test_roundtrip_via_argmax(self):
         # the argmax of the one-hots the controller builds from the slots
         for _ in range(100):
-            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, DRAWS, 2, UNBOUNDED)
             rot, ent = encode_actions(cell, self.VOCAB, max_seq=4)
             back = decode_actions(np.eye(self.VOCAB.v_rot)[rot].argmax(axis=-1),
                                   np.eye(self.VOCAB.v_ent)[ent].argmax(axis=-1), self.VOCAB)
@@ -571,7 +585,7 @@ class TestSerialization:
     def test_roundtrip_random_cells(self):
         # the path of run records: cell_to_dict, JSON text, cell_from_dict
         for _ in range(50):
-            cell = random_cell(GENERIC, 3, RNG, 2, UNBOUNDED)
+            cell = random_cell(GENERIC, 3, DRAWS, 2, UNBOUNDED)
             assert cell_from_dict(json.loads(json.dumps(cell_to_dict(cell)))) == cell
 
     def test_dict_form_is_sorted_and_versioned(self):

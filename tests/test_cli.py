@@ -532,8 +532,9 @@ class TestMain:
     ], ids=["repeated-edge", "unknown-tag", "two-qubit-tag-on-node", "cell-wider-than-task"])
     def test_eval_of_a_tampered_cell_names_the_value(self, tmp_path, capsys,
                                                      node_ops, edge_ops, task, message):
-        # `task`, if given, replaces the record's task: a cell whose width
-        # is not the task's reaches the simulator on the eval path
+        # a cell that is not one is a config error that names the record and
+        # the run; `task`, if given, replaces the record's task: a valid cell
+        # whose width is not the task's reaches the simulator on the eval path
         record = run(parse_config(FAST, environ={}))
         if task is not None:
             record["config"]["task"] = parse_config({"task": task}, environ={})["task"]
@@ -543,9 +544,41 @@ class TestMain:
         cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")
         cfg_path.write_text(json.dumps(FAST))
         write_record(record, rec_path)
+        code = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--record", rec_path])
+        if task is None:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: record {rec_path!r}: run 0 has a bad 'best_cell': {message}\n")
+        else:
+            assert code == EXIT_RUNTIME
+            assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+
+    MALFORMED = {"no-edge-ops": "a 'best_cell' with no 'edge_ops'",
+                 "cell-is-a-string": "a 'best_cell' that is not a mapping",
+                 "theta-too-long": "a 'theta' of 2 values, but its cell has 0 parameters",
+                 "theta-of-strings": "a 'theta' that is not a list of numbers"}
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_eval_of_a_malformed_cell_or_theta_is_a_one_line_config_error(
+            self, tmp_path, capsys, case):
+        record = run(parse_config(dict(FAST, seeds=[1, 2]), environ={}))
+        bad = record["runs"][1]
+        bad["best_cell"] = dict(bad["best_cell"], n_qubits=2, node_ops=[[], []], edge_ops=[])
+        bad["theta"] = []
+        if case == "no-edge-ops":
+            del bad["best_cell"]["edge_ops"]
+        elif case == "cell-is-a-string":
+            bad["best_cell"] = "Cell(2)"
+        else:
+            bad["theta"] = [0.1, 0.2] if case == "theta-too-long" else ["0.1"]
+        cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")
+        cfg_path.write_text(json.dumps(FAST))
+        write_record(record, rec_path)
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
-                     "--record", rec_path]) == EXIT_RUNTIME
-        assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+                     "--record", rec_path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: record {rec_path!r}: run 1 has {self.MALFORMED[case]}\n")
 
     def _eval(self, tmp_path, record):
         cfg_path, rec_path = tmp_path / "cfg.json", str(tmp_path / "rec.json")

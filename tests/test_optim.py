@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import UNBOUNDED, content_stream, score_with_generator
+import reference
+from reference import UNBOUNDED, content_stream, score_with_generator, stream_state
 
 from qcas import optim, relm, res, tasks
 from qcas.cell import Cell, SoftConstraint, build_vocab, cell_to_circuit
@@ -516,9 +517,77 @@ class TestDraws:
             Draws(np.random.default_rng(0)).integers(*args)
 
 
+def scalar_expansion(rng, n_qubits, n_counts, n_rot, n_pairs, n_ent):
+    """`Draws.expansion` as the scalar `integers` and `random` calls it replaces."""
+    counts, ids, directed, kinds = [], [], [], []
+    if n_rot:
+        for _ in range(n_qubits):
+            counts.append(int(rng.integers(n_counts)))
+            ids += [int(rng.integers(n_rot)) for _ in range(counts[-1])]
+    if n_ent:
+        for i in range(n_pairs):
+            if rng.random() < 0.5:
+                directed.append(2 * i + (rng.random() >= 0.5))
+                kinds.append(int(rng.integers(n_ent)))
+    return counts, ids, directed, kinds
+
+
+# (n_qubits, n_counts, n_rot, n_pairs, n_ent): SPACE_CLIFFORD at 5 qubits and
+# layer budget 1; SPACE_GENERIC at layer budget 2, 3 counts and 3 rotation
+# kinds; one kind in a category, or none; ranges where Lemire's method
+# retries about half its rotation and kind draws (the crafted words below
+# make a count draw retry)
+EXPANSION_SHAPES = {"clifford": (5, 2, 4, 10, 1), "generic": (3, 3, 3, 3, 4),
+                    "one-rotation-kind": (4, 4, 1, 6, 0), "no-rotation-kind": (4, 2, 0, 6, 2),
+                    "one-kind-each": (2, 2, 1, 1, 1), "retrying": (3, 3, 2**31 + 1, 3, 2**31 + 1)}
+
+
+class TestExpansion:
+    """`Draws.expansion` decodes one candidate in one call: the same choices,
+    and the stream left where it stands, as the Generator's scalar calls."""
+
+    @pytest.mark.parametrize("shape", EXPANSION_SHAPES.values(), ids=EXPANSION_SHAPES)
+    @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
+    @pytest.mark.parametrize("block", [1, 7, Draws._BLOCK])
+    def test_same_choices_as_the_scalar_calls(self, monkeypatch, block, half_used, shape):
+        # blocks of 1 and 7 words refill in the middle of a candidate
+        monkeypatch.setattr(Draws, "_BLOCK", block)
+        generator, wrapped = np.random.default_rng(block), np.random.default_rng(block)
+        if half_used:  # the Generator holds the upper half of a word
+            generator.integers(2)
+            wrapped.integers(2)
+        draws = Draws(wrapped)
+        for _ in range(200):
+            got = draws.expansion(*shape)
+            assert got == scalar_expansion(generator, *shape)
+            assert all(type(v) is int for values in got for v in values)
+            assert stream_state(draws) == stream_state(generator)
+
+    def test_lemire_retry_on_crafted_words(self, monkeypatch):
+        # low half 0 is a biased draw for 3 values (0 * 3 mod 2**32 < 2**32 % 3),
+        # so each of these words retries at least once
+        words = iter([0xAAAAAAAB << 32, 0, 0xFFFFFFFF << 32 | 0x55555556, 0, 1 << 63,
+                      0xAAAAAAAB << 32])
+        monkeypatch.setattr(Draws, "_BLOCK", 1)
+
+        def crafted():
+            draws = Draws(np.random.default_rng(0))
+            draws._raw = lambda size: np.array([next(words)], dtype=np.uint64)
+            return draws
+        draws = crafted()
+        assert draws.expansion(1, 3, 3, 1, 3) == ([2], [1, 2], [1], [2])
+        assert (draws._pos, draws._half) == (1, None)
+        with pytest.raises(StopIteration):  # it read all six words, and no more
+            draws.random()
+        words = iter([0xAAAAAAAB << 32, 0, 0xFFFFFFFF << 32 | 0x55555556, 0, 1 << 63,
+                      0xAAAAAAAB << 32])
+        assert scalar_expansion(crafted(), 1, 3, 3, 1, 3) == ([2], [1, 2], [1], [2])
+
+
 class TestSearchesOnDraws:
     """RES and random search read their sampling streams through `Draws`,
-    and return the same entries as when they draw from the Generator itself."""
+    and return the same entries as when the reference sampler draws from the
+    Generator itself."""
 
     BUDGET = OptBudget(max_evals=30, restarts=2)
 
@@ -541,7 +610,12 @@ class TestSearchesOnDraws:
     @pytest.mark.parametrize("search", ["res", "rs"])
     def test_same_entries_as_the_generator(self, clean_task, monkeypatch, search, space):
         through_draws = self.run(search, clean_task, space)
-        monkeypatch.setattr({"res": res, "rs": tasks}[search], "Draws", lambda g: g)
+        module = {"res": res, "rs": tasks}[search]
+        monkeypatch.setattr(module, "Draws", lambda g: g)
+        monkeypatch.setattr(module, "random_cell", lambda vocab, n, rng, layer_budget, c:
+                            reference.random_cell(space, n, rng, layer_budget, c))
+        monkeypatch.setattr(res, "expand_cell", lambda seed, vocab, rng, layer_budget, c:
+                            reference.expand_cell(seed, space, rng, layer_budget, c))
         assert self.run(search, clean_task, space) == through_draws
 
 

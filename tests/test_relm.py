@@ -32,7 +32,7 @@ from qcas.controller import (
     reinforce_grads,
     sample_actions,
 )
-from qcas.optim import OptBudget, Scored, score_cell
+from qcas.optim import Draws, OptBudget, Scored, score_cell
 from qcas.relm import (
     EpochRecord,
     RelmConfig,
@@ -200,7 +200,7 @@ class TestMutate:
                              v_ent=vocab.v_ent, embed_dim=4, n_heads=2, n_blocks=1,
                              ff_dim=8), rng)
         params.tensors["W_out"] *= scale  # the logits are linear in W_out
-        parent = random_cell(vocab, n, rng, max_seq, UNBOUNDED)
+        parent = random_cell(vocab, n, Draws(np.random.default_rng(seed)), max_seq, UNBOUNDED)
         forward = controller_forward(params, *encode_actions(parent, vocab, max_seq))
         cells, rot, ent = mutate(forward, vocab, rng, batch)
         assert rot.shape == (batch, n, max_seq) and ent.shape == (batch, n, n)

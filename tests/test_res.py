@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import UNBOUNDED, oracle_unitary
+from reference import UNBOUNDED, oracle_unitary, stream_state
 
 import qcas.cell
 import qcas.res
@@ -25,7 +25,7 @@ from qcas.cell import (
     random_cell,
     sample_admissible,
 )
-from qcas.optim import OptBudget
+from qcas.optim import Draws, OptBudget
 from qcas.res import ResConfig, evaluate_population, res_search
 from qcas.sim import (
     GATE_KINDS,
@@ -289,8 +289,9 @@ SPACES = [SPACE_SINGLE_CLIFFORD, SPACE_CLIFFORD, SPACE_GENERIC,
 @st.composite
 def expansions(draw):
     """A gate space, a seed cell over it (edges may carry several ops or
-    none), a layer budget and an optional constraint: where it is None, the
-    reference samples unconstrained and qcas under `UNBOUNDED`."""
+    none), a layer budget and an optional constraint, whose bound may be the
+    seed's own quantity: where it is None, the reference samples
+    unconstrained and qcas under `UNBOUNDED`."""
     space = draw(st.sampled_from(SPACES))
     n = draw(st.integers(1, 5))
     rot = sorted(t for t in space if GATE_KINDS[t].arity == 1)
@@ -305,8 +306,8 @@ def expansions(draw):
                     edge_ops[(c, t)] = draw(st.lists(st.sampled_from(ent), max_size=2))
     seed = Cell(n, node_ops, edge_ops)
     quantity = draw(st.sampled_from([None, "n_params", "n_layers", "n_two_qubit", "n_gates"]))
-    constraint = (None if quantity is None
-                  else SoftConstraint(quantity, draw(st.integers(1, 12))))
+    constraint = (None if quantity is None else SoftConstraint(quantity, draw(st.one_of(
+        st.integers(1, 12), st.just(max(1, getattr(metrics(seed), quantity)))))))
     return space, seed, draw(st.integers(1, 3)), constraint
 
 
@@ -317,7 +318,7 @@ class TestSampler:
     def test_matches_building_every_candidate(self, case, count, max_tries, rng_seed, fresh):
         space, seed, layer_budget, constraint = case
         bound, vocab = constraint or UNBOUNDED, build_vocab(space)
-        rng = np.random.default_rng(rng_seed)
+        rng = Draws(np.random.default_rng(rng_seed))
         ref_rng = np.random.default_rng(rng_seed)
         if fresh:  # phase 1: random cells, nothing excluded
             n = seed.n_qubits
@@ -334,7 +335,7 @@ class TestSampler:
                 lambda: reference_expand_cell(seed, space, ref_rng, layer_budget),
                 constraint, count, max_tries, seed)
         assert got == want
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert stream_state(rng) == stream_state(ref_rng)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=expansions(), quantity=st.sampled_from(["n_params", "n_layers",
@@ -350,7 +351,7 @@ class TestSampler:
         for bound in (amount, amount - 1):
             if bound < 1:
                 continue
-            rng = np.random.default_rng(rng_seed)
+            rng = Draws(np.random.default_rng(rng_seed))
             got = expand_cell(seed, vocab, rng, layer_budget, SoftConstraint(quantity, bound))
             if bound == amount:
                 assert got == want
@@ -358,7 +359,7 @@ class TestSampler:
                 assert got is None
             ref_rng = np.random.default_rng(rng_seed)
             reference_expand_cell(seed, space, ref_rng, layer_budget)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert stream_state(rng) == stream_state(ref_rng)
 
     @pytest.mark.parametrize("args", [(1,), (0, 1)])
     def test_one_value_integers_draws_nothing(self, args):
@@ -384,7 +385,7 @@ class TestSampler:
 
     def test_rejected_candidate_builds_no_cell(self, built):
         seed = Cell(3, [["RX", "RY"], [], ["RZ"]], {(0, 1): ["CNOT"]})
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         # the seed already breaks n_layers <= 2, so every child does too
         for _ in range(50):
             assert expand_cell(seed, GENERIC, rng, 2, SoftConstraint("n_layers", 2)) is None
@@ -397,7 +398,7 @@ class TestSampler:
         # builds only the cell it returns
         monkeypatch.setattr(qcas.cell, "_empty_cell",
                             functools.lru_cache(typed=True)(qcas.cell._empty_cell.__wrapped__))
-        rng = np.random.default_rng(1)
+        rng = Draws(np.random.default_rng(1))
         cells = [random_cell(CLIFFORD, 4, rng, 1, SoftConstraint("n_gates", 4))
                  for _ in range(60)]
         assert None in cells

@@ -26,6 +26,7 @@ from reference import UNBOUNDED, exact_gate_matrix, oracle_unitary, same_bits
 
 from qcas import tasks
 from qcas.cell import build_vocab, cell_to_circuit, random_cell
+from qcas.optim import Draws
 from qcas import sim
 from qcas.sim import (
     GATE_KINDS,
@@ -290,9 +291,10 @@ def test_task_scores_are_bit_identical_to_per_gate_reference(make_task, kind, mo
     column of the task's sets, so simulating only the distinct columns
     changes no bit."""
     task = make_task()
-    rng = np.random.default_rng(17)
+    rng, draws = np.random.default_rng(17), Draws(np.random.default_rng(18))
     circuits = [tasks.baseline_circuit(kind, task.n_qubits)] + [
-        cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits, rng, 3, UNBOUNDED))
+        cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits, draws, 3,
+                                    UNBOUNDED))
         for _ in range(8)]
     cases = [(c, rng.uniform(-math.pi, math.pi, c.n_params)) for c in circuits]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from reference import UNBOUNDED, bitflip_noise_circuit, pauli_channel_apply, same_bits
 
 from qcas.cell import Cell, SoftConstraint, build_vocab, cell_to_circuit, metrics, random_cell
-from qcas.optim import OptBudget
+from qcas.optim import Draws, OptBudget
 from qcas.sim import (
     Circuit,
     SPACE_CLIFFORD,
@@ -298,7 +298,8 @@ def test_distinct_columns_simulate_bit_identically_to_the_whole_set(key, cell_se
     gathered back, equals the column simulated in the whole set, bit for bit."""
     task = DENOISE_TASKS[key]
     rng = np.random.default_rng(cell_seed)
-    circuit = cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits, rng,
+    circuit = cell_to_circuit(random_cell(build_vocab(SPACE_GENERIC), task.n_qubits,
+                                          Draws(np.random.default_rng(cell_seed)),
                                           layer_budget, UNBOUNDED))
     theta = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
     for (cols, index), whole in ((task._train, task.train_cols), (task._val, task.val_cols)):
