@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -117,18 +117,8 @@ class Cell:
             edge_ops = {edge: ops for edge, ops in edge_ops.items() if ops}
         object.__setattr__(self, "edge_ops", tuple(sorted(edge_ops.items())))
 
-    @cached_property
-    def _growth(self) -> tuple:
-        """What every expansion of this cell reuses: the unordered pairs with
-        no edge either way, in drawing order; the rotation count per qubit; and
-        its metrics, the base of the quantities that add up over the gates."""
-        n, have = self.n_qubits, {edge for edge, _ in self.edge_ops}
-        pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n)
-                      if (a, b) not in have and (b, a) not in have)
-        return pairs, tuple(map(len, self.node_ops)), metrics(self)
-
     def __getstate__(self):
-        # the growth profile is derived, so a pickle leaves it out
+        # the sampling plan `_plan` caches on a seed is derived, so a pickle leaves it out
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -155,8 +145,8 @@ def _empty_cell(n: int) -> Cell:
 
 class _Plan:
     """What a seed, vocab, layer budget and constraint fix for `expand_cell`:
-    the shape of a candidate's draws, the seed's open pairs in both
-    directions, and the single additions that fit.
+    the shape of a candidate's draws, the seed's rotations per qubit and open
+    pairs in both directions, and the single additions that fit.
 
     Under `n_layers`, `most[q]` is the most rotations (up to the layer budget)
     qubit q can take on its own within the bound, -1 if the seed breaks it,
@@ -166,15 +156,17 @@ class _Plan:
     quantity is exact from its draws.
     """
 
-    __slots__ = ("key", "shape", "rot", "ent", "edges", "bound", "most", "open", "base",
-                 "rot_weight", "ent_weight", "grows")
+    __slots__ = ("key", "shape", "rot", "ent", "rotations", "edges", "bound", "most", "open",
+                 "base", "rot_weight", "ent_weight", "grows")
 
     def __init__(self, seed: Cell, vocab: GateVocab, layer_budget: int,
                  constraint: SoftConstraint):
-        pairs, rotations, seed_metrics = seed._growth
+        n, have = seed.n_qubits, {edge for edge, _ in seed.edge_ops}
+        pairs = [(a, b) for a, b in combinations(range(n), 2) if not {(a, b), (b, a)} & have]
+        self.rotations = rotations = tuple(map(len, seed.node_ops))
         rot, ent = vocab.rotation_kinds[1:], vocab.entangle_kinds[1:]
         self.key = (vocab, layer_budget, constraint)
-        self.shape = (seed.n_qubits, layer_budget + 1, len(rot), len(pairs), len(ent))
+        self.shape = (n, layer_budget + 1, len(rot), len(pairs), len(ent))
         self.rot, self.ent, self.bound = rot, ent, constraint.bound
         self.edges = [edge for a, b in pairs for edge in ((a, b), (b, a))]
         if constraint.quantity == "n_layers":
@@ -194,7 +186,7 @@ class _Plan:
             self.grows = bool(rot) and max(self.most) >= 1 or bool(ent) and any(self.open)
         else:
             self.most = None
-            self.base = getattr(seed_metrics, constraint.quantity)
+            self.base = getattr(metrics(seed), constraint.quantity)
             self.rot_weight, self.ent_weight = (
                 [_sums([tag], [])[constraint.quantity] for tag in rot],
                 [_sums([], [tag])[constraint.quantity] for tag in ent])
@@ -233,15 +225,12 @@ def expand_cell(seed: Cell, vocab: GateVocab, draws: Draws, layer_budget: int,
     elif not (all(map(int.__le__, counts, plan.most))
               and all(map(plan.open.__getitem__, directed))):
         return None
-    ent, edges = plan.ent, plan.edges
-    new_edges = [(edges[d], (ent[k],)) for d, k in zip(directed, kinds)]
-    rotations = seed._growth[1]
-    sizes = list(map(int.__add__, rotations, counts)) if counts else rotations
+    new_edges = [(plan.edges[d], (plan.ent[k],)) for d, k in zip(directed, kinds)]
+    sizes = list(map(int.__add__, plan.rotations, counts)) if counts else plan.rotations
     if plan.most is not None and _depth(sizes, sorted([*seed.edge_ops, *new_edges])
                                         if new_edges else seed.edge_ops) > plan.bound:
         return None
-    rot = plan.rot
-    added = (rot[i] for i in ids)
+    added = map(plan.rot.__getitem__, ids)
     node_ops = [(*ops, *islice(added, size - len(ops))) for ops, size in zip(seed.node_ops, sizes)]
     return Cell(seed.n_qubits, node_ops, [*seed.edge_ops, *new_edges])
 

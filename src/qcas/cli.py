@@ -315,10 +315,11 @@ _METRIC_KEYS = ("n_params", "n_layers", "n_two_qubit")
 
 
 def load_record(path: str) -> dict:
-    """The run record at `path`; a file that cannot be read, a document
-    without the keys that `export_csv` and `eval_record` read, or a run whose
-    `best_cell` is not a cell or whose `theta` is not one number per
-    parameter of it, is a ConfigError that names the path (and the run)."""
+    """The run record at `path`, its task section merged over the defaults
+    and checked as a config's is.  An unreadable file, a document without the
+    keys that `export_csv` and `eval_record` read, a bad task section (named
+    by its dotted key) or a run with a `_run_problem` is a ConfigError that
+    names the path (and the run)."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
@@ -333,6 +334,11 @@ def load_record(path: str) -> dict:
     if not (isinstance(config, dict) and isinstance(config.get("task"), dict)
             and "kind" in config["task"]):
         raise ConfigError(f"record {path!r} has no 'config.task.kind'")
+    try:
+        config["task"] = _merge_checked(DEFAULT_CONFIG["task"], config["task"], "task.")
+        _build("task", TaskConfig, config["task"])
+    except ValueError as exc:
+        raise ConfigError(f"record {path!r}: {exc}") from None
     for i, run in enumerate(record["runs"]):
         if not isinstance(run, dict):
             raise ConfigError(f"record {path!r}: run {i} is not a mapping")
@@ -345,15 +351,18 @@ def load_record(path: str) -> dict:
                        if not (isinstance(metrics, dict) and key in metrics)]
         if missing:
             raise ConfigError(f"record {path!r}: run {i} has no {missing[0]!r}")
-        problem = _cell_problem(run["best_cell"], run["theta"])
+        problem = _run_problem(run)
         if problem is not None:
             raise ConfigError(f"record {path!r}: run {i} has {problem}")
     return record
 
 
-def _cell_problem(doc, theta) -> str | None:
-    """What keeps a run's `best_cell` and `theta` from being a cell and its
-    parameters, or None."""
+def _run_problem(run: dict) -> str | None:
+    """What keeps a run's `seed`, `best_cell` and `theta` from being a seed,
+    a cell and its parameters, or None."""
+    if type(run["seed"]) is not int or run["seed"] < 0:
+        return f"a 'seed' that is not an integer >= 0: {run['seed']!r}"
+    doc, theta = run["best_cell"], run["theta"]
     if not isinstance(doc, dict):
         return "a 'best_cell' that is not a mapping"
     try:

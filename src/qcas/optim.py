@@ -274,20 +274,14 @@ def stream(seed: int, purpose: str, *keys) -> np.random.Generator:
 
 
 class Draws:
-    """The scalar draws of a PCG64 Generator, read from its raw 64-bit words.
-
-    `integers(low, high)` and `random()` return what the Generator's methods
-    return, in the same order: a range of one value draws nothing, a range
-    of up to 2**32 values is Lemire's bounded 32-bit method with its retry
-    (arXiv:1805.10941) on the low half of a word and then its buffered upper
-    half, and a uniform is ``(word >> 11) * 2**-53`` of a whole word.
-    `expansion` decodes all the choices of one `cell.expand_cell` candidate
-    in one call, with these draws written inline, so that a candidate costs
-    one method call; `random_cell` and `expand_cell` draw through it and take
-    nothing but a Draws.  The words come in blocks
-    of `_BLOCK` from `random_raw`, so a draw costs no numpy dispatch.  The
-    Draws owns the Generator from then on; a half-word the Generator had
-    buffered is taken over.
+    """A PCG64 Generator's draws for `cell.expand_cell`, read from its raw
+    64-bit words: `expansion` decodes one candidate's choices in one call,
+    with the numbers and final stream position of the Generator's own scalar
+    `integers` and `random` calls (Lemire's bounded 32-bit draw with its
+    retry, arXiv:1805.10941, on a word's low half and then its buffered upper
+    half; a uniform is ``(word >> 11) * 2**-53``).  Words come in blocks of
+    `_BLOCK` from `random_raw`, so a draw costs no numpy dispatch.  The Draws
+    owns the Generator from then on, and takes over a half-word it buffered.
     """
 
     _BLOCK = 256
@@ -301,38 +295,10 @@ class Draws:
         self._words, self._pos = [], 0  # the last block read, and its next unread word
         self._half = state["uinteger"] if state["has_uint32"] else None
 
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._words, self._pos = self._raw(self._BLOCK).tolist(), 0
-        self._pos += 1
-        return self._words[self._pos - 1]
-
-    def integers(self, low: int, high: int | None = None) -> int:
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"integers draws from 1..2**32 values, got low={low}, high={high}")
-        if n == 1:
-            return low
-        while True:
-            u = self._half
-            if u is None:
-                word = self._word()
-                u, self._half = word & 0xFFFFFFFF, word >> 32
-            else:
-                self._half = None
-            m = u * n
-            if m & 0xFFFFFFFF >= 0x100000000 % n:  # else a biased draw: retry
-                return low + (m >> 32)
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
     def expansion(self, n_qubits: int, n_counts: int, n_rot: int, n_pairs: int,
                   n_ent: int) -> tuple[list, list, list, list]:
-        """The choices of one candidate of `cell.expand_cell`, drawn as its
-        scalar calls would draw them, in the same order, with the same numbers.
+        """The choices of one candidate of `cell.expand_cell`, drawn as the
+        Generator's scalar calls would, in the same order and with the same numbers.
 
         If `n_rot` >= 1, each qubit in turn draws its count, ``integers(n_counts)``,
         then that many rotation ids, ``integers(n_rot)`` each.  If `n_ent` >= 1,
@@ -341,7 +307,7 @@ class Draws:
         and ``integers(n_ent)`` for its kind.  Returns the counts per qubit,
         the rotation ids in order, and per new edge its directed pair
         ``2 i`` ((a, b) of pair i) or ``2 i + 1`` ((b, a)) and its kind id.
-        `n_counts`, and `n_rot` and `n_ent` where nonzero, lie in 1..2**32 (unchecked).
+        `n_counts` is in 2..2**32, a nonzero `n_rot` or `n_ent` in 1..2**32 (unchecked).
         """
         # `random() < 0.5` is `(word >> 11) * 2**-53 < 0.5`, i.e. `word >> 63 == 0`
         words, pos, half, block = self._words, self._pos, self._half, self._BLOCK

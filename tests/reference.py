@@ -22,12 +22,14 @@
   of it: the fit of a parametric cell must give the same `Scored` entry.
 * RES's content-keyed fitting stream, as the sha256 of the seed and the
   cell's dict that `qcas.optim.stream` must rebuild for "res.fit".
-* The RES sampler as it drew before cells cached a growth profile:
-  `random_cell` builds a fresh empty seed, `expand_cell` draws one uniform per
-  `random()` call and `_grown_quantity` re-derives the seed's part of the
-  constrained quantity for every candidate.  `qcas.cell`'s sampler must give
-  the same cells, the same `None`s and the same generator state, which
-  `stream_state` reads from a Generator and from a `qcas.optim.Draws` alike.
+* The RES sampler as it drew before seeds cached a sampling plan:
+  `random_cell` builds a fresh empty seed, `expand_cell` makes one scalar
+  `integers` or `random` call of the Generator per choice, and it and
+  `_grown_quantity` re-derive the seed's open pairs and its part of the
+  constrained quantity for every candidate.  `qcas.cell`'s sampler, reading
+  a `qcas.optim.Draws` of the same Generator, must give the same cells, the
+  same `None`s and the same generator state, which `stream_state` reads from
+  either.
   It keeps an unconstrained mode, which `qcas.cell`'s sampler matches under
   `UNBOUNDED`.
 * The one-op children of a seed, each built as a `Cell`: `qcas.cell.can_grow`

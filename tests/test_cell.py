@@ -307,57 +307,16 @@ class TestDrawStream:
                 assert stream_state(rng) == position
 
     def test_growth_profile_is_not_part_of_the_value(self):
-        # nor is the table of single additions that fit
+        # the seed's one cache: its open pairs, rotation counts and the table
+        # of single additions that fit
         seed, fresh = (Cell(3, [["RX"], [], ["H", "S"]], {(0, 1): ["CNOT"]}) for _ in range(2))
-        rng, cached = Draws(np.random.default_rng(0)), {"_growth", "_plan"}
+        rng, cached = Draws(np.random.default_rng(0)), {"_plan"}
         expand_cell(seed, GENERIC, rng, 1, SoftConstraint("n_gates", 9))
         assert cached <= set(vars(seed)) and not cached & set(vars(fresh))
         assert seed == fresh and hash(seed) == hash(fresh) and repr(seed) == repr(fresh)
         assert pickle.dumps(seed) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(seed))
         assert restored == seed and not cached & set(vars(restored))
-
-
-class TestSamplersOnDraws:
-    """`random_cell` and `expand_cell` read each candidate with one
-    `Draws.expansion` call: from the same seed they give the same cell or
-    None, call for call, and leave the stream where it stands, as the
-    reference sampler making the scalar `Draws.integers` and `Draws.random`
-    calls it replaces, also from a half-used 32-bit buffer."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
-    def test_same_cells_as_the_generator(self, space, n):
-        vocab = build_vocab(space)
-        outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
-        for layer_budget in (1, 2, 3):
-            for quantity in (None, *QUANTITIES):
-                for rng_seed in range(3):
-                    seed = random_cell(vocab, n, Draws(np.random.default_rng(rng_seed + 100)),
-                                       layer_budget, UNBOUNDED)
-                    constraint = None if quantity is None else SoftConstraint(
-                        quantity, max(1, getattr(metrics(seed), quantity) + 1))
-                    generators = [np.random.default_rng(rng_seed) for _ in range(2)]
-                    if rng_seed == 1:  # start from a half-used 32-bit buffer
-                        for generator in generators:
-                            generator.integers(2)
-                    draws, scalar = map(Draws, generators)
-                    for i in range(12):
-                        if i % 3:
-                            got = expand_cell(seed, vocab, draws, layer_budget,
-                                              constraint or UNBOUNDED)
-                            want = reference.expand_cell(seed, space, scalar, layer_budget,
-                                                         constraint)
-                        else:
-                            got = random_cell(vocab, n, draws, layer_budget,
-                                              constraint or UNBOUNDED)
-                            want = reference.random_cell(space, n, scalar, layer_budget,
-                                                         constraint)
-                        assert got == want
-                        assert stream_state(draws) == stream_state(scalar)
-                        if quantity is not None:
-                            outcomes[got is not None] += 1
-        assert outcomes[True] and outcomes[False]
 
 
 HEADROOM_SPACES = (SPACE_GENERIC, SPACE_CLIFFORD, SPACE_SINGLE_CLIFFORD, frozenset({"CNOT"}),

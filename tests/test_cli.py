@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcas
-from qcas.cell import SoftConstraint
+from qcas.cell import Cell, SoftConstraint, cell_to_dict
 from qcas.optim import OptBudget
 from qcas.relm import RelmConfig
 from qcas.res import ResConfig
@@ -661,6 +661,46 @@ class TestMain:
         reason = (" has no 'config.task.kind'" if case in ("config", "task", "kind")
                   else ": run 1 is not a mapping" if case == "run" else f": run 1 has no {case!r}")
         assert err == f"config error: record {str(rec_path)!r}{reason}\n"
+
+    # a task section or a run seed the record's readers would take on trust:
+    # (task section, seed of the second run, the reason after the path)
+    BAD_RECORD_VALUES = {
+        "unknown-kind": ({"kind": "bogus"}, 1,
+                         f": task.kind must be one of {tuple(TASK_KINDS)}, got 'bogus'"),
+        "unknown-task-key": ({"kind": "denoise", "colour": "red"}, 1,
+                             ": unknown config key 'task.colour'"),
+        "bad-task-value": ({"kind": "denoise", "noise": "pink"}, 1,
+                           ": task.noise must be one of ('bitflip', 'qdc'), got 'pink'"),
+        "key-not-read": ({"kind": "denoise", "n_qubits": 5}, 1,
+                         ": task.n_qubits is not read by task kind 'denoise'"),
+        "string-seed": ({"kind": "denoise"}, "x",
+                        ": run 1 has a 'seed' that is not an integer >= 0: 'x'"),
+        "negative-seed": ({"kind": "denoise"}, -1,
+                          ": run 1 has a 'seed' that is not an integer >= 0: -1"),
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("case", BAD_RECORD_VALUES)
+    def test_record_with_a_bad_task_or_seed_is_a_one_line_config_error(self, tmp_path, capsys,
+                                                                        command, case):
+        task, seed, reason = self.BAD_RECORD_VALUES[case]
+        cfg_path, rec_path = tmp_path / "cfg.json", tmp_path / "rec.json"
+        cfg_path.write_text(json.dumps(FAST))
+        good = dict(self.GOOD_RUN, seed=seed, best_cell=cell_to_dict(Cell(3)))
+        runs = [{"seed": "none", "error": "RuntimeError: none found"}, good]
+        rec_path.write_text(json.dumps({"format": 1, "config": {"task": task}, "runs": runs}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--record", str(rec_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: record {str(rec_path)!r}{reason}\n"
+
+    def test_record_task_section_is_merged_over_the_defaults(self, tmp_path):
+        # a section that holds only its kind stays valid, and reads as the full section
+        rec_path = tmp_path / "rec.json"
+        good = dict(self.GOOD_RUN, best_cell=cell_to_dict(Cell(3)))
+        rec_path.write_text(json.dumps({"format": 1, "config": {"task": {"kind": "denoise"}},
+                                        "runs": [good]}))
+        assert load_record(str(rec_path))["config"]["task"] == dict(DEFAULT_CONFIG["task"],
+                                                                    kind="denoise")
 
     @pytest.mark.parametrize("case, message", [
         ("missing", "cannot read config '{path}': No such file or directory"),

@@ -476,49 +476,14 @@ class TestStreamTable:
         assert state != content_stream(6, cell).bit_generator.state
 
 
-# one value (no draw), small ranges, ranges past 2**31, one that rejects about
-# a quarter of its 32-bit draws (3 * 2**30) and the whole 32-bit range
-RANGES = (1, 2, 3, 4, 5, 7, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32)
-
-
 class TestDraws:
-    """`Draws` against the installed numpy: the same numbers as the
-    Generator's own `integers` and `random` on the same seed, so a numpy whose
-    `integers` draws differently fails here instead of changing qcas's runs."""
-
-    @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_same_numbers_as_the_generator(self, monkeypatch, seed, half_used):
-        monkeypatch.setattr(Draws, "_BLOCK", 7)  # reads cross block boundaries
-        generator, wrapped = np.random.default_rng(seed), np.random.default_rng(seed)
-        if half_used:  # the Generator holds the upper half of a word
-            assert generator.integers(2) == wrapped.integers(2)
-            assert wrapped.bit_generator.state["has_uint32"] == 1
-        draws = Draws(wrapped)
-        script = np.random.default_rng(1000 + seed)  # the interleaving
-        for _ in range(6000):
-            op = int(script.integers(len(RANGES) + 1))
-            if op < len(RANGES):
-                low = int(script.integers(-2, 3))
-                args = (RANGES[op],) if low == 0 else (low, low + RANGES[op])
-                got = draws.integers(*args)
-                assert type(got) is int and got == generator.integers(*args)
-            else:
-                got = draws.random()
-                assert type(got) is float and got == generator.random()
-
     def test_only_a_pcg64_stream(self):
         with pytest.raises(ValueError, match="MT19937"):
             Draws(np.random.Generator(np.random.MT19937(0)))
 
-    @pytest.mark.parametrize("args", [(0,), (3, 3), (5, 2), (2**32 + 1,)])
-    def test_range_outside_one_to_2_32_values_rejected(self, args):
-        with pytest.raises(ValueError, match="integers draws from 1..2\\*\\*32 values"):
-            Draws(np.random.default_rng(0)).integers(*args)
-
 
 def scalar_expansion(rng, n_qubits, n_counts, n_rot, n_pairs, n_ent):
-    """`Draws.expansion` as the scalar `integers` and `random` calls it replaces."""
+    """`Draws.expansion` as the Generator's scalar `integers` and `random` calls."""
     counts, ids, directed, kinds = [], [], [], []
     if n_rot:
         for _ in range(n_qubits):
@@ -536,15 +501,19 @@ def scalar_expansion(rng, n_qubits, n_counts, n_rot, n_pairs, n_ent):
 # layer budget 1; SPACE_GENERIC at layer budget 2, 3 counts and 3 rotation
 # kinds; one kind in a category, or none; ranges where Lemire's method
 # retries about half its rotation and kind draws (the crafted words below
-# make a count draw retry)
+# make a count draw retry); ranges that retry about a quarter of their draws
+# (3 * 2**30), just under 2**32, and the whole 32-bit range
 EXPANSION_SHAPES = {"clifford": (5, 2, 4, 10, 1), "generic": (3, 3, 3, 3, 4),
                     "one-rotation-kind": (4, 4, 1, 6, 0), "no-rotation-kind": (4, 2, 0, 6, 2),
-                    "one-kind-each": (2, 2, 1, 1, 1), "retrying": (3, 3, 2**31 + 1, 3, 2**31 + 1)}
+                    "one-kind-each": (2, 2, 1, 1, 1), "retrying": (3, 3, 2**31 + 1, 3, 2**31 + 1),
+                    "wide": (3, 4, 3 * 2**30, 4, 2**32 - 5), "whole-32-bit": (3, 3, 2**32, 3, 2**32)}
 
 
 class TestExpansion:
     """`Draws.expansion` decodes one candidate in one call: the same choices,
-    and the stream left where it stands, as the Generator's scalar calls."""
+    and the stream left where it stands, as the Generator's scalar
+    `integers` and `random` calls on the same seed, so a numpy whose
+    `integers` draws differently fails here instead of changing qcas's runs."""
 
     @pytest.mark.parametrize("shape", EXPANSION_SHAPES.values(), ids=EXPANSION_SHAPES)
     @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half-used"])
@@ -569,19 +538,12 @@ class TestExpansion:
         words = iter([0xAAAAAAAB << 32, 0, 0xFFFFFFFF << 32 | 0x55555556, 0, 1 << 63,
                       0xAAAAAAAB << 32])
         monkeypatch.setattr(Draws, "_BLOCK", 1)
-
-        def crafted():
-            draws = Draws(np.random.default_rng(0))
-            draws._raw = lambda size: np.array([next(words)], dtype=np.uint64)
-            return draws
-        draws = crafted()
+        draws = Draws(np.random.default_rng(0))
+        draws._raw = lambda size: np.array([next(words)], dtype=np.uint64)
         assert draws.expansion(1, 3, 3, 1, 3) == ([2], [1, 2], [1], [2])
+        # it read all six words, and no more: the last in full, none left over
         assert (draws._pos, draws._half) == (1, None)
-        with pytest.raises(StopIteration):  # it read all six words, and no more
-            draws.random()
-        words = iter([0xAAAAAAAB << 32, 0, 0xFFFFFFFF << 32 | 0x55555556, 0, 1 << 63,
-                      0xAAAAAAAB << 32])
-        assert scalar_expansion(crafted(), 1, 3, 3, 1, 3) == ([2], [1, 2], [1], [2])
+        assert next(words, None) is None
 
 
 class TestSearchesOnDraws:
