@@ -319,6 +319,48 @@ class TestDrawStream:
         assert restored == seed and not cached & set(vars(restored))
 
 
+class TestSamplersOnDraws:
+    """`random_cell` and `expand_cell` read each candidate with one
+    `Draws.expansion` call: from seeds they built themselves they give the
+    same cell or None, call for call, and leave the stream where it stands, as
+    the reference sampler making scalar `integers` and `random` calls of the
+    Generator, also from a half-used 32-bit buffer."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("space", SAMPLER_SPACES.values(), ids=SAMPLER_SPACES)
+    def test_same_cells_as_the_generator(self, space, n):
+        vocab = build_vocab(space)
+        outcomes = {True: 0, False: 0}  # under a constraint: built, rejected
+        for layer_budget in (1, 2, 3):
+            for quantity in (None, *QUANTITIES):
+                for rng_seed in range(3):
+                    seed = random_cell(vocab, n, Draws(np.random.default_rng(rng_seed + 100)),
+                                       layer_budget, UNBOUNDED)
+                    constraint = None if quantity is None else SoftConstraint(
+                        quantity, max(1, getattr(metrics(seed), quantity) + 1))
+                    generator, scalar = (np.random.default_rng(rng_seed) for _ in range(2))
+                    if rng_seed == 1:  # start from a half-used 32-bit buffer
+                        for g in (generator, scalar):
+                            g.integers(2)
+                    draws = Draws(generator)
+                    for i in range(12):
+                        if i % 3:
+                            got = expand_cell(seed, vocab, draws, layer_budget,
+                                              constraint or UNBOUNDED)
+                            want = reference.expand_cell(seed, space, scalar, layer_budget,
+                                                         constraint)
+                        else:
+                            got = random_cell(vocab, n, draws, layer_budget,
+                                              constraint or UNBOUNDED)
+                            want = reference.random_cell(space, n, scalar, layer_budget,
+                                                         constraint)
+                        assert got == want
+                        assert stream_state(draws) == stream_state(scalar)
+                        if quantity is not None:
+                            outcomes[got is not None] += 1
+        assert outcomes[True] and outcomes[False]
+
+
 HEADROOM_SPACES = (SPACE_GENERIC, SPACE_CLIFFORD, SPACE_SINGLE_CLIFFORD, frozenset({"CNOT"}),
                    frozenset({"CNOT", "CRX"}))
 
